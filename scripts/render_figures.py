@@ -16,7 +16,6 @@ from pathlib import Path
 from swigc.dsl import parse_study
 from swigc.estimand import compile_study, study_swig
 from swigc.markup import to_dot, to_tikz
-from swigc.model import PrincipalStratum
 from swigc.swig import split
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,10 +53,7 @@ def figure_jobs(cfg: Config):
             continue
         treatment = study.treatment
         for level in study.treatment_levels:
-            world = [(treatment, level)]
-            for var in compiled.split_vars[1:]:
-                world.append((var, compiled.split_levels[var]))
-            sw = split(compiled.graph, tuple(world))
+            sw = split(compiled.graph, compiled.arm_context(level))
             boxed = {}
             if dict(stratum.context).get(treatment) == level:
                 boxed = {stratum.var: stratum.value}

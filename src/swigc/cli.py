@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
+from . import __version__
 from .dsep import DSepQuery, d_separated, open_paths, path_string
 from .dsl import GRAMMAR_VERSION, parse_file, serialize
 from .errors import (
@@ -34,7 +35,6 @@ from .formula import render
 from .graph import Context, canonical_json
 from .identify import (
     EstimandReport,
-    Identified,
     IdentifyResult,
     NotIdentifiable,
     PartiallyIdentified,
@@ -46,17 +46,19 @@ from .model import StudySpec
 from .oracle import (
     SoundnessReport,
     check_soundness,
+    data_model,
     enumerate_table,
-    random_scm,
     soundness_battery,
     write_csv,
 )
 from .markup import to_dot, to_tikz
 from .swig import split, swig_to_payload
 
-VERSION = "0.1.0"
-
-_VERDICT_WORDS = {0: "identified", 4: "partially identified", 5: "not identifiable"}
+_VERDICT_WORDS = {
+    "identified": "identified",
+    "partial": "partially identified",
+    "blocked": "not identifiable",
+}
 
 
 def _load(args) -> StudySpec:
@@ -230,6 +232,7 @@ def _cmd_dsep(args) -> int:
 def _arm_payload(result: IdentifyResult) -> dict:
     payload: dict = {
         "term": result.mean.label,
+        "status": result.status,
         "steps": [
             {
                 "rule": s.rule,
@@ -240,19 +243,15 @@ def _arm_payload(result: IdentifyResult) -> dict:
             for s in result.steps
         ],
     }
-    if isinstance(result, Identified):
-        payload["status"] = "identified"
-        payload["formula"] = render(result.formula)
-    elif isinstance(result, PartiallyIdentified):
-        payload["status"] = "partial"
-        payload["formula"] = render(result.formula)
-        payload["cross_world"] = [e.label for e in result.cross_world.events]
-    else:
-        payload["status"] = "blocked"
+    if isinstance(result, NotIdentifiable):
         payload["blocked"] = {
             "premise": result.blocked.premise.label(),
             "path": result.blocked.witness_label,
         }
+    else:
+        payload["formula"] = render(result.formula)
+    if isinstance(result, PartiallyIdentified):
+        payload["cross_world"] = [e.label for e in result.cross_world.events]
     return payload
 
 
@@ -281,7 +280,7 @@ def _cmd_identify(args) -> int:
                 "left": _arm_payload(report.left),
                 "right": _arm_payload(report.right),
                 "combined": render(combined) if combined is not None else None,
-                "verdict": _VERDICT_WORDS[code],
+                "verdict": _VERDICT_WORDS[report.status],
                 "exit": code,
             }
         )
@@ -296,7 +295,7 @@ def _cmd_identify(args) -> int:
     print()
     if combined is not None:
         print(f"combined: {render(combined)}")
-    print(f"verdict: {_VERDICT_WORDS[code]}")
+    print(f"verdict: {_VERDICT_WORDS[report.status]}")
     for note in _notes(report):
         print(note)
     return code
@@ -324,14 +323,8 @@ def _report_payload(r: SoundnessReport) -> dict:
     }
 
 
-def _write_table_csv(study: StudySpec, compiled: CompiledEstimand, seed, path: str) -> None:
-    scm = study.scm if seed is None else random_scm(compiled.graph, seed)
-    if scm is None:
-        raise OracleError(f"study {study.name!r} declares no data model; pass --seed")
-    contexts = [compiled.contrast.left.context, compiled.contrast.right.context]
-    if compiled.stratum is not None:
-        contexts.append(compiled.stratum.context)
-    table = enumerate_table(compiled.graph, scm, contexts)
+def _write_table_csv(compiled: CompiledEstimand, seed, path: str) -> None:
+    table = enumerate_table(compiled.graph, data_model(compiled, seed), compiled.worlds())
     if path == "-":
         write_csv(table, sys.stdout)
     else:
@@ -343,7 +336,7 @@ def _cmd_simulate(args) -> int:
     study = _load(args)
     compiled = compile_study(study)
     if args.csv:
-        _write_table_csv(study, compiled, args.seed, args.csv)
+        _write_table_csv(compiled, args.seed, args.csv)
 
     if args.seeds is not None:
         first, last = args.seeds
@@ -452,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compile trial specs into split graphs, estimands, and derivations.",
     )
     p.add_argument(
-        "--version", action="version", version=f"swigc {VERSION} (grammar {GRAMMAR_VERSION})"
+        "--version", action="version", version=f"swigc {__version__} (grammar {GRAMMAR_VERSION})"
     )
     sub = p.add_subparsers(dest="command", required=True)
 

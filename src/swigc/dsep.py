@@ -26,7 +26,7 @@ class DSepQuery:
     y: frozenset[NodeId]
     z: frozenset[NodeId] = frozenset()
 
-    def label(self, graph: CausalGraph | None = None) -> str:
+    def label(self) -> str:
         def names(ns: frozenset[NodeId]) -> str:
             return ", ".join(sorted(n.label for n in ns))
 

@@ -52,6 +52,11 @@ class CompiledEstimand:
         entries.extend((v, self.split_levels[v]) for v in self.split_vars[1:])
         return tuple(entries)
 
+    def worlds(self) -> tuple[Context, ...]:
+        """The worlds the oracle enumerates: each arm's, then the stratum's."""
+        arms = (self.contrast.left.context, self.contrast.right.context)
+        return arms if self.stratum is None else arms + (self.stratum.context,)
+
     def symbolic_context(self) -> Context:
         """The same variables held at symbolic levels, for generic derivations."""
         return tuple((v, v.lower()) for v in self.split_vars)

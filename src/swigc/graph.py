@@ -33,7 +33,6 @@ __all__ = [
     "valid_name",
     "format_assignment",
     "format_term",
-    "context_value",
     "CompositeRule",
     "NodeAttrs",
     "NodeId",
@@ -72,13 +71,6 @@ def format_term(var: str, context: Context) -> str:
         return var
     inner = ",".join(format_assignment(v, x) for v, x in context)
     return f"{var}({inner})"
-
-
-def context_value(context: Context, var: str) -> Value | None:
-    for v, x in context:
-        if v == var:
-            return x
-    return None
 
 
 @dataclass(frozen=True)
@@ -352,12 +344,8 @@ def build_graph(
 # JSON import and export
 
 
-def _value_payload(value: Value) -> int | str:
-    return value
-
-
 def _context_payload(context: Context) -> list[list]:
-    return [[var, _value_payload(val)] for var, val in context]
+    return [[var, val] for var, val in context]
 
 
 def _context_from_payload(payload: Iterable) -> Context:

@@ -25,7 +25,17 @@ from typing import Union
 from .dsep import DSepQuery, PathWitness, d_separated, open_paths, path_string
 from .errors import SemanticError
 from .estimand import CompiledEstimand, compile_study, study_swig
-from .formula import Difference, Event, Expect, Formula, SumOver, Term, fresh_symbol, render
+from .formula import (
+    Difference,
+    Event,
+    Expect,
+    Formula,
+    SumOver,
+    Term,
+    fresh_symbol,
+    is_identified,
+    render,
+)
 from .graph import NodeId
 from .model import CounterfactualMean, StudySpec
 
@@ -72,11 +82,16 @@ class CrossWorld:
     term: Term | None = None
 
 
+# Arm statuses from best to worst, with the exit code each one gives.
+_EXIT_CODES = {"identified": 0, "partial": 4, "blocked": 5}
+
+
 @dataclass(frozen=True)
 class Identified:
     mean: CounterfactualMean
     formula: Formula
     steps: tuple[DerivationStep, ...]
+    status = "identified"
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,7 @@ class PartiallyIdentified:
     formula: Formula
     steps: tuple[DerivationStep, ...]
     cross_world: CrossWorld
+    status = "partial"
 
 
 @dataclass(frozen=True)
@@ -92,6 +108,7 @@ class NotIdentifiable:
     mean: CounterfactualMean
     steps: tuple[DerivationStep, ...]
     blocked: OpenBackdoor
+    status = "blocked"
 
 
 IdentifyResult = Union[Identified, PartiallyIdentified, NotIdentifiable]
@@ -107,8 +124,13 @@ class EstimandReport:
     right: IdentifyResult
 
     @property
+    def status(self) -> str:
+        """The worse of the two arms' statuses."""
+        return max(self.left.status, self.right.status, key=_EXIT_CODES.__getitem__)
+
+    @property
     def combined(self) -> Formula | None:
-        if isinstance(self.left, Identified) and isinstance(self.right, Identified):
+        if self.status == "identified":
             return Difference(self.left.formula, self.right.formula)
         return None
 
@@ -190,7 +212,7 @@ def identify_term(
                         continue
                 else:
                     q = None
-                if _chain_holds(g, outcome_node, baseline | frozenset(combo), held):
+                if _first_failure(g, outcome_node, baseline | frozenset(combo), held) is None:
                     chosen, strat_q = combo, q
                     break
             if chosen is not None:
@@ -248,35 +270,25 @@ def identify_term(
         term = new_term
         steps.append(DerivationStep("consistency", formula_now(), "consistency"))
 
-    leftovers = tuple(e for e in events if e.term.context)
     final = formula_now()
-    if not leftovers and not term.context:
+    if is_identified(final):
         return Identified(mean, final, tuple(steps))
+    leftovers = tuple(e for e in events if e.term.context)
     cross = CrossWorld(events=leftovers, term=term if term.context else None)
     return PartiallyIdentified(mean, final, tuple(steps), cross)
 
 
-def _chain_holds(
-    graph, outcome: NodeId, base: frozenset[NodeId], held: list[NodeId]
-) -> bool:
-    z = set(base)
-    for node in held:
-        if not d_separated(graph, DSepQuery(frozenset({outcome}), frozenset({node}), frozenset(z))):
-            return False
-        z.add(node)
-    return True
-
-
 def _first_failure(
     graph, outcome: NodeId, base: frozenset[NodeId], held: list[NodeId]
-) -> DSepQuery:
+) -> DSepQuery | None:
+    """The first premise of the held-event conditioning chain that fails, if any."""
     z = set(base)
     for node in held:
         q = DSepQuery(frozenset({outcome}), frozenset({node}), frozenset(z))
         if not d_separated(graph, q):
             return q
         z.add(node)
-    raise AssertionError("no failing premise in a failed chain")
+    return None
 
 
 def _refute(graph, premise: DSepQuery) -> OpenBackdoor:
@@ -315,9 +327,4 @@ def render_trace(result: IdentifyResult) -> list[str]:
 
 def verdict_code(report: EstimandReport) -> int:
     """0 both arms identified, 4 a cross-world term survives, 5 refuted."""
-    arms = (report.left, report.right)
-    if any(isinstance(a, NotIdentifiable) for a in arms):
-        return 5
-    if any(isinstance(a, PartiallyIdentified) for a in arms):
-        return 4
-    return 0
+    return _EXIT_CODES[report.status]

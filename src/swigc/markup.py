@@ -13,30 +13,26 @@ semicircular halves of split nodes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping
 
 from .graph import CausalGraph, NodeId
 from .swig import SWIG
 
-__all__ = ["RenderStyle", "to_tikz", "to_dot"]
+__all__ = ["to_tikz", "to_dot"]
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    fixed_half_color: str = "red"
-    edge_color: str = "blue"
-    latent_fill: str = "gray!40"
-    x_step: float = 2.75
-    y_step: float = 2.5
-    pair_gap: float = 1.1
+FIXED_HALF_COLOR = "red"
+EDGE_COLOR = "blue"
+LATENT_FILL = "gray!40"
+X_STEP = 2.75
+Y_STEP = 2.5
+PAIR_GAP = 1.1
 
 
 def _graph_of(target: CausalGraph | SWIG) -> CausalGraph:
     return target.graph if isinstance(target, SWIG) else target
 
 
-def _layout(graph: CausalGraph, style: RenderStyle) -> dict[NodeId, tuple[float, float]]:
+def _layout(graph: CausalGraph) -> dict[NodeId, tuple[float, float]]:
     """Positions keyed by node; split pairs share a unit, fixed half offset right."""
     randoms: dict[str, NodeId] = {}
     fixed: dict[str, NodeId] = {}
@@ -64,11 +60,11 @@ def _layout(graph: CausalGraph, style: RenderStyle) -> dict[NodeId, tuple[float,
         members = sorted(by_layer[k], key=lambda b: randoms[b].label)
         for i, b in enumerate(members):
             offset = (i + 1) // 2 * (1 if i % 2 else -1)
-            x = k * style.x_step
-            y = offset * style.y_step
+            x = k * X_STEP
+            y = offset * Y_STEP
             pos[randoms[b]] = (x, y)
             if b in fixed:
-                pos[fixed[b]] = (x + style.pair_gap, y)
+                pos[fixed[b]] = (x + PAIR_GAP, y)
     return pos
 
 
@@ -93,18 +89,17 @@ def _tikz_options(
     swig_mode: bool,
     split_bases: set[str],
     boxed: bool,
-    style: RenderStyle,
 ) -> str:
     a = graph.attrs[node]
     if node.fixed:
         return (
             "semicircle, draw, shape border rotate=270,"
-            f" color={style.fixed_half_color}, inner sep=2pt"
+            f" color={FIXED_HALF_COLOR}, inner sep=2pt"
         )
     if boxed or a.conditioned:
         return "rectangle, draw"
     if a.role == "latent":
-        return f"circle, draw, fill={style.latent_fill}"
+        return f"circle, draw, fill={LATENT_FILL}"
     if swig_mode:
         if node.base in split_bases:
             return "semicircle, draw, shape border rotate=90, inner sep=2pt"
@@ -114,7 +109,6 @@ def _tikz_options(
 
 def to_tikz(
     target: CausalGraph | SWIG,
-    style: RenderStyle | None = None,
     conditioned_values: Mapping[str, int] | None = None,
 ) -> str:
     """TikZ picture for a DAG or a split graph.
@@ -122,12 +116,11 @@ def to_tikz(
     ``conditioned_values`` boxes the named variables and appends
     ``=value`` to their labels, for stratum-membership displays.
     """
-    style = style or RenderStyle()
     shown = dict(conditioned_values or {})
     graph = _graph_of(target)
     swig_mode = any(n.fixed for n in graph.nodes) or isinstance(target, SWIG)
     split_bases = {n.base for n in graph.nodes if n.fixed}
-    pos = _layout(graph, style)
+    pos = _layout(graph)
 
     ordered = sorted(graph.nodes, key=lambda n: (pos[n][0], -pos[n][1], n.label))
     used: set[str] = set()
@@ -140,13 +133,13 @@ def to_tikz(
         label = n.label
         if boxed:
             label = f"{label}={shown[n.base]}"
-        options = _tikz_options(graph, n, swig_mode, split_bases, boxed, style)
+        options = _tikz_options(graph, n, swig_mode, split_bases, boxed)
         lines.append(
             f"  \\node ({ids[n]}) at ({x:.2f}, {y:.2f}) [{options}] {{${_tex(label)}$}};"
         )
     for u, v in sorted(graph.edges, key=lambda e: (e[0].label, e[1].label)):
         lines.append(
-            f"  \\path ({ids[u]}) edge [->, very thick, color={style.edge_color}] ({ids[v]});"
+            f"  \\path ({ids[u]}) edge [->, very thick, color={EDGE_COLOR}] ({ids[v]});"
         )
     lines.append(r"\end{tikzpicture}")
     return "\n".join(lines) + "\n"
@@ -154,16 +147,14 @@ def to_tikz(
 
 def to_dot(
     target: CausalGraph | SWIG,
-    style: RenderStyle | None = None,
     conditioned_values: Mapping[str, int] | None = None,
 ) -> str:
     """DOT digraph; split pairs are tied into same-rank invisible clusters."""
-    style = style or RenderStyle()
     shown = dict(conditioned_values or {})
     graph = _graph_of(target)
     split_bases = sorted({n.base for n in graph.nodes if n.fixed})
 
-    lines = ["digraph G {", "  rankdir=LR;", f"  edge [color={style.edge_color}];"]
+    lines = ["digraph G {", "  rankdir=LR;", f"  edge [color={EDGE_COLOR}];"]
     for i, base in enumerate(split_bases):
         random_label = next(n.label for n in graph.nodes if not n.fixed and n.base == base)
         fixed_label = next(n.label for n in graph.nodes if n.fixed and n.base == base)
@@ -176,8 +167,8 @@ def to_dot(
         attrs = []
         if n.fixed:
             attrs.append("shape=ellipse")
-            attrs.append(f"color={style.fixed_half_color}")
-            attrs.append(f"fontcolor={style.fixed_half_color}")
+            attrs.append(f"color={FIXED_HALF_COLOR}")
+            attrs.append(f"fontcolor={FIXED_HALF_COLOR}")
         elif not n.fixed and n.base in shown:
             attrs.append("shape=box")
             attrs.append(f'label="{n.label}={shown[n.base]}"')

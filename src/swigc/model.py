@@ -135,9 +135,6 @@ class SCMSpec:
 
     equations: Mapping[str, StructuralEquation]
 
-    def equation(self, var: str) -> StructuralEquation:
-        return self.equations[var]
-
 
 @dataclass(frozen=True)
 class StudySpec:
@@ -150,7 +147,3 @@ class StudySpec:
     outcome: str
     strategies: Mapping[str, Strategy] = field(default_factory=dict)
     scm: SCMSpec | None = None
-
-    def intercurrent_events(self) -> tuple[str, ...]:
-        """Declared intercurrent variables, in name order."""
-        return tuple(sorted(self.strategies))

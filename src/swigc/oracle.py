@@ -18,6 +18,7 @@ import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import prod
 from typing import IO, Iterable, Mapping, Sequence
@@ -31,12 +32,7 @@ from .errors import (
 from .estimand import CompiledEstimand, compile_study
 from .formula import Difference, Event, Expect, Formula, SumOver, Term
 from .graph import CausalGraph, Context, format_term
-from .identify import (
-    EstimandReport,
-    Identified,
-    NotIdentifiable,
-    identify_estimand,
-)
+from .identify import EstimandReport, identify_estimand
 from .model import CounterfactualMean, SCMSpec, StructuralEquation, StudySpec
 
 __all__ = [
@@ -47,6 +43,7 @@ __all__ = [
     "eval_formula",
     "naive_formula",
     "random_scm",
+    "data_model",
     "SoundnessReport",
     "check_soundness",
     "soundness_battery",
@@ -63,7 +60,6 @@ ROW_CAP = 10**6
 class TableRow:
     """One noise configuration: its mass and every (variable, world) value."""
 
-    noise: tuple[tuple[str, int], ...]
     weight: Fraction
     values: Mapping[tuple[str, Context], int]
 
@@ -74,9 +70,6 @@ class PotentialOutcomeTable:
     scm: SCMSpec
     contexts: tuple[Context, ...]
     rows: tuple[TableRow, ...]
-
-    def observed(self, row: TableRow, var: str) -> int:
-        return row.values[(var, ())]
 
 
 def _rule_of(graph: CausalGraph, base: str):
@@ -139,13 +132,7 @@ def enumerate_table(
             out = evaluate(noise_val, ctx)
             for base, v in out.items():
                 values[(base, ctx)] = v
-        rows.append(
-            TableRow(
-                noise=tuple(sorted(noise_val.items())),
-                weight=weight,
-                values=values,
-            )
-        )
+        rows.append(TableRow(weight=weight, values=values))
     return PotentialOutcomeTable(
         graph=graph, scm=scm, contexts=tuple(worlds), rows=tuple(rows)
     )
@@ -287,6 +274,16 @@ def random_scm(graph: CausalGraph, seed: int) -> SCMSpec:
     return SCMSpec(equations=equations)
 
 
+def data_model(compiled: CompiledEstimand, seed: int | None) -> SCMSpec:
+    """The random model drawn from ``seed``; with no seed, the study's own."""
+    if seed is not None:
+        return random_scm(compiled.graph, seed)
+    study = compiled.study
+    if study.scm is None:
+        raise OracleError(f"study {study.name!r} declares no data model; pass a seed")
+    return study.scm
+
+
 @dataclass(frozen=True)
 class SoundnessReport:
     """One oracle run: does the derived formula match the truth exactly?"""
@@ -308,15 +305,6 @@ class SoundnessReport:
         return self.status != "identified" or self.gap == 0
 
 
-def _status(report: EstimandReport) -> str:
-    arms = (report.left, report.right)
-    if any(isinstance(a, NotIdentifiable) for a in arms):
-        return "blocked"
-    if all(isinstance(a, Identified) for a in arms):
-        return "identified"
-    return "partial"
-
-
 def check_soundness(
     study: StudySpec,
     seed: int | None = None,
@@ -333,26 +321,16 @@ def check_soundness(
     if report is None:
         report = identify_estimand(study, compiled)
     if scm is None:
-        if seed is not None:
-            scm = random_scm(compiled.graph, seed)
-        elif study.scm is not None:
-            scm = study.scm
-        else:
-            raise OracleError(f"study {study.name!r} declares no data model; pass a seed")
-
-    contexts = [compiled.contrast.left.context, compiled.contrast.right.context]
-    if compiled.stratum is not None:
-        contexts.append(compiled.stratum.context)
-    table = enumerate_table(compiled.graph, scm, contexts)
+        scm = data_model(compiled, seed)
+    table = enumerate_table(compiled.graph, scm, compiled.worlds())
 
     violations = validate_consistency(table)
     true_value = true_estimand(table, compiled.contrast.left) - true_estimand(
         table, compiled.contrast.right
     )
-    status = _status(report)
     formula_value = None
     gap = None
-    if status == "identified":
+    if report.status == "identified":
         formula_value = eval_formula(table, report.combined)
         gap = formula_value - true_value
     naive_value = None
@@ -365,7 +343,7 @@ def check_soundness(
     return SoundnessReport(
         study=study.name,
         seed=seed,
-        status=status,
+        status=report.status,
         consistency_ok=not violations,
         true_value=true_value,
         formula_value=formula_value,
@@ -375,27 +353,23 @@ def check_soundness(
     )
 
 
-def _battery_one(args: tuple[StudySpec, int]) -> SoundnessReport:
-    study, seed = args
-    return check_soundness(study, seed=seed)
-
-
 def soundness_battery(
     study: StudySpec, seeds: Iterable[int], jobs: int = 1
 ) -> list[SoundnessReport]:
-    """check_soundness across seeds; order of results follows the seeds."""
-    seed_list = list(seeds)
+    """check_soundness across seeds; order of results follows the seeds.
+
+    The study is compiled and identified once; only the data model varies.
+    """
+    compiled = compile_study(study)
+    one = partial(
+        check_soundness, study, compiled=compiled, report=identify_estimand(study, compiled)
+    )
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_battery_one, [(study, s) for s in seed_list]))
-    compiled = compile_study(study)
-    report = identify_estimand(study, compiled)
-    return [
-        check_soundness(study, seed=s, compiled=compiled, report=report)
-        for s in seed_list
-    ]
+            return list(pool.map(one, seeds))
+    return list(map(one, seeds))
 
 
 def validate_consistency(table: PotentialOutcomeTable) -> list[str]:

@@ -26,10 +26,6 @@ class SWIG:
     interventions: tuple[tuple[str, Value], ...]
     source: CausalGraph
 
-    def potential_outcome_label(self, base: str) -> str:
-        """Label of the random node for ``base`` after splitting."""
-        return self.graph.random_node(base).label
-
 
 def split(dag: CausalGraph, interventions: Context) -> SWIG:
     """Split ``dag`` at the given (variable, level) assignments."""

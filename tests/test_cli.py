@@ -118,6 +118,14 @@ class TestSimulate:
             "error: study 'Chronic pain' declares no data model; pass a seed\n"
         )
 
+    def test_csv_without_data_model_needs_a_seed(self, run_cli):
+        res = run_cli("simulate", spec_path("chronic_pain.swg"), "--csv", "-")
+        assert res.code == 1
+        assert res.out == ""
+        assert res.err == (
+            "error: study 'Chronic pain' declares no data model; pass a seed\n"
+        )
+
     def test_seeded_run_on_undeclared_model(self, run_cli):
         res = run_cli("simulate", spec_path("chronic_pain.swg"), "--seed", "0")
         assert res.code == 0

@@ -127,9 +127,8 @@ class TestOnSwigs:
 
     def test_randomization_holds_in_every_bundled_study(self, studies):
         for study in studies.values():
-            sw = study_swig(compile_study(study))
-            sg = sw.graph
-            outcome = sg.node(sw.potential_outcome_label(study.outcome))
+            sg = study_swig(compile_study(study)).graph
+            outcome = sg.random_node(study.outcome)
             query = DSepQuery(
                 x=frozenset({outcome}),
                 y=frozenset({sg.node(study.treatment)}),

@@ -10,7 +10,6 @@ from swigc.graph import (
     NodeId,
     build_graph,
     canonical_json,
-    context_value,
     format_assignment,
     format_term,
     graph_from_payload,
@@ -45,11 +44,6 @@ class TestNaming:
     def test_term_label_mixes_both(self):
         assert format_term("Y", (("A", "a"), ("M3", 0))) == "Y(a,m3=0)"
         assert format_term("Y", ()) == "Y"
-
-    def test_context_value(self):
-        ctx = (("A", 1), ("M", 0))
-        assert context_value(ctx, "M") == 0
-        assert context_value(ctx, "A") == 1
 
 
 class TestNodeId:

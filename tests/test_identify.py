@@ -1,5 +1,7 @@
 """Derivation engine: frozen traces, premises, refutations, cross-world residuals."""
 
+import json
+
 import pytest
 
 from swigc.dsep import d_separated, path_string
@@ -13,8 +15,9 @@ from swigc.identify import (
     render_trace,
     verdict_code,
 )
+from swigc.oracle import check_soundness
 
-from conftest import load_study
+from conftest import load_study, spec_path
 
 
 @pytest.fixture(scope="module")
@@ -35,17 +38,31 @@ def reports():
 
 
 class TestVerdicts:
-    def test_codes(self, reports):
-        expected = {
-            "simplest": 0,
-            "itt": 0,
-            "hypothetical_unobserved": 5,
-            "hypothetical_adjusted": 0,
-            "composite": 0,
-            "principal_stratum": 4,
-            "chronic_pain": 0,
+    def test_codes(self, reports, run_cli):
+        words = {
+            "identified": "identified",
+            "partial": "partially identified",
+            "blocked": "not identifiable",
         }
-        assert {k: verdict_code(r) for k, r in reports.items()} == expected
+        expected = {
+            "simplest": ("identified", 0),
+            "itt": ("identified", 0),
+            "hypothetical_unobserved": ("blocked", 5),
+            "hypothetical_adjusted": ("identified", 0),
+            "composite": ("identified", 0),
+            "principal_stratum": ("partial", 4),
+            "chronic_pain": ("identified", 0),
+        }
+        assert {k: (r.status, verdict_code(r)) for k, r in reports.items()} == expected
+        for name, report in reports.items():
+            status, code = expected[name]
+            res = run_cli("identify", spec_path(f"{name}.swg"), "--json")
+            payload = json.loads(res.out)
+            assert (res.code, payload["exit"], payload["verdict"]) == (code, code, words[status])
+            arms = [payload["left"]["status"], payload["right"]["status"]]
+            assert arms == [report.left.status, report.right.status], name
+            seed = None if report.study.scm is not None else 0
+            assert check_soundness(report.study, seed=seed).status == status, name
 
 
 class TestIttDerivation:

@@ -62,8 +62,7 @@ class TestSplitShape:
         study = load_study("chronic_pain.swg")
         sw = study_swig(compile_study(study))
         assert sw.interventions == (("A", "a"), ("M3", "m3"), ("M4", "m4"))
-        y = sw.potential_outcome_label("Y")
-        assert y == "Y(a,m3,m4)"
+        assert sw.graph.random_node("Y").label == "Y(a,m3,m4)"
 
     def test_event_without_treatment_parent_keeps_bare_label(self):
         # M4 has no path from the treatment, so its random half is plain M4.
