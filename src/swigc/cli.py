@@ -10,6 +10,7 @@ Exit codes:
   5  estimand not identifiable (open backdoor witness)
   6  oracle mismatch: an identified formula disagrees with ground truth
   7  resource cap exceeded (joint support too large to enumerate)
+  8  internal error: an unexpected exception inside swigc
 """
 
 from __future__ import annotations
@@ -512,6 +513,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SwigcError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # Last resort: a fault in swigc itself still ends in one line and
+        # a documented code, not a traceback.
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 8
 
 
 def entry() -> None:

@@ -3,11 +3,23 @@
 The derivation schema is sequential conditioning, not do-calculus.
 Starting from the defining expectation, the engine (1) conditions on
 the randomized treatment, (2) when held events need deconfounding,
-searches for a smallest set of adjustment-eligible baseline covariates
-to stratify over, (3) conditions on each held event in turn, each move
+finds a smallest set of adjustment-eligible baseline covariates to
+stratify over, (3) conditions on each held event in turn, each move
 licensed by a d-separation premise checked in the symbolic split graph,
 and (4) closes with a consistency rewrite that strips contexts whose
 assignments are all established by conditioning events.
+
+The premises do not depend on the levels an arm assigns, so they are
+found once per estimand and both arms reuse them.  With B the treatment
+plus any stratum event, the chain of held-event premises holds iff the
+outcome is d-separated from all held events given B and the adjustment
+set Z (contraction, decomposition and weak union).  A smallest such Z is
+a smallest vertex cut between the outcome and the held events in the
+moral graph of their ancestors and B's, with B deleted (Tian, Paz and
+Pearl 1998; van der Zander, Liśkiewicz and Textor 2019).  One max-flow
+gives its size; a greedy pass in label order, one flow per candidate,
+then yields the first such set in label order, the set an exhaustive
+search over subsets (smallest first) would return.
 
 Every step records its premise, so a derivation can be re-verified
 independently.  When no covariate set licenses a move, the result
@@ -18,12 +30,12 @@ the result is only partially identified and says which event survives.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Union
 
 from .dsep import DSepQuery, PathWitness, d_separated, open_paths, path_string
-from .errors import SemanticError
+from .errors import OverlappingSets, SemanticError
 from .estimand import CompiledEstimand, compile_study, study_swig
 from .formula import (
     Difference,
@@ -36,8 +48,8 @@ from .formula import (
     is_identified,
     render,
 )
-from .graph import NodeId
-from .model import CounterfactualMean, StudySpec
+from .graph import CausalGraph, NodeId
+from .model import CounterfactualMean, StratumEvent, StudySpec
 
 __all__ = [
     "DerivationStep",
@@ -135,14 +147,7 @@ class EstimandReport:
         return None
 
 
-def identify_term(
-    study: StudySpec,
-    mean: CounterfactualMean,
-    compiled: CompiledEstimand | None = None,
-) -> IdentifyResult:
-    """Derive an observational formula for one counterfactual mean."""
-    if compiled is None:
-        compiled = compile_study(study)
+def _check_term(mean: CounterfactualMean, compiled: CompiledEstimand) -> None:
     if mean.outcome != compiled.outcome:
         raise SemanticError(
             f"term is about {mean.outcome}, but the study outcome is {compiled.outcome}"
@@ -155,42 +160,48 @@ def identify_term(
         if isinstance(val, int) and val not in declared:
             raise SemanticError(f"level {val} is outside declared values of {var}")
 
-    sw = study_swig(compiled)
-    g = sw.graph
-    value_of = dict(mean.context)
+
+@dataclass(frozen=True)
+class _Search:
+    """The premises every arm of an estimand shares, found once.
+
+    They are checked on the symbolic SWIG, so they do not depend on the
+    levels an arm assigns.  ``blocked`` is the premise a refutation
+    reports: ``rand_q`` itself when randomization fails.  Otherwise
+    ``chosen`` is the adjustment set, ``strat_q`` its premise, and
+    ``conditioning`` pairs each held event with its premise, in order.
+    """
+
+    graph: CausalGraph
+    rand_q: DSepQuery
+    blocked: DSepQuery | None = None
+    chosen: tuple[NodeId, ...] = ()
+    strat_q: DSepQuery | None = None
+    conditioning: tuple[tuple[NodeId, DSepQuery], ...] = ()
+
+
+def _search(compiled: CompiledEstimand, stratum: StratumEvent | None) -> _Search:
+    """Check the shared premises and find the adjustment set, if one is needed."""
+    g = study_swig(compiled).graph
     outcome_node = g.random_node(compiled.outcome)
-    treat_node = g.random_node(study.treatment)
-    taken = {str(v) for v in value_of.values() if isinstance(v, str)}
-
-    term = Term(compiled.outcome, mean.context)
-    events: list[Event] = []
+    treat_node = g.random_node(compiled.study.treatment)
     premise_targets = {outcome_node}
-    if mean.stratum is not None:
-        events.append(Event(Term(mean.stratum.var, mean.stratum.context), mean.stratum.value))
-        premise_targets.add(g.random_node(mean.stratum.var))
-    bindings: tuple[tuple[str, str], ...] = ()
-
-    def formula_now() -> Formula:
-        inner = Expect(term, tuple(events))
-        return SumOver(bindings, inner) if bindings else inner
-
-    steps: list[DerivationStep] = [DerivationStep("definition", formula_now(), None)]
+    given: set[NodeId] = {treat_node}
+    if stratum is not None:
+        premise_targets.add(g.random_node(stratum.var))
+        given.add(g.random_node(stratum.var))
 
     # Randomization: the defining counterfactuals are jointly independent
     # of the assigned arm, so the arm can enter the conditioning set.
     rand_q = DSepQuery(frozenset(premise_targets), frozenset({treat_node}))
     if not d_separated(g, rand_q):
-        return NotIdentifiable(mean, tuple(steps), _refute(g, rand_q))
-    events.append(Event(Term(study.treatment), value_of[study.treatment]))
-    steps.append(DerivationStep("randomization", formula_now(), "randomization", rand_q))
-
-    given: set[NodeId] = {treat_node}
-    if mean.stratum is not None:
-        given.add(g.random_node(mean.stratum.var))
+        return _Search(g, rand_q, blocked=rand_q)
 
     held = [g.random_node(v) for v in compiled.split_vars[1:]]
-    if held:
-        baseline = frozenset(given)
+    chosen: tuple[NodeId, ...] = ()
+    strat_q = None
+    failed = _first_failure(g, outcome_node, frozenset(given), held)
+    if failed is not None:
         candidates = sorted(
             (
                 n
@@ -199,50 +210,235 @@ def identify_term(
                 and not n.context
                 and g.attrs[n].conditioned
                 and n.base not in compiled.split_vars
+                and n != outcome_node
             ),
             key=lambda n: n.label,
         )
-        chosen: tuple[NodeId, ...] | None = None
-        strat_q: DSepQuery | None = None
-        for size in range(len(candidates) + 1):
-            for combo in combinations(candidates, size):
-                if combo:
-                    q = DSepQuery(frozenset(combo), frozenset(given))
-                    if not d_separated(g, q):
-                        continue
-                else:
-                    q = None
-                if _first_failure(g, outcome_node, baseline | frozenset(combo), held) is None:
-                    chosen, strat_q = combo, q
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
-            failed = _first_failure(g, outcome_node, baseline, held)
-            return NotIdentifiable(mean, tuple(steps), _refute(g, failed))
+        found = _smallest_adjustment(g, outcome_node, frozenset(given), held, candidates)
+        if found is None:
+            return _Search(g, rand_q, blocked=failed)
+        chosen = found
+        strat_q = DSepQuery(frozenset(chosen), frozenset(given))
 
-        if chosen:
-            pairs = []
-            for n in chosen:
-                sym = fresh_symbol(n.base.lower(), taken)
-                taken.add(sym)
-                pairs.append((n.base, sym))
-                events.append(Event(Term(n.base), sym))
-            bindings = tuple(pairs)
-            names = ", ".join(n.base for n in chosen)
-            steps.append(
-                DerivationStep(
-                    "stratification", formula_now(), f"stratification over {{{names}}}", strat_q
-                )
+    conditioning = []
+    z = given | set(chosen)
+    for node in held:
+        q = DSepQuery(frozenset({outcome_node}), frozenset({node}), frozenset(z))
+        conditioning.append((node, q))
+        z.add(node)
+    return _Search(g, rand_q, chosen=chosen, strat_q=strat_q, conditioning=tuple(conditioning))
+
+
+def _smallest_adjustment(
+    graph: CausalGraph,
+    outcome: NodeId,
+    baseline: frozenset[NodeId],
+    held: list[NodeId],
+    candidates: list[NodeId],
+) -> tuple[NodeId, ...] | None:
+    """The smallest Z ⊆ ``candidates``, first in label order among equals,
+    with Z ⊥ ``baseline`` and the held-event chain holding given
+    ``baseline`` ∪ Z; None when there is none.  ``baseline`` alone fails.
+
+    The chain holds iff outcome ⊥ held | baseline ∪ Z, and a smallest
+    such Z lies in A = An({outcome} ∪ held ∪ baseline), where it is a
+    smallest cut between the outcome and the held events in the moral
+    graph of A without ``baseline`` (Lauritzen's criterion).
+    """
+    targets = {outcome, *held, *baseline}
+    area = set(targets)
+    for n in targets:
+        area |= graph.ancestors(n)
+    usable = [
+        c
+        for c in candidates
+        if c in area
+        and c not in baseline
+        and d_separated(graph, DSepQuery(frozenset({c}), baseline))
+    ]
+    chosen = _first_smallest_cut(graph, area, outcome, baseline, held, usable) if usable else None
+
+    # The answer is that of a walk over subsets in (size, labels) order
+    # that tests each set against ``baseline`` first.  A candidate inside
+    # ``baseline`` fails that test with OverlappingSets, first as the set
+    # {clash}, so the walk raises unless its answer comes before {clash}.
+    clash = next((c for c in candidates if c in baseline), None)
+    if clash is not None and (
+        chosen is None or (len(chosen), [c.label for c in chosen]) > (1, [clash.label])
+    ):
+        raise OverlappingSets(f"x and y share nodes: {clash.label}")
+    if chosen is not None:
+        failed = _first_failure(graph, outcome, baseline | set(chosen), held)
+        if failed is not None:
+            names = ", ".join(n.label for n in chosen)
+            raise RuntimeError(f"adjustment set {{{names}}} fails {failed.label()}")
+    return chosen
+
+
+def _first_smallest_cut(
+    graph: CausalGraph,
+    area: set[NodeId],
+    outcome: NodeId,
+    baseline: frozenset[NodeId],
+    held: list[NodeId],
+    usable: list[NodeId],
+) -> tuple[NodeId, ...] | None:
+    """The first smallest set of ``usable`` nodes, in label order, that cuts
+    the outcome from the held events in the moral graph of ``area``
+    (fixed and ``baseline`` nodes deleted); None when no such cut exists.
+    """
+    nodes = sorted((n for n in area if not n.fixed and n not in baseline), key=lambda n: n.label)
+    index = {n: i for i, n in enumerate(nodes)}
+    adj: list[set[int]] = [set() for _ in nodes]
+
+    def link(u: NodeId, v: NodeId) -> None:
+        if u in index and v in index:
+            adj[index[u]].add(index[v])
+            adj[index[v]].add(index[u])
+
+    for v in area:
+        parents = graph.parents(v)
+        for i, p in enumerate(parents):
+            link(p, v)
+            for q in parents[i + 1 :]:
+                link(p, q)
+
+    source = index[outcome]
+    sinks = {index[h] for h in held}
+    order = [index[c] for c in usable]
+    size = _max_flow(adj, source, sinks, set(), set(order), len(order) + 1)
+    if size > len(order):
+        return None
+    # Greedy in label order: take c when, with c forced into the cut and
+    # only later labels left cuttable, a cut of the remaining size exists.
+    # Forcing c only deletes it: c is in ``area``, so the ancestral set,
+    # and with it the moral graph, stays the same.
+    picked: list[int] = []
+    for i, c in enumerate(order):
+        if len(picked) == size:
+            break
+        need = size - len(picked) - 1
+        if _max_flow(adj, source, sinks, {*picked, c}, set(order[i + 1 :]), need + 1) <= need:
+            picked.append(c)
+    return tuple(nodes[i] for i in picked)
+
+
+def _max_flow(
+    adj: list[set[int]],
+    source: int,
+    sinks: set[int],
+    removed: set[int],
+    cuttable: set[int],
+    cap: int,
+) -> int:
+    """Node-capacitated max flow from ``source`` to ``sinks``, stopped at ``cap``.
+
+    Nodes in ``cuttable`` carry one unit, every other node any number,
+    ``removed`` nodes none.  Each node v is split into an entry state
+    (v, 0) and an exit state (v, 1); paths are found breadth first and
+    each carries one unit.
+    """
+    through: set[int] = set()
+    sent: dict[tuple[int, int], int] = {}
+    value = 0
+    while value < cap:
+        back: dict[tuple[int, int], tuple[int, int] | None] = {(source, 1): None}
+        queue = deque([(source, 1)])
+        end = None
+        while queue and end is None:
+            state = queue.popleft()
+            v, side = state
+            if side == 0:
+                moves = [(u, 1) for u in adj[v] if sent.get((u, v), 0) > 0]
+                if v not in cuttable or v not in through:
+                    moves.append((v, 1))
+            else:
+                moves = [(w, 0) for w in adj[v] if w not in removed]
+                if v not in cuttable or v in through:
+                    moves.append((v, 0))
+            for nxt in moves:
+                if nxt not in back:
+                    back[nxt] = state
+                    if nxt[1] == 0 and nxt[0] in sinks:
+                        end = nxt
+                        break
+                    queue.append(nxt)
+        if end is None:
+            return value
+        state = end
+        while (prev := back[state]) is not None:
+            (u, u_side), (v, v_side) = prev, state
+            if u == v:
+                if u in cuttable:
+                    if v_side == 1:
+                        through.add(u)
+                    else:
+                        through.discard(u)
+            elif u_side == 1:
+                sent[(u, v)] = sent.get((u, v), 0) + 1
+            else:
+                sent[(v, u)] -= 1
+            state = prev
+        value += 1
+    return value
+
+
+def identify_term(
+    study: StudySpec,
+    mean: CounterfactualMean,
+    compiled: CompiledEstimand | None = None,
+) -> IdentifyResult:
+    """Derive an observational formula for one counterfactual mean."""
+    if compiled is None:
+        compiled = compile_study(study)
+    _check_term(mean, compiled)
+    return _derive(study, mean, _search(compiled, mean.stratum))
+
+
+def _derive(study: StudySpec, mean: CounterfactualMean, search: _Search) -> IdentifyResult:
+    """One arm's derivation from the premises its estimand shares."""
+    g = search.graph
+    value_of = dict(mean.context)
+    taken = {str(v) for v in value_of.values() if isinstance(v, str)}
+
+    term = Term(mean.outcome, mean.context)
+    events: list[Event] = []
+    if mean.stratum is not None:
+        events.append(Event(Term(mean.stratum.var, mean.stratum.context), mean.stratum.value))
+    bindings: tuple[tuple[str, str], ...] = ()
+
+    def formula_now() -> Formula:
+        inner = Expect(term, tuple(events))
+        return SumOver(bindings, inner) if bindings else inner
+
+    steps: list[DerivationStep] = [DerivationStep("definition", formula_now(), None)]
+    if search.blocked == search.rand_q:
+        return NotIdentifiable(mean, tuple(steps), _refute(g, search.rand_q))
+    events.append(Event(Term(study.treatment), value_of[study.treatment]))
+    steps.append(DerivationStep("randomization", formula_now(), "randomization", search.rand_q))
+    if search.blocked is not None:
+        return NotIdentifiable(mean, tuple(steps), _refute(g, search.blocked))
+
+    if search.chosen:
+        pairs = []
+        for n in search.chosen:
+            sym = fresh_symbol(n.base.lower(), taken)
+            taken.add(sym)
+            pairs.append((n.base, sym))
+            events.append(Event(Term(n.base), sym))
+        bindings = tuple(pairs)
+        names = ", ".join(n.base for n in search.chosen)
+        steps.append(
+            DerivationStep(
+                "stratification", formula_now(), f"stratification over {{{names}}}", search.strat_q
             )
-            given |= set(chosen)
+        )
 
-        for node in held:
-            q = DSepQuery(frozenset({outcome_node}), frozenset({node}), frozenset(given))
-            instantiated = tuple((var, value_of[var]) for var, _ in node.context)
-            events.append(Event(Term(node.base, instantiated), value_of[node.base]))
-            steps.append(DerivationStep("conditioning", formula_now(), q.label(), q))
-            given.add(node)
+    for node, q in search.conditioning:
+        instantiated = tuple((var, value_of[var]) for var, _ in node.context)
+        events.append(Event(Term(node.base, instantiated), value_of[node.base]))
+        steps.append(DerivationStep("conditioning", formula_now(), q.label(), q))
+
 
     # Consistency: a context assignment already present as a plain
     # conditioning event lets the counterfactual drop its context.
@@ -302,8 +498,12 @@ def identify_estimand(
 ) -> EstimandReport:
     if compiled is None:
         compiled = compile_study(study)
-    left = identify_term(study, compiled.contrast.left, compiled)
-    right = identify_term(study, compiled.contrast.right, compiled)
+    left, right = compiled.contrast.left, compiled.contrast.right
+    _check_term(left, compiled)
+    _check_term(right, compiled)
+    search = _search(compiled, compiled.stratum)
+    left = _derive(study, left, search)
+    right = _derive(study, right, search)
     return EstimandReport(study=study, compiled=compiled, left=left, right=right)
 
 

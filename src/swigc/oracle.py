@@ -275,9 +275,18 @@ def random_scm(graph: CausalGraph, seed: int) -> SCMSpec:
 
 
 def data_model(compiled: CompiledEstimand, seed: int | None) -> SCMSpec:
-    """The random model drawn from ``seed``; with no seed, the study's own."""
+    """The random model drawn from ``seed``; with no seed, the study's own.
+
+    A random model gives each non-deterministic node one noise entry per
+    declared value, so its enumeration size is known, and checked against
+    the cap, before any table is built.
+    """
     if seed is not None:
-        return random_scm(compiled.graph, seed)
+        g = compiled.graph
+        total = prod(len(g.attrs[n].values) for n in g.nodes if g.attrs[n].deterministic is None)
+        if total > ROW_CAP:
+            raise SupportTooLarge(f"{total} noise configurations exceed the cap of {ROW_CAP}")
+        return random_scm(g, seed)
     study = compiled.study
     if study.scm is None:
         raise OracleError(f"study {study.name!r} declares no data model; pass a seed")

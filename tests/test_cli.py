@@ -91,6 +91,23 @@ class TestDsep:
         assert res.code == 2
         assert "no random node for variable 'Q'" in res.err
 
+    def test_internal_error_is_one_line(self, run_cli, tmp_path):
+        # The witness search recurses once per node of a path, so a long
+        # chain exhausts the interpreter's recursion limit.
+        chain = ["A"] + [f"X{i}" for i in range(1100)] + ["Y"]
+        lines = ['study "Long chain" {', "  node A { role: treatment; }"]
+        lines += [f"  node {n} {{ }}" for n in chain[1:-1]]
+        lines += ["  node Y { role: outcome; }", "  edges {"]
+        lines += [f"    {u} -> {v};" for u, v in zip(chain, chain[1:])]
+        lines += ["  }", "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+        spec = tmp_path / "long_chain.swg"
+        spec.write_text("\n".join(lines) + "\n")
+        res = run_cli("dsep", str(spec), "--x", "X0(a)", "--y", "Y(a)")
+        assert res.code == 8
+        assert res.out == ""
+        assert res.err.startswith("error: internal error: RecursionError: ")
+        assert res.err.count("\n") == 1
+
 
 class TestSimulate:
     def test_declared_model_report(self, run_cli):

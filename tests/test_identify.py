@@ -5,6 +5,7 @@ import json
 import pytest
 
 from swigc.dsep import d_separated, path_string
+from swigc.dsl import parse_study
 from swigc.estimand import compile_study, study_swig
 from swigc.formula import render
 from swigc.identify import (
@@ -226,3 +227,53 @@ class TestTraceLayout:
         # every justification opens at the same column
         starts = {line.rindex("  (") for line in lines[1:]}
         assert len(starts) == 1
+
+
+def adjust_chain(k: int) -> str:
+    """A -> M -> Y with k adjust-eligible confounders C01.. of M and Y."""
+    names = [f"C{i:02d}" for i in range(1, k + 1)]
+    lines = ['study "Adjust chain" {', "  node A { role: treatment; }",
+             "  node M { role: intercurrent; }"]
+    lines += [f"  node {c} {{ adjust: true; }}" for c in names]
+    lines += ["  node Y { role: outcome; }", "  edges {", "    A -> M; A -> Y; M -> Y;"]
+    lines += [f"    {c} -> M; {c} -> Y;" for c in names]
+    lines += ["  }", "  strategy M: hypothetical(0);",
+              "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def stratified_over(result) -> list[str]:
+    return [s.justification for s in result.steps if s.rule == "stratification"]
+
+
+class TestAdjustmentSearch:
+    def test_one_derivation_per_estimand(self, monkeypatch):
+        import swigc.estimand
+        import swigc.identify
+
+        calls = {"split": 0, "d_separated": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(swigc.estimand, "split")
+        counted(swigc.identify, "d_separated")
+        k = 12
+        report = identify_estimand(parse_study(adjust_chain(k)))
+        assert report.status == "identified"
+        assert calls["split"] == 1
+        # randomization, the chain on {A} alone, one test per candidate,
+        # and the chain once more on the chosen set (one held event)
+        assert calls["d_separated"] <= k + 2 * 1 + 1
+
+    def test_fifty_confounders_take_the_polynomial_path(self):
+        report = identify_estimand(parse_study(adjust_chain(50)))
+        names = ", ".join(f"C{i:02d}" for i in range(1, 51))
+        for arm in (report.left, report.right):
+            assert stratified_over(arm) == [f"stratification over {{{names}}}"]
