@@ -4,7 +4,8 @@ Exit codes:
   0  success: valid spec, separated query, identified estimand, sound oracle run
   1  evaluation failure: zero-mass conditioning event, empty stratum,
      or a data model that does not cover a requested world
-  2  unusable input: syntax error, violated study invariant, bad query
+  2  unusable input: syntax error, violated study invariant, bad query,
+     a spec file that is missing or cannot be read as UTF-8 text
   3  d-separation query: the sets are connected
   4  estimand only partially identified (a cross-world event survives)
   5  estimand not identifiable (open backdoor witness)
@@ -23,14 +24,7 @@ from typing import Sequence
 from . import __version__
 from .dsep import DSepQuery, d_separated, open_paths, path_string
 from .dsl import GRAMMAR_VERSION, parse_file, serialize
-from .errors import (
-    OracleError,
-    SpecError,
-    SupportTooLarge,
-    SwigcError,
-    UnknownNode,
-    SemanticError,
-)
+from .errors import OracleError, SemanticError, SupportTooLarge, SwigcError, UnknownNode
 from .estimand import CompiledEstimand, compile_study, study_swig
 from .formula import render
 from .graph import Context, canonical_json
@@ -440,6 +434,16 @@ def _seed_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be 0 or more")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="swigc",
@@ -468,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="comma-separated node labels")
     sp.add_argument("--y", required=True, help="comma-separated node labels")
     sp.add_argument("--z", default="", help="comma-separated conditioning labels")
-    sp.add_argument("--limit", type=int, default=5, help="max open paths to list")
+    sp.add_argument("--limit", type=_count, default=5, help="max open paths to list")
     sp.set_defaults(func=_cmd_dsep)
 
     sp = sub.add_parser("identify", help="derive or refute the estimand")
@@ -498,21 +502,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SupportTooLarge as e:
+    except (SwigcError, OSError) as e:
+        # A file that cannot be read or written is unusable input, like a bad spec.
         print(f"error: {e}", file=sys.stderr)
-        return 7
-    except OracleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SwigcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        if isinstance(e, SupportTooLarge):
+            return 7
+        return 1 if isinstance(e, OracleError) else 2
     except Exception as e:
         # Last resort: a fault in swigc itself still ends in one line and
         # a documented code, not a traceback.

@@ -1,16 +1,20 @@
 """d-separation over graphs that may contain fixed (degenerate) nodes.
 
-The decision procedure is ball-passing reachability over directed
-states (node, direction of arrival).  Fixed nodes are constants: every
-path through one is blocked, they open nothing, and they are inert as
-conditioning variables.  A separate witness enumerator lists the open
-paths so refusals can be explained, sorted shortest first and then by
-label sequence so output is reproducible.
+One Bayes-ball step (Shachter 1998) holds the d-connection rule: from a
+node, reached by a given arrow, it lists the open moves to neighbours.
+``d_separated`` decides a query by reachability over those (node, arrow)
+states.  ``open_paths`` explains a refusal with the same moves: a
+best-first search over simple paths yields the open ones shortest first,
+then in label order, and stops at its limit.  Fixed nodes are constants:
+every path through one is blocked, they open nothing, and they are inert
+as conditioning variables.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import OverlappingSets, UnknownNode
 from .graph import CausalGraph, NodeId
@@ -61,48 +65,46 @@ def _conditioning(z: frozenset[NodeId]) -> frozenset[NodeId]:
     return frozenset(n for n in z if not n.fixed)
 
 
-def _z_closure(graph: CausalGraph, z: frozenset[NodeId]) -> frozenset[NodeId]:
+def _ball_moves(
+    graph: CausalGraph, z: frozenset[NodeId]
+) -> Callable[[NodeId, str | None], list[tuple[NodeId, str]]]:
+    """The d-connection rule given ``z``, as one Bayes-ball step.
+
+    ``moves(node, came)`` lists the open steps (neighbour, arrow) out of
+    ``node``, where ``came`` is the arrow of the step that reached it:
+    ``None`` at a path's start, ``"->"`` from a parent, ``"<-"`` from a
+    child.  A chain or fork node passes the ball unless it is in z; a
+    collider passes it only when it or a descendant is in z.  No step
+    enters a fixed node.
+    """
     closure = set(z)
     for n in z:
         closure |= graph.ancestors(n)
-    return frozenset(closure)
+
+    def moves(node: NodeId, came: str | None) -> list[tuple[NodeId, str]]:
+        out = []
+        if came is None or node not in z:
+            out.extend((c, "->") for c in graph.children(node) if not c.fixed)
+        if came is None or (node in closure if came == "->" else node not in z):
+            out.extend((p, "<-") for p in graph.parents(node) if not p.fixed)
+        return out
+
+    return moves
 
 
 def d_separated(graph: CausalGraph, query: DSepQuery) -> bool:
     """True when every path between x and y is blocked given z."""
     _check_sets(graph, query)
-    z = _conditioning(query.z)
-    closure = _z_closure(graph, z)
+    moves = _ball_moves(graph, _conditioning(query.z))
     targets = {n for n in query.y if not n.fixed}
     if not targets:
         return True
-
-    # State (node, "child") means the ball arrived from a child,
-    # (node, "parent") that it arrived from a parent.  Blocking is
-    # decided by intermediate nodes only, so sources expand freely.
-    frontier: list[tuple[NodeId, str]] = [(n, "source") for n in query.x if not n.fixed]
+    frontier = [(n, None) for n in query.x if not n.fixed]
     visited = set(frontier)
     while frontier:
-        node, came = frontier.pop()
-        moves: list[tuple[NodeId, str]] = []
-        if came == "source":
-            moves.extend((p, "child") for p in graph.parents(node))
-            moves.extend((c, "parent") for c in graph.children(node))
-        elif came == "child":
-            if node not in z:
-                moves.extend((p, "child") for p in graph.parents(node))
-                moves.extend((c, "parent") for c in graph.children(node))
-        else:
-            if node not in z:
-                moves.extend((c, "parent") for c in graph.children(node))
-            if node in closure:
-                moves.extend((p, "child") for p in graph.parents(node))
-        for nxt, direction in moves:
-            if nxt.fixed:
-                continue
-            if nxt in targets:
+        for state in moves(*frontier.pop()):
+            if state[0] in targets:
                 return False
-            state = (nxt, direction)
             if state not in visited:
                 visited.add(state)
                 frontier.append(state)
@@ -114,75 +116,44 @@ def open_paths(
     query: DSepQuery,
     limit: int = 5,
 ) -> list[PathWitness]:
-    """Every open path between x and y given z, shortest first, up to ``limit``."""
+    """The open paths between x and y given z, shortest first, then in
+    label order, up to ``limit``.
+
+    Partial simple paths wait on a heap keyed by (length, labels); node
+    labels are unique, so no two entries tie on the key.  An extension is
+    longer than its prefix, so complete paths leave the heap in output
+    order and the search stops at the ``limit``-th.  A path ends at its
+    first y node and passes through no x node.
+    """
     _check_sets(graph, query)
     z = _conditioning(query.z)
-    closure = _z_closure(graph, z)
-    endpoints_x = sorted((n for n in query.x if not n.fixed), key=lambda n: n.label)
-    endpoints_y = {n for n in query.y if not n.fixed}
-    blocked_mid = (query.x | query.y) - endpoints_y
+    moves = _ball_moves(graph, z)
+    ends = {n for n in query.y if not n.fixed}
+    heap = [(1, (n.label,), (n,), ()) for n in query.x if not n.fixed]
+    heapq.heapify(heap)
+    found: list[PathWitness] = []
+    while heap and len(found) < limit:
+        length, labels, nodes, arrows = heapq.heappop(heap)
+        if nodes[-1] in ends:
+            found.append(PathWitness(nodes, arrows, _opened(graph, z, nodes, arrows)))
+            continue
+        for nxt, arrow in moves(nodes[-1], arrows[-1] if arrows else None):
+            if nxt not in nodes and nxt not in query.x:
+                step = (length + 1, labels + (nxt.label,), nodes + (nxt,), arrows + (arrow,))
+                heapq.heappush(heap, step)
+    return found
 
-    found: list[tuple[tuple[NodeId, ...], tuple[str, ...], tuple[NodeId, ...]]] = []
 
-    def neighbors(n: NodeId) -> list[tuple[NodeId, str]]:
-        out = [(c, "->") for c in graph.children(n)]
-        out.extend((p, "<-") for p in graph.parents(n))
-        return sorted(out, key=lambda t: (t[0].label, t[1]))
-
-    def extend(path: list[NodeId], arrows: list[str]) -> None:
-        here = path[-1]
-        for nxt, arrow in neighbors(here):
-            if nxt.fixed or nxt in path:
-                continue
-            if nxt in endpoints_y:
-                if len(path) >= 2 and not _mid_ok(path[-2], here, nxt, arrows[-1], arrow):
-                    continue
-                full = tuple(path) + (nxt,)
-                colliders = tuple(
-                    full[i]
-                    for i in range(1, len(full) - 1)
-                    if arrows_of(arrows + [arrow], i) == ("->", "<-")
-                )
-                found.append((full, tuple(arrows) + (arrow,), colliders))
-                continue
-            if nxt in blocked_mid:
-                continue
-            if len(path) >= 2 and not _mid_ok(path[-2], here, nxt, arrows[-1], arrow):
-                continue
-            path.append(nxt)
-            arrows.append(arrow)
-            extend(path, arrows)
-            path.pop()
-            arrows.pop()
-
-    def arrows_of(arrows: list[str], i: int) -> tuple[str, str]:
-        return (arrows[i - 1], arrows[i])
-
-    def _mid_ok(prev: NodeId, mid: NodeId, nxt: NodeId, a_in: str, a_out: str) -> bool:
-        is_collider = a_in == "->" and a_out == "<-"
-        if is_collider:
-            return mid in closure
-        return mid not in z
-
-    for start in endpoints_x:
-        extend([start], [])
-
-    def opened(colliders: tuple[NodeId, ...]) -> tuple[NodeId, ...]:
-        out = []
-        for c in colliders:
-            by = sorted(
-                (m for m in z if m == c or m in graph.descendants(c)),
-                key=lambda n: n.label,
-            )
-            out.extend(by)
-        return tuple(dict.fromkeys(out))
-
-    witnesses = [
-        PathWitness(nodes=nodes, arrows=arrows, colliders_opened=opened(colliders))
-        for nodes, arrows, colliders in found
-    ]
-    witnesses.sort(key=lambda w: (len(w.nodes), tuple(n.label for n in w.nodes)))
-    return witnesses[:limit]
+def _opened(
+    graph: CausalGraph, z: frozenset[NodeId], nodes: tuple[NodeId, ...], arrows: tuple[str, ...]
+) -> tuple[NodeId, ...]:
+    """The members of z that open the path's colliders, collider by collider."""
+    out: list[NodeId] = []
+    for i in range(1, len(nodes) - 1):
+        if arrows[i - 1] == "->" and arrows[i] == "<-":
+            below = graph.descendants(nodes[i])
+            out.extend(sorted((m for m in z if m == nodes[i] or m in below), key=lambda n: n.label))
+    return tuple(dict.fromkeys(out))
 
 
 def path_string(witness: PathWitness) -> str:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .errors import ConflictingStrategies, ParseError, GraphError, SemanticError
+from .errors import ConflictingStrategies, ParseError, GraphError, SemanticError, SpecError
 from .graph import CausalGraph, NodeAttrs, build_graph, valid_name
 from .model import (
     Composite,
@@ -616,7 +616,11 @@ def parse_study(text: str) -> StudySpec:
 
 def parse_file(path: str) -> StudySpec:
     with open(path, encoding="utf-8") as fh:
-        return parse_study(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise SpecError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return parse_study(text)
 
 
 # canonical serialization

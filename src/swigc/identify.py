@@ -166,15 +166,15 @@ class _Search:
     """The premises every arm of an estimand shares, found once.
 
     They are checked on the symbolic SWIG, so they do not depend on the
-    levels an arm assigns.  ``blocked`` is the premise a refutation
-    reports: ``rand_q`` itself when randomization fails.  Otherwise
-    ``chosen`` is the adjustment set, ``strat_q`` its premise, and
-    ``conditioning`` pairs each held event with its premise, in order.
+    levels an arm assigns.  ``blocked`` is the refutation every arm
+    reports, built once; its premise is ``rand_q`` itself when
+    randomization fails.  Otherwise ``chosen`` is the adjustment set,
+    ``strat_q`` its premise, and ``conditioning`` pairs each held event
+    with its premise, in order.
     """
 
-    graph: CausalGraph
     rand_q: DSepQuery
-    blocked: DSepQuery | None = None
+    blocked: OpenBackdoor | None = None
     chosen: tuple[NodeId, ...] = ()
     strat_q: DSepQuery | None = None
     conditioning: tuple[tuple[NodeId, DSepQuery], ...] = ()
@@ -195,7 +195,7 @@ def _search(compiled: CompiledEstimand, stratum: StratumEvent | None) -> _Search
     # of the assigned arm, so the arm can enter the conditioning set.
     rand_q = DSepQuery(frozenset(premise_targets), frozenset({treat_node}))
     if not d_separated(g, rand_q):
-        return _Search(g, rand_q, blocked=rand_q)
+        return _Search(rand_q, blocked=_refute(g, rand_q))
 
     held = [g.random_node(v) for v in compiled.split_vars[1:]]
     chosen: tuple[NodeId, ...] = ()
@@ -216,7 +216,7 @@ def _search(compiled: CompiledEstimand, stratum: StratumEvent | None) -> _Search
         )
         found = _smallest_adjustment(g, outcome_node, frozenset(given), held, candidates)
         if found is None:
-            return _Search(g, rand_q, blocked=failed)
+            return _Search(rand_q, blocked=_refute(g, failed))
         chosen = found
         strat_q = DSepQuery(frozenset(chosen), frozenset(given))
 
@@ -226,7 +226,7 @@ def _search(compiled: CompiledEstimand, stratum: StratumEvent | None) -> _Search
         q = DSepQuery(frozenset({outcome_node}), frozenset({node}), frozenset(z))
         conditioning.append((node, q))
         z.add(node)
-    return _Search(g, rand_q, chosen=chosen, strat_q=strat_q, conditioning=tuple(conditioning))
+    return _Search(rand_q, chosen=chosen, strat_q=strat_q, conditioning=tuple(conditioning))
 
 
 def _smallest_adjustment(
@@ -397,7 +397,6 @@ def identify_term(
 
 def _derive(study: StudySpec, mean: CounterfactualMean, search: _Search) -> IdentifyResult:
     """One arm's derivation from the premises its estimand shares."""
-    g = search.graph
     value_of = dict(mean.context)
     taken = {str(v) for v in value_of.values() if isinstance(v, str)}
 
@@ -412,12 +411,12 @@ def _derive(study: StudySpec, mean: CounterfactualMean, search: _Search) -> Iden
         return SumOver(bindings, inner) if bindings else inner
 
     steps: list[DerivationStep] = [DerivationStep("definition", formula_now(), None)]
-    if search.blocked == search.rand_q:
-        return NotIdentifiable(mean, tuple(steps), _refute(g, search.rand_q))
+    if search.blocked is not None and search.blocked.premise == search.rand_q:
+        return NotIdentifiable(mean, tuple(steps), search.blocked)
     events.append(Event(Term(study.treatment), value_of[study.treatment]))
     steps.append(DerivationStep("randomization", formula_now(), "randomization", search.rand_q))
     if search.blocked is not None:
-        return NotIdentifiable(mean, tuple(steps), _refute(g, search.blocked))
+        return NotIdentifiable(mean, tuple(steps), search.blocked)
 
     if search.chosen:
         pairs = []

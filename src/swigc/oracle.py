@@ -15,6 +15,7 @@ to the factual ones.
 from __future__ import annotations
 
 import csv
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,15 +369,19 @@ def soundness_battery(
     """check_soundness across seeds; order of results follows the seeds.
 
     The study is compiled and identified once; only the data model varies.
+    A pool starts all its workers at once, so it gets no more than there
+    are seeds or processors.
     """
     compiled = compile_study(study)
     one = partial(
         check_soundness, study, compiled=compiled, report=identify_estimand(study, compiled)
     )
-    if jobs > 1:
+    seeds = list(seeds)
+    workers = min(jobs, len(seeds), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, seeds))
     return list(map(one, seeds))
 

@@ -35,6 +35,23 @@ class TestValidate:
         res = run_cli("validate")
         assert res.code == 2
 
+    def test_directory_is_unusable_input(self, run_cli):
+        res = run_cli("validate", spec_path(""))
+        assert res.code == 2
+        assert res.out == ""
+        assert res.err.startswith("error: [Errno 21] Is a directory: ")
+        assert res.err.count("\n") == 1
+
+    def test_binary_file_is_unusable_input(self, run_cli, tmp_path):
+        spec = tmp_path / "binary.swg"
+        spec.write_bytes(b"study \xff\xfe\x00 {")
+        res = run_cli("validate", str(spec))
+        assert res.code == 2
+        assert res.out == ""
+        assert res.err == (
+            f"error: {spec}: not UTF-8 text (invalid start byte at byte 6)\n"
+        )
+
 
 class TestIdentify:
     @pytest.mark.parametrize("stem", sorted(IDENTIFY_EXITS))
@@ -91,9 +108,15 @@ class TestDsep:
         assert res.code == 2
         assert "no random node for variable 'Q'" in res.err
 
-    def test_internal_error_is_one_line(self, run_cli, tmp_path):
-        # The witness search recurses once per node of a path, so a long
-        # chain exhausts the interpreter's recursion limit.
+    def test_negative_limit_is_a_usage_error(self, run_cli):
+        res = run_cli("dsep", spec_path("hypothetical_unobserved.swg"),
+                      "--x", "Y(a,m)", "--y", "M(a)", "--z", "A", "--limit", "-1")
+        assert res.code == 2
+        assert res.out == ""
+        assert res.err.endswith("error: argument --limit: must be 0 or more\n")
+
+    def test_long_chain_prints_its_one_open_path(self, run_cli, tmp_path):
+        # A path of 1,101 nodes: the witness search keeps no stack per node.
         chain = ["A"] + [f"X{i}" for i in range(1100)] + ["Y"]
         lines = ['study "Long chain" {', "  node A { role: treatment; }"]
         lines += [f"  node {n} {{ }}" for n in chain[1:-1]]
@@ -103,10 +126,22 @@ class TestDsep:
         spec = tmp_path / "long_chain.swg"
         spec.write_text("\n".join(lines) + "\n")
         res = run_cli("dsep", str(spec), "--x", "X0(a)", "--y", "Y(a)")
+        assert res.code == 3
+        assert res.err == ""
+        path = " -> ".join(f"{n}(a)" for n in chain[1:])
+        assert res.out.splitlines()[-2:] == ["verdict: connected", f"open path: {path}"]
+
+    def test_internal_error_is_one_line(self, run_cli, monkeypatch):
+        import swigc.cli
+
+        def broken(graph, query):
+            raise RuntimeError("ball lost")
+
+        monkeypatch.setattr(swigc.cli, "d_separated", broken)
+        res = run_cli("dsep", spec_path("itt.swg"), "--x", "Y(a)", "--y", "A")
         assert res.code == 8
         assert res.out == ""
-        assert res.err.startswith("error: internal error: RecursionError: ")
-        assert res.err.count("\n") == 1
+        assert res.err == "error: internal error: RuntimeError: ball lost\n"
 
 
 class TestSimulate:
@@ -127,6 +162,36 @@ class TestSimulate:
         assert "seeds: 0..23" in lines
         assert "runs: 24" in lines
         assert "sound: 24" in lines
+
+    def test_battery_starts_no_more_workers_than_seeds_or_cpus(self, run_cli, monkeypatch):
+        import concurrent.futures
+        import os
+
+        started = []
+
+        class FakePool:
+            # Records the pool size and runs the battery in process.
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        res = run_cli("simulate", spec_path("itt.swg"), "--seeds", "0:2", "--jobs", "6")
+        assert (res.code, started) == (0, [2])
+        res = run_cli("simulate", spec_path("itt.swg"), "--seeds", "0:8", "--jobs", "6")
+        assert (res.code, started) == (0, [2, 4])
+        res = run_cli("simulate", spec_path("itt.swg"), "--seeds", "0:1", "--jobs", "6")
+        assert (res.code, started) == (0, [2, 4])
+        assert "runs: 1" in res.out
 
     def test_no_data_model_needs_a_seed(self, run_cli):
         res = run_cli("simulate", spec_path("chronic_pain.swg"))

@@ -119,6 +119,22 @@ class TestRefutation:
         blocked = reports["hypothetical_unobserved"].left
         assert blocked.blocked.witness.arrows[0] == "<-"
 
+    def test_one_witness_per_estimand(self, monkeypatch):
+        import swigc.identify
+
+        calls = []
+        original = swigc.identify.open_paths
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(swigc.identify, "open_paths", counted)
+        report = identify_estimand(load_study("hypothetical_unobserved.swg"))
+        assert report.status == "blocked"
+        assert len(calls) == 1
+        assert report.left.blocked is report.right.blocked
+
 
 class TestAdjustedDerivation:
     def test_trace(self, reports):

@@ -15,6 +15,7 @@ from swigc.oracle import enumerate_table, random_scm
 from swigc.swig import split
 
 from conftest import STUDY_FILES, spec_text
+from reference_dsep import open_paths as enumerated_open_paths
 from reference_identify import subset_identify_term
 
 settings.register_profile(
@@ -99,6 +100,28 @@ def test_separation_matches_networkx(data):
     rx, ry, rz = random_part(x), random_part(y), random_part(z)
     expected = not rx or not ry or nx.is_d_separator(reference, rx, ry, rz)
     assert d_separated(graph, query) == expected
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_open_paths_match_the_enumerator(data):
+    """The best-first witnesses equal the recursive enumerator's, field for
+    field and in order, at every limit, on DAGs and split graphs with
+    multi-node x and y and a random z."""
+    names = [f"V{i}" for i in range(data.draw(st.integers(min_value=2, max_value=8)))]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = build_graph([(v, NodeAttrs()) for v in names], [p for p, k in zip(pairs, keep) if k])
+    held = data.draw(st.sets(st.sampled_from(names), max_size=2))
+    if held:
+        graph = split(graph, tuple((v, v.lower()) for v in sorted(held))).graph
+    order = data.draw(st.permutations(graph.nodes))
+    cut = data.draw(st.integers(min_value=1, max_value=min(3, len(order) - 1)))
+    end = data.draw(st.integers(min_value=cut + 1, max_value=min(cut + 3, len(order))))
+    z = [n for n in order[end:] if data.draw(st.booleans())]
+    query = DSepQuery(frozenset(order[:cut]), frozenset(order[cut:end]), frozenset(z))
+    for limit in (0, 1, 2, 5, 10**6):
+        assert open_paths(graph, query, limit) == enumerated_open_paths(graph, query, limit)
 
 
 @given(st.data())
