@@ -330,6 +330,8 @@ def _write_table_csv(compiled: CompiledEstimand, seed, path: str) -> None:
 def _cmd_simulate(args) -> int:
     study = _load(args)
     compiled = compile_study(study)
+    if args.csv == "-" and args.json:
+        raise SemanticError("--csv - and --json both write to stdout")
     if args.csv:
         _write_table_csv(compiled, args.seed, args.csv)
 
@@ -434,14 +436,16 @@ def _seed_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be 0 or more")
-    return value
+def _at_least(low: int):
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {low} or more")
+        return value
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -472,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="comma-separated node labels")
     sp.add_argument("--y", required=True, help="comma-separated node labels")
     sp.add_argument("--z", default="", help="comma-separated conditioning labels")
-    sp.add_argument("--limit", type=_count, default=5, help="max open paths to list")
+    sp.add_argument("--limit", type=_at_least(0), default=5, help="max open paths to list")
     sp.set_defaults(func=_cmd_dsep)
 
     sp = sub.add_parser("identify", help="derive or refute the estimand")
@@ -483,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--seed", type=int, help="random data model seed (default: the study's)")
     sp.add_argument("--seeds", type=_seed_range, help="seed range FIRST:LAST for a battery")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for a battery")
+    sp.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers for a battery")
     sp.add_argument("--csv", help="also write the potential-outcome table (- for stdout)")
     sp.set_defaults(func=_cmd_simulate)
 

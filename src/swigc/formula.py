@@ -11,7 +11,7 @@ observational (identified) exactly when no term carries a context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .graph import Context, Value, format_term
 
@@ -24,6 +24,7 @@ __all__ = [
     "Formula",
     "render",
     "is_identified",
+    "terms",
     "counterfactual_parts",
     "fresh_symbol",
 ]
@@ -87,24 +88,22 @@ def render(formula: Formula) -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def terms(formula: Formula) -> Iterator[Term]:
+    """Every term the formula mentions, bound variables too, in rendering order."""
+    if isinstance(formula, Expect):
+        yield formula.term
+        yield from (e.term for e in formula.given)
+    elif isinstance(formula, SumOver):
+        yield from terms(formula.body)
+        yield from (Term(var) for var, _ in formula.bindings)
+    elif isinstance(formula, Difference):
+        yield from terms(formula.left)
+        yield from terms(formula.right)
+
+
 def counterfactual_parts(formula: Formula) -> list[Term]:
     """Every term still carrying a context, in rendering order."""
-    out: list[Term] = []
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Expect):
-            if f.term.context:
-                out.append(f.term)
-            for e in f.given:
-                if e.term.context:
-                    out.append(e.term)
-        elif isinstance(f, SumOver):
-            walk(f.body)
-        elif isinstance(f, Difference):
-            walk(f.left)
-            walk(f.right)
-    walk(formula)
-    return out
+    return [t for t in terms(formula) if t.context]
 
 
 def is_identified(formula: Formula) -> bool:

@@ -7,6 +7,10 @@ holds observed and counterfactual values side by side.  True estimand
 values and identified-formula values are then both exact Fractions, so
 soundness checks compare with == rather than a tolerance.
 
+Each reader (true_estimand, eval_formula, conditionally_independent)
+makes one pass over the rows, summing the mass of each joint value of the
+columns it needs, and then reads only those masses.
+
 The table doubles as a teaching/debugging view: write_csv lays out one
 unit (noise configuration) per row with its counterfactual columns next
 to the factual ones.
@@ -17,6 +21,7 @@ from __future__ import annotations
 import csv
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -31,7 +36,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .estimand import CompiledEstimand, compile_study
-from .formula import Difference, Event, Expect, Formula, SumOver, Term
+from .formula import Difference, Event, Expect, Formula, SumOver, Term, terms
 from .graph import CausalGraph, Context, format_term
 from .identify import EstimandReport, identify_estimand
 from .model import CounterfactualMean, SCMSpec, StructuralEquation, StudySpec
@@ -49,7 +54,6 @@ __all__ = [
     "check_soundness",
     "soundness_battery",
     "validate_consistency",
-    "joint_probability",
     "conditionally_independent",
     "write_csv",
 ]
@@ -73,15 +77,13 @@ class PotentialOutcomeTable:
     rows: tuple[TableRow, ...]
 
 
-def _rule_of(graph: CausalGraph, base: str):
-    return graph.attr(graph.node(base)).deterministic
+def _check_size(total: int) -> None:
+    if total > ROW_CAP:
+        raise SupportTooLarge(f"{total} noise configurations exceed the cap of {ROW_CAP}")
 
 
 def enumerate_table(
-    graph: CausalGraph,
-    scm: SCMSpec,
-    contexts: Sequence[Context] = (),
-    row_cap: int = ROW_CAP,
+    graph: CausalGraph, scm: SCMSpec, contexts: Sequence[Context] = ()
 ) -> PotentialOutcomeTable:
     """Materialize the joint table; the observed world () is always included."""
     worlds: list[Context] = [()]
@@ -89,38 +91,33 @@ def enumerate_table(
         if ctx not in worlds:
             worlds.append(ctx)
 
-    order = [n.base for n in graph.topological_order()]
-    stochastic = sorted(b for b in order if _rule_of(graph, b) is None)
+    mechanisms = [
+        (n.base, graph.attr(n).deterministic, scm.equations.get(n.base))
+        for n in graph.topological_order()
+    ]
+    stochastic = sorted(base for base, rule, _ in mechanisms if rule is None)
     for base in stochastic:
         if base not in scm.equations:
             raise OracleError(f"the data model has no equation for {base}")
-
-    total = prod(len(scm.equations[b].noise) for b in stochastic)
-    if total > row_cap:
-        raise SupportTooLarge(
-            f"{total} noise configurations exceed the cap of {row_cap}"
-        )
+    _check_size(prod(len(scm.equations[b].noise) for b in stochastic))
 
     def evaluate(noise_val: Mapping[str, int], ctx: Context) -> dict[str, int]:
         pinned = dict(ctx)
         out: dict[str, int] = {}
-        for base in order:
+        for base, rule, eq in mechanisms:
             if base in pinned:
                 out[base] = pinned[base]
-                continue
-            rule = _rule_of(graph, base)
-            if rule is not None:
+            elif rule is not None:
                 out[base] = rule.apply(out[rule.source], out[rule.guard])
-                continue
-            eq = scm.equations[base]
-            key = tuple(out[p] for p in eq.parents) + (noise_val[base],)
-            try:
-                out[base] = eq.table[key]
-            except KeyError:
-                raise OracleError(
-                    f"table for {base} has no entry for {key}; the data model"
-                    " does not cover this intervention"
-                ) from None
+            else:
+                key = tuple(out[p] for p in eq.parents) + (noise_val[base],)
+                try:
+                    out[base] = eq.table[key]
+                except KeyError:
+                    raise OracleError(
+                        f"table for {base} has no entry for {key}; the data model"
+                        " does not cover this intervention"
+                    ) from None
         return out
 
     rows: list[TableRow] = []
@@ -139,6 +136,21 @@ def enumerate_table(
     )
 
 
+def _law(table: PotentialOutcomeTable, columns: Sequence[tuple[str, Context]]) -> Counter:
+    """Exact mass of each joint value of the (variable, world) ``columns``, in one pass."""
+    law = Counter()
+    for row in table.rows:
+        law[tuple([row.values[c] for c in columns])] += row.weight
+    return law
+
+
+def _mass(law: Counter, event: Sequence[tuple[int, int]], at: int | None = None) -> Fraction:
+    """Mass of the joint values where every (position, value) of ``event``
+    holds; with ``at``, each mass is weighted by the value at that position."""
+    cells = ((key, m) for key, m in law.items() if all(key[i] == v for i, v in event))
+    return sum((m if at is None else m * key[at] for key, m in cells), Fraction(0))
+
+
 def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fraction:
     """Exact value of one counterfactual mean, straight from the table."""
     ctx = mean.context
@@ -148,26 +160,16 @@ def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fra
     stratum = mean.stratum
     if stratum is not None and stratum.context not in table.contexts:
         raise OracleError("table was not enumerated for the stratum's world")
-    num = Fraction(0)
-    den = Fraction(0)
-    for row in table.rows:
-        if stratum is not None:
-            if row.values[(stratum.var, stratum.context)] != stratum.value:
-                continue
-        den += row.weight
-        num += row.weight * row.values[(mean.outcome, ctx)]
+    columns = [(mean.outcome, ctx)]
+    event = []
+    if stratum is not None:
+        columns.append((stratum.var, stratum.context))
+        event.append((1, stratum.value))
+    law = _law(table, columns)
+    den = _mass(law, event)
     if den == 0:
         raise EmptyStratum(f"stratum {stratum.label} has probability zero")
-    return num / den
-
-
-def _event_value(event: Event, bindings: Mapping[str, int]) -> int:
-    if isinstance(event.value, int):
-        return event.value
-    try:
-        return bindings[event.value]
-    except KeyError:
-        raise OracleError(f"unbound symbol {event.value!r} in formula") from None
+    return _mass(law, event, 0) / den
 
 
 def eval_formula(
@@ -175,12 +177,18 @@ def eval_formula(
     formula: Formula,
     bindings: Mapping[str, int] | None = None,
 ) -> Fraction:
-    """Evaluate an observational formula against the observed joint law."""
+    """Evaluate an observational formula against the observed joint law of
+    the variables it mentions; terms are checked as they are evaluated."""
+    g = table.graph
+    observed = {n.base for n in g.nodes if g.attrs[n].observed}
+    names = sorted({t.var for t in terms(formula)} & observed)
+    law = _law(table, [(v, ()) for v in names])
+    at = {v: i for i, v in enumerate(names)}
 
     def check_observational(term: Term) -> None:
         if term.context:
             raise OracleError(f"formula is not observational: {term.label}")
-        if not table.graph.attr(table.graph.node(term.var)).observed:
+        if not g.attr(g.node(term.var)).observed:
             raise OracleError(f"formula refers to unobserved {term.var}")
 
     def ev(f: Formula, binds: dict[str, int]) -> Fraction:
@@ -189,37 +197,28 @@ def eval_formula(
             wanted = []
             for e in f.given:
                 check_observational(e.term)
-                wanted.append((e.term.var, _event_value(e, binds)))
-            num = Fraction(0)
-            den = Fraction(0)
-            for row in table.rows:
-                if all(row.values[(v, ())] == x for v, x in wanted):
-                    den += row.weight
-                    num += row.weight * row.values[(f.term.var, ())]
+                try:
+                    value = e.value if isinstance(e.value, int) else binds[e.value]
+                except KeyError:
+                    raise OracleError(f"unbound symbol {e.value!r} in formula") from None
+                wanted.append((e.term.var, value))
+            event = [(at[v], x) for v, x in wanted]
+            den = _mass(law, event)
             if den == 0:
                 shown = ",".join(f"{v}={x}" for v, x in wanted)
                 raise ZeroProbabilityCondition(f"conditioning event {shown} has mass zero")
-            return num / den
+            return _mass(law, event, at[f.term.var]) / den
         if isinstance(f, SumOver):
-            out = Fraction(0)
-            supports = []
             for var, _ in f.bindings:
                 check_observational(Term(var))
-                supports.append(sorted({row.values[(var, ())] for row in table.rows}))
-            for combo in product(*supports):
-                weight = Fraction(0)
-                for row in table.rows:
-                    if all(
-                        row.values[(var, ())] == val
-                        for (var, _), val in zip(f.bindings, combo)
-                    ):
-                        weight += row.weight
-                if weight == 0:
-                    continue
-                inner = dict(binds)
-                for (_, sym), val in zip(f.bindings, combo):
-                    inner[sym] = val
-                out += weight * ev(f.body, inner)
+            weights = Counter()
+            for key, mass in law.items():
+                weights[tuple([key[at[var]] for var, _ in f.bindings])] += mass
+            out = Fraction(0)
+            for combo in sorted(weights):
+                if weights[combo]:
+                    inner = {**binds, **{sym: val for (_, sym), val in zip(f.bindings, combo)}}
+                    out += weights[combo] * ev(f.body, inner)
             return out
         if isinstance(f, Difference):
             return ev(f.left, binds) - ev(f.right, binds)
@@ -284,9 +283,7 @@ def data_model(compiled: CompiledEstimand, seed: int | None) -> SCMSpec:
     """
     if seed is not None:
         g = compiled.graph
-        total = prod(len(g.attrs[n].values) for n in g.nodes if g.attrs[n].deterministic is None)
-        if total > ROW_CAP:
-            raise SupportTooLarge(f"{total} noise configurations exceed the cap of {ROW_CAP}")
+        _check_size(prod(len(a.values) for a in g.attrs.values() if a.deterministic is None))
         return random_scm(g, seed)
     study = compiled.study
     if study.scm is None:
@@ -318,21 +315,18 @@ class SoundnessReport:
 def check_soundness(
     study: StudySpec,
     seed: int | None = None,
-    scm: SCMSpec | None = None,
     compiled: CompiledEstimand | None = None,
     report: EstimandReport | None = None,
 ) -> SoundnessReport:
     """Compare identified formula, naive analysis, and the exact truth.
 
-    With no ``seed`` and no ``scm``, the study's own data model is used.
+    With no ``seed``, the study's own data model is used.
     """
     if compiled is None:
         compiled = compile_study(study)
     if report is None:
         report = identify_estimand(study, compiled)
-    if scm is None:
-        scm = data_model(compiled, seed)
-    table = enumerate_table(compiled.graph, scm, compiled.worlds())
+    table = enumerate_table(compiled.graph, data_model(compiled, seed), compiled.worlds())
 
     violations = validate_consistency(table)
     true_value = true_estimand(table, compiled.contrast.left) - true_estimand(
@@ -408,33 +402,30 @@ def validate_consistency(table: PotentialOutcomeTable) -> list[str]:
     return problems
 
 
-def joint_probability(
-    table: PotentialOutcomeTable, assignment: Mapping[str, int]
-) -> Fraction:
-    mass = Fraction(0)
-    for row in table.rows:
-        if all(row.values[(v, ())] == x for v, x in assignment.items()):
-            mass += row.weight
-    return mass
-
-
 def conditionally_independent(
     table: PotentialOutcomeTable, x: str, y: str, z: Sequence[str]
 ) -> bool:
     """Exact conditional independence of two variables in the full joint law."""
+    names = list(dict.fromkeys((x, y, *z)))
+    law = _law(table, [(v, ()) for v in names])
+    at = {v: i for i, v in enumerate(names)}
+
+    def mass(assignment: Mapping[str, int]) -> Fraction:
+        return _mass(law, [(at[v], val) for v, val in assignment.items()])
+
     def support(var: str) -> list[int]:
-        return sorted({row.values[(var, ())] for row in table.rows})
+        return sorted({key[at[var]] for key in law})
 
     for z_combo in product(*(support(v) for v in z)):
         base = dict(zip(z, z_combo))
-        pz = joint_probability(table, base)
+        pz = mass(base)
         if pz == 0:
             continue
         for xv in support(x):
             for yv in support(y):
-                pxy = joint_probability(table, {**base, x: xv, y: yv})
-                px = joint_probability(table, {**base, x: xv})
-                py = joint_probability(table, {**base, y: yv})
+                pxy = mass({**base, x: xv, y: yv})
+                px = mass({**base, x: xv})
+                py = mass({**base, y: yv})
                 if pxy * pz != px * py:
                     return False
     return True

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: exit codes, text output, golden traces."""
 
+import json
+
 import pytest
 
 from conftest import golden_text, spec_path
@@ -231,6 +233,26 @@ class TestSimulate:
         # Eight unit rows, then the usual soundness summary.
         assert lines[9] == "study: Principal stratum"
         assert lines[-1] == "verdict: sound"
+
+    def test_csv_to_stdout_with_json_is_rejected(self, run_cli):
+        # Both would go to stdout, which carries one JSON object under --json.
+        res = run_cli("simulate", spec_path("principal_stratum.swg"), "--csv", "-", "--json")
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: --csv - and --json both write to stdout\n"
+
+    def test_csv_file_with_json(self, run_cli, tmp_path):
+        target = tmp_path / "table.csv"
+        res = run_cli("simulate", spec_path("principal_stratum.swg"),
+                      "--csv", str(target), "--json")
+        assert res.code == 0
+        assert json.loads(res.out)["true"] == "1/2"
+        assert target.read_text().splitlines()[0] == "id,M(a=1),Y(a=1),M(a=0),Y(a=0),A,M,Y,weight"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, run_cli, jobs):
+        res = run_cli("simulate", spec_path("itt.swg"), "--seeds", "0:2", "--jobs", jobs)
+        assert (res.code, res.out) == (2, "")
+        assert res.err.endswith("error: argument --jobs: must be 1 or more\n")
 
 
 class TestRender:

@@ -1,5 +1,6 @@
 """Exact enumeration oracle: frozen study values, error surfaces, batteries."""
 
+import dataclasses
 import io
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from swigc.errors import (
 )
 from swigc.dsl import parse_study
 from swigc.estimand import compile_study
+from swigc.identify import identify_estimand
 from swigc.formula import Event, Expect, Term, render
 from swigc.oracle import (
     check_soundness,
@@ -208,3 +210,45 @@ class TestConditionalIndependence:
         # against the graph instead of guessing: A -> M is an edge, so the
         # exact joint must show dependence.
         assert not conditionally_independent(table, "A", "M", ())
+
+
+class _CountedRows(tuple):
+    """Table rows that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _counted(table):
+    return dataclasses.replace(table, rows=_CountedRows(table.rows))
+
+
+class TestOnePass:
+    """Each reader sums the masses it needs in one pass over the rows."""
+
+    def chronic_pain(self):
+        study = load_study("chronic_pain.swg")
+        compiled = compile_study(study)
+        table = enumerate_table(compiled.graph, random_scm(compiled.graph, 3), compiled.worlds())
+        return study, compiled, _counted(table)
+
+    def test_eval_formula(self):
+        study, compiled, table = self.chronic_pain()
+        combined = identify_estimand(study, compiled).combined
+        assert render(combined).startswith("Σ_c E[Y|A=1,C=c,M3=0,M4=0]·P(C=c)")
+        eval_formula(table, combined)
+        assert table.rows.passes == 1
+
+    def test_true_estimand(self):
+        _, compiled, table = self.chronic_pain()
+        true_estimand(table, compiled.contrast.left)
+        assert table.rows.passes == 1
+
+    def test_conditionally_independent(self):
+        study = load_study("hypothetical_adjusted.swg")
+        table = _counted(enumerate_table(study.graph, study.scm))
+        conditionally_independent(table, "A", "Y", ("C", "M"))
+        assert table.rows.passes == 1

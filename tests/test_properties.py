@@ -7,16 +7,27 @@ from hypothesis import given, settings, strategies as st
 
 from swigc.dsl import parse_study, serialize
 from swigc.dsep import DSepQuery, d_separated, open_paths
+from swigc.errors import SwigcError
 from swigc.estimand import compile_study
+from swigc.formula import Difference, Event, Expect, SumOver, Term
 from swigc.graph import NodeAttrs, build_graph, graph_from_payload, graph_to_payload
 from swigc.identify import identify_estimand, identify_term
-from swigc.model import Hypothetical, PrincipalStratum, StudySpec
-from swigc.oracle import enumerate_table, random_scm
+from swigc.model import CounterfactualMean, Hypothetical, PrincipalStratum, StratumEvent, StudySpec
+from swigc.oracle import (
+    conditionally_independent,
+    data_model,
+    enumerate_table,
+    eval_formula,
+    naive_formula,
+    random_scm,
+    true_estimand,
+)
 from swigc.swig import split
 
 from conftest import STUDY_FILES, spec_text
 from reference_dsep import open_paths as enumerated_open_paths
 from reference_identify import subset_identify_term
+import reference_oracle
 
 settings.register_profile(
     "suite", max_examples=40, deadline=None, derandomize=True
@@ -236,3 +247,141 @@ def test_adjustment_search_matches_the_subset_walk(study):
         expected = _result_or_error(subset_identify_term, study, mean, compiled)
         assert _result_or_error(identify_term, study, mean, compiled) == expected
         assert (report if isinstance(report, type) else getattr(report, side)) == expected
+
+
+def _value_or_message(fn, *args):
+    """A reader's exact value, or the type and text of the error it raised."""
+    try:
+        value = fn(*args)
+    except SwigcError as e:
+        return type(e), str(e)
+    assert isinstance(value, (Fraction, bool))
+    return value
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([f for f in STUDY_FILES if f != "enumeration_cap.swg"]),
+    st.none() | st.integers(min_value=0, max_value=10**6),
+)
+def test_oracle_readers_match_the_row_scans_on_bundled_specs(name, seed):
+    """Each arm mean (stratum included), the combined formula and the
+    naive formula have the row-scanning reference's exact values."""
+    study = parse_study(spec_text(name))
+    if seed is None and study.scm is None:
+        seed = 0
+    compiled = compile_study(study)
+    table = enumerate_table(compiled.graph, data_model(compiled, seed), compiled.worlds())
+    for mean in (compiled.contrast.left, compiled.contrast.right):
+        expected = _value_or_message(reference_oracle.true_estimand, table, mean)
+        assert _value_or_message(true_estimand, table, mean) == expected
+    formulas = [naive_formula(compiled)]
+    report = identify_estimand(study, compiled)
+    if report.status == "identified":
+        formulas.append(report.combined)
+    for formula in formulas:
+        expected = _value_or_message(reference_oracle.eval_formula, table, formula)
+        assert _value_or_message(eval_formula, table, formula) == expected
+
+
+MODEL_NAMES = "ABCDE"
+SYMBOLS = ("s", "t", "u")
+
+
+@st.composite
+def oracle_models(draw):
+    """A random DAG on 2-5 nodes, some unobserved or three-valued, with a
+    random exact model enumerated in the observed world and in one world
+    that sets the first node."""
+    names = list(MODEL_NAMES[: draw(st.integers(min_value=2, max_value=5))])
+    attrs = [
+        (v, NodeAttrs(observed=v == names[0] or draw(st.sampled_from((True, True, False))),
+                      values=draw(st.sampled_from([(0, 1), (0, 1), (0, 1, 2)]))))
+        for v in names
+    ]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = build_graph(attrs, [p for p, k in zip(pairs, keep) if k])
+    scm = random_scm(graph, draw(st.integers(min_value=0, max_value=10**6)))
+    return enumerate_table(graph, scm, [((names[0], 1),)])
+
+
+@st.composite
+def oracle_formulas(draw, graph, depth=2):
+    """Random formulas on ``graph``: mostly observational, sometimes with a
+    counterfactual, unobserved or unknown term, an out-of-support value
+    (zero mass) or an unbound symbol; sums bind one to three variables."""
+    names = sorted(n.base for n in graph.nodes)
+    observed = [v for v in names if graph.attr(graph.node(v)).observed]
+    var = st.sampled_from(names + ["Q"] if draw(st.integers(0, 19)) == 0 else observed)
+    kind = draw(st.sampled_from(("expect", "sum", "sum", "difference") if depth else ("expect",)))
+    if kind == "sum":
+        bindings = draw(st.lists(st.tuples(var, st.sampled_from(SYMBOLS)), min_size=1, max_size=3))
+        return SumOver(tuple(bindings), draw(oracle_formulas(graph, depth - 1)))
+    if kind == "difference":
+        return Difference(draw(oracle_formulas(graph, depth - 1)),
+                          draw(oracle_formulas(graph, depth - 1)))
+    context = ((names[0], 1),) if draw(st.integers(0, 19)) == 0 else ()
+    value = st.sampled_from(SYMBOLS) | st.integers(min_value=0, max_value=2)
+    given = draw(st.lists(st.builds(Event, st.builds(Term, var), value), max_size=3))
+    return Expect(Term(draw(var), context), tuple(given))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_formula_values_match_the_row_scans(data):
+    """eval_formula equals the reference on random formulas, including sums
+    over two or more bindings, and raises the same error with the same
+    message where a conditioning event has mass zero or a term is not
+    observational."""
+    table = data.draw(oracle_models())
+    formula = data.draw(oracle_formulas(table.graph))
+    bindings = data.draw(st.dictionaries(st.sampled_from(SYMBOLS), st.integers(0, 2)))
+    expected = _value_or_message(reference_oracle.eval_formula, table, formula, bindings)
+    assert _value_or_message(eval_formula, table, formula, bindings) == expected
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_sums_over_several_bindings_match_the_row_scans(data):
+    """A standardization over two or three bound variables, its body
+    conditioning on every bound symbol, has the reference's value."""
+    table = data.draw(oracle_models())
+    graph = table.graph
+    observed = sorted(n.base for n in graph.nodes if graph.attr(n).observed)
+    bound = data.draw(st.lists(st.sampled_from(observed), min_size=2, max_size=3))
+    bindings = tuple(zip(bound, SYMBOLS))
+    body = Expect(Term(data.draw(st.sampled_from(observed))),
+                  tuple(Event(Term(v), sym) for v, sym in bindings))
+    formula = SumOver(bindings, body)
+    expected = _value_or_message(reference_oracle.eval_formula, table, formula)
+    assert _value_or_message(eval_formula, table, formula) == expected
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_arm_means_match_the_row_scans(data):
+    """true_estimand equals the reference with and without a stratum,
+    and both raise the same EmptyStratum where the stratum has mass zero."""
+    table = data.draw(oracle_models())
+    names = sorted(n.base for n in table.graph.nodes)
+    world = st.sampled_from(table.contexts)
+    stratum = st.none() | st.builds(StratumEvent, st.sampled_from(names), world,
+                                    st.integers(min_value=0, max_value=3))
+    mean = CounterfactualMean(data.draw(st.sampled_from(names)), data.draw(world),
+                              data.draw(stratum))
+    expected = _value_or_message(reference_oracle.true_estimand, table, mean)
+    assert _value_or_message(true_estimand, table, mean) == expected
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_conditional_independence_matches_the_row_scans(data):
+    """conditionally_independent gives the reference's answer on random
+    queries, repeated and overlapping variables included."""
+    table = data.draw(oracle_models())
+    var = st.sampled_from(sorted(n.base for n in table.graph.nodes))
+    x, y = data.draw(var), data.draw(var)
+    z = data.draw(st.lists(var, max_size=3))
+    expected = reference_oracle.conditionally_independent(table, x, y, z)
+    assert conditionally_independent(table, x, y, z) == expected
