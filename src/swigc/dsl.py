@@ -80,9 +80,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 2
             col += 2
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, start_col))
             col += j - i

@@ -145,7 +145,7 @@ def compile_study(study: StudySpec) -> CompiledEstimand:
         return CounterfactualMean(outcome=outcome, context=context, stratum=stratum)
 
     hi, lo = study.treatment_levels
-    contrast = EstimandContrast(left=mean(hi), right=mean(lo), name="mean_difference")
+    contrast = EstimandContrast(left=mean(hi), right=mean(lo))
     return CompiledEstimand(
         study=study,
         graph=graph,

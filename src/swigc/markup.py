@@ -83,28 +83,42 @@ def _tex(label: str) -> str:
     return label.replace("_", r"\_")
 
 
-def _tikz_options(
-    graph: CausalGraph,
-    node: NodeId,
-    swig_mode: bool,
-    split_bases: set[str],
-    boxed: bool,
-) -> str:
-    a = graph.attrs[node]
-    if node.fixed:
-        return (
-            "semicircle, draw, shape border rotate=270,"
-            f" color={FIXED_HALF_COLOR}, inner sep=2pt"
-        )
-    if boxed or a.conditioned:
-        return "rectangle, draw"
-    if a.role == "latent":
-        return f"circle, draw, fill={LATENT_FILL}"
-    if swig_mode:
-        if node.base in split_bases:
-            return "semicircle, draw, shape border rotate=90, inner sep=2pt"
-        return "inner sep=1pt"
-    return "circle, draw"
+_TIKZ_STYLE = {
+    "fixed": f"semicircle, draw, shape border rotate=270, color={FIXED_HALF_COLOR}, inner sep=2pt",
+    "boxed": "rectangle, draw",
+    "latent": f"circle, draw, fill={LATENT_FILL}",
+    "half": "semicircle, draw, shape border rotate=90, inner sep=2pt",
+    "plain": "circle, draw",
+}
+_DOT_STYLE = {
+    "fixed": f"shape=ellipse, color={FIXED_HALF_COLOR}, fontcolor={FIXED_HALF_COLOR}",
+    "boxed": "shape=box",
+    "latent": "shape=ellipse, style=filled, fillcolor=lightgray",
+    "half": "shape=ellipse",
+    "plain": "shape=ellipse",
+}
+
+
+def _kinds(graph: CausalGraph, shown: Mapping[str, int]) -> dict[NodeId, str]:
+    """Each node's kind, the one drawing rule both renderers share.
+
+    The first kind that applies wins: the fixed half of a split variable,
+    a boxed node (a shown value or an adjusted covariate), a latent node,
+    the random half of a split variable, any other node.
+    """
+    split_bases = {n.base for n in graph.nodes if n.fixed}
+    kinds: dict[NodeId, str] = {}
+    for n in graph.nodes:
+        a = graph.attrs[n]
+        if n.fixed:
+            kinds[n] = "fixed"
+        elif n.base in shown or a.conditioned:
+            kinds[n] = "boxed"
+        elif a.role == "latent":
+            kinds[n] = "latent"
+        else:
+            kinds[n] = "half" if n.base in split_bases else "plain"
+    return kinds
 
 
 def to_tikz(
@@ -119,7 +133,9 @@ def to_tikz(
     shown = dict(conditioned_values or {})
     graph = _graph_of(target)
     swig_mode = any(n.fixed for n in graph.nodes) or isinstance(target, SWIG)
-    split_bases = {n.base for n in graph.nodes if n.fixed}
+    kinds = _kinds(graph, shown)
+    # A node of a split graph that is not split itself is bare text.
+    style = {**_TIKZ_STYLE, "plain": "inner sep=1pt"} if swig_mode else _TIKZ_STYLE
     pos = _layout(graph)
 
     ordered = sorted(graph.nodes, key=lambda n: (pos[n][0], -pos[n][1], n.label))
@@ -129,13 +145,9 @@ def to_tikz(
     lines = [r"\begin{tikzpicture}[>=stealth, semithick]"]
     for n in ordered:
         x, y = pos[n]
-        boxed = not n.fixed and n.base in shown
-        label = n.label
-        if boxed:
-            label = f"{label}={shown[n.base]}"
-        options = _tikz_options(graph, n, swig_mode, split_bases, boxed)
+        label = f"{n.label}={shown[n.base]}" if kinds[n] == "boxed" and n.base in shown else n.label
         lines.append(
-            f"  \\node ({ids[n]}) at ({x:.2f}, {y:.2f}) [{options}] {{${_tex(label)}$}};"
+            f"  \\node ({ids[n]}) at ({x:.2f}, {y:.2f}) [{style[kinds[n]]}] {{${_tex(label)}$}};"
         )
     for u, v in sorted(graph.edges, key=lambda e: (e[0].label, e[1].label)):
         lines.append(
@@ -152,35 +164,21 @@ def to_dot(
     """DOT digraph; split pairs are tied into same-rank invisible clusters."""
     shown = dict(conditioned_values or {})
     graph = _graph_of(target)
-    split_bases = sorted({n.base for n in graph.nodes if n.fixed})
+    kinds = _kinds(graph, shown)
+    randoms = {n.base: n for n in graph.nodes if not n.fixed}
+    fixed = sorted((n for n in graph.nodes if n.fixed), key=lambda n: n.base)
 
     lines = ["digraph G {", "  rankdir=LR;", f"  edge [color={EDGE_COLOR}];"]
-    for i, base in enumerate(split_bases):
-        random_label = next(n.label for n in graph.nodes if not n.fixed and n.base == base)
-        fixed_label = next(n.label for n in graph.nodes if n.fixed and n.base == base)
+    for i, f in enumerate(fixed):
         lines.append(
             f'  subgraph cluster_{i} {{ rank=same; style=invis;'
-            f' "{random_label}"; "{fixed_label}"; }}'
+            f' "{randoms[f.base].label}"; "{f.label}"; }}'
         )
     for n in sorted(graph.nodes, key=lambda m: m.label):
-        a = graph.attrs[n]
-        attrs = []
-        if n.fixed:
-            attrs.append("shape=ellipse")
-            attrs.append(f"color={FIXED_HALF_COLOR}")
-            attrs.append(f"fontcolor={FIXED_HALF_COLOR}")
-        elif not n.fixed and n.base in shown:
-            attrs.append("shape=box")
-            attrs.append(f'label="{n.label}={shown[n.base]}"')
-        elif a.conditioned:
-            attrs.append("shape=box")
-        elif a.role == "latent":
-            attrs.append("shape=ellipse")
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightgray")
-        else:
-            attrs.append("shape=ellipse")
-        lines.append(f'  "{n.label}" [{", ".join(attrs)}];')
+        attrs = _DOT_STYLE[kinds[n]]
+        if kinds[n] == "boxed" and n.base in shown:
+            attrs += f', label="{n.label}={shown[n.base]}"'
+        lines.append(f'  "{n.label}" [{attrs}];')
     for u, v in sorted(graph.edges, key=lambda e: (e[0].label, e[1].label)):
         lines.append(f'  "{u.label}" -> "{v.label}";')
     lines.append("}")

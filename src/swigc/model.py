@@ -76,10 +76,6 @@ class StratumEvent:
     value: int
 
     @property
-    def counterfactual(self) -> bool:
-        return bool(self.context)
-
-    @property
     def label(self) -> str:
         return f"{format_term(self.var, self.context)}={self.value}"
 
@@ -106,7 +102,6 @@ class EstimandContrast:
 
     left: CounterfactualMean
     right: CounterfactualMean
-    name: str = ""
 
     @property
     def label(self) -> str:

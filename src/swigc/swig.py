@@ -6,6 +6,11 @@ degenerate fixed half x keeps every outgoing edge.  Random nodes are
 then relabeled with the interventions whose fixed halves are their
 ancestors, in the order the interventions were given, so downstream
 variables read as potential outcomes such as Y(a,m=0).
+
+One pass over the DAG in topological order finds those ancestors: the
+fixed halves that reach a node are its intervened parents plus whatever
+reaches its other parents.  An intervened parent passes on only its own
+fixed half, because its random half keeps no outgoing edge.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import AlreadySplit, DuplicateName, LatentIntervention, UnknownVariable
-from .graph import CausalGraph, Context, NodeAttrs, NodeId, Value
+from .graph import CausalGraph, Context, NodeId, Value, graph_to_payload
 
 __all__ = ["SWIG", "split"]
 
@@ -24,79 +29,44 @@ class SWIG:
 
     graph: CausalGraph
     interventions: tuple[tuple[str, Value], ...]
-    source: CausalGraph
 
 
 def split(dag: CausalGraph, interventions: Context) -> SWIG:
     """Split ``dag`` at the given (variable, level) assignments."""
     if any(n.fixed for n in dag.nodes):
         raise AlreadySplit("graph already contains fixed nodes")
-    seen: set[str] = set()
+    intervened: set[str] = set()
     for var, _ in interventions:
-        if var in seen:
+        if var in intervened:
             raise DuplicateName(f"variable {var!r} intervened on twice")
-        seen.add(var)
+        intervened.add(var)
         if not dag.has_label(var):
             raise UnknownVariable(f"cannot intervene on unknown variable {var!r}")
         if dag.attr(dag.node(var)).role == "latent":
             raise LatentIntervention(f"cannot intervene on unobserved variable {var!r}")
 
-    intervened = {var: value for var, value in interventions}
-
-    # Route edges through (kind, base) keys before identities are final:
-    # into the random half, out of the fixed half.
-    routed: list[tuple[tuple[str, str], tuple[str, str]]] = []
-    for u, v in dag.edges:
-        src = ("fixed", u.base) if u.base in intervened else ("random", u.base)
-        routed.append((src, ("random", v.base)))
-
-    child_keys: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for src, dst in routed:
-        child_keys.setdefault(src, []).append(dst)
-
-    # A random node's context lists the interventions whose fixed half
-    # is its ancestor, always in the order interventions were given.
     reach: dict[str, set[str]] = {}
-    for var, _ in interventions:
-        hit: set[str] = set()
-        stack = [("fixed", var)]
-        while stack:
-            key = stack.pop()
-            for kind, base in child_keys.get(key, ()):
-                if base not in hit:
-                    hit.add(base)
-                    stack.append((kind, base))
-        reach[var] = hit
+    for n in dag.topological_order():
+        hit = reach.setdefault(n.base, set())
+        for p in dag.parents(n):
+            hit |= {p.base} if p.base in intervened else reach[p.base]
 
-    def context_for(base: str) -> Context:
-        return tuple((var, value) for var, value in interventions if base in reach[var])
-
-    random_ids: dict[str, NodeId] = {}
-    attrs: dict[NodeId, NodeAttrs] = {}
-    for n in dag.nodes:
-        nid = NodeId(n.base, context_for(n.base))
-        random_ids[n.base] = nid
-        attrs[nid] = dag.attrs[n]
-    fixed_ids: dict[str, NodeId] = {}
-    for var, value in interventions:
-        fid = NodeId(var, ((var, value),), fixed=True)
-        fixed_ids[var] = fid
-        base_attrs = dag.attrs[dag.node(var)]
-        role = "covariate" if base_attrs.role == "derived" else base_attrs.role
-        attrs[fid] = replace(base_attrs, role=role, conditioned=False, deterministic=None)
-
-    def node_for(key: tuple[str, str]) -> NodeId:
-        kind, base = key
-        return fixed_ids[base] if kind == "fixed" else random_ids[base]
-
-    edges = [(node_for(src), node_for(dst)) for src, dst in routed]
-    graph = CausalGraph(list(random_ids.values()) + list(fixed_ids.values()), attrs, edges)
-    return SWIG(graph=graph, interventions=tuple(interventions), source=dag)
+    randoms = {
+        n.base: NodeId(n.base, tuple((v, x) for v, x in interventions if v in reach[n.base]))
+        for n in dag.nodes
+    }
+    fixed = {var: NodeId(var, ((var, value),), fixed=True) for var, value in interventions}
+    attrs = {randoms[n.base]: dag.attrs[n] for n in dag.nodes}
+    for var, fid in fixed.items():
+        a = dag.attrs[dag.node(var)]
+        role = "covariate" if a.role == "derived" else a.role
+        attrs[fid] = replace(a, role=role, conditioned=False, deterministic=None)
+    edges = [(fixed.get(u.base) or randoms[u.base], randoms[v.base]) for u, v in dag.edges]
+    graph = CausalGraph([*randoms.values(), *fixed.values()], attrs, edges)
+    return SWIG(graph=graph, interventions=tuple(interventions))
 
 
 def swig_to_payload(s: SWIG) -> dict:
-    from .graph import graph_to_payload
-
     payload = graph_to_payload(s.graph)
     payload["interventions"] = [[var, value] for var, value in s.interventions]
     return payload

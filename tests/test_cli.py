@@ -283,3 +283,20 @@ class TestRender:
 
 def test_no_subcommand_is_a_usage_error(run_cli):
     assert run_cli().code == 2
+
+
+def test_calls_share_one_parser(run_cli, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "swigc":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["validate"], ["identify"], ["render", "--format", "dot"]):
+        assert run_cli(argv[0], spec_path("itt.swg"), *argv[1:]).code == 0
+    assert len(built) <= 1

@@ -96,6 +96,8 @@ class TestErrorReporting:
             MINIMAL.replace("estimand", "estimate"),  # bad keyword
             MINIMAL.replace("A = 1 vs A = 0", "A = 1 vs B = 0"),  # mixed vars
             MINIMAL + "extra",  # trailing garbage
+            MINIMAL.replace("A = 1 vs", "A = ² vs"),  # a digit int() rejects
+            MINIMAL.replace("treatment;", "treatment; values: 0, ¹;"),  # likewise
         ],
     )
     def test_broken_inputs_raise_spec_errors(self, mutation):

@@ -24,10 +24,11 @@ from swigc.oracle import (
 )
 from swigc.swig import split
 
-from conftest import STUDY_FILES, spec_text
+from conftest import STUDY_FILES, load_study, spec_text
 from reference_dsep import open_paths as enumerated_open_paths
 from reference_identify import subset_identify_term
 import reference_oracle
+import reference_swig
 
 settings.register_profile(
     "suite", max_examples=40, deadline=None, derandomize=True
@@ -158,6 +159,73 @@ def test_split_counts_nodes_and_edges(data):
             assert not sw.graph.parents(node)
         elif node.base in targets:
             assert not sw.graph.children(node)
+
+
+SPLIT_NAMES = "ABDEFGHJK"
+SPLIT_ROLES = ("covariate", "covariate", "treatment", "intercurrent", "outcome", "latent")
+
+
+@st.composite
+def split_inputs(draw):
+    """A DAG of 1-9 nodes, some latent or adjusted, and an intervention
+    list in random order with symbolic and concrete levels.  One case in
+    two adds a mistake: a repeated, unknown or latent variable, two fixed
+    halves with one label, or a graph that is already split."""
+    n = draw(st.integers(min_value=1, max_value=len(SPLIT_NAMES)))
+    names = list(SPLIT_NAMES[:n])
+    roles = {name: draw(st.sampled_from(SPLIT_ROLES)) for name in names}
+    attrs = [
+        (name, NodeAttrs(role=role, conditioned=role == "covariate" and draw(st.booleans())))
+        for name, role in roles.items()
+    ]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    dag = build_graph(attrs, [p for p, k in zip(pairs, keep) if k])
+    observed = [name for name in names if roles[name] != "latent"]
+    k = draw(st.integers(min_value=0, max_value=min(4, len(observed))))
+    chosen = draw(st.permutations(observed))[:k]
+    interventions = [(v, draw(st.just(v.lower()) | st.integers(0, 2))) for v in chosen]
+    mistake = draw(st.integers(min_value=0, max_value=9))
+    latent = [name for name in names if roles[name] == "latent"]
+    if mistake == 0 and interventions:
+        interventions.insert(draw(st.integers(0, k)), interventions[0])
+    elif mistake == 1:
+        interventions.append(("Z", "z"))
+    elif mistake == 2 and latent:
+        interventions.insert(draw(st.integers(0, k)), (latent[0], latent[0].lower()))
+    elif mistake == 3 and k >= 2:
+        interventions[-1] = (interventions[-1][0], chosen[0].lower())
+    elif mistake == 4 and observed:
+        dag = split(dag, ((observed[0], "s"),)).graph
+    return dag, tuple(interventions)
+
+
+def _swig_or_error(fn, dag, interventions):
+    try:
+        sw = fn(dag, interventions)
+    except Exception as e:  # compared by type and message with the reference
+        return type(e), str(e)
+    return sw.graph, sw.interventions
+
+
+@settings(max_examples=300)
+@given(split_inputs())
+def test_split_matches_the_routed_reference(case):
+    dag, interventions = case
+    expected = _swig_or_error(reference_swig.split, dag, interventions)
+    assert _swig_or_error(split, dag, interventions) == expected
+
+
+@pytest.mark.parametrize("name", STUDY_FILES)
+def test_split_matches_the_routed_reference_on_bundled_studies(name):
+    compiled = compile_study(load_study(name))
+    levels = compiled.study.treatment_levels
+    worlds = [compiled.symbolic_context(), *compiled.worlds()]
+    worlds += [compiled.arm_context(level) for level in levels]
+    for world in worlds:
+        expected = _swig_or_error(reference_swig.split, compiled.graph, world)
+        assert not isinstance(expected[0], type)
+        assert _swig_or_error(split, compiled.graph, world) == expected
 
 
 @given(st.data())
