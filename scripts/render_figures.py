@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from swigc.dsl import parse_study
+from swigc.errors import SwigcError
 from swigc.estimand import compile_study, study_swig
 from swigc.markup import to_dot, to_tikz
 from swigc.swig import split
 
 ROOT = Path(__file__).resolve().parent.parent
+SPECS_DIR = ROOT / "specs"
 
 PREAMBLE = """\\documentclass{article}
 \\usepackage{tikz}
@@ -29,7 +31,6 @@ PREAMBLE = """\\documentclass{article}
 
 @dataclass
 class Config:
-    specs_dir: Path = ROOT / "specs"
     out_dir: Path = ROOT / "build" / "figures"
     dag: bool = True
     document: bool = False
@@ -37,28 +38,23 @@ class Config:
 
 def figure_jobs(cfg: Config):
     """Yield (stem, graph, conditioned_values) for every renderable view."""
-    for path in sorted(cfg.specs_dir.glob("*.swg")):
+    for path in sorted(SPECS_DIR.glob("*.swg")):
         try:
             study = parse_study(path.read_text())
             compiled = compile_study(study)
-        except Exception as exc:  # noqa: BLE001 - broken fixtures stay listed
+        except SwigcError as exc:  # broken fixtures stay listed
             print(f"skip {path.name}: {exc}")
             continue
         stem = path.stem
         if cfg.dag:
             yield f"dag_{stem}", study.graph, {}
         yield f"swig_{stem}", study_swig(compiled).graph, {}
-        stratum = compiled.stratum
-        if stratum is None:
+        if compiled.stratum is None:
             continue
-        treatment = study.treatment
         for level in study.treatment_levels:
             sw = split(compiled.graph, compiled.arm_context(level))
-            boxed = {}
-            if dict(stratum.context).get(treatment) == level:
-                boxed = {stratum.var: stratum.value}
             arm = "treated" if level == study.treatment_levels[0] else "control"
-            yield f"swig_{stem}_{arm}", sw.graph, boxed
+            yield f"swig_{stem}_{arm}", sw.graph, compiled.stratum_box(level)
 
 
 def main() -> int:

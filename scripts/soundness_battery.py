@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from swigc.dsl import parse_study
 from swigc.oracle import soundness_battery
 
-ROOT = Path(__file__).resolve().parent.parent
+SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 DEFAULT_STUDIES = (
     "itt.swg",
@@ -35,14 +35,13 @@ class Config:
     first_seed: int = 0
     n_seeds: int = 100
     jobs: int = 1
-    specs_dir: Path = field(default=ROOT / "specs")
 
 
 def run(cfg: Config) -> int:
     failures = 0
     t0 = time.perf_counter()
     for name in cfg.specs:
-        study = parse_study((cfg.specs_dir / name).read_text())
+        study = parse_study((SPECS_DIR / name).read_text())
         seeds = range(cfg.first_seed, cfg.first_seed + cfg.n_seeds)
         reports = soundness_battery(study, seeds, jobs=cfg.jobs)
         bad = [r for r in reports if not r.sound]

@@ -38,7 +38,6 @@ from .identify import (
     render_trace,
     verdict_code,
 )
-from .model import StudySpec
 from .oracle import (
     SoundnessReport,
     check_soundness,
@@ -57,10 +56,6 @@ _VERDICT_WORDS = {
 }
 
 
-def _load(args) -> StudySpec:
-    return parse_file(args.spec)
-
-
 def _emit_json(payload) -> None:
     sys.stdout.write(canonical_json(payload))
 
@@ -68,9 +63,8 @@ def _emit_json(payload) -> None:
 # validate
 
 
-def _cmd_validate(args) -> int:
-    study = _load(args)
-    compiled = compile_study(study)
+def _cmd_validate(args, compiled: CompiledEstimand) -> int:
+    study = compiled.study
     if args.json:
         _emit_json(
             {
@@ -122,19 +116,17 @@ def _parse_world(compiled: CompiledEstimand, text: str) -> Context:
     return tuple((v, assigned[v]) for v in compiled.split_vars)
 
 
-def _cmd_swig(args) -> int:
-    study = _load(args)
-    compiled = compile_study(study)
+def _cmd_swig(args, compiled: CompiledEstimand) -> int:
     if args.world:
         sw = split(compiled.graph, _parse_world(compiled, args.world))
     else:
         sw = study_swig(compiled)
     if args.json:
         payload = swig_to_payload(sw)
-        payload["study"] = study.name
+        payload["study"] = compiled.study.name
         _emit_json(payload)
         return 0
-    print(f"study: {study.name}")
+    print(f"study: {compiled.study.name}")
     shown = ", ".join(f"{v}={x}" for v, x in sw.interventions)
     print(f"interventions: {shown}")
     for node in sw.graph.nodes:
@@ -177,11 +169,8 @@ def _resolve_nodes(graph, text: str):
     return frozenset(out)
 
 
-def _cmd_dsep(args) -> int:
-    study = _load(args)
-    compiled = compile_study(study)
-    sw = study_swig(compiled)
-    g = sw.graph
+def _cmd_dsep(args, compiled: CompiledEstimand) -> int:
+    g = study_swig(compiled).graph
     try:
         query = DSepQuery(
             x=_resolve_nodes(g, args.x),
@@ -195,7 +184,7 @@ def _cmd_dsep(args) -> int:
     if args.json:
         _emit_json(
             {
-                "study": study.name,
+                "study": compiled.study.name,
                 "query": {
                     "x": sorted(n.label for n in query.x),
                     "y": sorted(n.label for n in query.y),
@@ -214,7 +203,7 @@ def _cmd_dsep(args) -> int:
             }
         )
         return 0 if separated else 3
-    print(f"study: {study.name}")
+    print(f"study: {compiled.study.name}")
     print(f"query: {query.label()}")
     print(f"verdict: {'separated' if separated else 'connected'}")
     for w in witnesses:
@@ -262,9 +251,8 @@ def _notes(report: EstimandReport) -> list[str]:
     return notes
 
 
-def _cmd_identify(args) -> int:
-    study = _load(args)
-    compiled = compile_study(study)
+def _cmd_identify(args, compiled: CompiledEstimand) -> int:
+    study = compiled.study
     report = identify_estimand(study, compiled)
     code = verdict_code(report)
     combined = report.combined
@@ -328,9 +316,8 @@ def _write_table_csv(compiled: CompiledEstimand, seed, path: str) -> None:
             write_csv(table, fh)
 
 
-def _cmd_simulate(args) -> int:
-    study = _load(args)
-    compiled = compile_study(study)
+def _cmd_simulate(args, compiled: CompiledEstimand) -> int:
+    study = compiled.study
     if args.csv == "-" and args.json:
         raise SemanticError("--csv - and --json both write to stdout")
     if args.csv:
@@ -386,25 +373,19 @@ def _cmd_simulate(args) -> int:
 # render
 
 
-def _cmd_render(args) -> int:
-    study = _load(args)
-    compiled = compile_study(study)
+def _cmd_render(args, compiled: CompiledEstimand) -> int:
+    study = compiled.study
     if args.dag and args.world:
         raise SemanticError("--dag and --world are mutually exclusive")
     conditioned = None
     if args.dag:
         target = study.graph
+    elif args.world:
+        world = _parse_world(compiled, args.world)
+        target = split(compiled.graph, world)
+        conditioned = compiled.stratum_box(dict(world)[study.treatment])
     else:
-        if args.world:
-            world = _parse_world(compiled, args.world)
-            target = split(compiled.graph, world)
-            stratum = compiled.stratum
-            if stratum is not None:
-                arm = dict(world)[study.treatment]
-                if ((study.treatment, arm),) == stratum.context:
-                    conditioned = {stratum.var: stratum.value}
-        else:
-            target = study_swig(compiled)
+        target = study_swig(compiled)
     markup = (
         to_tikz(target, conditioned_values=conditioned)
         if args.format == "tikz"
@@ -507,7 +488,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, compile_study(parse_file(args.spec)))
     except (SwigcError, OSError) as e:
         # A file that cannot be read or written is unusable input, like a bad spec.
         print(f"error: {e}", file=sys.stderr)

@@ -57,6 +57,15 @@ class CompiledEstimand:
         arms = (self.contrast.left.context, self.contrast.right.context)
         return arms if self.stratum is None else arms + (self.stratum.context,)
 
+    def stratum_box(self, arm: int) -> dict[str, int]:
+        """The stratum event to box in a drawing of the world where the
+        treatment is ``arm``: ``{event: level}`` when the principal stratum
+        is defined in that world, else ``{}``."""
+        s = self.stratum
+        if s is None or s.context != ((self.study.treatment, arm),):
+            return {}
+        return {s.var: s.value}
+
     def symbolic_context(self) -> Context:
         """The same variables held at symbolic levels, for generic derivations."""
         return tuple((v, v.lower()) for v in self.split_vars)

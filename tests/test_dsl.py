@@ -1,5 +1,6 @@
 """Study-file grammar: round trips, error positions, semantic checks."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,11 @@ class TestErrorReporting:
         assert "unexpected 'treatment'" in msg
         assert 'expected ":"' in msg
 
+    def test_end_of_file_after_a_comment_points_past_the_comment(self):
+        with pytest.raises(ParseError) as exc:
+            parse_study('study "T" {  # unfinished')
+        assert str(exc.value) == '1:26: unexpected end of file (expected "node")'
+
     def test_error_carries_line_and_column(self):
         with pytest.raises(ParseError) as exc:
             parse_study('study "X" {')
@@ -152,6 +158,29 @@ class TestErrorReporting:
         )
         with pytest.raises(SemanticError):
             parse_study(text)
+
+    def test_wide_table_is_refused_without_listing_its_keys(self):
+        """20 binary parents give 2^20 expected keys; the first missing one
+        is found without building them all."""
+        others = [f"X{i:02}" for i in range(1, 20)]
+        text = MINIMAL.rstrip()[:-1] + (
+            "  scm {\n"
+            + "".join(f"    {v} := noise {{ 0: 1/2; 1: 1/2; }};\n" for v in ["A", *others])
+            + f"    Y := table (A, {', '.join(others)}) {{ ({', '.join(['0'] * 20)}) -> 0; }};\n"
+            + "  }\n}\n"
+        )
+        text = text.replace("  node Y", "".join(f"  node {v} {{ }}\n" for v in others) + "  node Y")
+        text = text.replace("A -> Y;", "A -> Y; " + " ".join(f"{v} -> Y;" for v in others))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SemanticError) as exc:
+                parse_study(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        missing = ", ".join(["0"] * 19 + ["1", "0"])
+        assert str(exc.value) == f"table for Y is missing an entry for ({missing})"
+        assert peak < 5 * 2**20
 
 
 class TestCanonicalForm:

@@ -1,10 +1,12 @@
 """Property-based invariants over random graphs, models, and specs."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swigc import dsl
 from swigc.dsl import parse_study, serialize
 from swigc.dsep import DSepQuery, d_separated, open_paths
 from swigc.errors import SwigcError
@@ -24,9 +26,10 @@ from swigc.oracle import (
 )
 from swigc.swig import split
 
-from conftest import STUDY_FILES, load_study, spec_text
+from conftest import SPECS, STUDY_FILES, load_study, spec_text
 from reference_dsep import open_paths as enumerated_open_paths
 from reference_identify import subset_identify_term
+import reference_dsl
 import reference_oracle
 import reference_swig
 
@@ -453,3 +456,153 @@ def test_conditional_independence_matches_the_row_scans(data):
     z = data.draw(st.lists(var, max_size=3))
     expected = reference_oracle.conditionally_independent(table, x, y, z)
     assert conditionally_independent(table, x, y, z) == expected
+
+
+EMPTY_KEY_SPEC = """study "Empty key" {
+  node A { role: treatment; }
+  node Y { role: outcome; }
+  edges {}
+  estimand mean_difference(Y; A = 1 vs A = 0);
+  scm {
+    A := noise { 0: 1/2; 1: 1/2; };
+    Y := table () { () -> 0; };
+  }
+}
+"""
+BUNDLED_TEXTS = [path.read_text() for path in sorted(SPECS.glob("*.swg"))]
+SPEC_SEEDS = BUNDLED_TEXTS + [serialize(load_study(n)) for n in STUDY_FILES] + [EMPTY_KEY_SPEC]
+# Tokens beyond the seeds' own: strings, integers, names and characters
+# at the edges of the token rules, and comments and line breaks.
+EXTRA_TOKENS = ('"', '""', '"x', "-", "-1", "²", "½", "Ⅻ", "١", "é", "_x", "x²", "?",
+                "\f", " ", "#", "# c", "\n", "()", "true", ",", "table", "noise")
+
+
+def _token_spans(text):
+    """(start, end) of each token of ``text``, by the reference tokenizer."""
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    spans = []
+    for t in reference_dsl._tokenize(text)[:-1]:
+        start = starts[t.line - 1] + t.col - 1
+        spans.append((start, start + len(t.text) + 2 * (t.kind == "string")))
+    return spans
+
+
+SEED_SPANS = [_token_spans(text) for text in SPEC_SEEDS]
+TOKEN_POOL = sorted({text[s:e] for text, spans in zip(SPEC_SEEDS, SEED_SPANS) for s, e in spans}
+                    | set(EXTRA_TOKENS))
+
+
+@st.composite
+def mutated_specs(draw):
+    """A seed spec with one to three of its tokens deleted, replaced, put
+    in quotes or preceded by an inserted token, or with the text truncated
+    inside one."""
+    seed = draw(st.integers(0, len(SPEC_SEEDS) - 1))
+    text, spans = SPEC_SEEDS[seed], SEED_SPANS[seed]
+    picks = draw(st.lists(st.integers(0, len(spans) - 1), min_size=1, max_size=3, unique=True))
+    for i in sorted(picks, reverse=True):
+        start, end = spans[i]
+        op = draw(st.sampled_from(("delete", "replace", "quote", "insert", "truncate")))
+        token = draw(st.sampled_from(TOKEN_POOL))
+        if op == "delete":
+            text = text[:start] + text[end:]
+        elif op == "replace":
+            text = text[:start] + token + text[end:]
+        elif op == "quote":
+            text = text[:start] + '"' + text[start:end] + '"' + text[end:]
+        elif op == "insert":
+            text = text[:start] + token + draw(st.sampled_from(("", " ", "\n"))) + text[start:]
+        else:
+            text = text[: draw(st.integers(start, end))]
+    return text
+
+
+def _spec_or_error(parse, text):
+    """The study, or the error's type and message.  Where the last line has
+    a comment, the reference reports end of file at the comment's column,
+    not past it, so there the column of that error is masked."""
+    try:
+        return parse(text)
+    except Exception as e:  # compared by type and message with the reference
+        message = str(e)
+        if "unexpected end of file" in message and "#" in text.rsplit("\n", 1)[-1]:
+            message = re.sub(r"^(\d+):\d+:", r"\1:?:", message)
+        return type(e), message
+
+
+@settings(max_examples=1000)
+@given(mutated_specs())
+def test_parser_matches_the_character_walk_on_mutated_specs(text):
+    expected = _spec_or_error(reference_dsl.parse_study, text)
+    assert _spec_or_error(parse_study, text) == expected
+
+
+@pytest.mark.parametrize("seed", [i for i, spans in enumerate(SEED_SPANS) if len(spans) <= 150])
+def test_parser_matches_the_character_walk_on_every_prefix(seed):
+    """Cut before each of its tokens, a short seed fails where and as the
+    reference does, so every point of the grammar lists the same
+    expected tokens."""
+    text = SPEC_SEEDS[seed]
+    for start, _ in SEED_SPANS[seed]:
+        expected = _spec_or_error(reference_dsl.parse_study, text[:start])
+        assert _spec_or_error(parse_study, text[:start]) == expected
+
+
+TABLE_ROW = re.compile(r"\(([^()]*)\) -> (-?\d+);")
+TABLE_SEEDS = [text for text in SPEC_SEEDS if TABLE_ROW.search(text)]
+
+
+@st.composite
+def table_edits(draw):
+    """A seed spec with one to three table rows dropped, duplicated, or
+    given a changed, removed or added key component or a changed value."""
+    text = draw(st.sampled_from(TABLE_SEEDS))
+    rows = list(TABLE_ROW.finditer(text))
+    picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3, unique_by=id))
+    for row in sorted(picks, key=lambda m: m.start(), reverse=True):
+        key = [int(c) for c in row.group(1).split(",") if c.strip()]
+        value = int(row.group(2))
+        op = draw(st.sampled_from(("drop", "duplicate", "component", "remove", "add", "value")))
+        level = st.integers(-1, 3)
+        if op == "component" and key:
+            key[draw(st.integers(0, len(key) - 1))] = draw(level)
+        elif op == "remove" and key:
+            del key[draw(st.integers(0, len(key) - 1))]
+        elif op == "add":
+            key.insert(draw(st.integers(0, len(key))), draw(level))
+        elif op == "value":
+            value = draw(level)
+        new = "(" + ", ".join(map(str, key)) + f") -> {value};"
+        if op == "drop":
+            new = ""
+        elif op == "duplicate":
+            new = row.group() + " " + new
+        text = text[: row.start()] + new + text[row.end():]
+    return text
+
+
+@settings(max_examples=300)
+@given(table_edits())
+def test_table_checks_match_the_character_walk(text):
+    expected = _spec_or_error(reference_dsl.parse_study, text)
+    assert _spec_or_error(parse_study, text) == expected
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        tokens = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except Exception as e:  # compared by type and message with the reference
+        return type(e), str(e)
+    if "#" in text.rsplit("\n", 1)[-1]:  # see _spec_or_error
+        tokens[-1] = tokens[-1][:3]
+    return tokens
+
+
+TOKEN_ALPHABET = st.sampled_from(list('ab_Z09-->:=;{}()",/# \t\r\n²½Ⅻ١é\f\u00a0?')) | st.characters()
+
+
+@settings(max_examples=500)
+@given(st.text(TOKEN_ALPHABET, max_size=30))
+def test_tokenizer_matches_the_character_walk(text):
+    expected = _tokens_or_error(reference_dsl._tokenize, text)
+    assert _tokens_or_error(dsl._tokenize, text) == expected
