@@ -1,19 +1,42 @@
-"""Exhaustive enumeration oracle for finite structural causal models.
+"""Exact oracle for finite structural causal models.
 
-Given exact structural equations, the oracle enumerates every joint
-noise configuration with its rational probability and evaluates every
-variable under every requested intervention, producing one table that
-holds observed and counterfactual values side by side.  True estimand
+Given exact structural equations, the oracle computes the exact joint law
+of the (variable, world) columns a reader needs: observed and
+counterfactual values side by side, with rational masses.  True estimand
 values and identified-formula values are then both exact Fractions, so
 soundness checks compare with == rather than a tolerance.
 
-Each reader (true_estimand, eval_formula, conditionally_independent)
-makes one pass over the rows, summing the mass of each joint value of the
-columns it needs, and then reads only those masses.
+The law comes from one forward pass over the nodes in topological order.
+Each node's noise belongs to that node alone and is shared by its copies
+in every world (the twin networks of Balke & Pearl 1994), so the noise is
+summed out at its node and no unit is ever built whole:
 
-The table doubles as a teaching/debugging view: write_csv lays out one
-unit (noise configuration) per row with its counterfactual columns next
-to the factual ones.
+- The state maps each joint value of the live columns to an integer mass.
+  All masses share one denominator: the product, over stochastic nodes,
+  of the lcm of that node's noise denominators.
+- At each node, every state is expanded by each noise value (a
+  deterministic rule gives one step) and the node is evaluated in every
+  world: a pinned value, the composite rule, or a table lookup.
+- Each column that no later node reads, no query wants and no
+  consistency check needs is then dropped, which merges the states that
+  differed only there.
+- States of mass zero are kept: errors reached only through zero-weight
+  noise still raise, and conditionally_independent reads the law's keys.
+- Consistency is checked, not assumed.  Once a world's copy of a node,
+  its observed copy and the observed values of the world's intervened
+  variables are all known, the two copies must agree wherever those
+  observed values match the world's assignments.
+
+Masses become Fractions only after projection onto a reader's columns.
+The guards come in the order the row enumerator applies them: a missing
+equation, the cap on the product of the declared noise supports, then a
+missing table entry, reported as the first failure in row order.
+check_soundness builds one law over every column its readers need.
+
+enumerate_table still materializes one row per unit (noise
+configuration); write_csv lays those rows out with the counterfactual
+columns next to the factual ones, as a teaching/debugging view.  No
+reader scans the rows.
 """
 
 from __future__ import annotations
@@ -26,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import prod
-from typing import IO, Iterable, Mapping, Sequence
+from math import lcm, prod
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyStratum,
@@ -37,7 +60,7 @@ from .errors import (
 )
 from .estimand import CompiledEstimand, compile_study
 from .formula import Difference, Event, Expect, Formula, SumOver, Term, terms
-from .graph import CausalGraph, Context, format_term
+from .graph import CausalGraph, CompositeRule, Context, format_term
 from .identify import EstimandReport, identify_estimand
 from .model import CounterfactualMean, SCMSpec, StructuralEquation, StudySpec
 
@@ -82,15 +105,24 @@ def _check_size(total: int) -> None:
         raise SupportTooLarge(f"{total} noise configurations exceed the cap of {ROW_CAP}")
 
 
-def enumerate_table(
-    graph: CausalGraph, scm: SCMSpec, contexts: Sequence[Context] = ()
-) -> PotentialOutcomeTable:
-    """Materialize the joint table; the observed world () is always included."""
+Column = tuple[str, Context]
+Mechanism = tuple[str, CompositeRule | None, StructuralEquation | None]
+LawOf = Callable[[Sequence[Column]], Counter]
+
+
+def _worlds(contexts: Sequence[Context]) -> list[Context]:
+    """The observed world () first, then each distinct context in order."""
     worlds: list[Context] = [()]
     for ctx in contexts:
         if ctx not in worlds:
             worlds.append(ctx)
+    return worlds
 
+
+def _mechanisms(graph: CausalGraph, scm: SCMSpec) -> tuple[list[Mechanism], list[str]]:
+    """(base, rule, equation) per node in topological order, and the
+    stochastic bases by name, once every equation is there and the
+    product of their noise supports is under the cap."""
     mechanisms = [
         (n.base, graph.attr(n).deterministic, scm.equations.get(n.base))
         for n in graph.topological_order()
@@ -100,6 +132,15 @@ def enumerate_table(
         if base not in scm.equations:
             raise OracleError(f"the data model has no equation for {base}")
     _check_size(prod(len(scm.equations[b].noise) for b in stochastic))
+    return mechanisms, stochastic
+
+
+def enumerate_table(
+    graph: CausalGraph, scm: SCMSpec, contexts: Sequence[Context] = ()
+) -> PotentialOutcomeTable:
+    """Materialize the joint table; the observed world () is always included."""
+    worlds = _worlds(contexts)
+    mechanisms, stochastic = _mechanisms(graph, scm)
 
     def evaluate(noise_val: Mapping[str, int], ctx: Context) -> dict[str, int]:
         pinned = dict(ctx)
@@ -136,12 +177,138 @@ def enumerate_table(
     )
 
 
-def _law(table: PotentialOutcomeTable, columns: Sequence[tuple[str, Context]]) -> Counter:
-    """Exact mass of each joint value of the (variable, world) ``columns``, in one pass."""
-    law = Counter()
-    for row in table.rows:
-        law[tuple([row.values[c] for c in columns])] += row.weight
-    return law
+
+
+@dataclass(frozen=True)
+class _Law:
+    """Integer masses of the joint values of ``columns`` over one shared
+    ``denominator``, and whether every consistency check held."""
+
+    columns: tuple[Column, ...]
+    masses: Mapping[tuple[int, ...], int]
+    denominator: int
+    consistent: bool
+
+    def over(self, columns: Sequence[Column]) -> Counter:
+        """Exact mass of each joint value of ``columns``, all among this law's."""
+        at = {c: i for i, c in enumerate(self.columns)}
+        picks = [at[c] for c in columns]
+        sums: dict[tuple[int, ...], int] = {}
+        for key, mass in self.masses.items():
+            cell = tuple([key[i] for i in picks])
+            sums[cell] = sums.get(cell, 0) + mass
+        return Counter({cell: Fraction(m, self.denominator) for cell, m in sums.items()})
+
+
+def _law(
+    graph: CausalGraph, scm: SCMSpec, worlds: Sequence[Context], columns: Sequence[Column]
+) -> _Law:
+    """The exact joint law of the (variable, world) ``columns`` in one
+    forward pass over the nodes (see the module docstring)."""
+    worlds = _worlds(worlds)
+    mechanisms, _ = _mechanisms(graph, scm)
+    try:
+        return _forward(mechanisms, worlds, columns)
+    except KeyError:
+        # Some unit misses a table entry; the row enumerator names the
+        # first one in row order.
+        enumerate_table(graph, scm, worlds)
+        raise
+
+
+def _forward(
+    mechanisms: list[Mechanism], worlds: list[Context], columns: Sequence[Column]
+) -> _Law:
+    """The pass itself; a missing table entry raises KeyError."""
+    step = {base: i for i, (base, _, _) in enumerate(mechanisms)}
+    last = dict.fromkeys(columns, len(mechanisms))  # the last step that needs each column
+
+    def need(column: Column, at: int) -> None:
+        last[column] = max(last.get(column, -1), at)
+
+    # Per step: the worlds that pin the node, with the pinned value, and
+    # the worlds that evaluate it, with the columns it reads there.
+    pins: list[list[tuple[Context, int]]] = []
+    reads: list[list[tuple[Context, list[Column]]]] = []
+    for i, (base, rule, eq) in enumerate(mechanisms):
+        parents = (rule.source, rule.guard) if rule is not None else eq.parents
+        pins.append([])
+        reads.append([])
+        for ctx in worlds:
+            pinned = dict(ctx)
+            if base in pinned:
+                pins[i].append((ctx, pinned[base]))
+            else:
+                inputs = [(p, ctx) for p in parents]
+                reads[i].append((ctx, inputs))
+                for column in inputs:
+                    need(column, i)
+
+    # Per step: the worlds whose copies of these nodes are checked against
+    # the observed copies on the states that step leaves, the first where
+    # the observed values of the world's intervened variables are known too.
+    checks: list[dict[Context, list[str]]] = [{} for _ in mechanisms]
+    for ctx in worlds[1:]:
+        if any(v not in step for v, _ in ctx):
+            continue
+        for base, at in step.items():
+            at = max(at, *(step[v] for v, _ in ctx))
+            checks[at].setdefault(ctx, []).append(base)
+            for column in ((base, ctx), (base, ()), *((v, ()) for v, _ in ctx)):
+                need(column, at + 1)
+
+    live: list[Column] = []
+    at: dict[Column, int] = {}  # the position of each live column in a state's key
+    states: dict[tuple[int, ...], int] = {(): 1}
+    denominator = 1
+    consistent = True
+    for i, (base, rule, eq) in enumerate(mechanisms):
+        if rule is None:
+            scale = lcm(*(Fraction(p).denominator for _, p in eq.noise))
+            weights = [int(Fraction(p) * scale) for _, p in eq.noise]
+            denominator *= scale
+        else:
+            weights = [1]
+        outcomes = _outcomes(rule, eq)
+        picks = [[at[c] for c in inputs] for _, inputs in reads[i]]
+        grown = live + [(base, ctx) for ctx, _ in reads[i]] + [(base, ctx) for ctx, _ in pins[i]]
+        fixed = tuple(x for _, x in pins[i])
+        keep = [j for j, c in enumerate(grown) if last.get(c, -1) > i]
+        memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, mass in states.items():
+            per_world = []
+            for pick in picks:
+                parents = tuple([key[j] for j in pick])
+                out = memo.get(parents)
+                if out is None:
+                    out = memo[parents] = outcomes(parents)
+                per_world.append(out)
+            for weight, new in zip(weights, zip(*per_world)):
+                full = key + new + fixed
+                cell = tuple([full[j] for j in keep])
+                nxt[cell] = nxt.get(cell, 0) + mass * weight
+        states = nxt
+        live = [grown[j] for j in keep]
+        at = {c: j for j, c in enumerate(live)}
+        for ctx, bases in checks[i].items():
+            held = [(at[(v, ())], x) for v, x in ctx]
+            pairs = [(at[(b, ctx)], at[(b, ())]) for b in bases]
+            consistent = consistent and all(
+                any(key[c] != x for c, x in held) or all(key[w] == key[o] for w, o in pairs)
+                for key in states
+            )
+    return _Law(tuple(live), states, denominator, consistent)
+
+
+def _outcomes(
+    rule: CompositeRule | None, eq: StructuralEquation | None
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The node's value under each noise value, from its parents' values."""
+    if rule is not None:
+        return lambda parents: (rule.apply(*parents),)
+    table, noise = eq.table, [v for v, _ in eq.noise]
+    return lambda parents: tuple([table[parents + (v,)] for v in noise])
 
 
 def _mass(law: Counter, event: Sequence[tuple[int, int]], at: int | None = None) -> Fraction:
@@ -151,8 +318,31 @@ def _mass(law: Counter, event: Sequence[tuple[int, int]], at: int | None = None)
     return sum((m if at is None else m * key[at] for key, m in cells), Fraction(0))
 
 
+def _table_law(table: PotentialOutcomeTable, columns: Sequence[Column]) -> Counter:
+    """The law of ``columns`` in the table's model, without reading its rows."""
+    return _law(table.graph, table.scm, table.contexts, columns).over(columns)
+
+
+def _mean_columns(mean: CounterfactualMean) -> list[Column]:
+    columns = [(mean.outcome, mean.context)]
+    if mean.stratum is not None:
+        columns.append((mean.stratum.var, mean.stratum.context))
+    return columns
+
+
+def _mean_value(mean: CounterfactualMean, law_of: LawOf) -> Fraction:
+    """E[outcome | stratum] from ``law_of`` the mean's columns."""
+    law = law_of(_mean_columns(mean))
+    stratum = mean.stratum
+    event = [] if stratum is None else [(1, stratum.value)]
+    den = _mass(law, event)
+    if den == 0:
+        raise EmptyStratum(f"stratum {stratum.label} has probability zero")
+    return _mass(law, event, 0) / den
+
+
 def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fraction:
-    """Exact value of one counterfactual mean, straight from the table."""
+    """Exact value of one counterfactual mean in the table's model."""
     ctx = mean.context
     if ctx not in table.contexts:
         shown = ",".join(f"{v}={x}" for v, x in ctx)
@@ -160,16 +350,13 @@ def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fra
     stratum = mean.stratum
     if stratum is not None and stratum.context not in table.contexts:
         raise OracleError("table was not enumerated for the stratum's world")
-    columns = [(mean.outcome, ctx)]
-    event = []
-    if stratum is not None:
-        columns.append((stratum.var, stratum.context))
-        event.append((1, stratum.value))
-    law = _law(table, columns)
-    den = _mass(law, event)
-    if den == 0:
-        raise EmptyStratum(f"stratum {stratum.label} has probability zero")
-    return _mass(law, event, 0) / den
+    return _mean_value(mean, partial(_table_law, table))
+
+
+def _formula_columns(g: CausalGraph, formula: Formula) -> list[Column]:
+    """The observed world's columns of the observed variables ``formula`` mentions."""
+    observed = {n.base for n in g.nodes if g.attrs[n].observed}
+    return [(v, ()) for v in sorted({t.var for t in terms(formula)} & observed)]
 
 
 def eval_formula(
@@ -179,11 +366,18 @@ def eval_formula(
 ) -> Fraction:
     """Evaluate an observational formula against the observed joint law of
     the variables it mentions; terms are checked as they are evaluated."""
-    g = table.graph
-    observed = {n.base for n in g.nodes if g.attrs[n].observed}
-    names = sorted({t.var for t in terms(formula)} & observed)
-    law = _law(table, [(v, ()) for v in names])
-    at = {v: i for i, v in enumerate(names)}
+    return _formula_value(table.graph, formula, bindings, partial(_table_law, table))
+
+
+def _formula_value(
+    g: CausalGraph,
+    formula: Formula,
+    bindings: Mapping[str, int] | None,
+    law_of: LawOf,
+) -> Fraction:
+    columns = _formula_columns(g, formula)
+    law = law_of(columns)
+    at = {v: i for i, (v, _) in enumerate(columns)}
 
     def check_observational(term: Term) -> None:
         if term.context:
@@ -320,27 +514,34 @@ def check_soundness(
 ) -> SoundnessReport:
     """Compare identified formula, naive analysis, and the exact truth.
 
-    With no ``seed``, the study's own data model is used.
+    With no ``seed``, the study's own data model is used.  One law over
+    both arms' outcome and stratum columns and the observed variables of
+    both formulas serves every reader.
     """
     if compiled is None:
         compiled = compile_study(study)
     if report is None:
         report = identify_estimand(study, compiled)
-    table = enumerate_table(compiled.graph, data_model(compiled, seed), compiled.worlds())
+    g = compiled.graph
+    model = data_model(compiled, seed)
+    left, right = compiled.contrast.left, compiled.contrast.right
+    naive = naive_formula(compiled)
+    identified = report.status == "identified"
+    columns = _mean_columns(left) + _mean_columns(right) + _formula_columns(g, naive)
+    if identified:
+        columns += _formula_columns(g, report.combined)
+    law = _law(g, model, compiled.worlds(), list(dict.fromkeys(columns)))
 
-    violations = validate_consistency(table)
-    true_value = true_estimand(table, compiled.contrast.left) - true_estimand(
-        table, compiled.contrast.right
-    )
+    true_value = _mean_value(left, law.over) - _mean_value(right, law.over)
     formula_value = None
     gap = None
-    if report.status == "identified":
-        formula_value = eval_formula(table, report.combined)
+    if identified:
+        formula_value = _formula_value(g, report.combined, None, law.over)
         gap = formula_value - true_value
     naive_value = None
     naive_gap = None
     try:
-        naive_value = eval_formula(table, naive_formula(compiled))
+        naive_value = _formula_value(g, naive, None, law.over)
         naive_gap = naive_value - true_value
     except ZeroProbabilityCondition:
         pass
@@ -348,7 +549,7 @@ def check_soundness(
         study=study.name,
         seed=seed,
         status=report.status,
-        consistency_ok=not violations,
+        consistency_ok=law.consistent,
         true_value=true_value,
         formula_value=formula_value,
         gap=gap,
@@ -407,7 +608,7 @@ def conditionally_independent(
 ) -> bool:
     """Exact conditional independence of two variables in the full joint law."""
     names = list(dict.fromkeys((x, y, *z)))
-    law = _law(table, [(v, ()) for v in names])
+    law = _table_law(table, [(v, ()) for v in names])
     at = {v: i for i, v in enumerate(names)}
 
     def mass(assignment: Mapping[str, int]) -> Fraction:

@@ -1,23 +1,46 @@
-"""The row-scanning oracle readers, kept as the reference for the one-pass ones.
+"""The row-table oracle, kept as the reference for the forward pass.
 
 ``true_estimand``, ``eval_formula``, ``joint_probability`` and
 ``conditionally_independent`` here are the readers ``swigc.oracle`` used
 to ship: each rescans every row of the table for every mean, formula
-cell or probability it needs.  The property tests require the one-pass
-readers to return exactly their values (``==`` on ``Fraction``s), or to
-raise the same exception type with the same message.
+cell or probability it needs.  ``table_law`` is the one-pass row scan
+that replaced them, and ``check_soundness`` the soundness check built on
+the row table: it enumerates every unit with ``enumerate_table``, checks
+``validate_consistency`` and reads the rows with the readers here.  The
+property tests require ``swigc.oracle`` to return exactly their values
+(``==`` on ``Fraction``s and reports), or to raise the same exception
+type with the same message.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
 from swigc.errors import EmptyStratum, OracleError, ZeroProbabilityCondition
+from swigc.estimand import CompiledEstimand, compile_study
 from swigc.formula import Difference, Event, Expect, Formula, SumOver, Term
-from swigc.model import CounterfactualMean
-from swigc.oracle import PotentialOutcomeTable
+from swigc.graph import Context
+from swigc.identify import EstimandReport, identify_estimand
+from swigc.model import CounterfactualMean, StudySpec
+from swigc.oracle import (
+    PotentialOutcomeTable,
+    SoundnessReport,
+    data_model,
+    enumerate_table,
+    naive_formula,
+    validate_consistency,
+)
+
+
+def table_law(table: PotentialOutcomeTable, columns: Sequence[tuple[str, Context]]) -> Counter:
+    """Exact mass of each joint value of the (variable, world) ``columns``, in one pass."""
+    law = Counter()
+    for row in table.rows:
+        law[tuple([row.values[c] for c in columns])] += row.weight
+    return law
 
 
 def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fraction:
@@ -139,3 +162,48 @@ def conditionally_independent(
                 if pxy * pz != px * py:
                     return False
     return True
+
+
+def check_soundness(
+    study: StudySpec,
+    seed: int | None = None,
+    compiled: CompiledEstimand | None = None,
+    report: EstimandReport | None = None,
+) -> SoundnessReport:
+    """Compare identified formula, naive analysis, and the exact truth.
+
+    With no ``seed``, the study's own data model is used.
+    """
+    if compiled is None:
+        compiled = compile_study(study)
+    if report is None:
+        report = identify_estimand(study, compiled)
+    table = enumerate_table(compiled.graph, data_model(compiled, seed), compiled.worlds())
+
+    violations = validate_consistency(table)
+    true_value = true_estimand(table, compiled.contrast.left) - true_estimand(
+        table, compiled.contrast.right
+    )
+    formula_value = None
+    gap = None
+    if report.status == "identified":
+        formula_value = eval_formula(table, report.combined)
+        gap = formula_value - true_value
+    naive_value = None
+    naive_gap = None
+    try:
+        naive_value = eval_formula(table, naive_formula(compiled))
+        naive_gap = naive_value - true_value
+    except ZeroProbabilityCondition:
+        pass
+    return SoundnessReport(
+        study=study.name,
+        seed=seed,
+        status=report.status,
+        consistency_ok=not violations,
+        true_value=true_value,
+        formula_value=formula_value,
+        gap=gap,
+        naive_value=naive_value,
+        naive_gap=naive_gap,
+    )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import golden_text, spec_path
+from conftest import golden_text, spec_path, spec_text
 
 IDENTIFY_EXITS = {
     "itt": 0,
@@ -28,6 +28,15 @@ class TestValidate:
         res = run_cli("validate", spec_path("bad_syntax.swg"))
         assert res.code == 2
         assert "3:17: unexpected 'treatment'" in res.err
+
+    def test_overlong_integer_literal(self, run_cli, tmp_path):
+        spec = tmp_path / "long.swg"
+        spec.write_text(spec_text("itt.swg").replace(
+            "intercurrent; }", "intercurrent; values: 0, 1, " + "9" * 5000 + "; }"))
+        res = run_cli("validate", str(spec))
+        assert res.code == 2
+        assert res.out == ""
+        assert res.err == "error: 6:46: integer literal of 5000 digits is too long\n"
 
     def test_missing_file(self, run_cli):
         res = run_cli("validate", "specs/no_such_study.swg")

@@ -85,6 +85,13 @@ class TestErrorReporting:
             parse_study('study "T" {  # unfinished')
         assert str(exc.value) == '1:26: unexpected end of file (expected "node")'
 
+    def test_overlong_integer_literal_points_at_its_token(self):
+        # Longer than int() converts by default (4,300 digits).
+        text = MINIMAL.replace("treatment;", "treatment; values: 0, " + "9" * 5000 + ";")
+        with pytest.raises(ParseError) as exc:
+            parse_study(text)
+        assert str(exc.value) == "3:40: integer literal of 5000 digits is too long"
+
     def test_error_carries_line_and_column(self):
         with pytest.raises(ParseError) as exc:
             parse_study('study "X" {')

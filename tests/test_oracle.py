@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from swigc.errors import (
     SupportTooLarge,
     ZeroProbabilityCondition,
 )
+from swigc import oracle
 from swigc.dsl import parse_study
 from swigc.estimand import compile_study
 from swigc.identify import identify_estimand
@@ -226,29 +228,60 @@ def _counted(table):
     return dataclasses.replace(table, rows=_CountedRows(table.rows))
 
 
-class TestOnePass:
-    """Each reader sums the masses it needs in one pass over the rows."""
+def chain_study(n):
+    """A treatment, n - 2 binary links and the outcome in one chain: 2**n units."""
+    names = ["A"] + [f"X{i}" for i in range(1, n - 1)] + ["Y"]
+    lines = ['study "Chain" {', "  node A { role: treatment; }"]
+    lines += [f"  node {x} {{ }}" for x in names[1:-1]]
+    lines += ["  node Y { role: outcome; }", "  edges {"]
+    lines += [f"    {u} -> {v};" for u, v in zip(names, names[1:])]
+    lines += ["  }", "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+    return parse_study("\n".join(lines))
 
-    def chronic_pain(self):
+
+class TestOnePass:
+    """check_soundness builds one law in one forward pass and no row
+    table; the readers that take a table never scan its rows."""
+
+    def test_check_soundness_builds_one_law_and_no_table(self, monkeypatch):
+        calls = {"enumerate_table": 0, "_law": 0}
+
+        def counted(name):
+            real = getattr(oracle, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oracle, name, counted(name))
+        report = check_soundness(load_study("chronic_pain.swg"), seed=3)
+        assert report.sound and report.status == "identified"
+        assert calls == {"enumerate_table": 0, "_law": 1}
+
+    def test_readers_never_scan_the_rows(self):
         study = load_study("chronic_pain.swg")
         compiled = compile_study(study)
-        table = enumerate_table(compiled.graph, random_scm(compiled.graph, 3), compiled.worlds())
-        return study, compiled, _counted(table)
-
-    def test_eval_formula(self):
-        study, compiled, table = self.chronic_pain()
+        table = _counted(
+            enumerate_table(compiled.graph, random_scm(compiled.graph, 3), compiled.worlds())
+        )
         combined = identify_estimand(study, compiled).combined
         assert render(combined).startswith("Σ_c E[Y|A=1,C=c,M3=0,M4=0]·P(C=c)")
         eval_formula(table, combined)
-        assert table.rows.passes == 1
-
-    def test_true_estimand(self):
-        _, compiled, table = self.chronic_pain()
         true_estimand(table, compiled.contrast.left)
-        assert table.rows.passes == 1
+        conditionally_independent(table, "A", "Y", ("C",))
+        assert table.rows.passes == 0
 
-    def test_conditionally_independent(self):
-        study = load_study("hypothetical_adjusted.swg")
-        table = _counted(enumerate_table(study.graph, study.scm))
-        conditionally_independent(table, "A", "Y", ("C", "M"))
-        assert table.rows.passes == 1
+    def test_long_chain_needs_no_row_table(self):
+        # 2**17 = 131,072 units; only the live columns of one link are held.
+        study = chain_study(17)
+        tracemalloc.start()
+        try:
+            report = check_soundness(study, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.sound and report.gap == 0
+        assert peak < 1_000_000

@@ -1,7 +1,9 @@
 """Property-based invariants over random graphs, models, and specs."""
 
+import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,21 @@ from swigc.estimand import compile_study
 from swigc.formula import Difference, Event, Expect, SumOver, Term
 from swigc.graph import NodeAttrs, build_graph, graph_from_payload, graph_to_payload
 from swigc.identify import identify_estimand, identify_term
-from swigc.model import CounterfactualMean, Hypothetical, PrincipalStratum, StratumEvent, StudySpec
+from swigc.model import (
+    Composite,
+    CounterfactualMean,
+    Hypothetical,
+    PrincipalStratum,
+    SCMSpec,
+    StratumEvent,
+    StructuralEquation,
+    StudySpec,
+    TreatmentPolicy,
+)
 from swigc.oracle import (
+    SoundnessReport,
+    _law,
+    check_soundness,
     conditionally_independent,
     data_model,
     enumerate_table,
@@ -23,6 +38,7 @@ from swigc.oracle import (
     naive_formula,
     random_scm,
     true_estimand,
+    validate_consistency,
 )
 from swigc.swig import split
 
@@ -326,7 +342,7 @@ def _value_or_message(fn, *args):
         value = fn(*args)
     except SwigcError as e:
         return type(e), str(e)
-    assert isinstance(value, (Fraction, bool))
+    assert isinstance(value, (Fraction, bool, dict, SoundnessReport))
     return value
 
 
@@ -360,10 +376,8 @@ SYMBOLS = ("s", "t", "u")
 
 
 @st.composite
-def oracle_models(draw):
-    """A random DAG on 2-5 nodes, some unobserved or three-valued, with a
-    random exact model enumerated in the observed world and in one world
-    that sets the first node."""
+def oracle_graphs(draw):
+    """A random DAG on 2-5 nodes, some unobserved or three-valued."""
     names = list(MODEL_NAMES[: draw(st.integers(min_value=2, max_value=5))])
     attrs = [
         (v, NodeAttrs(observed=v == names[0] or draw(st.sampled_from((True, True, False))),
@@ -372,9 +386,16 @@ def oracle_models(draw):
     ]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    graph = build_graph(attrs, [p for p, k in zip(pairs, keep) if k])
+    return build_graph(attrs, [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def oracle_models(draw):
+    """An oracle graph with a random exact model, enumerated in the observed
+    world and in one world that sets the first node."""
+    graph = draw(oracle_graphs())
     scm = random_scm(graph, draw(st.integers(min_value=0, max_value=10**6)))
-    return enumerate_table(graph, scm, [((names[0], 1),)])
+    return enumerate_table(graph, scm, [((min(n.base for n in graph.nodes), 1),)])
 
 
 @st.composite
@@ -456,6 +477,130 @@ def test_conditional_independence_matches_the_row_scans(data):
     z = data.draw(st.lists(var, max_size=3))
     expected = reference_oracle.conditionally_independent(table, x, y, z)
     assert conditionally_independent(table, x, y, z) == expected
+
+
+@st.composite
+def exact_models(draw, graph):
+    """An exact model on ``graph`` beyond what random_scm draws: noise
+    weights over mixed denominators, now and then zero, sometimes one
+    noise value more than the node has values, sometimes a constant
+    table, and in one model of ten a table that misses an entry."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    equations = {}
+    for node in graph.topological_order():
+        attrs = graph.attr(node)
+        if attrs.deterministic is not None:
+            continue
+        extra = rng.choice((0, 0, 1))
+        weights = [rng.choice((0, 1, 2, 3, 4, 5, 6)) for _ in range(len(attrs.values) + extra)]
+        weights[rng.randrange(len(weights))] += 1
+        noise = tuple((v, Fraction(w, sum(weights))) for v, w in enumerate(weights))
+        parents = sorted(graph.parents(node), key=lambda p: p.base)
+        constant = rng.random() < 0.1
+        table = {}
+        for combo in product(*(graph.attr(p).values for p in parents)):
+            outcomes = rng.sample(attrs.values, len(attrs.values))
+            outcomes += [rng.choice(attrs.values)] * extra
+            for v, _ in noise:
+                table[combo + (v,)] = outcomes[0] if constant else outcomes[v]
+        equations[node.base] = StructuralEquation(tuple(p.base for p in parents), noise, table)
+    if rng.random() < 0.1:
+        table = equations[rng.choice(sorted(equations))].table
+        del table[rng.choice(sorted(table))]
+    return SCMSpec(equations)
+
+
+@st.composite
+def interventions(draw, names):
+    """Zero to two interventions, each setting one or two variables."""
+    setting = st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)
+    return [tuple((v, draw(st.integers(0, 1))) for v in sorted(draw(setting)))
+            for _ in range(draw(st.integers(0, 2)))]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_forward_law_matches_the_row_scan(data):
+    """The forward pass's law of random (variable, world) columns has the
+    row scan's keys, zero-mass keys included, and masses, and it raises
+    the row enumerator's error for a missing table entry."""
+    graph = data.draw(oracle_graphs())
+    scm = data.draw(exact_models(graph))
+    names = sorted(n.base for n in graph.nodes)
+    contexts = data.draw(interventions(names))
+    column = st.tuples(st.sampled_from(names), st.sampled_from([(), *contexts]))
+    columns = data.draw(st.lists(column, max_size=4))
+
+    def rows(columns):
+        return dict(reference_oracle.table_law(enumerate_table(graph, scm, contexts), columns))
+
+    def forward(columns):
+        law = _law(graph, scm, contexts, columns)
+        assert law.consistent
+        return dict(law.over(columns))
+
+    assert _value_or_message(forward, columns) == _value_or_message(rows, columns)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_row_enumerator_is_consistent(data):
+    """Where the observed run already satisfies a world's assignments, the
+    row enumerator gives that world the observed values."""
+    graph = data.draw(dags(max_nodes=5))
+    names = sorted(n.base for n in graph.nodes)
+    contexts = data.draw(interventions(names)) or [((names[0], 1),)]
+    scm = random_scm(graph, data.draw(st.integers(min_value=0, max_value=10**6)))
+    assert validate_consistency(enumerate_table(graph, scm, contexts)) == []
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(STUDY_FILES), st.none() | st.integers(min_value=0, max_value=10**6))
+def test_soundness_matches_the_row_table_on_bundled_specs(name, seed):
+    """check_soundness gives the row table's report, or raises its error,
+    on each bundled study's own model or a seeded one; enumeration_cap's
+    refusal included."""
+    study = load_study(name)
+    expected = _value_or_message(reference_oracle.check_soundness, study, seed)
+    assert _value_or_message(check_soundness, study, seed) == expected
+
+
+@st.composite
+def soundness_studies(draw):
+    """A random study with its own exact model: a treatment, up to two
+    covariates (plain, latent or adjust-eligible), one or two binary events
+    and an outcome on random forward edges.  The first event may be
+    handled by any strategy, a principal stratum or a composite included;
+    the second by treatment policy or a hypothetical."""
+    support = st.sampled_from([(0, 1), (0, 1, 2)])
+    covariates = list("BC"[: draw(st.integers(0, 2))])
+    events = ["M1", "M2"][: draw(st.integers(1, 2))]
+    attrs = {"A": NodeAttrs(role="treatment")}
+    for name in covariates:
+        kind = draw(st.sampled_from(("plain", "latent", "adjust")))
+        attrs[name] = NodeAttrs(observed=kind != "latent", conditioned=kind == "adjust",
+                                values=draw(support))
+    attrs.update((m, NodeAttrs(role="intercurrent")) for m in events)
+    attrs["Y"] = NodeAttrs(role="outcome", values=draw(support))
+    order = list(attrs)
+    pairs = [(u, v) for i, u in enumerate(order) for v in order[i + 1:] if v != "A"]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = build_graph(list(attrs.items()), [p for p, k in zip(pairs, keep) if k])
+    level = st.integers(0, 1)
+    plain = st.just(TreatmentPolicy()) | st.builds(Hypothetical, level)
+    first = plain | st.builds(Composite, st.sampled_from(attrs["Y"].values)) | st.builds(
+        PrincipalStratum, st.just("M1"), level, level)
+    strategies = {"M1": draw(first), **{m: draw(plain) for m in events[1:]}}
+    return StudySpec("random", graph, "A", (1, 0), "Y", strategies, draw(exact_models(graph)))
+
+
+@settings(max_examples=200)
+@given(soundness_studies())
+def test_soundness_matches_the_row_table_on_random_models(study):
+    """check_soundness gives the row table's report, or the same error with
+    the same text: an empty principal stratum, a missing table entry."""
+    expected = _value_or_message(reference_oracle.check_soundness, study)
+    assert _value_or_message(check_soundness, study) == expected
 
 
 EMPTY_KEY_SPEC = """study "Empty key" {
