@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run seeded soundness batteries over the bundled studies.
 
-For every study and every seed, a random exact data model is drawn, the
-derived formula (when one exists) is evaluated against the enumerated truth,
-and row-wise consistency is checked.  Any mismatch is printed with its seed
-so it can be replayed with `swigc simulate <spec> --seed N`.
+For every study and every seed, a random exact data model is drawn, and
+the derived formula (when one exists) is evaluated against the exact true
+contrast, both read from the model's exact joint law; consistency is checked
+as that law is computed.  Any mismatch is printed with its seed so it can be
+replayed with `swigc simulate <spec> --seed N`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from swigc.dsl import parse_study
@@ -29,21 +29,13 @@ DEFAULT_STUDIES = (
 )
 
 
-@dataclass
-class Config:
-    specs: tuple[str, ...] = DEFAULT_STUDIES
-    first_seed: int = 0
-    n_seeds: int = 100
-    jobs: int = 1
-
-
-def run(cfg: Config) -> int:
+def run(studies: list[str], first: int, n_seeds: int, jobs: int) -> int:
     failures = 0
     t0 = time.perf_counter()
-    for name in cfg.specs:
+    for name in studies:
         study = parse_study((SPECS_DIR / name).read_text())
-        seeds = range(cfg.first_seed, cfg.first_seed + cfg.n_seeds)
-        reports = soundness_battery(study, seeds, jobs=cfg.jobs)
+        seeds = range(first, first + n_seeds)
+        reports = soundness_battery(study, seeds, jobs=jobs)
         bad = [r for r in reports if not r.sound]
         failures += len(bad)
         statuses = sorted({r.status for r in reports})
@@ -66,13 +58,7 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=1, help="parallel workers")
     ap.add_argument("--studies", nargs="*", default=list(DEFAULT_STUDIES))
     args = ap.parse_args()
-    cfg = Config(
-        specs=tuple(args.studies),
-        first_seed=args.first,
-        n_seeds=args.seeds,
-        jobs=args.jobs,
-    )
-    return run(cfg)
+    return run(args.studies, args.first, args.seeds, args.jobs)
 
 
 if __name__ == "__main__":

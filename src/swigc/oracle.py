@@ -27,7 +27,8 @@ summed out at its node and no unit is ever built whole:
   variables are all known, the two copies must agree wherever those
   observed values match the world's assignments.
 
-Masses become Fractions only after projection onto a reader's columns.
+Readers group the integer masses with ``_Law.given``, once per expectation,
+SumOver weight or marginal; a Fraction is built only where a reader divides.
 The guards come in the order the row enumerator applies them: a missing
 equation, the cap on the product of the declared noise supports, then a
 missing table entry, reported as the first failure in row order.
@@ -44,7 +45,6 @@ from __future__ import annotations
 import csv
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -107,7 +107,7 @@ def _check_size(total: int) -> None:
 
 Column = tuple[str, Context]
 Mechanism = tuple[str, CompositeRule | None, StructuralEquation | None]
-LawOf = Callable[[Sequence[Column]], Counter]
+Cells = dict[tuple[int, ...], tuple[int, int]]  # joint value -> (mass, weighted sum)
 
 
 def _worlds(contexts: Sequence[Context]) -> list[Context]:
@@ -177,8 +177,6 @@ def enumerate_table(
     )
 
 
-
-
 @dataclass(frozen=True)
 class _Law:
     """Integer masses of the joint values of ``columns`` over one shared
@@ -189,15 +187,19 @@ class _Law:
     denominator: int
     consistent: bool
 
-    def over(self, columns: Sequence[Column]) -> Counter:
-        """Exact mass of each joint value of ``columns``, all among this law's."""
-        at = {c: i for i, c in enumerate(self.columns)}
-        picks = [at[c] for c in columns]
-        sums: dict[tuple[int, ...], int] = {}
+    def given(self, columns: Sequence[Column], at: Column | None = None) -> Cells:
+        """(mass, sum of mass times the value at ``at``, 0 without it) for
+        each joint value of ``columns``, zero masses included; ``columns``
+        and ``at`` are among this law's."""
+        index = {c: i for i, c in enumerate(self.columns)}
+        picks = [index[c] for c in columns]
+        j = None if at is None else index[at]
+        cells: Cells = {}
         for key, mass in self.masses.items():
             cell = tuple([key[i] for i in picks])
-            sums[cell] = sums.get(cell, 0) + mass
-        return Counter({cell: Fraction(m, self.denominator) for cell, m in sums.items()})
+            m, total = cells.get(cell, (0, 0))
+            cells[cell] = (m + mass, total if j is None else total + mass * key[j])
+        return cells
 
 
 def _law(
@@ -208,12 +210,15 @@ def _law(
     worlds = _worlds(worlds)
     mechanisms, _ = _mechanisms(graph, scm)
     try:
-        return _forward(mechanisms, worlds, columns)
+        law = _forward(mechanisms, worlds, columns)
     except KeyError:
         # Some unit misses a table entry; the row enumerator names the
         # first one in row order.
         enumerate_table(graph, scm, worlds)
         raise
+    for var, _ in columns:
+        graph.node(var)  # raises UnknownNode for a variable the graph lacks
+    return law
 
 
 def _forward(
@@ -311,18 +316,6 @@ def _outcomes(
     return lambda parents: tuple([table[parents + (v,)] for v in noise])
 
 
-def _mass(law: Counter, event: Sequence[tuple[int, int]], at: int | None = None) -> Fraction:
-    """Mass of the joint values where every (position, value) of ``event``
-    holds; with ``at``, each mass is weighted by the value at that position."""
-    cells = ((key, m) for key, m in law.items() if all(key[i] == v for i, v in event))
-    return sum((m if at is None else m * key[at] for key, m in cells), Fraction(0))
-
-
-def _table_law(table: PotentialOutcomeTable, columns: Sequence[Column]) -> Counter:
-    """The law of ``columns`` in the table's model, without reading its rows."""
-    return _law(table.graph, table.scm, table.contexts, columns).over(columns)
-
-
 def _mean_columns(mean: CounterfactualMean) -> list[Column]:
     columns = [(mean.outcome, mean.context)]
     if mean.stratum is not None:
@@ -330,15 +323,15 @@ def _mean_columns(mean: CounterfactualMean) -> list[Column]:
     return columns
 
 
-def _mean_value(mean: CounterfactualMean, law_of: LawOf) -> Fraction:
-    """E[outcome | stratum] from ``law_of`` the mean's columns."""
-    law = law_of(_mean_columns(mean))
+def _mean_value(mean: CounterfactualMean, law: _Law) -> Fraction:
+    """E[outcome | stratum] from a law over the mean's columns."""
+    outcome, *stratum_column = _mean_columns(mean)
     stratum = mean.stratum
-    event = [] if stratum is None else [(1, stratum.value)]
-    den = _mass(law, event)
-    if den == 0:
+    event = () if stratum is None else (stratum.value,)
+    mass, total = law.given(stratum_column, outcome).get(event, (0, 0))
+    if mass == 0:
         raise EmptyStratum(f"stratum {stratum.label} has probability zero")
-    return _mass(law, event, 0) / den
+    return Fraction(total, mass)
 
 
 def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fraction:
@@ -350,7 +343,7 @@ def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fra
     stratum = mean.stratum
     if stratum is not None and stratum.context not in table.contexts:
         raise OracleError("table was not enumerated for the stratum's world")
-    return _mean_value(mean, partial(_table_law, table))
+    return _mean_value(mean, _law(table.graph, table.scm, table.contexts, _mean_columns(mean)))
 
 
 def _formula_columns(g: CausalGraph, formula: Formula) -> list[Column]:
@@ -366,18 +359,24 @@ def eval_formula(
 ) -> Fraction:
     """Evaluate an observational formula against the observed joint law of
     the variables it mentions; terms are checked as they are evaluated."""
-    return _formula_value(table.graph, formula, bindings, partial(_table_law, table))
+    g = table.graph
+    law = _law(g, table.scm, table.contexts, _formula_columns(g, formula))
+    return _formula_value(g, formula, bindings, law)
 
 
 def _formula_value(
     g: CausalGraph,
     formula: Formula,
     bindings: Mapping[str, int] | None,
-    law_of: LawOf,
+    law: _Law,
 ) -> Fraction:
-    columns = _formula_columns(g, formula)
-    law = law_of(columns)
-    at = {v: i for i, (v, _) in enumerate(columns)}
+    """``formula``'s value; each Expect and SumOver node groups ``law`` once."""
+    groups: dict[Formula, Cells] = {}
+
+    def grouped(f: Formula, names: Iterable[str], at: Column | None = None) -> Cells:
+        if f not in groups:
+            groups[f] = law.given([(v, ()) for v in names], at)
+        return groups[f]
 
     def check_observational(term: Term) -> None:
         if term.context:
@@ -396,23 +395,20 @@ def _formula_value(
                 except KeyError:
                     raise OracleError(f"unbound symbol {e.value!r} in formula") from None
                 wanted.append((e.term.var, value))
-            event = [(at[v], x) for v, x in wanted]
-            den = _mass(law, event)
-            if den == 0:
+            cells = grouped(f, (v for v, _ in wanted), (f.term.var, ()))
+            mass, total = cells.get(tuple(x for _, x in wanted), (0, 0))
+            if mass == 0:
                 shown = ",".join(f"{v}={x}" for v, x in wanted)
                 raise ZeroProbabilityCondition(f"conditioning event {shown} has mass zero")
-            return _mass(law, event, at[f.term.var]) / den
+            return Fraction(total, mass)
         if isinstance(f, SumOver):
             for var, _ in f.bindings:
                 check_observational(Term(var))
-            weights = Counter()
-            for key, mass in law.items():
-                weights[tuple([key[at[var]] for var, _ in f.bindings])] += mass
             out = Fraction(0)
-            for combo in sorted(weights):
-                if weights[combo]:
+            for combo, (mass, _) in sorted(grouped(f, (v for v, _ in f.bindings)).items()):
+                if mass:
                     inner = {**binds, **{sym: val for (_, sym), val in zip(f.bindings, combo)}}
-                    out += weights[combo] * ev(f.body, inner)
+                    out += Fraction(mass, law.denominator) * ev(f.body, inner)
             return out
         if isinstance(f, Difference):
             return ev(f.left, binds) - ev(f.right, binds)
@@ -532,16 +528,16 @@ def check_soundness(
         columns += _formula_columns(g, report.combined)
     law = _law(g, model, compiled.worlds(), list(dict.fromkeys(columns)))
 
-    true_value = _mean_value(left, law.over) - _mean_value(right, law.over)
+    true_value = _mean_value(left, law) - _mean_value(right, law)
     formula_value = None
     gap = None
     if identified:
-        formula_value = _formula_value(g, report.combined, None, law.over)
+        formula_value = _formula_value(g, report.combined, None, law)
         gap = formula_value - true_value
     naive_value = None
     naive_gap = None
     try:
-        naive_value = _formula_value(g, naive, None, law.over)
+        naive_value = _formula_value(g, naive, None, law)
         naive_gap = naive_value - true_value
     except ZeroProbabilityCondition:
         pass
@@ -608,22 +604,23 @@ def conditionally_independent(
 ) -> bool:
     """Exact conditional independence of two variables in the full joint law."""
     names = list(dict.fromkeys((x, y, *z)))
-    law = _table_law(table, [(v, ()) for v in names])
-    at = {v: i for i, v in enumerate(names)}
+    law = _law(table.graph, table.scm, table.contexts, [(v, ()) for v in names])
+    marginals: dict[tuple[str, ...], Cells] = {}
 
-    def mass(assignment: Mapping[str, int]) -> Fraction:
-        return _mass(law, [(at[v], val) for v, val in assignment.items()])
+    def mass(assignment: Mapping[str, int]) -> int:
+        key = tuple(assignment)
+        if key not in marginals:
+            marginals[key] = law.given([(v, ()) for v in key])
+        return marginals[key].get(tuple(assignment.values()), (0, 0))[0]
 
-    def support(var: str) -> list[int]:
-        return sorted({key[at[var]] for key in law})
-
-    for z_combo in product(*(support(v) for v in z)):
+    support = {v: sorted(value for value, in law.given([(v, ())])) for v in names}
+    for z_combo in product(*(support[v] for v in z)):
         base = dict(zip(z, z_combo))
         pz = mass(base)
         if pz == 0:
             continue
-        for xv in support(x):
-            for yv in support(y):
+        for xv in support[x]:
+            for yv in support[y]:
                 pxy = mass({**base, x: xv, y: yv})
                 px = mass({**base, x: xv})
                 py = mass({**base, y: yv})

@@ -11,13 +11,15 @@ from swigc.errors import (
     EmptyStratum,
     OracleError,
     SupportTooLarge,
+    UnknownNode,
     ZeroProbabilityCondition,
 )
 from swigc import oracle
 from swigc.dsl import parse_study
 from swigc.estimand import compile_study
 from swigc.identify import identify_estimand
-from swigc.formula import Event, Expect, Term, render
+from swigc.formula import Difference, Event, Expect, SumOver, Term, render
+from swigc.model import CounterfactualMean
 from swigc.oracle import (
     check_soundness,
     conditionally_independent,
@@ -165,6 +167,17 @@ class TestErrors:
         with pytest.raises(EmptyStratum):
             check_soundness(parse_study(text))
 
+    def test_unknown_variable(self):
+        study = load_study("itt.swg")
+        table = enumerate_table(study.graph, study.scm)
+        missing = "no node labeled 'Q'"
+        with pytest.raises(UnknownNode, match=missing):
+            true_estimand(table, CounterfactualMean("Q", ()))
+        with pytest.raises(UnknownNode, match=missing):
+            conditionally_independent(table, "A", "Q", ())
+        with pytest.raises(UnknownNode, match=missing):
+            eval_formula(table, Expect(Term("Q")))
+
 
 class TestRandomModels:
     def test_same_seed_same_model(self):
@@ -239,6 +252,28 @@ def chain_study(n):
     return parse_study("\n".join(lines))
 
 
+def adjusted_study(k):
+    """A hypothetical strategy for M with k binary adjusted confounders of M and Y."""
+    confounders = [f"C{i}" for i in range(1, k + 1)]
+    lines = ['study "Adjusted" {', "  node A { role: treatment; }"]
+    lines += ["  node M { role: intercurrent; }"]
+    lines += [f"  node {c} {{ adjust: true; }}" for c in confounders]
+    lines += ["  node Y { role: outcome; }", "  edges {", "    A -> M; A -> Y; M -> Y;"]
+    lines += [f"    {c} -> M; {c} -> Y;" for c in confounders]
+    lines += ["  }", "  strategy M: hypothetical(0);"]
+    lines += ["  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+    return parse_study("\n".join(lines))
+
+
+def grouping_nodes(formula):
+    """The Expect and SumOver nodes of ``formula``."""
+    if isinstance(formula, Difference):
+        return grouping_nodes(formula.left) + grouping_nodes(formula.right)
+    if isinstance(formula, SumOver):
+        return 1 + grouping_nodes(formula.body)
+    return 1
+
+
 class TestOnePass:
     """check_soundness builds one law in one forward pass and no row
     table; the readers that take a table never scan its rows."""
@@ -273,6 +308,28 @@ class TestOnePass:
         true_estimand(table, compiled.contrast.left)
         conditionally_independent(table, "A", "Y", ("C",))
         assert table.rows.passes == 0
+
+    @pytest.mark.parametrize(
+        "study, combinations",
+        [(load_study("chronic_pain.swg"), 2), (adjusted_study(6), 64)],
+        ids=["chronic_pain", "six_adjusters"],
+    )
+    def test_each_formula_node_groups_the_law_once(self, monkeypatch, study, combinations):
+        compiled = compile_study(study)
+        table = enumerate_table(compiled.graph, random_scm(compiled.graph, 3))
+        combined = identify_estimand(study, compiled).combined
+        assert combined.left.bindings and 2 ** len(combined.left.bindings) == combinations
+        calls = 0
+        given = oracle._Law.given
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return given(*args)
+
+        monkeypatch.setattr(oracle._Law, "given", counted)
+        eval_formula(table, combined)
+        assert calls == grouping_nodes(combined)
 
     def test_long_chain_needs_no_row_table(self):
         # 2**17 = 131,072 units; only the live columns of one link are held.

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -521,23 +522,35 @@ def interventions(draw, names):
 @settings(max_examples=200)
 @given(st.data())
 def test_forward_law_matches_the_row_scan(data):
-    """The forward pass's law of random (variable, world) columns has the
-    row scan's keys, zero-mass keys included, and masses, and it raises
-    the row enumerator's error for a missing table entry."""
+    """The forward pass's law, grouped by random (variable, world) columns,
+    has the row scan's keys, zero-mass keys included, its masses and its
+    value sums at one more random column, and it raises the row
+    enumerator's error for a missing table entry."""
     graph = data.draw(oracle_graphs())
     scm = data.draw(exact_models(graph))
     names = sorted(n.base for n in graph.nodes)
     contexts = data.draw(interventions(names))
     column = st.tuples(st.sampled_from(names), st.sampled_from([(), *contexts]))
     columns = data.draw(st.lists(column, max_size=4))
+    at = data.draw(column)
 
     def rows(columns):
-        return dict(reference_oracle.table_law(enumerate_table(graph, scm, contexts), columns))
+        table = enumerate_table(graph, scm, contexts)
+        sums = Counter()
+        for (*key, value), mass in reference_oracle.table_law(table, [*columns, at]).items():
+            sums[tuple(key)] += mass * value
+        law = reference_oracle.table_law(table, columns)
+        return {key: (mass, sums[key]) for key, mass in law.items()}
 
     def forward(columns):
-        law = _law(graph, scm, contexts, columns)
+        law = _law(graph, scm, contexts, [*columns, at])
         assert law.consistent
-        return dict(law.over(columns))
+        cells = law.given(columns, at)
+        assert law.given(columns) == {key: (mass, 0) for key, (mass, _) in cells.items()}
+        return {
+            key: (Fraction(mass, law.denominator), Fraction(total, law.denominator))
+            for key, (mass, total) in cells.items()
+        }
 
     assert _value_or_message(forward, columns) == _value_or_message(rows, columns)
 
