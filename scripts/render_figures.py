@@ -10,7 +10,6 @@ single compilable LaTeX article wrapping all TikZ pictures is written too.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 from pathlib import Path
 
 from swigc.dsl import parse_study
@@ -29,14 +28,7 @@ PREAMBLE = """\\documentclass{article}
 """
 
 
-@dataclass
-class Config:
-    out_dir: Path = ROOT / "build" / "figures"
-    dag: bool = True
-    document: bool = False
-
-
-def figure_jobs(cfg: Config):
+def figure_jobs(dag: bool):
     """Yield (stem, graph, conditioned_values) for every renderable view."""
     for path in sorted(SPECS_DIR.glob("*.swg")):
         try:
@@ -46,7 +38,7 @@ def figure_jobs(cfg: Config):
             print(f"skip {path.name}: {exc}")
             continue
         stem = path.stem
-        if cfg.dag:
+        if dag:
             yield f"dag_{stem}", study.graph, {}
         yield f"swig_{stem}", study_swig(compiled).graph, {}
         if compiled.stratum is None:
@@ -59,36 +51,31 @@ def figure_jobs(cfg: Config):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default=None, help="output directory")
+    ap.add_argument("--out", type=Path, default=ROOT / "build" / "figures", help="output directory")
     ap.add_argument("--no-dag", action="store_true", help="skip pre-split DAGs")
     ap.add_argument("--document", action="store_true", help="also write figures.tex")
     args = ap.parse_args()
 
-    cfg = Config(dag=not args.no_dag, document=args.document)
-    if args.out:
-        cfg.out_dir = Path(args.out)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
 
     pictures = []
-    count = 0
-    for stem, graph, boxed in figure_jobs(cfg):
+    for stem, graph, boxed in figure_jobs(not args.no_dag):
         tikz = to_tikz(graph, conditioned_values=boxed)
-        (cfg.out_dir / f"{stem}.tex").write_text(tikz)
-        (cfg.out_dir / f"{stem}.dot").write_text(to_dot(graph, conditioned_values=boxed))
+        (args.out / f"{stem}.tex").write_text(tikz)
+        (args.out / f"{stem}.dot").write_text(to_dot(graph, conditioned_values=boxed))
         pictures.append((stem, tikz))
-        count += 1
         print(f"wrote {stem}.tex / {stem}.dot")
 
-    if cfg.document:
+    if args.document:
         parts = [PREAMBLE]
         for stem, tikz in pictures:
             name = stem.replace("_", " ")
             parts.append(f"\\section*{{{name}}}\n{tikz}\n")
         parts.append("\\end{document}\n")
-        (cfg.out_dir / "figures.tex").write_text("".join(parts))
+        (args.out / "figures.tex").write_text("".join(parts))
         print("wrote figures.tex")
 
-    print(f"{count} figures under {cfg.out_dir}")
+    print(f"{len(pictures)} figures under {args.out}")
     return 0
 
 

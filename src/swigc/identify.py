@@ -16,10 +16,13 @@ outcome is d-separated from all held events given B and the adjustment
 set Z (contraction, decomposition and weak union).  A smallest such Z is
 a smallest vertex cut between the outcome and the held events in the
 moral graph of their ancestors and B's, with B deleted (Tian, Paz and
-Pearl 1998; van der Zander, Liśkiewicz and Textor 2019).  One max-flow
-gives its size; a greedy pass in label order, one flow per candidate,
-then yields the first such set in label order, the set an exhaustive
-search over subsets (smallest first) would return.
+Pearl 1998; van der Zander, Liśkiewicz and Textor 2019).  The moral
+graph marries a child's parents through one uncuttable hub node rather
+than a clique, so it stays linear in the edges.  One max-flow, by
+shortest augmenting paths over one residual map (Edmonds and Karp
+1972), gives its size; a greedy pass in label order, one flow per
+candidate, then yields the first such set in label order, the set an
+exhaustive search over subsets (smallest first) would return.
 
 Every step records its premise, so a derivation can be re-verified
 independently.  When no covariate set licenses a move, the result
@@ -220,13 +223,8 @@ def _search(compiled: CompiledEstimand, stratum: StratumEvent | None) -> _Search
         chosen = found
         strat_q = DSepQuery(frozenset(chosen), frozenset(given))
 
-    conditioning = []
-    z = given | set(chosen)
-    for node in held:
-        q = DSepQuery(frozenset({outcome_node}), frozenset({node}), frozenset(z))
-        conditioning.append((node, q))
-        z.add(node)
-    return _Search(rand_q, chosen=chosen, strat_q=strat_q, conditioning=tuple(conditioning))
+    conditioning = tuple(zip(held, _chain(outcome_node, frozenset(given.union(chosen)), held)))
+    return _Search(rand_q, chosen=chosen, strat_q=strat_q, conditioning=conditioning)
 
 
 def _smallest_adjustment(
@@ -290,18 +288,19 @@ def _first_smallest_cut(
     nodes = sorted((n for n in area if not n.fixed and n not in baseline), key=lambda n: n.label)
     index = {n: i for i, n in enumerate(nodes)}
     adj: list[set[int]] = [set() for _ in nodes]
-
-    def link(u: NodeId, v: NodeId) -> None:
-        if u in index and v in index:
-            adj[index[u]].add(index[v])
-            adj[index[v]].add(index[u])
-
+    # Moralize with one uncuttable hub per child of two or more parents
+    # instead of a clique: a path through the hub is a path through a
+    # married edge, so every cut that avoids hubs stays a cut.
     for v in area:
-        parents = graph.parents(v)
-        for i, p in enumerate(parents):
-            link(p, v)
-            for q in parents[i + 1 :]:
-                link(p, q)
+        parents = [index[p] for p in graph.parents(v) if p in index]
+        if v in index:
+            for p in parents:
+                adj[p].add(index[v])
+                adj[index[v]].add(p)
+        if len(parents) > 1:
+            adj.append(set(parents))
+            for p in parents:
+                adj[p].add(len(adj) - 1)
 
     source = index[outcome]
     sinks = {index[h] for h in held}
@@ -333,13 +332,23 @@ def _max_flow(
 ) -> int:
     """Node-capacitated max flow from ``source`` to ``sinks``, stopped at ``cap``.
 
-    Nodes in ``cuttable`` carry one unit, every other node any number,
+    Nodes in ``cuttable`` carry one unit, every other node up to ``cap``,
     ``removed`` nodes none.  Each node v is split into an entry state
-    (v, 0) and an exit state (v, 1); paths are found breadth first and
-    each carries one unit.
+    (v, 0) and an exit state (v, 1) of one residual map; shortest
+    augmenting paths, found breadth first, each carry one unit
+    (Edmonds and Karp 1972).
     """
-    through: set[int] = set()
-    sent: dict[tuple[int, int], int] = {}
+    residual: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+
+    def arc(a: tuple[int, int], b: tuple[int, int], units: int) -> None:
+        residual.setdefault(a, {})[b] = units
+        residual.setdefault(b, {})[a] = 0
+
+    for v, near in enumerate(adj):
+        if v not in removed:
+            arc((v, 0), (v, 1), 1 if v in cuttable else cap)
+            for w in near - removed:
+                arc((v, 1), (w, 0), cap)
     value = 0
     while value < cap:
         back: dict[tuple[int, int], tuple[int, int] | None] = {(source, 1): None}
@@ -347,17 +356,8 @@ def _max_flow(
         end = None
         while queue and end is None:
             state = queue.popleft()
-            v, side = state
-            if side == 0:
-                moves = [(u, 1) for u in adj[v] if sent.get((u, v), 0) > 0]
-                if v not in cuttable or v not in through:
-                    moves.append((v, 1))
-            else:
-                moves = [(w, 0) for w in adj[v] if w not in removed]
-                if v not in cuttable or v in through:
-                    moves.append((v, 0))
-            for nxt in moves:
-                if nxt not in back:
+            for nxt, units in residual[state].items():
+                if units and nxt not in back:
                     back[nxt] = state
                     if nxt[1] == 0 and nxt[0] in sinks:
                         end = nxt
@@ -365,20 +365,10 @@ def _max_flow(
                     queue.append(nxt)
         if end is None:
             return value
-        state = end
-        while (prev := back[state]) is not None:
-            (u, u_side), (v, v_side) = prev, state
-            if u == v:
-                if u in cuttable:
-                    if v_side == 1:
-                        through.add(u)
-                    else:
-                        through.discard(u)
-            elif u_side == 1:
-                sent[(u, v)] = sent.get((u, v), 0) + 1
-            else:
-                sent[(v, u)] -= 1
-            state = prev
+        while (prev := back[end]) is not None:
+            residual[prev][end] -= 1
+            residual[end][prev] += 1
+            end = prev
         value += 1
     return value
 
@@ -473,17 +463,20 @@ def _derive(study: StudySpec, mean: CounterfactualMean, search: _Search) -> Iden
     return PartiallyIdentified(mean, final, tuple(steps), cross)
 
 
+def _chain(outcome: NodeId, base: frozenset[NodeId], held: list[NodeId]) -> list[DSepQuery]:
+    """The held-event premises in order: the outcome is independent of each
+    held event given ``base`` and the held events before it."""
+    return [
+        DSepQuery(frozenset({outcome}), frozenset({node}), base.union(held[:i]))
+        for i, node in enumerate(held)
+    ]
+
+
 def _first_failure(
     graph, outcome: NodeId, base: frozenset[NodeId], held: list[NodeId]
 ) -> DSepQuery | None:
     """The first premise of the held-event conditioning chain that fails, if any."""
-    z = set(base)
-    for node in held:
-        q = DSepQuery(frozenset({outcome}), frozenset({node}), frozenset(z))
-        if not d_separated(graph, q):
-            return q
-        z.add(node)
-    return None
+    return next((q for q in _chain(outcome, base, held) if not d_separated(graph, q)), None)
 
 
 def _refute(graph, premise: DSepQuery) -> OpenBackdoor:

@@ -385,11 +385,16 @@ def _formula_value(
             raise OracleError(f"formula refers to unobserved {term.var}")
 
     def ev(f: Formula, binds: dict[str, int]) -> Fraction:
+        # A node's terms are checked on its first evaluation only, before
+        # it is grouped, in the order a full walk would check them.
+        first = f not in groups
         if isinstance(f, Expect):
-            check_observational(f.term)
+            if first:
+                check_observational(f.term)
             wanted = []
             for e in f.given:
-                check_observational(e.term)
+                if first:
+                    check_observational(e.term)
                 try:
                     value = e.value if isinstance(e.value, int) else binds[e.value]
                 except KeyError:
@@ -402,8 +407,9 @@ def _formula_value(
                 raise ZeroProbabilityCondition(f"conditioning event {shown} has mass zero")
             return Fraction(total, mass)
         if isinstance(f, SumOver):
-            for var, _ in f.bindings:
-                check_observational(Term(var))
+            if first:
+                for var, _ in f.bindings:
+                    check_observational(Term(var))
             out = Fraction(0)
             for combo, (mass, _) in sorted(grouped(f, (v for v, _ in f.bindings)).items()):
                 if mass:

@@ -288,6 +288,23 @@ class TestAdjustmentSearch:
         # and the chain once more on the chosen set (one held event)
         assert calls["d_separated"] <= k + 2 * 1 + 1
 
+    def test_moral_graph_grows_linearly_with_the_confounders(self, monkeypatch):
+        import swigc.identify
+
+        entries = []
+        max_flow = swigc.identify._max_flow
+
+        def recorded(adj, *args):
+            entries.append(sum(len(near) for near in adj))
+            return max_flow(adj, *args)
+
+        monkeypatch.setattr(swigc.identify, "_max_flow", recorded)
+        k = 100
+        report = identify_estimand(parse_study(adjust_chain(k)))
+        assert report.status == "identified"
+        # one hub per child instead of a clique of its k parents
+        assert entries and max(entries) <= 10 * k
+
     def test_fifty_confounders_take_the_polynomial_path(self):
         report = identify_estimand(parse_study(adjust_chain(50)))
         names = ", ".join(f"C{i:02d}" for i in range(1, 51))

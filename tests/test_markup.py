@@ -1,12 +1,15 @@
 """TikZ and DOT rendering pinned byte-for-byte against the golden files."""
 
+import runpy
+import sys
+
 import pytest
 
 from swigc.estimand import compile_study, study_swig
 from swigc.markup import to_dot, to_tikz
 from swigc.swig import split
 
-from conftest import golden_text, load_study
+from conftest import ROOT, SPECS, STUDY_FILES, golden_text, load_study
 
 TEX_GOLDENS = [
     "dag_itt",
@@ -114,3 +117,24 @@ def test_adjustment_covariates_render_as_rectangles():
     tex = golden_text("swig_hypothetical_adjusted.tex")
     (c_line,) = [l for l in tex.splitlines() if "{$C$}" in l]
     assert "rectangle" in c_line
+
+
+def test_render_figures_script_matches_the_cli(tmp_path, monkeypatch, run_cli, capsys):
+    script = ROOT / "scripts" / "render_figures.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path), "--document"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 0
+    capsys.readouterr()
+    assert (tmp_path / "figures.tex").is_file()
+    rendered = 0
+    for spec in sorted(SPECS.glob("*.swg")):
+        swig = run_cli("render", str(spec))
+        dag = run_cli("render", str(spec), "--dag", "--format", "dot")
+        if swig.code:
+            assert not (tmp_path / f"swig_{spec.stem}.tex").exists()
+            continue
+        assert (tmp_path / f"swig_{spec.stem}.tex").read_bytes() == swig.out.encode()
+        assert (tmp_path / f"dag_{spec.stem}.dot").read_bytes() == dag.out.encode()
+        rendered += 1
+    assert rendered == len(STUDY_FILES)

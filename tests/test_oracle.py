@@ -18,7 +18,8 @@ from swigc import oracle
 from swigc.dsl import parse_study
 from swigc.estimand import compile_study
 from swigc.identify import identify_estimand
-from swigc.formula import Difference, Event, Expect, SumOver, Term, render
+from swigc.formula import Difference, Event, Expect, SumOver, Term, render, terms
+from swigc.graph import CausalGraph
 from swigc.model import CounterfactualMean
 from swigc.oracle import (
     check_soundness,
@@ -330,6 +331,25 @@ class TestOnePass:
         monkeypatch.setattr(oracle._Law, "given", counted)
         eval_formula(table, combined)
         assert calls == grouping_nodes(combined)
+
+    def test_each_formula_node_checks_its_terms_once(self, monkeypatch):
+        study = adjusted_study(6)
+        compiled = compile_study(study)
+        g = compiled.graph
+        combined = identify_estimand(study, compiled).combined
+        law = oracle._law(g, random_scm(g, 3), (), oracle._formula_columns(g, combined))
+        calls = 0
+        attr = CausalGraph.attr
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return attr(*args)
+
+        monkeypatch.setattr(CausalGraph, "attr", counted)
+        oracle._formula_value(g, combined, None, law)
+        # 64 binding combinations per arm, yet one check per term
+        assert calls == len(list(terms(combined)))
 
     def test_long_chain_needs_no_row_table(self):
         # 2**17 = 131,072 units; only the live columns of one link are held.

@@ -4,10 +4,10 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swigc import dsl
 from swigc.dsl import parse_study, serialize
@@ -16,7 +16,7 @@ from swigc.errors import SwigcError
 from swigc.estimand import compile_study
 from swigc.formula import Difference, Event, Expect, SumOver, Term
 from swigc.graph import NodeAttrs, build_graph, graph_from_payload, graph_to_payload
-from swigc.identify import identify_estimand, identify_term
+from swigc.identify import _max_flow, identify_estimand, identify_term
 from swigc.model import (
     Composite,
     CounterfactualMean,
@@ -335,6 +335,54 @@ def test_adjustment_search_matches_the_subset_walk(study):
         expected = _result_or_error(subset_identify_term, study, mean, compiled)
         assert _result_or_error(identify_term, study, mean, compiled) == expected
         assert (report if isinstance(report, type) else getattr(report, side)) == expected
+
+
+@st.composite
+def flow_networks(draw):
+    """A random graph on 2-8 nodes: source 0, 1-3 sinks, and every other
+    node removed, cuttable or uncut."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    sinks = set(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True)))
+    adj = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                adj[u].add(v)
+                adj[v].add(u)
+    kinds = {v: draw(st.sampled_from(("removed", "cuttable", "uncut")))
+             for v in range(1, n) if v not in sinks}
+    removed = {v for v, kind in kinds.items() if kind == "removed"}
+    cuttable = {v for v, kind in kinds.items() if kind == "cuttable"}
+    return adj, sinks, removed, cuttable, draw(st.integers(min_value=1, max_value=8))
+
+
+def _reaches(adj, source, sinks, gone):
+    seen, todo = {source}, [source]
+    while todo:
+        for w in adj[todo.pop()] - gone - seen:
+            seen.add(w)
+            todo.append(w)
+    return bool(seen & sinks)
+
+
+@settings(max_examples=300)
+@given(flow_networks())
+# The first shortest path 0-1-2-5 must be partly undone for 0-1-4-5 and 0-3-2-5.
+@example(([{1, 3}, {0, 2, 4}, {1, 3, 5}, {0, 2}, {1, 5}, {2, 4}], {5}, set(), {1, 2, 3, 4}, 8))
+def test_max_flow_is_the_smallest_cut_up_to_the_cap(network):
+    """Menger: the flow is the size of the smallest cuttable set that
+    separates the source from every sink, or ``cap`` if that is smaller."""
+    adj, sinks, removed, cuttable, cap = network
+    smallest = next(
+        (
+            size
+            for size in range(len(cuttable) + 1)
+            for cut in combinations(sorted(cuttable), size)
+            if not _reaches(adj, 0, sinks, removed | set(cut))
+        ),
+        cap,
+    )
+    assert _max_flow(adj, 0, sinks, removed, cuttable, cap) == min(cap, smallest)
 
 
 def _value_or_message(fn, *args):
