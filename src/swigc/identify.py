@@ -20,8 +20,12 @@ Pearl 1998; van der Zander, Liśkiewicz and Textor 2019).  The moral
 graph marries a child's parents through one uncuttable hub node rather
 than a clique, so it stays linear in the edges.  One max-flow, by
 shortest augmenting paths over one residual map (Edmonds and Karp
-1972), gives its size; a greedy pass in label order, one flow per
-candidate, then yields the first such set in label order, the set an
+1972), gives its size s.  A greedy pass in label order then updates
+that map in place: a candidate is taken when no residual path leads
+around it, so that it lies on a smallest cut (Picard and Queyranne
+1980), and its unit is cancelled.  That is one flow, then at most three
+residual searches per candidate, O((s + k)·E) in all for k candidates
+and E arcs; it yields the first such set in label order, the set an
 exhaustive search over subsets (smallest first) would return.
 
 Every step records its premise, so a derivation can be re-verified
@@ -302,75 +306,140 @@ def _first_smallest_cut(
             for p in parents:
                 adj[p].add(len(adj) - 1)
 
-    source = index[outcome]
-    sinks = {index[h] for h in held}
-    order = [index[c] for c in usable]
-    size = _max_flow(adj, source, sinks, set(), set(order), len(order) + 1)
-    if size > len(order):
-        return None
-    # Greedy in label order: take c when, with c forced into the cut and
-    # only later labels left cuttable, a cut of the remaining size exists.
-    # Forcing c only deletes it: c is in ``area``, so the ancestral set,
-    # and with it the moral graph, stays the same.
-    picked: list[int] = []
-    for i, c in enumerate(order):
-        if len(picked) == size:
-            break
-        need = size - len(picked) - 1
-        if _max_flow(adj, source, sinks, {*picked, c}, set(order[i + 1 :]), need + 1) <= need:
-            picked.append(c)
-    return tuple(nodes[i] for i in picked)
+    # Forcing a candidate into the cut only deletes it: it is in ``area``,
+    # so the ancestral set, and with it the moral graph, stays the same.
+    order = _greedy_cut(adj, index[outcome], {index[h] for h in held}, [index[c] for c in usable])
+    return None if order is None else tuple(nodes[i] for i in order)
 
 
-def _max_flow(
-    adj: list[set[int]],
-    source: int,
-    sinks: set[int],
-    removed: set[int],
-    cuttable: set[int],
-    cap: int,
-) -> int:
-    """Node-capacitated max flow from ``source`` to ``sinks``, stopped at ``cap``.
+def _greedy_cut(
+    adj: list[set[int]], source: int, sinks: set[int], order: list[int]
+) -> list[int] | None:
+    """The first smallest set of ``order``'s nodes, in that order, whose
+    removal cuts ``source`` from every sink; None when no such set exists.
 
-    Nodes in ``cuttable`` carry one unit, every other node up to ``cap``,
-    ``removed`` nodes none.  Each node v is split into an entry state
-    (v, 0) and an exit state (v, 1) of one residual map; shortest
-    augmenting paths, found breadth first, each carry one unit
-    (Edmonds and Karp 1972).
+    One maximum flow gives the size.  Then each candidate in turn is
+    taken when it lies on a smallest cut of the network without the nodes
+    picked so far, in which the flow stays maximum.  A candidate passed
+    over lies on no smallest cut then, and so on none later: every later
+    smallest cut is one of the earlier ones less the nodes picked since.
     """
-    residual: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    residual = _Residual(adj, source, sinks, set(order), len(order) + 1)
+    if residual.augment() > len(order):
+        return None
+    picked: list[int] = []
+    for c in order:
+        if not residual.value:
+            break
+        if not residual.bypass(c):
+            residual.remove(c)
+            picked.append(c)
+    return picked
 
-    def arc(a: tuple[int, int], b: tuple[int, int], units: int) -> None:
-        residual.setdefault(a, {})[b] = units
-        residual.setdefault(b, {})[a] = 0
 
-    for v, near in enumerate(adj):
-        if v not in removed:
-            arc((v, 0), (v, 1), 1 if v in cuttable else cap)
-            for w in near - removed:
-                arc((v, 1), (w, 0), cap)
-    value = 0
-    while value < cap:
-        back: dict[tuple[int, int], tuple[int, int] | None] = {(source, 1): None}
-        queue = deque([(source, 1)])
-        end = None
-        while queue and end is None:
+class _Residual:
+    """A node-capacitated flow from ``source`` to ``sinks``, kept as one
+    residual map that is updated in place.
+
+    Node v is split into an entry state 2v and an exit state 2v + 1,
+    joined by an arc of one unit when v is cuttable and ``cap`` units
+    otherwise; each edge v-w gives arcs of ``cap`` units from either
+    node's exit to the other's entry.  Every sink's entry feeds one
+    collecting state, through which a rerouted unit may trade one sink
+    for another.  ``spare[a][b]`` is what the arc a -> b can still take
+    and ``flow[b][a]`` what it carries.
+    """
+
+    def __init__(
+        self, adj: list[set[int]], source: int, sinks: set[int], cuttable: set[int], cap: int
+    ) -> None:
+        self.cap = cap
+        self.value = 0
+        self.source = 2 * source + 1
+        self.sink = 2 * len(adj)
+        self.spare: list[dict[int, int]] = [{} for _ in range(self.sink + 1)]
+        self.flow: list[dict[int, int]] = [{} for _ in range(self.sink + 1)]
+        for v, near in enumerate(adj):
+            if v in sinks:
+                self._arc(2 * v, self.sink, cap)
+                continue
+            self._arc(2 * v, 2 * v + 1, 1 if v in cuttable else cap)
+            for w in near:
+                self._arc(2 * v + 1, 2 * w, cap)
+
+    def _arc(self, a: int, b: int, units: int) -> None:
+        self.spare[a][b] = units
+        self.flow[b][a] = 0
+
+    def augment(self) -> int:
+        """Push units along shortest augmenting paths (Edmonds and Karp
+        1972) until none is left or ``cap`` have gone through; the value."""
+        while self.value < self.cap:
+            path = self._search(self.source, self.sink, (self.spare, self.flow))
+            if path is None:
+                break
+            self._push(path)
+            self.value += 1
+        return self.value
+
+    def bypass(self, v: int) -> bool:
+        """Move v's unit, if it carries one, onto a residual path from v's
+        entry to its exit; False when there is none, that is, when v lies
+        on a smallest cut (Picard and Queyranne 1980)."""
+        entry, exit_ = 2 * v, 2 * v + 1
+        if not self.flow[exit_][entry]:
+            return True
+        around = self._search(entry, exit_, (self.spare, self.flow))
+        if around is None:
+            return False
+        self._push([*around, entry])
+        return True
+
+    def remove(self, v: int) -> None:
+        """Cancel the unit of a node that ``bypass`` could not move, back
+        to the source and on to the sinks, and close the node."""
+        entry, exit_ = 2 * v, 2 * v + 1
+        # Both walks follow carrying arcs backwards: from the entry to the
+        # source, and from the collecting state to the exit.
+        back = self._search(entry, self.source, (self.flow,))
+        ahead = self._search(self.sink, exit_, (self.flow,))
+        assert back is not None and ahead is not None
+        self._push(ahead + back)
+        self.spare[entry][exit_] = 0
+        self.value -= 1
+
+    def _search(
+        self, start: int, goal: int, arcs: tuple[list[dict[int, int]], ...]
+    ) -> list[int] | None:
+        """The states of a shortest path from ``start`` to ``goal`` along
+        positive entries of ``arcs``, found breadth first; None when there
+        is none."""
+        back = {start: start}
+        queue = deque([start])
+        while queue:
             state = queue.popleft()
-            for nxt, units in residual[state].items():
-                if units and nxt not in back:
-                    back[nxt] = state
-                    if nxt[1] == 0 and nxt[0] in sinks:
-                        end = nxt
-                        break
-                    queue.append(nxt)
-        if end is None:
-            return value
-        while (prev := back[end]) is not None:
-            residual[prev][end] -= 1
-            residual[end][prev] += 1
-            end = prev
-        value += 1
-    return value
+            for units_to in arcs:
+                for nxt, units in units_to[state].items():
+                    if units and nxt not in back:
+                        back[nxt] = state
+                        if nxt == goal:
+                            path = [goal]
+                            while path[-1] != start:
+                                path.append(back[path[-1]])
+                            return path[::-1]
+                        queue.append(nxt)
+        return None
+
+    def _push(self, path: list[int]) -> None:
+        """Send one unit along a residual path: a forward arc takes it, the
+        reverse of a carrying arc gives one back."""
+        for a, b in zip(path, path[1:]):
+            if self.spare[a].get(b):
+                self.spare[a][b] -= 1
+                self.flow[b][a] += 1
+            else:
+                self.flow[a][b] -= 1
+                self.spare[b][a] += 1
 
 
 def identify_term(
@@ -428,7 +497,6 @@ def _derive(study: StudySpec, mean: CounterfactualMean, search: _Search) -> Iden
         events.append(Event(Term(node.base, instantiated), value_of[node.base]))
         steps.append(DerivationStep("conditioning", formula_now(), q.label(), q))
 
-
     # Consistency: a context assignment already present as a plain
     # conditioning event lets the counterfactual drop its context.
     established = {(e.term.var, e.value) for e in events if not e.term.context}
@@ -473,13 +541,13 @@ def _chain(outcome: NodeId, base: frozenset[NodeId], held: list[NodeId]) -> list
 
 
 def _first_failure(
-    graph, outcome: NodeId, base: frozenset[NodeId], held: list[NodeId]
+    graph: CausalGraph, outcome: NodeId, base: frozenset[NodeId], held: list[NodeId]
 ) -> DSepQuery | None:
     """The first premise of the held-event conditioning chain that fails, if any."""
     return next((q for q in _chain(outcome, base, held) if not d_separated(graph, q)), None)
 
 
-def _refute(graph, premise: DSepQuery) -> OpenBackdoor:
+def _refute(graph: CausalGraph, premise: DSepQuery) -> OpenBackdoor:
     witness_q = DSepQuery(premise.y, premise.x, premise.z)
     witness = open_paths(graph, witness_q, limit=1)[0]
     return OpenBackdoor(premise=premise, witness=witness, witness_label=path_string(witness))

@@ -292,21 +292,48 @@ class TestAdjustmentSearch:
         import swigc.identify
 
         entries = []
-        max_flow = swigc.identify._max_flow
+        init = swigc.identify._Residual.__init__
 
-        def recorded(adj, *args):
+        def recorded(self, adj, *args):
             entries.append(sum(len(near) for near in adj))
-            return max_flow(adj, *args)
+            init(self, adj, *args)
 
-        monkeypatch.setattr(swigc.identify, "_max_flow", recorded)
+        monkeypatch.setattr(swigc.identify._Residual, "__init__", recorded)
         k = 100
         report = identify_estimand(parse_study(adjust_chain(k)))
         assert report.status == "identified"
         # one hub per child instead of a clique of its k parents
         assert entries and max(entries) <= 10 * k
 
+    def test_one_flow_then_three_searches_per_candidate(self, monkeypatch):
+        import swigc.identify
+
+        searches = 0
+        search = swigc.identify._Residual._search
+
+        def counted(self, *args):
+            nonlocal searches
+            searches += 1
+            return search(self, *args)
+
+        monkeypatch.setattr(swigc.identify._Residual, "_search", counted)
+        k = 100
+        report = identify_estimand(parse_study(adjust_chain(k)))
+        assert report.status == "identified"
+        # k augmenting paths and the search that finds no more, then for
+        # each confounder a failed bypass and the two walks that cancel
+        # its unit
+        assert searches <= 4 * k + 2
+
     def test_fifty_confounders_take_the_polynomial_path(self):
         report = identify_estimand(parse_study(adjust_chain(50)))
         names = ", ".join(f"C{i:02d}" for i in range(1, 51))
+        for arm in (report.left, report.right):
+            assert stratified_over(arm) == [f"stratification over {{{names}}}"]
+
+    @pytest.mark.parametrize("k", [300, 500])
+    def test_hundreds_of_confounders_are_all_taken(self, k):
+        report = identify_estimand(parse_study(adjust_chain(k)))
+        names = ", ".join(sorted(f"C{i:02d}" for i in range(1, k + 1)))
         for arm in (report.left, report.right):
             assert stratified_over(arm) == [f"stratification over {{{names}}}"]

@@ -16,7 +16,7 @@ from swigc.errors import SwigcError
 from swigc.estimand import compile_study
 from swigc.formula import Difference, Event, Expect, SumOver, Term
 from swigc.graph import NodeAttrs, build_graph, graph_from_payload, graph_to_payload
-from swigc.identify import _max_flow, identify_estimand, identify_term
+from swigc.identify import _greedy_cut, _Residual, identify_estimand, identify_term
 from swigc.model import (
     Composite,
     CounterfactualMean,
@@ -365,6 +365,11 @@ def _reaches(adj, source, sinks, gone):
     return bool(seen & sinks)
 
 
+def _without(adj, gone):
+    """``adj`` with every edge at a node in ``gone`` deleted."""
+    return [set() if v in gone else near - gone for v, near in enumerate(adj)]
+
+
 @settings(max_examples=300)
 @given(flow_networks())
 # The first shortest path 0-1-2-5 must be partly undone for 0-1-4-5 and 0-3-2-5.
@@ -382,7 +387,31 @@ def test_max_flow_is_the_smallest_cut_up_to_the_cap(network):
         ),
         cap,
     )
-    assert _max_flow(adj, 0, sinks, removed, cuttable, cap) == min(cap, smallest)
+    residual = _Residual(_without(adj, removed), 0, sinks, cuttable, cap)
+    assert residual.augment() == min(cap, smallest)
+
+
+@settings(max_examples=300)
+@given(flow_networks())
+# The unit through 2 goes on through 1 to sink 5; passing over 1 needs it
+# rerouted through 3 and 4 to sink 6, so 2, not 1, is taken.
+@example(([{2}, {2, 5}, {0, 1, 3}, {2, 4}, {3, 6}, {1}, {4}], {5, 6}, set(), {1, 2}, 1))
+def test_greedy_cut_is_the_first_smallest_cut_in_label_order(network):
+    """The greedy pass returns the first cut of a walk over the cuttable
+    subsets, smallest first and in label order, or None when none cuts."""
+    adj, sinks, removed, cuttable, _ = network
+    order = sorted(cuttable)
+    first = next(
+        (
+            cut
+            for size in range(len(order) + 1)
+            for cut in combinations(order, size)
+            if not _reaches(adj, 0, sinks, removed | set(cut))
+        ),
+        None,
+    )
+    picked = _greedy_cut(_without(adj, removed), 0, sinks, order)
+    assert (picked if picked is None else tuple(picked)) == first
 
 
 def _value_or_message(fn, *args):
