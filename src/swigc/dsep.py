@@ -2,24 +2,34 @@
 
 One Bayes-ball step (Shachter 1998) holds the d-connection rule: from a
 node, reached by a given arrow, it lists the open moves to neighbours.
-``d_separated`` decides a query by reachability over those (node, arrow)
-states.  ``open_paths`` explains a refusal with the same moves: a
-best-first search over simple paths yields the open ones shortest first,
-then in label order, and stops at its limit.  Fixed nodes are constants:
-every path through one is blocked, they open nothing, and they are inert
-as conditioning variables.
+One reachability pass over those (node, arrow) states yields each node
+the ball reaches from x given z, in time linear in the graph (Geiger,
+Verma and Pearl 1990).  ``d_connected`` collects every node it yields;
+``d_separated`` stops at the first y node.  ``open_paths`` explains a
+refusal with the same moves: a best-first search over simple paths
+yields the open ones shortest first, then in label order, and stops at
+its limit.  Fixed nodes are constants: every path through one is
+blocked, they open nothing, and they are inert as conditioning
+variables.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import OverlappingSets, UnknownNode
 from .graph import CausalGraph, NodeId
 
-__all__ = ["DSepQuery", "PathWitness", "d_separated", "open_paths", "path_string"]
+__all__ = [
+    "DSepQuery",
+    "PathWitness",
+    "d_connected",
+    "d_separated",
+    "open_paths",
+    "path_string",
+]
 
 
 @dataclass(frozen=True)
@@ -49,10 +59,14 @@ class PathWitness:
     colliders_opened: tuple[NodeId, ...] = ()
 
 
-def _check_sets(graph: CausalGraph, query: DSepQuery) -> None:
-    for n in query.x | query.y | query.z:
+def _check_nodes(graph: CausalGraph, nodes: Iterable[NodeId]) -> None:
+    for n in nodes:
         if n not in graph:
             raise UnknownNode(f"no node labeled {n.label!r}")
+
+
+def _check_sets(graph: CausalGraph, query: DSepQuery) -> None:
+    _check_nodes(graph, query.x | query.y | query.z)
     if query.x & query.y:
         overlap = sorted(n.label for n in query.x & query.y)
         raise OverlappingSets(f"x and y share nodes: {', '.join(overlap)}")
@@ -92,23 +106,40 @@ def _ball_moves(
     return moves
 
 
-def d_separated(graph: CausalGraph, query: DSepQuery) -> bool:
-    """True when every path between x and y is blocked given z."""
-    _check_sets(graph, query)
-    moves = _ball_moves(graph, _conditioning(query.z))
-    targets = {n for n in query.y if not n.fixed}
-    if not targets:
-        return True
-    frontier = [(n, None) for n in query.x if not n.fixed]
+def _reached(
+    graph: CausalGraph, x: frozenset[NodeId], z: frozenset[NodeId]
+) -> Iterator[NodeId]:
+    """Each node outside x that the ball reaches from x given ``z``, the
+    first time it reaches it.  Every (node, arrow) state is visited at
+    most once, so a full run is linear in the graph."""
+    moves = _ball_moves(graph, _conditioning(z))
+    frontier = [(n, None) for n in x if not n.fixed]
     visited = set(frontier)
+    reached = set(x)
     while frontier:
         for state in moves(*frontier.pop()):
-            if state[0] in targets:
-                return False
             if state not in visited:
                 visited.add(state)
                 frontier.append(state)
-    return True
+                if state[0] not in reached:
+                    reached.add(state[0])
+                    yield state[0]
+
+
+def d_connected(
+    graph: CausalGraph, x: Iterable[NodeId], z: Iterable[NodeId] = frozenset()
+) -> frozenset[NodeId]:
+    """Every node outside x that some open path joins to x given z: the
+    nodes n for which x ⊥ {n} | z fails."""
+    x, z = frozenset(x), frozenset(z)
+    _check_nodes(graph, x | z)
+    return frozenset(_reached(graph, x, z))
+
+
+def d_separated(graph: CausalGraph, query: DSepQuery) -> bool:
+    """True when every path between x and y is blocked given z."""
+    _check_sets(graph, query)
+    return not any(n in query.y for n in _reached(graph, query.x, query.z))
 
 
 def open_paths(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -133,13 +133,26 @@ class NodeId:
     base: str
     context: Context = ()
     fixed: bool = False
+    # Every graph query hashes nodes and every tie-break reads labels, so
+    # both are computed once, when the node is made.
+    label: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def label(self) -> str:
+    def __post_init__(self) -> None:
         if self.fixed:
-            var, value = self.context[0]
-            return format_assignment(var, value)
-        return format_term(self.base, self.context)
+            label = format_assignment(*self.context[0])
+        else:
+            label = format_term(self.base, self.context)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_hash", hash((self.base, self.context, self.fixed)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # A string hash differs between processes, so a pickle carries
+        # only the fields and the node is made afresh where it is loaded.
+        return NodeId, (self.base, self.context, self.fixed)
 
 
 class CausalGraph:
@@ -397,6 +410,8 @@ def graph_from_payload(payload: Mapping) -> CausalGraph:
             d = a["deterministic"]
             rule = CompositeRule(d["source"], d["guard"], int(d["failure"]))
         nid = NodeId(entry["name"], _context_from_payload(entry["context"]), bool(entry["fixed"]))
+        if nid.label in ids:
+            raise DuplicateName(f"duplicate node label {nid.label!r}")
         ids[nid.label] = nid
         attrs[nid] = NodeAttrs(
             role=a["role"],

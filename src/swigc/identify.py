@@ -18,14 +18,17 @@ a smallest vertex cut between the outcome and the held events in the
 moral graph of their ancestors and B's, with B deleted (Tian, Paz and
 Pearl 1998; van der Zander, Liśkiewicz and Textor 2019).  The moral
 graph marries a child's parents through one uncuttable hub node rather
-than a clique, so it stays linear in the edges.  One max-flow, by
-shortest augmenting paths over one residual map (Edmonds and Karp
-1972), gives its size s.  A greedy pass in label order then updates
-that map in place: a candidate is taken when no residual path leads
-around it, so that it lies on a smallest cut (Picard and Queyranne
-1980), and its unit is cancelled.  That is one flow, then at most three
-residual searches per candidate, O((s + k)·E) in all for k candidates
-and E arcs; it yields the first such set in label order, the set an
+than a clique, so it stays linear in the edges.  A covariate may be cut
+only when it is independent of B.  d-connection is symmetric, so one
+reachability pass from B (``d_connected``) marks every covariate that is
+not, in O(n + E) for n nodes and E edges.  One max-flow, by shortest
+augmenting paths over one residual map (Edmonds and Karp 1972), gives
+its size s.  A greedy pass in label order then updates that map in
+place: a candidate is taken when no residual path leads around it, so
+that it lies on a smallest cut (Picard and Queyranne 1980), and its unit
+is cancelled.  That is one flow, then at most three residual searches
+per candidate, O((s + k)·E) for k candidates after the O(n + E) filter;
+it yields the first such set in label order, the set an
 exhaustive search over subsets (smallest first) would return.
 
 Every step records its premise, so a derivation can be re-verified
@@ -41,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .dsep import DSepQuery, PathWitness, d_separated, open_paths, path_string
+from .dsep import DSepQuery, PathWitness, d_connected, d_separated, open_paths, path_string
 from .errors import OverlappingSets, SemanticError
 from .estimand import CompiledEstimand, compile_study, study_swig
 from .formula import (
@@ -251,13 +254,11 @@ def _smallest_adjustment(
     area = set(targets)
     for n in targets:
         area |= graph.ancestors(n)
-    usable = [
-        c
-        for c in candidates
-        if c in area
-        and c not in baseline
-        and d_separated(graph, DSepQuery(frozenset({c}), baseline))
-    ]
+    eligible = [c for c in candidates if c in area and c not in baseline]
+    # d-connection is symmetric, so one pass from ``baseline`` finds every
+    # eligible c for which {c} ⊥ ``baseline`` fails.
+    connected = d_connected(graph, baseline) if eligible else frozenset()
+    usable = [c for c in eligible if c not in connected]
     chosen = _first_smallest_cut(graph, area, outcome, baseline, held, usable) if usable else None
 
     # The answer is that of a walk over subsets in (size, labels) order

@@ -1,8 +1,16 @@
 """Core graph type: construction, validation, ordering, serialization."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from swigc.errors import CycleError, DuplicateName, UnknownEndpoint, UnknownNode
+from swigc.estimand import compile_study, study_swig
 from swigc.graph import (
     CausalGraph,
     CompositeRule,
@@ -16,6 +24,8 @@ from swigc.graph import (
     graph_to_payload,
     valid_name,
 )
+
+from conftest import ROOT, load_study
 
 
 def diamond():
@@ -60,6 +70,54 @@ class TestNodeId:
         b = NodeId("Y", (("A", "a"),))
         assert a == b and hash(a) == hash(b)
         assert a != NodeId("Y")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda n: pickle.loads(pickle.dumps(n)),
+            copy.deepcopy,
+            lambda n: dataclasses.replace(n, fixed=n.fixed),
+        ],
+        ids=["pickle", "deepcopy", "replace"],
+    )
+    def test_copies_hash_and_label_like_a_fresh_node(self, clone):
+        for node in (NodeId("Y", (("A", "a"), ("M", 0))), NodeId("A", (("A", 1),), fixed=True)):
+            copied = clone(node)
+            fresh = NodeId(node.base, node.context, node.fixed)
+            assert copied == fresh
+            assert hash(copied) == hash(fresh)
+            assert copied.label == fresh.label
+
+    def test_replace_recomputes_hash_and_label(self):
+        moved = dataclasses.replace(NodeId("Y", (("A", "a"),)), base="M")
+        assert hash(moved) == hash(NodeId("M", (("A", "a"),)))
+        assert moved.label == "M(a)"
+
+    def test_pickled_swig_works_under_another_hash_seed(self, tmp_path):
+        graph = study_swig(compile_study(load_study("chronic_pain.swg"))).graph
+        dump = tmp_path / "swig.pickle"
+        dump.write_bytes(pickle.dumps(graph))
+        # Under another seed every string hashes differently, so the loaded
+        # nodes must hash like nodes built in that process.
+        fields = [(n.base, n.context, n.fixed, n.label) for n in graph.nodes]
+        script = (
+            "import pickle, sys\n"
+            "from swigc.graph import NodeId\n"
+            "graph = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            f"for base, context, fixed, label in {fields!r}:\n"
+            "    n = NodeId(base, context, fixed)\n"
+            "    assert graph.node(label) == n and n in graph, label\n"
+            "    assert graph.parents(n) == graph.parents(graph.node(label)), label\n"
+            "    assert hash(graph.node(label)) == hash(n), label\n"
+            "print(len(graph))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(dump)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(len(graph))
 
 
 class TestCompositeRule:
@@ -130,6 +188,13 @@ class TestSerialization:
             [("A", "Y"), ("U", "Y")],
         )
         assert graph_from_payload(graph_to_payload(g)) == g
+
+    def test_duplicate_payload_label_rejected(self):
+        payload = graph_to_payload(build_graph([("A", None), ("B", None)], []))
+        twin = dict(payload["nodes"][0], attrs=dict(payload["nodes"][0]["attrs"], role="treatment"))
+        payload["nodes"].append(twin)
+        with pytest.raises(DuplicateName, match="duplicate node label 'A'"):
+            graph_from_payload(payload)
 
     def test_round_trip_keeps_deterministic_rule(self):
         attrs = NodeAttrs(role="derived", deterministic=CompositeRule("Y", "M", 0))

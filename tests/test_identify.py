@@ -258,16 +258,33 @@ def adjust_chain(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sparse_chain(n: int) -> str:
+    """A -> M -> Y with adjust-eligible covariates C0 -> C1 -> ... -> Cn,
+    where C0 -> M and Cn -> Y."""
+    names = [f"C{i}" for i in range(n + 1)]
+    lines = ['study "Sparse chain" {', "  node A { role: treatment; }",
+             "  node M { role: intercurrent; }"]
+    lines += [f"  node {c} {{ adjust: true; }}" for c in names]
+    lines += ["  node Y { role: outcome; }", "  edges {", "    A -> M; A -> Y; M -> Y;",
+              f"    C0 -> M; C{n} -> Y;"]
+    lines += [f"    {u} -> {v};" for u, v in zip(names, names[1:])]
+    lines += ["  }", "  strategy M: hypothetical(0);",
+              "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def stratified_over(result) -> list[str]:
     return [s.justification for s in result.steps if s.rule == "stratification"]
 
 
 class TestAdjustmentSearch:
-    def test_one_derivation_per_estimand(self, monkeypatch):
+    @staticmethod
+    def count_passes(monkeypatch) -> dict[str, int]:
+        """Count compile splits and d-separation passes made by identify."""
         import swigc.estimand
         import swigc.identify
 
-        calls = {"split": 0, "d_separated": 0}
+        calls = {"split": 0, "d_separated": 0, "d_connected": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -280,13 +297,27 @@ class TestAdjustmentSearch:
 
         counted(swigc.estimand, "split")
         counted(swigc.identify, "d_separated")
-        k = 12
-        report = identify_estimand(parse_study(adjust_chain(k)))
-        assert report.status == "identified"
-        assert calls["split"] == 1
-        # randomization, the chain on {A} alone, one test per candidate,
-        # and the chain once more on the chosen set (one held event)
-        assert calls["d_separated"] <= k + 2 * 1 + 1
+        counted(swigc.identify, "d_connected")
+        return calls
+
+    def test_one_derivation_per_estimand(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        for k in (12, 100):
+            calls.update(dict.fromkeys(calls, 0))
+            report = identify_estimand(parse_study(adjust_chain(k)))
+            assert report.status == "identified"
+            assert calls["split"] == 1
+            # randomization, the chain on {A} alone, one pass that finds
+            # every candidate d-connected to {A}, and the chain once more
+            # on the chosen set: 2·(held events) + 2, whatever k is
+            assert calls["d_separated"] + calls["d_connected"] == 2 * 1 + 2
+
+    def test_sparse_chain_of_four_thousand_needs_the_root_only(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        report = identify_estimand(parse_study(sparse_chain(4000)))
+        for arm in (report.left, report.right):
+            assert stratified_over(arm) == ["stratification over {C0}"]
+        assert calls["d_separated"] + calls["d_connected"] <= 2 * 1 + 2
 
     def test_moral_graph_grows_linearly_with_the_confounders(self, monkeypatch):
         import swigc.identify

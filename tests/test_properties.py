@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from swigc import dsl
 from swigc.dsl import parse_study, serialize
-from swigc.dsep import DSepQuery, d_separated, open_paths
+from swigc.dsep import DSepQuery, d_connected, d_separated, open_paths
 from swigc.errors import SwigcError
 from swigc.estimand import compile_study
 from swigc.formula import Difference, Event, Expect, SumOver, Term
@@ -132,6 +132,28 @@ def test_separation_matches_networkx(data):
     rx, ry, rz = random_part(x), random_part(y), random_part(z)
     expected = not rx or not ry or nx.is_d_separator(reference, rx, ry, rz)
     assert d_separated(graph, query) == expected
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_connected_set_matches_separation_node_by_node(data):
+    """d_connected(x, z) is every random node n outside x with x ⊥ {n} | z failing."""
+    names = [f"V{i}" for i in range(data.draw(st.integers(min_value=2, max_value=8)))]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    dag = build_graph([(v, NodeAttrs()) for v in names], [p for p, k in zip(pairs, keep) if k])
+    held = data.draw(st.sets(st.sampled_from(names), max_size=2))
+    graph = split(dag, tuple((v, v.lower()) for v in sorted(held))).graph
+    x = data.draw(st.sets(st.sampled_from(graph.nodes), min_size=1, max_size=2))
+    z = data.draw(st.sets(st.sampled_from(graph.nodes)))
+    expected = {
+        n
+        for n in graph.nodes
+        if not n.fixed
+        and n not in x
+        and not d_separated(graph, DSepQuery(frozenset(x), frozenset({n}), frozenset(z)))
+    }
+    assert d_connected(graph, x, z) == expected
 
 
 @settings(max_examples=300)
