@@ -15,7 +15,10 @@ import sys
 import time
 from pathlib import Path
 
-from swigc.dsl import parse_study
+from swigc.cli import _at_least
+from swigc.dsl import parse_file
+from swigc.errors import SwigcError
+from swigc.model import StudySpec
 from swigc.oracle import soundness_battery
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -29,11 +32,10 @@ DEFAULT_STUDIES = (
 )
 
 
-def run(studies: list[str], first: int, n_seeds: int, jobs: int) -> int:
+def run(studies: list[StudySpec], first: int, n_seeds: int, jobs: int) -> int:
     failures = 0
     t0 = time.perf_counter()
-    for name in studies:
-        study = parse_study((SPECS_DIR / name).read_text())
+    for study in studies:
         seeds = range(first, first + n_seeds)
         reports = soundness_battery(study, seeds, jobs=jobs)
         bad = [r for r in reports if not r.sound]
@@ -51,14 +53,21 @@ def run(studies: list[str], first: int, n_seeds: int, jobs: int) -> int:
     return 1 if failures else 0
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=100, help="seeds per study")
+    # A count below one would check nothing and still report success; the
+    # CLI's own check refuses it, as `swigc simulate --jobs 0` is refused.
+    ap.add_argument("--seeds", type=_at_least(1), default=100, help="seeds per study")
     ap.add_argument("--first", type=int, default=0, help="first seed")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    ap.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers")
     ap.add_argument("--studies", nargs="*", default=list(DEFAULT_STUDIES))
-    args = ap.parse_args()
-    return run(args.studies, args.first, args.seeds, args.jobs)
+    args = ap.parse_args(argv)
+    try:
+        studies = [parse_file(SPECS_DIR / name) for name in args.studies]
+    except (SwigcError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    return run(studies, args.first, args.seeds, args.jobs)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Exit codes:
   4  estimand only partially identified (a cross-world event survives)
   5  estimand not identifiable (open backdoor witness)
   6  oracle mismatch: an identified formula disagrees with ground truth
-  7  resource cap exceeded (joint support too large to enumerate)
+  7  resource cap exceeded (the declared noise supports multiply past the cap)
   8  internal error: an unexpected exception inside swigc
 """
 
@@ -29,15 +29,7 @@ from .errors import OracleError, SemanticError, SupportTooLarge, SwigcError, Unk
 from .estimand import CompiledEstimand, compile_study, study_swig
 from .formula import render
 from .graph import Context, canonical_json
-from .identify import (
-    EstimandReport,
-    IdentifyResult,
-    NotIdentifiable,
-    PartiallyIdentified,
-    identify_estimand,
-    render_trace,
-    verdict_code,
-)
+from .identify import arm_payload, identify_estimand, trace_lines, verdict_code
 from .oracle import (
     SoundnessReport,
     check_soundness,
@@ -55,37 +47,42 @@ _VERDICT_WORDS = {
     "blocked": "not identifiable",
 }
 
+# Each ``_cmd_*`` returns its ``--json`` payload and its exit code.  Each
+# ``_*_text`` draws the text view from that payload alone, so the two
+# views cannot disagree; ``main`` writes one of them.
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(canonical_json(payload))
+
+def _lines(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 # validate
 
 
-def _cmd_validate(args, compiled: CompiledEstimand) -> int:
+def _cmd_validate(args, compiled: CompiledEstimand) -> tuple[dict, int]:
     study = compiled.study
-    if args.json:
-        _emit_json(
-            {
-                "study": study.name,
-                "grammar": GRAMMAR_VERSION,
-                "nodes": len(study.graph),
-                "edges": len(study.graph.edges),
-                "strategies": {v: s.kind for v, s in sorted(study.strategies.items())},
-                "estimand": compiled.contrast.label,
-                "canonical": serialize(study),
-            }
-        )
-        return 0
-    print(f"ok: {study.name}")
-    print(f"grammar: {GRAMMAR_VERSION}")
-    print(f"nodes: {len(study.graph)}")
-    print(f"edges: {len(study.graph.edges)}")
-    for var in sorted(study.strategies):
-        print(f"strategy: {var} {study.strategies[var].kind}")
-    print(f"estimand: {compiled.contrast.label}")
-    return 0
+    return {
+        "study": study.name,
+        "grammar": GRAMMAR_VERSION,
+        "nodes": len(study.graph),
+        "edges": len(study.graph.edges),
+        "strategies": {v: s.kind for v, s in sorted(study.strategies.items())},
+        "estimand": compiled.contrast.label,
+        "canonical": serialize(study),
+    }, 0
+
+
+def _validate_text(p: dict) -> str:
+    return _lines(
+        [
+            f"ok: {p['study']}",
+            f"grammar: {p['grammar']}",
+            f"nodes: {p['nodes']}",
+            f"edges: {p['edges']}",
+            *(f"strategy: {var} {kind}" for var, kind in p["strategies"].items()),
+            f"estimand: {p['estimand']}",
+        ]
+    )
 
 
 # swig
@@ -116,24 +113,25 @@ def _parse_world(compiled: CompiledEstimand, text: str) -> Context:
     return tuple((v, assigned[v]) for v in compiled.split_vars)
 
 
-def _cmd_swig(args, compiled: CompiledEstimand) -> int:
-    if args.world:
-        sw = split(compiled.graph, _parse_world(compiled, args.world))
-    else:
-        sw = study_swig(compiled)
-    if args.json:
-        payload = swig_to_payload(sw)
-        payload["study"] = compiled.study.name
-        _emit_json(payload)
-        return 0
-    print(f"study: {compiled.study.name}")
-    shown = ", ".join(f"{v}={x}" for v, x in sw.interventions)
-    print(f"interventions: {shown}")
-    for node in sw.graph.nodes:
-        print(f"node {node.label}" + (" [fixed]" if node.fixed else ""))
-    for u, v in sorted(sw.graph.edges, key=lambda e: (e[0].label, e[1].label)):
-        print(f"edge {u.label} -> {v.label}")
-    return 0
+def _cmd_swig(args, compiled: CompiledEstimand) -> tuple[dict, int]:
+    world = None if args.world is None else _parse_world(compiled, args.world)
+    sw = study_swig(compiled) if world is None else split(compiled.graph, world)
+    payload = swig_to_payload(sw)
+    payload["study"] = compiled.study.name
+    return payload, 0
+
+
+def _swig_text(p: dict) -> str:
+    shown = ", ".join(f"{v}={x}" for v, x in p["interventions"])
+    return _lines(
+        [
+            f"study: {p['study']}",
+            f"interventions: {shown}",
+            *(f"node {n['label']}" + (" [fixed]" if n["fixed"] else "") for n in p["nodes"]),
+            # The payload's edges are sorted by their labels.
+            *(f"edge {u} -> {v}" for u, v in p["edges"]),
+        ]
+    )
 
 
 # dsep
@@ -169,7 +167,7 @@ def _resolve_nodes(graph, text: str):
     return frozenset(out)
 
 
-def _cmd_dsep(args, compiled: CompiledEstimand) -> int:
+def _cmd_dsep(args, compiled: CompiledEstimand) -> tuple[dict, int]:
     g = study_swig(compiled).graph
     try:
         query = DSepQuery(
@@ -181,108 +179,71 @@ def _cmd_dsep(args, compiled: CompiledEstimand) -> int:
         raise SemanticError(str(e)) from e
     separated = d_separated(g, query)
     witnesses = [] if separated else open_paths(g, query, limit=args.limit)
-    if args.json:
-        _emit_json(
+    return {
+        "study": compiled.study.name,
+        "query": {
+            "x": sorted(n.label for n in query.x),
+            "y": sorted(n.label for n in query.y),
+            "z": sorted(n.label for n in query.z),
+        },
+        "label": query.label(),
+        "separated": separated,
+        "witnesses": [
             {
-                "study": compiled.study.name,
-                "query": {
-                    "x": sorted(n.label for n in query.x),
-                    "y": sorted(n.label for n in query.y),
-                    "z": sorted(n.label for n in query.z),
-                },
-                "label": query.label(),
-                "separated": separated,
-                "witnesses": [
-                    {
-                        "path": path_string(w),
-                        "nodes": [n.label for n in w.nodes],
-                        "colliders_opened": [n.label for n in w.colliders_opened],
-                    }
-                    for w in witnesses
-                ],
+                "path": path_string(w),
+                "nodes": [n.label for n in w.nodes],
+                "colliders_opened": [n.label for n in w.colliders_opened],
             }
-        )
-        return 0 if separated else 3
-    print(f"study: {compiled.study.name}")
-    print(f"query: {query.label()}")
-    print(f"verdict: {'separated' if separated else 'connected'}")
-    for w in witnesses:
-        print(f"open path: {path_string(w)}")
-    return 0 if separated else 3
+            for w in witnesses
+        ],
+    }, 0 if separated else 3
+
+
+def _dsep_text(p: dict) -> str:
+    return _lines(
+        [
+            f"study: {p['study']}",
+            f"query: {p['label']}",
+            f"verdict: {'separated' if p['separated'] else 'connected'}",
+            *(f"open path: {w['path']}" for w in p["witnesses"]),
+        ]
+    )
 
 
 # identify
 
 
-def _arm_payload(result: IdentifyResult) -> dict:
-    payload: dict = {
-        "term": result.mean.label,
-        "status": result.status,
-        "steps": [
-            {
-                "rule": s.rule,
-                "formula": render(s.formula),
-                "justification": s.justification,
-                "premise": s.premise.label() if s.premise is not None else None,
-            }
-            for s in result.steps
-        ],
-    }
-    if isinstance(result, NotIdentifiable):
-        payload["blocked"] = {
-            "premise": result.blocked.premise.label(),
-            "path": result.blocked.witness_label,
-        }
-    else:
-        payload["formula"] = render(result.formula)
-    if isinstance(result, PartiallyIdentified):
-        payload["cross_world"] = [e.label for e in result.cross_world.events]
-    return payload
-
-
-def _notes(report: EstimandReport) -> list[str]:
-    notes = []
-    for arm in (report.left, report.right):
-        if isinstance(arm, NotIdentifiable):
-            notes.append(f"note: open backdoor path {arm.blocked.witness_label}")
-        elif isinstance(arm, PartiallyIdentified):
-            for event in arm.cross_world.events:
-                notes.append(f"note: cross-world event {event.label} survives consistency")
-    return notes
-
-
-def _cmd_identify(args, compiled: CompiledEstimand) -> int:
-    study = compiled.study
-    report = identify_estimand(study, compiled)
+def _cmd_identify(args, compiled: CompiledEstimand) -> tuple[dict, int]:
+    report = identify_estimand(compiled.study, compiled)
     code = verdict_code(report)
     combined = report.combined
-    if args.json:
-        _emit_json(
-            {
-                "study": study.name,
-                "estimand": compiled.contrast.label,
-                "left": _arm_payload(report.left),
-                "right": _arm_payload(report.right),
-                "combined": render(combined) if combined is not None else None,
-                "verdict": _VERDICT_WORDS[report.status],
-                "exit": code,
-            }
-        )
-        return code
-    print(f"study: {study.name}")
-    print(f"estimand: {compiled.contrast.label}")
-    for arm in (report.left, report.right):
-        print()
-        print(f"term: {arm.mean.label}")
-        for line in render_trace(arm):
-            print(line)
-    print()
-    if combined is not None:
-        print(f"combined: {render(combined)}")
-    print(f"verdict: {_VERDICT_WORDS[report.status]}")
-    for note in _notes(report):
-        print(note)
-    return code
+    payload = {
+        "study": compiled.study.name,
+        "estimand": compiled.contrast.label,
+        "left": arm_payload(report.left),
+        "right": arm_payload(report.right),
+        "combined": render(combined) if combined is not None else None,
+        "verdict": _VERDICT_WORDS[report.status],
+        "exit": code,
+    }
+    return payload, code
+
+
+def _identify_text(p: dict) -> str:
+    arms = (p["left"], p["right"])
+    lines = [f"study: {p['study']}", f"estimand: {p['estimand']}"]
+    for arm in arms:
+        lines += ["", f"term: {arm['term']}", *trace_lines(arm)]
+    lines.append("")
+    if p["combined"] is not None:
+        lines.append(f"combined: {p['combined']}")
+    lines.append(f"verdict: {p['verdict']}")
+    for arm in arms:
+        if "blocked" in arm:
+            lines.append(f"note: open backdoor path {arm['blocked']['path']}")
+        for event in arm.get("cross_world", ()):
+            lines.append(f"note: cross-world event {event} survives consistency")
+    return _lines(lines)
 
 
 # simulate
@@ -316,90 +277,83 @@ def _write_table_csv(compiled: CompiledEstimand, seed, path: str) -> None:
             write_csv(table, fh)
 
 
-def _cmd_simulate(args, compiled: CompiledEstimand) -> int:
+def _cmd_simulate(args, compiled: CompiledEstimand) -> tuple[dict, int]:
     study = compiled.study
     if args.csv == "-" and args.json:
         raise SemanticError("--csv - and --json both write to stdout")
-    if args.csv:
+    if args.csv is not None:
+        # A side effect, written before the report.
         _write_table_csv(compiled, args.seed, args.csv)
 
-    if args.seeds is not None:
-        first, last = args.seeds
-        reports = soundness_battery(study, range(first, last), jobs=args.jobs)
-        sound = sum(1 for r in reports if r.sound)
-        ok = sound == len(reports)
-        if args.json:
-            _emit_json(
-                {
-                    "study": study.name,
-                    "seeds": [first, last],
-                    "runs": len(reports),
-                    "sound_runs": sound,
-                    "all_sound": ok,
-                    "reports": [_report_payload(r) for r in reports],
-                }
-            )
-            return 0 if ok else 6
-        print(f"study: {study.name}")
-        print(f"seeds: {first}..{last - 1}")
-        print(f"runs: {len(reports)}")
-        print(f"sound: {sound}")
-        print(f"verdict: {'sound' if ok else 'MISMATCH'}")
-        if not ok:
-            for r in reports:
-                if not r.sound:
-                    print(f"mismatch at seed {r.seed}: formula {r.formula_value}, true {r.true_value}")
-        return 0 if ok else 6
+    if args.seeds is None:
+        report = check_soundness(study, seed=args.seed, compiled=compiled)
+        return _report_payload(report), 0 if report.sound else 6
+    first, last = args.seeds
+    reports = soundness_battery(study, range(first, last), jobs=args.jobs)
+    sound = sum(1 for r in reports if r.sound)
+    ok = sound == len(reports)
+    return {
+        "study": study.name,
+        "seeds": [first, last],
+        "runs": len(reports),
+        "sound_runs": sound,
+        "all_sound": ok,
+        "reports": [_report_payload(r) for r in reports],
+    }, 0 if ok else 6
 
-    report = check_soundness(study, seed=args.seed, compiled=compiled)
-    if args.json:
-        _emit_json(_report_payload(report))
-        return 0 if report.sound else 6
-    print(f"study: {report.study}")
-    print(f"seed: {'none' if report.seed is None else report.seed}")
-    print(f"status: {report.status}")
-    print(f"consistency: {'ok' if report.consistency_ok else 'VIOLATED'}")
-    print(f"true: {report.true_value}")
-    if report.formula_value is not None:
-        print(f"formula: {report.formula_value}")
-        print(f"gap: {report.gap}")
-    if report.naive_value is not None:
-        print(f"naive: {report.naive_value}")
-        print(f"naive gap: {report.naive_gap}")
-    print(f"verdict: {'sound' if report.sound else 'MISMATCH'}")
-    return 0 if report.sound else 6
+
+def _simulate_text(p: dict) -> str:
+    if "reports" in p:
+        first, last = p["seeds"]
+        lines = [
+            f"study: {p['study']}",
+            f"seeds: {first}..{last - 1}",
+            f"runs: {p['runs']}",
+            f"sound: {p['sound_runs']}",
+            f"verdict: {'sound' if p['all_sound'] else 'MISMATCH'}",
+        ]
+        for r in p["reports"]:
+            if not r["sound"]:
+                lines.append(f"mismatch at seed {r['seed']}: formula {r['formula']}, true {r['true']}")
+        return _lines(lines)
+    lines = [
+        f"study: {p['study']}",
+        f"seed: {'none' if p['seed'] is None else p['seed']}",
+        f"status: {p['status']}",
+        f"consistency: {'ok' if p['consistency_ok'] else 'VIOLATED'}",
+        f"true: {p['true']}",
+    ]
+    if p["formula"] is not None:
+        lines += [f"formula: {p['formula']}", f"gap: {p['gap']}"]
+    if p["naive"] is not None:
+        lines += [f"naive: {p['naive']}", f"naive gap: {p['naive_gap']}"]
+    lines.append(f"verdict: {'sound' if p['sound'] else 'MISMATCH'}")
+    return _lines(lines)
 
 
 # render
 
 
-def _cmd_render(args, compiled: CompiledEstimand) -> int:
+def _cmd_render(args, compiled: CompiledEstimand) -> tuple[dict, int]:
     study = compiled.study
-    if args.dag and args.world:
+    if args.dag and args.world is not None:
         raise SemanticError("--dag and --world are mutually exclusive")
     conditioned = None
     if args.dag:
         target = study.graph
-    elif args.world:
+    elif args.world is not None:
         world = _parse_world(compiled, args.world)
         target = split(compiled.graph, world)
         conditioned = compiled.stratum_box(dict(world)[study.treatment])
     else:
         target = study_swig(compiled)
-    markup = (
-        to_tikz(target, conditioned_values=conditioned)
-        if args.format == "tikz"
-        else to_dot(target, conditioned_values=conditioned)
-    )
-    if args.json:
-        _emit_json({"study": study.name, "format": args.format, "markup": markup})
-        return 0
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(markup)
-        return 0
-    sys.stdout.write(markup)
-    return 0
+    to_markup = to_tikz if args.format == "tikz" else to_dot
+    markup = to_markup(target, conditioned_values=conditioned)
+    return {"study": study.name, "format": args.format, "markup": markup}, 0
+
+
+def _render_text(p: dict) -> str:
+    return p["markup"]
 
 
 # wiring
@@ -447,12 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="parse and check a study file")
     common(sp)
-    sp.set_defaults(func=_cmd_validate)
+    sp.set_defaults(func=_cmd_validate, view=_validate_text)
 
     sp = sub.add_parser("swig", help="print the split graph")
     common(sp)
     sp.add_argument("--world", help="concrete assignments, e.g. A=1,M3=0")
-    sp.set_defaults(func=_cmd_swig)
+    sp.set_defaults(func=_cmd_swig, view=_swig_text)
 
     sp = sub.add_parser("dsep", help="decide d-separation in the split graph")
     common(sp)
@@ -460,27 +414,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", required=True, help="comma-separated node labels")
     sp.add_argument("--z", default="", help="comma-separated conditioning labels")
     sp.add_argument("--limit", type=_at_least(0), default=5, help="max open paths to list")
-    sp.set_defaults(func=_cmd_dsep)
+    sp.set_defaults(func=_cmd_dsep, view=_dsep_text)
 
     sp = sub.add_parser("identify", help="derive or refute the estimand")
     common(sp)
-    sp.set_defaults(func=_cmd_identify)
+    sp.set_defaults(func=_cmd_identify, view=_identify_text)
 
-    sp = sub.add_parser("simulate", help="check the derivation against exact enumeration")
+    sp = sub.add_parser("simulate", help="check the derivation against the exact oracle")
     common(sp)
     sp.add_argument("--seed", type=int, help="random data model seed (default: the study's)")
     sp.add_argument("--seeds", type=_seed_range, help="seed range FIRST:LAST for a battery")
     sp.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers for a battery")
     sp.add_argument("--csv", help="also write the potential-outcome table (- for stdout)")
-    sp.set_defaults(func=_cmd_simulate)
+    sp.set_defaults(func=_cmd_simulate, view=_simulate_text)
 
     sp = sub.add_parser("render", help="emit TikZ or DOT markup")
     common(sp)
     sp.add_argument("--format", choices=("tikz", "dot"), default="tikz")
     sp.add_argument("--dag", action="store_true", help="render the graph before splitting")
     sp.add_argument("--world", help="concrete assignments, e.g. A=1,M3=0")
-    sp.add_argument("--out", help="write markup to a file instead of stdout")
-    sp.set_defaults(func=_cmd_render)
+    sp.add_argument("--out", help="write the output (markup, or JSON with --json) to a file")
+    sp.set_defaults(func=_cmd_render, view=_render_text)
     return p
 
 
@@ -488,7 +442,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, compile_study(parse_file(args.spec)))
+        payload, code = args.func(args, compile_study(parse_file(args.spec)))
+        output = canonical_json(payload) if args.json else args.view(payload)
+        out = getattr(args, "out", None)  # only render has --out
+        if out is None:
+            sys.stdout.write(output)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        return code
     except (SwigcError, OSError) as e:
         # A file that cannot be read or written is unusable input, like a bad spec.
         print(f"error: {e}", file=sys.stderr)

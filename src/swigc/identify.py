@@ -72,6 +72,8 @@ __all__ = [
     "EstimandReport",
     "identify_term",
     "identify_estimand",
+    "arm_payload",
+    "trace_lines",
     "render_trace",
     "verdict_code",
 ]
@@ -568,22 +570,56 @@ def identify_estimand(
     return EstimandReport(study=study, compiled=compiled, left=left, right=right)
 
 
-def render_trace(result: IdentifyResult) -> list[str]:
-    """The derivation as fixed-width text lines, one step per line."""
-    justified = [s for s in result.steps if s.justification]
-    width = max((len(render(s.formula)) for s in justified), default=0)
-    lines = []
-    for s in result.steps:
-        text = render(s.formula)
-        if s.justification:
-            lines.append(text.ljust(width) + f"  ({s.justification})")
-        else:
-            lines.append(text)
+def arm_payload(result: IdentifyResult) -> dict:
+    """One arm's ``identify --json`` object: its term, status and steps,
+    then its formula, or the blocked premise and witness path when it is
+    refuted, and the surviving events when it is only partially identified."""
+    payload: dict = {
+        "term": result.mean.label,
+        "status": result.status,
+        "steps": [
+            {
+                "rule": s.rule,
+                "formula": render(s.formula),
+                "justification": s.justification,
+                "premise": s.premise.label() if s.premise is not None else None,
+            }
+            for s in result.steps
+        ],
+    }
     if isinstance(result, NotIdentifiable):
-        lines.append(f"BLOCKED: open backdoor path {result.blocked.witness_label}")
-    elif isinstance(result, PartiallyIdentified):
-        lines.append(f"REMAINING CROSS-WORLD TERM: {render(result.formula)}")
+        payload["blocked"] = {
+            "premise": result.blocked.premise.label(),
+            "path": result.blocked.witness_label,
+        }
+    else:
+        payload["formula"] = render(result.formula)
+    if isinstance(result, PartiallyIdentified):
+        payload["cross_world"] = [e.label for e in result.cross_world.events]
+    return payload
+
+
+def trace_lines(arm: dict) -> list[str]:
+    """An arm's payload (see ``arm_payload``) as fixed-width text lines, one
+    step per line, then the refutation or the surviving cross-world term."""
+    width = max((len(s["formula"]) for s in arm["steps"] if s["justification"]), default=0)
+    lines = []
+    for s in arm["steps"]:
+        if s["justification"]:
+            lines.append(s["formula"].ljust(width) + f"  ({s['justification']})")
+        else:
+            lines.append(s["formula"])
+    if "blocked" in arm:
+        lines.append(f"BLOCKED: open backdoor path {arm['blocked']['path']}")
+    elif "cross_world" in arm:
+        lines.append(f"REMAINING CROSS-WORLD TERM: {arm['formula']}")
     return lines
+
+
+def render_trace(result: IdentifyResult) -> list[str]:
+    """The derivation as fixed-width text lines, one step per line; the
+    CLI formats the same payload with the same ``trace_lines``."""
+    return trace_lines(arm_payload(result))
 
 
 def verdict_code(report: EstimandReport) -> int:

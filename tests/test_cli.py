@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import golden_text, spec_path, spec_text
+from conftest import STUDY_FILES, golden_text, spec_path, spec_text
 
 IDENTIFY_EXITS = {
     "itt": 0,
@@ -93,6 +93,11 @@ class TestSwig:
                       "--world", "A=1,B=2")
         assert res.code == 2
         assert res.err == "error: a world must assign exactly: A\n"
+
+    def test_empty_world_is_not_a_world(self, run_cli):
+        res = run_cli("swig", spec_path("itt.swg"), "--world", "")
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: world entry '' is not VAR=VALUE\n"
 
 
 class TestDsep:
@@ -257,6 +262,11 @@ class TestSimulate:
         assert json.loads(res.out)["true"] == "1/2"
         assert target.read_text().splitlines()[0] == "id,M(a=1),Y(a=1),M(a=0),Y(a=0),A,M,Y,weight"
 
+    def test_empty_csv_path_is_unwritable(self, run_cli):
+        res = run_cli("simulate", spec_path("principal_stratum.swg"), "--csv", "")
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: [Errno 2] No such file or directory: ''\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, run_cli, jobs):
         res = run_cli("simulate", spec_path("itt.swg"), "--seeds", "0:2", "--jobs", jobs)
@@ -285,9 +295,53 @@ class TestRender:
         assert res.code == 0
         assert target.read_text().startswith("\\begin{tikzpicture}")
 
+    def test_out_receives_the_json_payload(self, run_cli, tmp_path):
+        target = tmp_path / "fig.json"
+        res = run_cli("render", spec_path("itt.swg"), "--json", "--out", str(target))
+        assert (res.code, res.out, res.err) == (0, "", "")
+        shown = run_cli("render", spec_path("itt.swg"), "--json")
+        assert target.read_text() == shown.out
+        assert json.loads(shown.out)["markup"] == run_cli("render", spec_path("itt.swg")).out
+
+    def test_empty_out_is_an_unwritable_path(self, run_cli):
+        res = run_cli("render", spec_path("itt.swg"), "--out", "")
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: [Errno 2] No such file or directory: ''\n"
+
+    def test_empty_world_is_not_a_world(self, run_cli):
+        res = run_cli("render", spec_path("itt.swg"), "--world", "")
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: world entry '' is not VAR=VALUE\n"
+
     def test_rejects_unknown_format(self, run_cli):
         res = run_cli("render", spec_path("itt.swg"), "--format", "svg")
         assert res.code == 2
+
+
+# One request per subcommand; every bundled study answers each of them.
+SUBCOMMANDS = {
+    "validate": (),
+    "swig": (),
+    "dsep": ("--x", "Y", "--y", "A"),
+    "identify": (),
+    "simulate": (),
+    "render": (),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("spec", [*STUDY_FILES, "bad_syntax.swg"])
+def test_text_and_json_give_the_same_outcome(run_cli, spec, command):
+    argv = [command, spec_path(spec), *SUBCOMMANDS[command]]
+    text = run_cli(*argv)
+    data = run_cli(*argv, "--json")
+    assert (text.code, text.err) == (data.code, data.err)
+    # A verdict (codes 0 and 3-6) is shown in either view; an error in neither.
+    if text.code in (1, 2, 7, 8):
+        assert (text.out, data.out) == ("", "")
+    else:
+        assert text.out and data.out
+        json.loads(data.out)
 
 
 def test_no_subcommand_is_a_usage_error(run_cli):

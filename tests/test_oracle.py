@@ -1,6 +1,7 @@
 """Exact enumeration oracle: frozen study values, error surfaces, batteries."""
 
 import dataclasses
+import importlib.util
 import io
 import tracemalloc
 from fractions import Fraction as F
@@ -34,7 +35,7 @@ from swigc.oracle import (
     write_csv,
 )
 
-from conftest import load_study, spec_text
+from conftest import ROOT, load_study, spec_text
 
 
 # Expected values below were computed by hand from each fixture's tables
@@ -214,6 +215,45 @@ class TestRandomModels:
         reports = soundness_battery(study, range(20))
         assert all(r.sound for r in reports)
         assert {r.status for r in reports} == {"identified"}
+
+
+def _battery_script():
+    path = ROOT / "scripts" / "soundness_battery.py"
+    spec = importlib.util.spec_from_file_location("soundness_battery", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestBatteryScript:
+    def test_reports_every_seed(self, capsys):
+        assert _battery_script().main(["--seeds", "3", "--studies", "itt.swg"]) == 0
+        out = capsys.readouterr().out
+        assert "seeds 0..2  sound 3/3" in out
+        assert out.endswith(", 0 mismatches\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seeds", "0"], "argument --seeds: must be 1 or more"),
+            (["--seeds", "-5"], "argument --seeds: must be 1 or more"),
+            (["--jobs", "-3"], "argument --jobs: must be 1 or more"),
+        ],
+    )
+    def test_count_below_one_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as done:
+            _battery_script().main([*argv, "--studies", "itt.swg"])
+        assert done.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: {message}\n")
+
+    def test_unreadable_study_is_one_error_line(self, capsys):
+        assert _battery_script().main(["--seeds", "1", "--studies", "itt.swg", "nope.swg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert err.count("\n") == 1
 
 
 class TestConditionalIndependence:
