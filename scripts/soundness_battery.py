@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from swigc.cli import _at_least
+from swigc.cli import _at_least, _error_code
 from swigc.dsl import parse_file
 from swigc.errors import SwigcError
 from swigc.model import StudySpec
@@ -64,10 +64,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         studies = [parse_file(SPECS_DIR / name) for name in args.studies]
+        return run(studies, args.first, args.seeds, args.jobs)
     except (SwigcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    return run(studies, args.first, args.seeds, args.jobs)
+        return _error_code(e)  # as `swigc simulate` exits
 
 
 if __name__ == "__main__":

@@ -438,6 +438,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error_code(e: SwigcError | OSError) -> int:
+    """The exit code of an error reported in one line: 7 when the noise
+    support exceeds the row cap, 1 for another oracle error, and 2 for
+    unusable input."""
+    if isinstance(e, SupportTooLarge):
+        return 7
+    return 1 if isinstance(e, OracleError) else 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -454,9 +463,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SwigcError, OSError) as e:
         # A file that cannot be read or written is unusable input, like a bad spec.
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, SupportTooLarge):
-            return 7
-        return 1 if isinstance(e, OracleError) else 2
+        return _error_code(e)
     except Exception as e:
         # Last resort: a fault in swigc itself still ends in one line and
         # a documented code, not a traceback.

@@ -91,9 +91,7 @@ def _ball_moves(
     collider passes it only when it or a descendant is in z.  No step
     enters a fixed node.
     """
-    closure = set(z)
-    for n in z:
-        closure |= graph.ancestors(n)
+    closure = graph.ancestral_set(z)
 
     def moves(node: NodeId, came: str | None) -> list[tuple[NodeId, str]]:
         out = []

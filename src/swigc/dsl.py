@@ -7,11 +7,14 @@ column plus the token kinds that would have been accepted; well-formed
 files that break a study invariant raise SemanticError instead.
 
 The front end is two rules.  ``_TOKEN`` is one regex that reads one
-token per match: punctuation (``->``, ``:=`` or one of ``{}():;,=/``),
-an integer (an optional ``-`` and decimal digits), a name (letters,
-digits and ``_``, starting with a letter or ``_``), a string that
-closes on its own line, or whitespace, a newline or a comment running
-from ``#`` to the end of its line; any other character is an error.
+token per match, after skipping the whitespace and comments before it
+(a comment runs from ``#`` to the end of its line): punctuation (``->``,
+``:=`` or one of ``{}():;,=/``), an integer (an optional ``-`` and
+decimal digits), a name (letters, digits and ``_``, starting with a
+letter or ``_``), a string that closes on its own line, or the end of
+the text; any other character is an error.  The tokens are kept as
+three lists, of kinds, texts and start offsets; a line and column are
+computed from an offset only when a ParseError is raised.
 The parser's grammar methods are written with four token rules:
 ``at``/``expect`` for keywords and punctuation (a failure lists every
 alternative), ``take`` for a name, integer or string, ``block`` for
@@ -28,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConflictingStrategies, ParseError, GraphError, SemanticError, SpecError
 from .graph import CausalGraph, NodeAttrs, build_graph, valid_name
@@ -52,49 +55,60 @@ _DECLARED_ROLES = ("covariate", "intercurrent", "latent", "outcome", "treatment"
 
 # tokenizer
 
-
-class _Token(NamedTuple):
-    kind: str  # ident | int | string | punct | eof
-    text: str
-    line: int
-    col: int
-
-
+# One match reads the whitespace and comments before a token, then the
+# token; the group that matched, read from ``m.lastindex``, is its kind.
 # Alternatives are tried in order; in a str pattern ``\d`` is exactly
-# str.isdecimal and ``\w`` exactly str.isalnum or "_".
+# str.isdecimal and ``\w`` exactly str.isalnum or "_".  ``\Z`` ends the
+# text, so a trailing comment is never backtracked into a token.
 _TOKEN = re.compile(
-    r'(?P<punct>->|:=|[{}():;,=/])'
-    r"|(?P<int>-?\d+)"
-    r"|(?P<ident>\w+)"
-    r'|"(?P<string>[^"\n]*)"'
-    r'|(?P<unterminated>")'
-    r"|(?P<newline>\n)"
-    r"|[ \t\r]+|#[^\n]*"
-    r"|(?P<other>.)"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"(?:([A-Za-z_]\w*)"
+    r"|(->|:=|[{}():;,=/])"
+    r"|(-?\d+)"
+    r"|(\w+)"
+    r'|"([^"\n]*)"'
+    r'|(")'
+    r"|(\Z)"
+    r"|(.))"
 )
+# Groups after the third need a look before their token is kept.
+_KINDS = (None, "ident", "punct", "int", "word", "string", "unterminated", "eof", "other")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
+def _error(text: str, offset: int, message: str, expected: Sequence[str] = ()) -> ParseError:
+    """A ParseError at the 1-based line and column of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    line = text.count("\n", 0, line_start) + 1
+    return ParseError(line, offset - line_start + 1, message, expected)
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kind, text and start offset of each token, the last one ``eof``;
+    a string's text is what its quotes enclose, and it starts at its
+    opening quote.  The first character no token can start with raises."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        start = m.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        col = start - line_start + 1
-        token = m.group(kind)
-        if kind == "unterminated":
-            raise ParseError(line, col, "unterminated string")
-        if kind == "other" or (kind == "ident" and not (token[0].isalpha() or token[0] == "_")):
-            raise ParseError(line, col, f"unexpected character {token[0]!r}")
-        tokens.append(_Token(kind, token, line, col))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+        group = m.lastindex
+        kind = _KINDS[group]
+        token = m[group]
+        start = m.start(group)
+        if group > 3:
+            if kind == "string":
+                start -= 1
+            elif kind == "word" and token[0].isalpha():  # \w+ not starting in ASCII
+                kind = "ident"
+            elif kind == "unterminated":
+                raise _error(text, start, "unterminated string")
+            elif kind != "eof":
+                raise _error(text, start, f"unexpected character {token[0]!r}")
+        kinds.append(kind)
+        texts.append(token)
+        starts.append(start)
+        if kind == "eof":  # a match of \Z alone could follow one that read trailing space
+            break
+    return kinds, texts, starts
 
 
 # parser
@@ -104,46 +118,47 @@ _T = TypeVar("_T")
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
 
     def fail(self, expected: Iterable[str]) -> ParseError:
-        t = self.tokens[self.pos]
-        what = "end of file" if t.kind == "eof" else f"{t.text!r}"
-        return ParseError(t.line, t.col, f"unexpected {what}", list(expected))
+        pos = self.pos
+        what = "end of file" if self.kinds[pos] == "eof" else f"{self.texts[pos]!r}"
+        return _error(self.text, self.starts[pos], f"unexpected {what}", list(expected))
 
     def at(self, *texts: str) -> bool:
         """Whether the next token is one of these keywords or punctuation marks."""
-        t = self.tokens[self.pos]
-        return t.text in texts and t.kind != "string"
+        pos = self.pos
+        return self.texts[pos] in texts and self.kinds[pos] != "string"
 
     def expect(self, *texts: str) -> str:
         """Read one of these keywords or punctuation marks and return it."""
         if not self.at(*texts):
             raise self.fail([f'"{text}"' for text in texts])
         self.pos += 1
-        return self.tokens[self.pos - 1].text
+        return self.texts[self.pos - 1]
 
     def take(self, kind: str, what: str) -> str:
         """Read a token of ``kind`` and return its text; ``what`` names it in errors."""
-        t = self.tokens[self.pos]
-        if t.kind != kind:
+        pos = self.pos
+        if self.kinds[pos] != kind:
             raise self.fail([what])
-        self.pos += 1
-        return t.text
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def name(self, what: str = "a variable name") -> str:
         return self.take("ident", what)
 
     def integer(self) -> int:
-        t = self.tokens[self.pos]
+        start = self.starts[self.pos]
         text = self.take("int", "an integer")
         try:
             return int(text)
         except ValueError:  # longer than int() converts (sys.get_int_max_str_digits)
             digits = len(text.lstrip("-"))
             message = f"integer literal of {digits} digits is too long"
-            raise ParseError(t.line, t.col, message) from None
+            raise _error(self.text, start, message) from None
 
     def block(self, item: Callable[[], _T]) -> list[_T]:
         """``{ item* }``."""

@@ -302,22 +302,29 @@ class CausalGraph:
 
     def ancestors(self, node: NodeId) -> frozenset[NodeId]:
         """Strict ancestors of ``node`` (the node itself is excluded)."""
-        return self._closure(node, self._parents)
+        return self._reach((node,), self._parents) - {node}
 
     def descendants(self, node: NodeId) -> frozenset[NodeId]:
         """Strict descendants of ``node`` (the node itself is excluded)."""
-        return self._closure(node, self._children)
+        return self._reach((node,), self._children) - {node}
 
-    def _closure(self, node: NodeId, step: Mapping[NodeId, tuple[NodeId, ...]]) -> frozenset[NodeId]:
-        self._require(node)
-        seen: set[NodeId] = set()
-        stack = list(step[node])
+    def ancestral_set(self, nodes: Iterable[NodeId]) -> frozenset[NodeId]:
+        """``nodes`` and all their ancestors, found in one walk over parents
+        that reads each node's parents at most once."""
+        return self._reach(nodes, self._parents)
+
+    def _reach(
+        self, nodes: Iterable[NodeId], step: Mapping[NodeId, tuple[NodeId, ...]]
+    ) -> frozenset[NodeId]:
+        seen = set(nodes)
+        for n in seen:
+            self._require(n)
+        stack = list(seen)
         while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(step[n])
+            for m in step[stack.pop()]:
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
         return frozenset(seen)
 
     def topological_order(self) -> tuple[NodeId, ...]:

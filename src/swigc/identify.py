@@ -252,10 +252,7 @@ def _smallest_adjustment(
     smallest cut between the outcome and the held events in the moral
     graph of A without ``baseline`` (Lauritzen's criterion).
     """
-    targets = {outcome, *held, *baseline}
-    area = set(targets)
-    for n in targets:
-        area |= graph.ancestors(n)
+    area = graph.ancestral_set({outcome, *held, *baseline})
     eligible = [c for c in candidates if c in area and c not in baseline]
     # d-connection is symmetric, so one pass from ``baseline`` finds every
     # eligible c for which {c} ⊥ ``baseline`` fails.
@@ -282,7 +279,7 @@ def _smallest_adjustment(
 
 def _first_smallest_cut(
     graph: CausalGraph,
-    area: set[NodeId],
+    area: frozenset[NodeId],
     outcome: NodeId,
     baseline: frozenset[NodeId],
     held: list[NodeId],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from swigc.dsep import DSepQuery, d_separated, open_paths, path_string
+from swigc.dsep import DSepQuery, _ball_moves, d_separated, open_paths, path_string
 from swigc.errors import OverlappingSets
 from swigc.estimand import compile_study, study_swig
 from swigc.graph import NodeAttrs, build_graph
@@ -62,6 +62,27 @@ class TestClassicPatterns:
         assert len(paths) == 1
         assert path_string(paths[0]) == "A -> C <- B"
         assert [n.label for n in paths[0].colliders_opened] == ["C"]
+
+
+class _CountedLookups(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+class TestLongChain:
+    def test_closure_of_many_conditioning_nodes_is_one_walk(self):
+        names = [f"V{i}" for i in range(4000)]
+        g = build_graph([(s, None) for s in names], list(zip(names, names[1:])))
+        z = names[1:-1:2]
+        assert len(z) == 1999
+        assert d_separated(g, q(g, ["V0"], ["V3999"], z))
+        # Each node's parents are read at most once while z's closure is built.
+        g._parents = parents = _CountedLookups(g._parents)
+        _ball_moves(g, frozenset(g.node(s) for s in z))
+        assert parents.lookups == 3998
 
 
 class TestQueryValidation:

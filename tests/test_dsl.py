@@ -85,6 +85,23 @@ class TestErrorReporting:
             parse_study('study "T" {  # unfinished')
         assert str(exc.value) == '1:26: unexpected end of file (expected "node")'
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # A string token starts at its opening quote, here the first
+            # token of its line.
+            ('study "T" {\n  "x"\n', "2:3: unexpected 'x' (expected \"node\")"),
+            ('"T"', "1:1: unexpected 'T' (expected \"study\")"),
+            # CRLF ends a line as LF does, and a tab is one column.
+            ('study "T" {\r\n\tnode A {\r\n\t\t?', "3:3: unexpected character '?'"),
+            ('study # "not a string\n  "T {', "2:3: unterminated string"),
+        ],
+    )
+    def test_error_position_of_a_token(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_study(text)
+        assert str(exc.value) == message
+
     def test_overlong_integer_literal_points_at_its_token(self):
         # Longer than int() converts by default (4,300 digits).
         text = MINIMAL.replace("treatment;", "treatment; values: 0, " + "9" * 5000 + ";")

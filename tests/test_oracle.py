@@ -255,6 +255,13 @@ class TestBatteryScript:
         assert err.startswith("error: [Errno 2] No such file or directory: ")
         assert err.count("\n") == 1
 
+    def test_refused_model_exits_as_simulate_does(self, capsys):
+        code = _battery_script().main(["--seeds", "1", "--studies", "enumeration_cap.swg"])
+        assert code == 7
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 10000000 noise configurations exceed the cap of 1000000\n"
+
 
 class TestConditionalIndependence:
     def test_exact_ci_matches_dsep_on_the_itt_model(self):

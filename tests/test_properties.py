@@ -845,9 +845,23 @@ def test_table_checks_match_the_character_walk(text):
     assert _spec_or_error(parse_study, text) == expected
 
 
+def _reference_tokens(text):
+    return [(t.kind, t.text, t.line, t.col) for t in reference_dsl._tokenize(text)]
+
+
+def _dsl_tokens(text):
+    """dsl._tokenize's kinds, texts and start offsets as the reference's
+    (kind, text, line, col) tuples."""
+    kinds, texts, starts = dsl._tokenize(text)
+    return [
+        (kind, token, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
+        for kind, token, start in zip(kinds, texts, starts)
+    ]
+
+
 def _tokens_or_error(tokenize, text):
     try:
-        tokens = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        tokens = tokenize(text)
     except Exception as e:  # compared by type and message with the reference
         return type(e), str(e)
     if "#" in text.rsplit("\n", 1)[-1]:  # see _spec_or_error
@@ -861,5 +875,5 @@ TOKEN_ALPHABET = st.sampled_from(list('ab_Z09-->:=;{}()",/# \t\r\n²½Ⅻ١é\f\
 @settings(max_examples=500)
 @given(st.text(TOKEN_ALPHABET, max_size=30))
 def test_tokenizer_matches_the_character_walk(text):
-    expected = _tokens_or_error(reference_dsl._tokenize, text)
-    assert _tokens_or_error(dsl._tokenize, text) == expected
+    expected = _tokens_or_error(_reference_tokens, text)
+    assert _tokens_or_error(_dsl_tokens, text) == expected
