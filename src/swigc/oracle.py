@@ -29,15 +29,15 @@ summed out at its node and no unit is ever built whole:
 
 Readers group the integer masses with ``_Law.given``, once per expectation,
 SumOver weight or marginal; a Fraction is built only where a reader divides.
-The guards come in the order the row enumerator applies them: a missing
-equation, the cap on the product of the declared noise supports, then a
-missing table entry, reported as the first failure in row order.
-check_soundness builds one law over every column its readers need.
+The guards come in the order the units apply them: a missing equation,
+the cap on the product of the declared noise supports, then a missing
+table entry, reported as the first failure in row order.  check_soundness
+builds one law over every column its readers need.
 
-enumerate_table still materializes one row per unit (noise
-configuration); write_csv lays those rows out with the counterfactual
-columns next to the factual ones, as a teaching/debugging view.  No
-reader scans the rows.
+No row table is built.  PotentialOutcomeTable.units streams one row per
+unit (noise configuration); write_csv writes each as it comes, with the
+counterfactual columns next to the factual ones, as a teaching/debugging
+view, and validate_consistency checks each.  No other reader reads them.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import lcm, prod
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyStratum,
@@ -94,10 +95,59 @@ class TableRow:
 
 @dataclass(frozen=True)
 class PotentialOutcomeTable:
+    """A model and its worlds, the observed world () first; ``units``
+    streams the rows, and none is held."""
+
     graph: CausalGraph
     scm: SCMSpec
     contexts: tuple[Context, ...]
-    rows: tuple[TableRow, ...]
+
+    def units(self) -> Iterator[TableRow]:
+        """One row per unit (noise configuration), in row order: the last
+        stochastic variable by name varies fastest.  A missing table entry
+        raises at the first unit, world and node that reads it."""
+        mechanisms, stochastic = _mechanisms(self.graph, self.scm)
+        # A slot per (variable, world) column, world by world in topological
+        # order, then one per stochastic variable's noise; ``template``
+        # holds the pinned values.  A step evaluates one unpinned column.
+        columns = [(base, ctx) for ctx in self.contexts for base, _, _ in mechanisms]
+        slot = {c: j for j, c in enumerate(columns + [(b, None) for b in stochastic])}
+        template = [0] * len(slot)
+        steps = []
+        for ctx in self.contexts:
+            pinned = dict(ctx)
+            for base, rule, eq in mechanisms:
+                at = slot[(base, ctx)]
+                if base in pinned:
+                    template[at] = pinned[base]
+                    continue
+                if rule is not None:
+                    reads = [slot[(rule.source, ctx)], slot[(rule.guard, ctx)]]
+                else:
+                    reads = [slot[(p, ctx)] for p in eq.parents] + [slot[(base, None)]]
+                # A key of one value is a tuple too.
+                read = itemgetter(*reads) if len(reads) > 1 else lambda v, j=reads[0]: (v[j],)
+                steps.append((at, read, rule, eq, base))
+        noise_slots = slice(len(columns), None)
+        # (value, numerator, denominator) per noise value of each variable
+        noise = [
+            [(v, *Fraction(p).as_integer_ratio()) for v, p in self.scm.equations[b].noise]
+            for b in stochastic
+        ]
+        for picks in product(*noise):
+            values = template.copy()
+            values[noise_slots] = [v for v, _, _ in picks]
+            for at, read, rule, eq, base in steps:
+                key = read(values)
+                try:
+                    values[at] = eq.table[key] if rule is None else rule.apply(*key)
+                except KeyError:
+                    raise OracleError(
+                        f"table for {base} has no entry for {key}; the data model"
+                        " does not cover this intervention"
+                    ) from None
+            weight = Fraction(prod([n for _, n, _ in picks]), prod([d for _, _, d in picks]))
+            yield TableRow(weight=weight, values=dict(zip(columns, values)))
 
 
 def _check_size(total: int) -> None:
@@ -138,43 +188,13 @@ def _mechanisms(graph: CausalGraph, scm: SCMSpec) -> tuple[list[Mechanism], list
 def enumerate_table(
     graph: CausalGraph, scm: SCMSpec, contexts: Sequence[Context] = ()
 ) -> PotentialOutcomeTable:
-    """Materialize the joint table; the observed world () is always included."""
+    """The table of ``contexts``' worlds, the observed world () first.  It
+    refuses what its units would, in their order: a missing equation, the
+    cap, then a missing table entry, which one forward pass finds.  So a
+    returned table streams its units without error."""
     worlds = _worlds(contexts)
-    mechanisms, stochastic = _mechanisms(graph, scm)
-
-    def evaluate(noise_val: Mapping[str, int], ctx: Context) -> dict[str, int]:
-        pinned = dict(ctx)
-        out: dict[str, int] = {}
-        for base, rule, eq in mechanisms:
-            if base in pinned:
-                out[base] = pinned[base]
-            elif rule is not None:
-                out[base] = rule.apply(out[rule.source], out[rule.guard])
-            else:
-                key = tuple(out[p] for p in eq.parents) + (noise_val[base],)
-                try:
-                    out[base] = eq.table[key]
-                except KeyError:
-                    raise OracleError(
-                        f"table for {base} has no entry for {key}; the data model"
-                        " does not cover this intervention"
-                    ) from None
-        return out
-
-    rows: list[TableRow] = []
-    choices = [scm.equations[b].noise for b in stochastic]
-    for picks in product(*choices):
-        weight = prod((p for _, p in picks), start=Fraction(1))
-        noise_val = {b: v for b, (v, _) in zip(stochastic, picks)}
-        values: dict[tuple[str, Context], int] = {}
-        for ctx in worlds:
-            out = evaluate(noise_val, ctx)
-            for base, v in out.items():
-                values[(base, ctx)] = v
-        rows.append(TableRow(weight=weight, values=values))
-    return PotentialOutcomeTable(
-        graph=graph, scm=scm, contexts=tuple(worlds), rows=tuple(rows)
-    )
+    _law(graph, scm, worlds, ())
+    return PotentialOutcomeTable(graph=graph, scm=scm, contexts=tuple(worlds))
 
 
 @dataclass(frozen=True)
@@ -212,9 +232,10 @@ def _law(
     try:
         law = _forward(mechanisms, worlds, columns)
     except KeyError:
-        # Some unit misses a table entry; the row enumerator names the
-        # first one in row order.
-        enumerate_table(graph, scm, worlds)
+        # Some unit misses a table entry; the units, read up to the first
+        # that fails, name it.
+        for _ in PotentialOutcomeTable(graph, scm, tuple(worlds)).units():
+            pass
         raise
     for var, _ in columns:
         graph.node(var)  # raises UnknownNode for a variable the graph lacks
@@ -588,19 +609,15 @@ def validate_consistency(table: PotentialOutcomeTable) -> list[str]:
     world's assignments, that world's values must equal the observed ones."""
     problems: list[str] = []
     bases = [n.base for n in table.graph.topological_order()]
-    for i, row in enumerate(table.rows, start=1):
+    for i, row in enumerate(table.units(), start=1):
         for ctx in table.contexts:
-            if not ctx:
-                continue
-            if any(row.values[(v, ())] != x for v, x in ctx):
+            if not ctx or any(row.values[(v, ())] != x for v, x in ctx):
                 continue
             for base in bases:
-                got = row.values[(base, ctx)]
-                obs = row.values[(base, ())]
+                got, obs = row.values[(base, ctx)], row.values[(base, ())]
                 if got != obs:
                     problems.append(
-                        f"row {i}: {format_term(base, ctx)}={got}"
-                        f" but observed {base}={obs}"
+                        f"row {i}: {format_term(base, ctx)}={got} but observed {base}={obs}"
                     )
     return problems
 
@@ -636,33 +653,15 @@ def conditionally_independent(
 
 
 def write_csv(table: PotentialOutcomeTable, out: IO[str]) -> None:
-    """One unit per row: id, counterfactual columns, observed columns, weight."""
+    """One unit per row, written as it streams: id, counterfactual
+    columns, observed columns, weight."""
     g = table.graph
-    topo = [n.base for n in g.topological_order()]
+    observed = [n.base for n in g.topological_order() if g.attr(n).observed]
     intervened = {v for ctx in table.contexts for v, _ in ctx}
-    affected = set()
-    for var in intervened:
-        affected |= {d.base for d in g.descendants(g.node(var))}
-    cf_cols: list[tuple[str, Context]] = []
-    for ctx in table.contexts:
-        if not ctx:
-            continue
-        for base in topo:
-            if base in affected and g.attr(g.node(base)).observed:
-                cf_cols.append((base, ctx))
-    obs_cols = [b for b in topo if g.attr(g.node(b)).observed]
-
+    affected = {d.base for v in intervened for d in g.descendants(g.node(v))}
+    cf_cols = [(b, ctx) for ctx in table.contexts if ctx for b in observed if b in affected]
+    cells = cf_cols + [(b, ()) for b in observed]
     writer = csv.writer(out)
-    writer.writerow(
-        ["id"]
-        + [format_term(b, ctx) for b, ctx in cf_cols]
-        + obs_cols
-        + ["weight"]
-    )
-    for i, row in enumerate(table.rows, start=1):
-        writer.writerow(
-            [i]
-            + [row.values[(b, ctx)] for b, ctx in cf_cols]
-            + [row.values[(b, ())] for b in obs_cols]
-            + [str(row.weight)]
-        )
+    writer.writerow(["id", *(format_term(b, ctx) for b, ctx in cf_cols), *observed, "weight"])
+    for i, row in enumerate(table.units(), start=1):
+        writer.writerow([i, *map(row.values.__getitem__, cells), str(row.weight)])

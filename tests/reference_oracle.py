@@ -1,11 +1,15 @@
 """The row-table oracle, kept as the reference for the forward pass.
 
+``swigc.oracle`` builds no row table; ``PotentialOutcomeTable.units``
+streams the rows.  The row table lives here only: a reader that scans
+the rows more than once builds ``tuple(table.units())`` once.
+
 ``true_estimand``, ``eval_formula``, ``joint_probability`` and
 ``conditionally_independent`` here are the readers ``swigc.oracle`` used
 to ship: each rescans every row of the table for every mean, formula
 cell or probability it needs.  ``table_law`` is the one-pass row scan
 that replaced them, and ``check_soundness`` the soundness check built on
-the row table: it enumerates every unit with ``enumerate_table``, checks
+the row table: it enumerates the table with ``enumerate_table``, checks
 ``validate_consistency`` and reads the rows with the readers here.  The
 property tests require ``swigc.oracle`` to return exactly their values
 (``==`` on ``Fraction``s and reports), or to raise the same exception
@@ -28,6 +32,7 @@ from swigc.model import CounterfactualMean, StudySpec
 from swigc.oracle import (
     PotentialOutcomeTable,
     SoundnessReport,
+    TableRow,
     data_model,
     enumerate_table,
     naive_formula,
@@ -38,7 +43,7 @@ from swigc.oracle import (
 def table_law(table: PotentialOutcomeTable, columns: Sequence[tuple[str, Context]]) -> Counter:
     """Exact mass of each joint value of the (variable, world) ``columns``, in one pass."""
     law = Counter()
-    for row in table.rows:
+    for row in table.units():
         law[tuple([row.values[c] for c in columns])] += row.weight
     return law
 
@@ -54,7 +59,7 @@ def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fra
         raise OracleError("table was not enumerated for the stratum's world")
     num = Fraction(0)
     den = Fraction(0)
-    for row in table.rows:
+    for row in table.units():
         if stratum is not None:
             if row.values[(stratum.var, stratum.context)] != stratum.value:
                 continue
@@ -80,6 +85,7 @@ def eval_formula(
     bindings: Mapping[str, int] | None = None,
 ) -> Fraction:
     """Evaluate an observational formula against the observed joint law."""
+    rows = tuple(table.units())
 
     def check_observational(term: Term) -> None:
         if term.context:
@@ -96,7 +102,7 @@ def eval_formula(
                 wanted.append((e.term.var, _event_value(e, binds)))
             num = Fraction(0)
             den = Fraction(0)
-            for row in table.rows:
+            for row in rows:
                 if all(row.values[(v, ())] == x for v, x in wanted):
                     den += row.weight
                     num += row.weight * row.values[(f.term.var, ())]
@@ -109,10 +115,10 @@ def eval_formula(
             supports = []
             for var, _ in f.bindings:
                 check_observational(Term(var))
-                supports.append(sorted({row.values[(var, ())] for row in table.rows}))
+                supports.append(sorted({row.values[(var, ())] for row in rows}))
             for combo in product(*supports):
                 weight = Fraction(0)
-                for row in table.rows:
+                for row in rows:
                     if all(
                         row.values[(var, ())] == val
                         for (var, _), val in zip(f.bindings, combo)
@@ -132,11 +138,9 @@ def eval_formula(
     return ev(formula, dict(bindings or {}))
 
 
-def joint_probability(
-    table: PotentialOutcomeTable, assignment: Mapping[str, int]
-) -> Fraction:
+def joint_probability(rows: Sequence[TableRow], assignment: Mapping[str, int]) -> Fraction:
     mass = Fraction(0)
-    for row in table.rows:
+    for row in rows:
         if all(row.values[(v, ())] == x for v, x in assignment.items()):
             mass += row.weight
     return mass
@@ -146,19 +150,21 @@ def conditionally_independent(
     table: PotentialOutcomeTable, x: str, y: str, z: Sequence[str]
 ) -> bool:
     """Exact conditional independence of two variables in the full joint law."""
+    rows = tuple(table.units())
+
     def support(var: str) -> list[int]:
-        return sorted({row.values[(var, ())] for row in table.rows})
+        return sorted({row.values[(var, ())] for row in rows})
 
     for z_combo in product(*(support(v) for v in z)):
         base = dict(zip(z, z_combo))
-        pz = joint_probability(table, base)
+        pz = joint_probability(rows, base)
         if pz == 0:
             continue
         for xv in support(x):
             for yv in support(y):
-                pxy = joint_probability(table, {**base, x: xv, y: yv})
-                px = joint_probability(table, {**base, x: xv})
-                py = joint_probability(table, {**base, y: yv})
+                pxy = joint_probability(rows, {**base, x: xv, y: yv})
+                px = joint_probability(rows, {**base, x: xv})
+                py = joint_probability(rows, {**base, y: yv})
                 if pxy * pz != px * py:
                     return False
     return True

@@ -87,7 +87,7 @@ def test_04_composite_endpoint_folds_into_one_variable():
     for seed in range(100):
         scm = random_scm(study.graph, seed)
         table = enumerate_table(compiled.graph, scm, contexts=contexts)
-        for row in table.rows:
+        for row in table.units():
             for ctx in [()] + contexts:
                 y = row.values[("Y", ctx)]
                 m = row.values[("M", ctx)]

@@ -248,6 +248,25 @@ class TestSimulate:
         assert lines[9] == "study: Principal stratum"
         assert lines[-1] == "verdict: sound"
 
+    @pytest.mark.parametrize("csv", [None, "-", "table.csv"])
+    def test_missing_table_entry(self, run_cli, tmp_path, csv):
+        # A is always 0 in the observed world, so Y's table covers only A=0.
+        spec = tmp_path / "missing.swg"
+        spec.write_text(spec_text("simplest.swg").replace(
+            "A := noise { 0: 1/2; 1: 1/2; };", "A := noise { 0: 1; };"
+        ).replace(
+            "(0, 0) -> 0; (0, 1) -> 1; (1, 0) -> 1; (1, 1) -> 1;", "(0, 0) -> 0; (0, 1) -> 1;"
+        ))
+        target = tmp_path / "table.csv"
+        argv = [] if csv is None else ["--csv", "-" if csv == "-" else str(target)]
+        res = run_cli("simulate", str(spec), *argv)
+        assert (res.code, res.out) == (1, "")
+        assert res.err == (
+            "error: table for Y has no entry for (1, 0); the data model"
+            " does not cover this intervention\n"
+        )
+        assert not target.exists()
+
     def test_csv_to_stdout_with_json_is_rejected(self, run_cli):
         # Both would go to stdout, which carries one JSON object under --json.
         res = run_cli("simulate", spec_path("principal_stratum.swg"), "--csv", "-", "--json")

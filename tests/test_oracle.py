@@ -1,8 +1,11 @@
 """Exact enumeration oracle: frozen study values, error surfaces, batteries."""
 
-import dataclasses
+import hashlib
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -23,8 +26,10 @@ from swigc.formula import Difference, Event, Expect, SumOver, Term, render, term
 from swigc.graph import CausalGraph
 from swigc.model import CounterfactualMean
 from swigc.oracle import (
+    PotentialOutcomeTable,
     check_soundness,
     conditionally_independent,
+    data_model,
     enumerate_table,
     eval_formula,
     naive_formula,
@@ -89,19 +94,32 @@ class TestFrozenStudyValues:
         assert (left, right) == (F(1, 2), F(0))
 
 
+# sha256 of each export, recorded when the row table was still built whole.
+CSV_DIGESTS = {
+    "simplest": "1b3bbf72c09a35585e1640fe2b23cffa11c4f0ec148d15b74f32d303974e32d2",
+    "itt": "feaef4e66b9779b797ba1abfbff1061abf3f637f0f9860433884ba2718ad4219",
+    "hypothetical_unobserved": "a3650411987debe0820ffb21fc30920e5b4661bb32c141272f0be61f6a48e9be",
+    "hypothetical_adjusted": "0fc7c8849e8abe0e3d1a74c2f71e35b2bf527e2519e3a6780d0749fbe36cc329",
+    "composite": "773a0fe8249f0ee885ce63560e95088941bd33843df5682360d35d18a6f2fcb3",
+    "principal_stratum": "5ceb2bf8cbb4c917530813a31e93f588103d7210c9df90ff68fba4c52f79e7c1",
+    "chronic_pain": "26b48470b849017b5ec0fee1e041d7460c9fdc1c144e185c809f4c22c655bb75",
+    "chain_12": "5aa9b6eff501a9e3b2f01e7f08a08efa2f16017a6edc2efda8fba642085727a1",
+}
+
+
 class TestTableMechanics:
     def test_composite_rows_satisfy_the_endpoint_rule(self):
         study = load_study("composite.swg")
         compiled = compile_study(study)
         table = enumerate_table(compiled.graph, study.scm)
-        for row in table.rows:
+        for row in table.units():
             y, m = row.values[("Y", ())], row.values[("M", ())]
             assert row.values[("U", ())] == (y if m == 0 else 0)
 
     def test_weights_sum_to_one(self):
         study = load_study("hypothetical_adjusted.swg")
         table = enumerate_table(study.graph, study.scm)
-        assert sum(row.weight for row in table.rows) == 1
+        assert sum(row.weight for row in table.units()) == 1
 
     def test_consistency_holds_on_own_models(self):
         study = load_study("itt.swg")
@@ -112,20 +130,16 @@ class TestTableMechanics:
         )
         assert validate_consistency(table) == []
 
-    def test_csv_export_is_frozen(self):
-        study = load_study("principal_stratum.swg")
+    @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
+    def test_csv_export_is_frozen(self, name):
+        """The whole export, as ``simulate --csv`` writes it: every world of
+        the estimand, on the study's own model or seed 0."""
+        study = chain_study(12) if name == "chain_12" else load_study(f"{name}.swg")
         compiled = compile_study(study)
-        table = enumerate_table(
-            compiled.graph, study.scm,
-            contexts=[compiled.arm_context(1), compiled.arm_context(0)],
-        )
+        model = data_model(compiled, None if study.scm else 0)
         buf = io.StringIO()
-        write_csv(table, buf)
-        assert buf.getvalue().splitlines()[:3] == [
-            "id,M(a=1),Y(a=1),M(a=0),Y(a=0),A,M,Y,weight",
-            "1,1,1,0,0,0,0,0,1/8",
-            "2,1,1,0,0,0,0,0,1/8",
-        ]
+        write_csv(enumerate_table(compiled.graph, model, compiled.worlds()), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CSV_DIGESTS[name]
 
 
 class TestEvalFormula:
@@ -275,20 +289,6 @@ class TestConditionalIndependence:
         assert not conditionally_independent(table, "A", "M", ())
 
 
-class _CountedRows(tuple):
-    """Table rows that count the passes made over them."""
-
-    passes = 0
-
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
-
-
-def _counted(table):
-    return dataclasses.replace(table, rows=_CountedRows(table.rows))
-
-
 def chain_study(n):
     """A treatment, n - 2 binary links and the outcome in one chain: 2**n units."""
     names = ["A"] + [f"X{i}" for i in range(1, n - 1)] + ["Y"]
@@ -344,18 +344,25 @@ class TestOnePass:
         assert report.sound and report.status == "identified"
         assert calls == {"enumerate_table": 0, "_law": 1}
 
-    def test_readers_never_scan_the_rows(self):
+    def test_readers_never_scan_the_rows(self, monkeypatch):
         study = load_study("chronic_pain.swg")
         compiled = compile_study(study)
-        table = _counted(
-            enumerate_table(compiled.graph, random_scm(compiled.graph, 3), compiled.worlds())
-        )
+        scans = 0
+        units = PotentialOutcomeTable.units
+
+        def counted(table):
+            nonlocal scans
+            scans += 1
+            return units(table)
+
+        monkeypatch.setattr(PotentialOutcomeTable, "units", counted)
+        table = enumerate_table(compiled.graph, random_scm(compiled.graph, 3), compiled.worlds())
         combined = identify_estimand(study, compiled).combined
         assert render(combined).startswith("Σ_c E[Y|A=1,C=c,M3=0,M4=0]·P(C=c)")
         eval_formula(table, combined)
         true_estimand(table, compiled.contrast.left)
         conditionally_independent(table, "A", "Y", ("C",))
-        assert table.rows.passes == 0
+        assert scans == 0
 
     @pytest.mark.parametrize(
         "study, combinations",
@@ -409,3 +416,73 @@ class TestOnePass:
             tracemalloc.stop()
         assert report.sound and report.gap == 0
         assert peak < 1_000_000
+
+    def test_csv_export_holds_one_row_at_a_time(self):
+        # 2**11 = 2,048 units; a held row table would take about 7 MB.
+        compiled = compile_study(chain_study(11))
+        scm = random_scm(compiled.graph, 0)
+        sink = _LineCounter()
+        tracemalloc.start()
+        try:
+            write_csv(enumerate_table(compiled.graph, scm, compiled.worlds()), sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.lines == 1 + 2**11
+        assert peak < 1_000_000
+
+    def test_missing_last_entry_is_named_without_a_row_table(self):
+        # 100,000 units, and only the last misses its table entry.  A fresh
+        # interpreter reports its peak RSS growth: a held row table grows it
+        # by 40 MB or more.  (Tracing every allocation would slow the scan
+        # of the units tenfold.)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", MISSING_LAST_ENTRY], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        message, growth_kb = done.stdout.splitlines()
+        assert message == (
+            "table for Y has no entry for (1, 49999); the data model"
+            " does not cover this intervention"
+        )
+        assert int(growth_kb) < 20_000
+
+
+class _LineCounter:
+    """A text sink that keeps nothing but the number of lines written."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+# Y reads A and one of 50,000 noise values; the table misses (1, 49999).
+MISSING_LAST_ENTRY = """
+import resource
+from fractions import Fraction
+from swigc.dsl import parse_study
+from swigc.errors import OracleError
+from swigc.model import SCMSpec, StructuralEquation
+from swigc.oracle import _law
+
+graph = parse_study(
+    'study "Wide" { node A { role: treatment; } node Y { role: outcome; }'
+    ' edges { A -> Y; } estimand mean_difference(Y; A = 1 vs A = 0); }'
+).graph
+n, half = 50_000, Fraction(1, 2)
+table = {(a, u): u % 2 for a in (0, 1) for u in range(n)}
+del table[(1, n - 1)]
+scm = SCMSpec({
+    "A": StructuralEquation((), ((0, half), (1, half)), {(0,): 0, (1,): 1}),
+    "Y": StructuralEquation(("A",), tuple((u, Fraction(1, n)) for u in range(n)), table),
+})
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    _law(graph, scm, (), [("Y", ())])
+except OracleError as e:
+    print(e)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""

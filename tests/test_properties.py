@@ -292,7 +292,7 @@ def test_random_model_tables_sum_to_one(data):
     graph = data.draw(dags(max_nodes=3))
     seed = data.draw(st.integers(min_value=0, max_value=1000))
     table = enumerate_table(graph, random_scm(graph, seed))
-    assert sum(row.weight for row in table.rows) == 1
+    assert sum(row.weight for row in table.units()) == 1
 
 
 @given(st.sampled_from(STUDY_FILES))
