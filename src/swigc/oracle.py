@@ -14,25 +14,38 @@ summed out at its node and no unit is ever built whole:
 - The state maps each joint value of the live columns to an integer mass.
   All masses share one denominator: the product, over stochastic nodes,
   of the lcm of that node's noise denominators.
+- A world reaches the nodes it pins and, through their parents, their
+  descendants.  A copy the world does not reach has the observed copy's
+  noise and parent values, so it is the observed column, shared rather
+  than copied (``_aliases``); every column a step reads, keeps or is asked
+  for goes through that map.
 - At each node, every state is expanded by each noise value (a
-  deterministic rule gives one step) and the node is evaluated in every
-  world: a pinned value, the composite rule, or a table lookup.
+  deterministic rule gives one step) and the node is evaluated in the
+  observed world and in each world that reaches it: a pinned value, the
+  composite rule, or a table lookup.  A shared copy's lookup is the
+  observed one, so a missing entry is still met.
 - Each column that no later node reads, no query wants and no
   consistency check needs is then dropped, which merges the states that
   differed only there.
 - States of mass zero are kept: errors reached only through zero-weight
   noise still raise, and conditionally_independent reads the law's keys.
-- Consistency is checked, not assumed.  Once a world's copy of a node,
-  its observed copy and the observed values of the world's intervened
-  variables are all known, the two copies must agree wherever those
-  observed values match the world's assignments.
+- Consistency is checked, not assumed, on the copies that can differ: a
+  world's reached, unpinned copies.  (A shared copy is the observed one,
+  and a pinned copy holds the value the check's condition gives the
+  observed one.)  Once such a copy, its observed copy and the observed
+  values of the world's intervened variables are all known, the two
+  copies must agree wherever those observed values match the world's
+  assignments.
 
-Readers group the integer masses with ``_Law.given``, once per expectation,
-SumOver weight or marginal; a Fraction is built only where a reader divides.
-The guards come in the order the units apply them: a missing equation,
-the cap on the product of the declared noise supports, then a missing
-table entry, reported as the first failure in row order.  check_soundness
-builds one law over every column its readers need.
+Readers group the integer masses with ``_Law.given``; a Fraction is built
+only where a reader divides.  check_soundness builds one law over every
+column its readers need, reads each arm's mean from it, and hands the
+formulas its marginal over their observed variables (``_Law.over``); a
+formula groups that marginal once per distinct (columns, weighting
+column), which its two arms share.  The guards come in the order the
+units apply them: a missing equation, the cap on the product of the
+declared noise supports, then a missing table entry, reported as the
+first failure in row order.
 
 No row table is built.  PotentialOutcomeTable.units streams one row per
 unit (noise configuration); write_csv writes each as it comes, with the
@@ -125,9 +138,7 @@ class PotentialOutcomeTable:
                     reads = [slot[(rule.source, ctx)], slot[(rule.guard, ctx)]]
                 else:
                     reads = [slot[(p, ctx)] for p in eq.parents] + [slot[(base, None)]]
-                # A key of one value is a tuple too.
-                read = itemgetter(*reads) if len(reads) > 1 else lambda v, j=reads[0]: (v[j],)
-                steps.append((at, read, rule, eq, base))
+                steps.append((at, _getter(reads), rule, eq, base))
         noise_slots = slice(len(columns), None)
         # (value, numerator, denominator) per noise value of each variable
         noise = [
@@ -199,10 +210,12 @@ def enumerate_table(
 
 @dataclass(frozen=True)
 class _Law:
-    """Integer masses of the joint values of ``columns`` over one shared
-    ``denominator``, and whether every consistency check held."""
+    """Integer masses of the joint values of the law's columns over one
+    shared ``denominator``, and whether every consistency check held.
+    ``positions`` gives each column's position in a key; copies that share
+    a column share its position."""
 
-    columns: tuple[Column, ...]
+    positions: Mapping[Column, int]
     masses: Mapping[tuple[int, ...], int]
     denominator: int
     consistent: bool
@@ -211,15 +224,31 @@ class _Law:
         """(mass, sum of mass times the value at ``at``, 0 without it) for
         each joint value of ``columns``, zero masses included; ``columns``
         and ``at`` are among this law's."""
-        index = {c: i for i, c in enumerate(self.columns)}
-        picks = [index[c] for c in columns]
-        j = None if at is None else index[at]
+        pick = _getter([self.positions[c] for c in columns])
+        j = None if at is None else self.positions[at]
         cells: Cells = {}
         for key, mass in self.masses.items():
-            cell = tuple([key[i] for i in picks])
+            cell = pick(key)
             m, total = cells.get(cell, (0, 0))
             cells[cell] = (m + mass, total if j is None else total + mass * key[j])
         return cells
+
+    def over(self, columns: Sequence[Column]) -> _Law:
+        """The marginal law of ``columns``, zero masses included."""
+        masses = {cell: mass for cell, (mass, _) in self.given(columns).items()}
+        positions = {c: i for i, c in enumerate(columns)}
+        return _Law(positions, masses, self.denominator, self.consistent)
+
+
+def _getter(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The tuple of a key's values at ``positions``; itemgetter gives a
+    bare value for one position and needs at least one."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        j = positions[0]
+        return lambda key: (key[j],)
+    return lambda key: ()
 
 
 def _law(
@@ -242,30 +271,57 @@ def _law(
     return law
 
 
+def _parents(rule: CompositeRule | None, eq: StructuralEquation | None) -> Sequence[str]:
+    return (rule.source, rule.guard) if rule is not None else eq.parents
+
+
+def _aliases(mechanisms: list[Mechanism], worlds: Sequence[Context]) -> dict[Column, Column]:
+    """The column that holds each node's copy in each world.  A world
+    reaches the nodes it pins and, through their parents, their
+    descendants; a copy the world does not reach has the observed copy's
+    noise and parent values, so it is the observed column."""
+    aliases: dict[Column, Column] = {}
+    for ctx in worlds:
+        pinned = dict(ctx)
+        reached: set[str] = set()
+        for base, rule, eq in mechanisms:
+            if base in pinned or not reached.isdisjoint(_parents(rule, eq)):
+                reached.add(base)
+                aliases[(base, ctx)] = (base, ctx)
+            else:
+                aliases[(base, ctx)] = (base, ())
+    return aliases
+
+
 def _forward(
     mechanisms: list[Mechanism], worlds: list[Context], columns: Sequence[Column]
 ) -> _Law:
     """The pass itself; a missing table entry raises KeyError."""
     step = {base: i for i, (base, _, _) in enumerate(mechanisms)}
-    last = dict.fromkeys(columns, len(mechanisms))  # the last step that needs each column
+    alias = _aliases(mechanisms, worlds)
+    # the last step that needs each column; a copy of a world the pass
+    # does not have, or of a variable the graph lacks, is its own column
+    last = {alias.get(c, c): len(mechanisms) for c in columns}
 
     def need(column: Column, at: int) -> None:
         last[column] = max(last.get(column, -1), at)
 
     # Per step: the worlds that pin the node, with the pinned value, and
-    # the worlds that evaluate it, with the columns it reads there.
+    # the observed world and the worlds that reach the node without pinning
+    # it, with the columns it reads there.
     pins: list[list[tuple[Context, int]]] = []
     reads: list[list[tuple[Context, list[Column]]]] = []
     for i, (base, rule, eq) in enumerate(mechanisms):
-        parents = (rule.source, rule.guard) if rule is not None else eq.parents
         pins.append([])
         reads.append([])
         for ctx in worlds:
+            if alias[(base, ctx)] != (base, ctx):
+                continue
             pinned = dict(ctx)
             if base in pinned:
                 pins[i].append((ctx, pinned[base]))
             else:
-                inputs = [(p, ctx) for p in parents]
+                inputs = [alias[(p, ctx)] for p in _parents(rule, eq)]
                 reads[i].append((ctx, inputs))
                 for column in inputs:
                     need(column, i)
@@ -273,12 +329,19 @@ def _forward(
     # Per step: the worlds whose copies of these nodes are checked against
     # the observed copies on the states that step leaves, the first where
     # the observed values of the world's intervened variables are known too.
+    # Only a copy the world reaches and does not pin can differ: a shared
+    # copy is the observed column, and a pinned one holds the world's value,
+    # which the observed copy has wherever the check applies.
     checks: list[dict[Context, list[str]]] = [{} for _ in mechanisms]
     for ctx in worlds[1:]:
         if any(v not in step for v, _ in ctx):
             continue
+        pinned = dict(ctx)
+        after = max(step[v] for v in pinned)
         for base, at in step.items():
-            at = max(at, *(step[v] for v, _ in ctx))
+            if base in pinned or alias[(base, ctx)] != (base, ctx):
+                continue
+            at = max(at, after)
             checks[at].setdefault(ctx, []).append(base)
             for column in ((base, ctx), (base, ()), *((v, ()) for v, _ in ctx)):
                 need(column, at + 1)
@@ -290,41 +353,43 @@ def _forward(
     consistent = True
     for i, (base, rule, eq) in enumerate(mechanisms):
         if rule is None:
-            scale = lcm(*(Fraction(p).denominator for _, p in eq.noise))
-            weights = [int(Fraction(p) * scale) for _, p in eq.noise]
+            scale = lcm(*(p.denominator for _, p in eq.noise))
+            weights = [p.numerator * (scale // p.denominator) for _, p in eq.noise]
             denominator *= scale
         else:
             weights = [1]
         outcomes = _outcomes(rule, eq)
-        picks = [[at[c] for c in inputs] for _, inputs in reads[i]]
+        picks = [_getter([at[c] for c in inputs]) for _, inputs in reads[i]]
         grown = live + [(base, ctx) for ctx, _ in reads[i]] + [(base, ctx) for ctx, _ in pins[i]]
         fixed = tuple(x for _, x in pins[i])
-        keep = [j for j, c in enumerate(grown) if last.get(c, -1) > i]
+        kept = [j for j, c in enumerate(grown) if last.get(c, -1) > i]
+        keep = _getter(kept)
         memo: dict[tuple[int, ...], tuple[int, ...]] = {}
         nxt: dict[tuple[int, ...], int] = {}
         for key, mass in states.items():
             per_world = []
             for pick in picks:
-                parents = tuple([key[j] for j in pick])
+                parents = pick(key)
                 out = memo.get(parents)
                 if out is None:
                     out = memo[parents] = outcomes(parents)
                 per_world.append(out)
             for weight, new in zip(weights, zip(*per_world)):
-                full = key + new + fixed
-                cell = tuple([full[j] for j in keep])
+                cell = keep(key + new + fixed)
                 nxt[cell] = nxt.get(cell, 0) + mass * weight
         states = nxt
-        live = [grown[j] for j in keep]
+        live = [grown[j] for j in kept]
         at = {c: j for j, c in enumerate(live)}
         for ctx, bases in checks[i].items():
-            held = [(at[(v, ())], x) for v, x in ctx]
-            pairs = [(at[(b, ctx)], at[(b, ())]) for b in bases]
+            held = _getter([at[(v, ())] for v, _ in ctx])
+            values = tuple(x for _, x in ctx)
+            copies = _getter([at[(b, ctx)] for b in bases])
+            observed = _getter([at[(b, ())] for b in bases])
             consistent = consistent and all(
-                any(key[c] != x for c, x in held) or all(key[w] == key[o] for w, o in pairs)
-                for key in states
+                held(key) != values or copies(key) == observed(key) for key in states
             )
-    return _Law(tuple(live), states, denominator, consistent)
+    positions = {**at, **{c: at[alias[c]] for c in columns if c in alias}}
+    return _Law(positions, states, denominator, consistent)
 
 
 def _outcomes(
@@ -391,13 +456,16 @@ def _formula_value(
     bindings: Mapping[str, int] | None,
     law: _Law,
 ) -> Fraction:
-    """``formula``'s value; each Expect and SumOver node groups ``law`` once."""
-    groups: dict[Formula, Cells] = {}
+    """``formula``'s value; each distinct (columns, at) groups ``law`` once,
+    so Expect and SumOver nodes that read the same cells share them."""
+    groups: dict[tuple[tuple[Column, ...], Column | None], Cells] = {}
+    seen: set[Formula] = set()
 
-    def grouped(f: Formula, names: Iterable[str], at: Column | None = None) -> Cells:
-        if f not in groups:
-            groups[f] = law.given([(v, ()) for v in names], at)
-        return groups[f]
+    def grouped(names: Iterable[str], at: Column | None = None) -> Cells:
+        key = (tuple((v, ()) for v in names), at)
+        if key not in groups:
+            groups[key] = law.given(*key)
+        return groups[key]
 
     def check_observational(term: Term) -> None:
         if term.context:
@@ -408,7 +476,8 @@ def _formula_value(
     def ev(f: Formula, binds: dict[str, int]) -> Fraction:
         # A node's terms are checked on its first evaluation only, before
         # it is grouped, in the order a full walk would check them.
-        first = f not in groups
+        first = f not in seen
+        seen.add(f)
         if isinstance(f, Expect):
             if first:
                 check_observational(f.term)
@@ -421,7 +490,7 @@ def _formula_value(
                 except KeyError:
                     raise OracleError(f"unbound symbol {e.value!r} in formula") from None
                 wanted.append((e.term.var, value))
-            cells = grouped(f, (v for v, _ in wanted), (f.term.var, ()))
+            cells = grouped((v for v, _ in wanted), (f.term.var, ()))
             mass, total = cells.get(tuple(x for _, x in wanted), (0, 0))
             if mass == 0:
                 shown = ",".join(f"{v}={x}" for v, x in wanted)
@@ -432,7 +501,7 @@ def _formula_value(
                 for var, _ in f.bindings:
                     check_observational(Term(var))
             out = Fraction(0)
-            for combo, (mass, _) in sorted(grouped(f, (v for v, _ in f.bindings)).items()):
+            for combo, (mass, _) in sorted(grouped(v for v, _ in f.bindings).items()):
                 if mass:
                     inner = {**binds, **{sym: val for (_, sym), val in zip(f.bindings, combo)}}
                     out += Fraction(mass, law.denominator) * ev(f.body, inner)
@@ -539,7 +608,8 @@ def check_soundness(
 
     With no ``seed``, the study's own data model is used.  One law over
     both arms' outcome and stratum columns and the observed variables of
-    both formulas serves every reader.
+    both formulas serves every reader; the formulas read its marginal
+    over those observed variables.
     """
     if compiled is None:
         compiled = compile_study(study)
@@ -550,21 +620,24 @@ def check_soundness(
     left, right = compiled.contrast.left, compiled.contrast.right
     naive = naive_formula(compiled)
     identified = report.status == "identified"
-    columns = _mean_columns(left) + _mean_columns(right) + _formula_columns(g, naive)
+    observed = _formula_columns(g, naive)
     if identified:
-        columns += _formula_columns(g, report.combined)
+        observed += _formula_columns(g, report.combined)
+    observed = list(dict.fromkeys(observed))
+    columns = _mean_columns(left) + _mean_columns(right) + observed
     law = _law(g, model, compiled.worlds(), list(dict.fromkeys(columns)))
 
     true_value = _mean_value(left, law) - _mean_value(right, law)
+    marginal = law.over(observed)
     formula_value = None
     gap = None
     if identified:
-        formula_value = _formula_value(g, report.combined, None, law)
+        formula_value = _formula_value(g, report.combined, None, marginal)
         gap = formula_value - true_value
     naive_value = None
     naive_gap = None
     try:
-        naive_value = _formula_value(g, naive, None, law)
+        naive_value = _formula_value(g, naive, None, marginal)
         naive_gap = naive_value - true_value
     except ZeroProbabilityCondition:
         pass

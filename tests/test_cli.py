@@ -1,10 +1,11 @@
 """End-to-end CLI behaviour: exit codes, text output, golden traces."""
 
+import importlib.util
 import json
 
 import pytest
 
-from conftest import STUDY_FILES, golden_text, spec_path, spec_text
+from conftest import ROOT, STUDY_FILES, golden_text, spec_path, spec_text
 
 IDENTIFY_EXITS = {
     "itt": 0,
@@ -382,3 +383,21 @@ def test_calls_share_one_parser(run_cli, monkeypatch):
     for argv in (["validate"], ["identify"], ["render", "--format", "dot"]):
         assert run_cli(argv[0], spec_path("itt.swg"), *argv[1:]).code == 0
     assert len(built) <= 1
+
+
+def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
+    path = ROOT / "scripts" / "cli_sweep.py"
+    spec = importlib.util.spec_from_file_location("cli_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.chdir(ROOT)
+    script.sweep()
+    first = capsys.readouterr().out
+    script.sweep()
+    assert capsys.readouterr().out == first
+    lines = first.splitlines()
+    assert len(lines) == len(script.corpus("OUT"))
+    # Every parseable study but the capped one writes its seeded table.
+    written = [line for line in lines if line.endswith("--seed 0 --csv OUT")]
+    assert [line.split()[0] for line in written].count("0") == len(STUDY_FILES) - 1
+    assert all(line.split()[3] != "-" for line in written if line.startswith("0 "))

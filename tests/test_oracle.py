@@ -313,13 +313,14 @@ def adjusted_study(k):
     return parse_study("\n".join(lines))
 
 
-def grouping_nodes(formula):
-    """The Expect and SumOver nodes of ``formula``."""
+def groupings(formula):
+    """The distinct (variables, mean variable) that the Expect and SumOver
+    nodes of ``formula`` group the law by."""
     if isinstance(formula, Difference):
-        return grouping_nodes(formula.left) + grouping_nodes(formula.right)
+        return groupings(formula.left) | groupings(formula.right)
     if isinstance(formula, SumOver):
-        return 1 + grouping_nodes(formula.body)
-    return 1
+        return {(tuple(v for v, _ in formula.bindings), None)} | groupings(formula.body)
+    return {(tuple(e.term.var for e in formula.given), formula.term.var)}
 
 
 class TestOnePass:
@@ -384,7 +385,9 @@ class TestOnePass:
 
         monkeypatch.setattr(oracle._Law, "given", counted)
         eval_formula(table, combined)
-        assert calls == grouping_nodes(combined)
+        # The two arms' SumOver nodes group by the same variables, and so do
+        # their Expect nodes: four nodes, two groupings.
+        assert calls == len(groupings(combined)) == 2
 
     def test_each_formula_node_checks_its_terms_once(self, monkeypatch):
         study = adjusted_study(6)
@@ -447,6 +450,32 @@ class TestOnePass:
             " does not cover this intervention"
         )
         assert int(growth_kb) < 20_000
+
+
+class TestSharedCopies:
+    """A world's copy of a node that none of its interventions reaches is
+    the observed column; the forward pass evaluates it once."""
+
+    def test_chronic_pain_arms_share_the_baseline_covariate(self):
+        compiled = compile_study(load_study("chronic_pain.swg"))
+        g = compiled.graph
+        scm = random_scm(g, 3)
+        worlds = oracle._worlds(compiled.worlds())
+        mechanisms, _ = oracle._mechanisms(g, scm)
+        aliases = oracle._aliases(mechanisms, worlds)
+        arms = worlds[1:]
+        assert [dict(w)["A"] for w in arms] == [1, 0]
+        columns = [(b, w) for w in worlds for b in ("C", "Y", "M3", "M4")]
+        law = oracle._law(g, scm, worlds, columns)
+        for w in arms:
+            assert aliases[("C", w)] == ("C", ())
+            assert law.positions[("C", w)] == law.positions[("C", ())]
+            assert aliases[("Y", w)] == ("Y", w)
+            assert law.positions[("Y", w)] != law.positions[("Y", ())]
+            for event in ("M3", "M4"):
+                assert dict(w)[event] == 0
+                assert aliases[(event, w)] == (event, w)
+                assert law.given([(event, w)]).keys() == {(0,)}
 
 
 class _LineCounter:

@@ -654,6 +654,34 @@ def test_forward_law_matches_the_row_scan(data):
     assert _value_or_message(forward, columns) == _value_or_message(rows, columns)
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_unreached_copies_share_the_observed_column(data):
+    """A world's copy of a node that the world neither sets nor reaches
+    through a set ancestor holds the observed column's position in the
+    forward law, and the row scan gives it the observed value on every
+    unit; the law stays consistent.  Besides random interventions, every
+    model is enumerated in a world that sets a sink, in that world again,
+    and in a world that sets a variable the graph lacks."""
+    graph = data.draw(oracle_graphs())
+    scm = random_scm(graph, data.draw(st.integers(min_value=0, max_value=10**6)))
+    names = sorted(n.base for n in graph.nodes)
+    sink = data.draw(st.sampled_from([n.base for n in graph.nodes if not graph.children(n)]))
+    contexts = data.draw(interventions(names)) + [((sink, 1),), ((sink, 1),), (("Z", 0),)]
+    columns = [(b, w) for w in [(), *contexts] for b in names]
+    law = _law(graph, scm, contexts, columns)
+    assert law.consistent
+    rows = list(enumerate_table(graph, scm, contexts).units())
+    for b, w in columns:
+        node, pinned = graph.node(b), {graph.node(v) for v, _ in w if graph.has_label(v)}
+        reached = node in pinned or bool(pinned & graph.ancestors(node))
+        shared = law.positions[(b, w)] == law.positions[(b, ())]
+        assert shared == (not reached)
+        if shared:
+            assert law.given([(b, w)]) == law.given([(b, ())])
+            assert all(row.values[(b, w)] == row.values[(b, ())] for row in rows)
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_row_enumerator_is_consistent(data):
