@@ -6,6 +6,10 @@ variable is a separate degenerate node that stores its own assignment.
 Plain DAGs use empty contexts everywhere, so the same type serves both
 ordinary causal graphs and single-world intervention graphs.
 
+Nodes are interned: there is one NodeId object per (base, context,
+fixed) in a process, so nodes compare and hash by identity, in C, and
+every set and dict keyed by nodes still means what its fields say.
+
 Every query with a choice to make breaks ties on the rendered node
 label, so results are stable across runs and platforms.
 """
@@ -105,7 +109,8 @@ def _check_attrs(name: str, attrs: NodeAttrs) -> NodeAttrs:
     if attrs.role not in ROLES:
         raise SemanticError(f"node {name}: unknown role {attrs.role!r}")
     if attrs.role == "latent":
-        attrs = replace(attrs, observed=False)
+        if attrs.observed:
+            attrs = replace(attrs, observed=False)
     elif not attrs.observed:
         if attrs.role != "covariate":
             raise SemanticError(f"node {name}: role {attrs.role} must be observed")
@@ -121,37 +126,47 @@ def _check_attrs(name: str, attrs: NodeAttrs) -> NodeAttrs:
     return attrs
 
 
-@dataclass(frozen=True)
+# The one node of each (base, context, fixed) made in this process.
+_NODES: dict[tuple[str, Context, bool], NodeId] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class NodeId:
     """Node identity: base variable, carried context, fixed marker.
 
     The fixed half of a split variable stores its own assignment as a
     one-entry context; that single entry is also what its label renders
     (``a`` for a symbolic level, ``a=1`` for a concrete one).
+
+    Nodes are interned: ``NodeId(base, context, fixed)`` returns the one
+    node with those fields, so nodes with equal fields are the same
+    object, ``==`` and ``hash`` are ``object``'s identity versions, and a
+    new node renders its label once.
     """
 
     base: str
     context: Context = ()
     fixed: bool = False
-    # Every graph query hashes nodes and every tie-break reads labels, so
-    # both are computed once, when the node is made.
-    label: str = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    label: str = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.fixed:
-            label = format_assignment(*self.context[0])
-        else:
-            label = format_term(self.base, self.context)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_hash", hash((self.base, self.context, self.fixed)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, base: str, context: Context = (), fixed: bool = False) -> NodeId:
+        key = (base, context, fixed)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "base", base)
+            object.__setattr__(node, "context", context)
+            object.__setattr__(node, "fixed", fixed)
+            label = format_assignment(*context[0]) if fixed else format_term(base, context)
+            object.__setattr__(node, "label", label)
+            # setdefault is one atomic step, so two threads making the same
+            # new node both get the one that was stored first.
+            node = _NODES.setdefault(key, node)
+        return node
 
     def __reduce__(self) -> tuple:
-        # A string hash differs between processes, so a pickle carries
-        # only the fields and the node is made afresh where it is loaded.
+        # pickle, copy, deepcopy and dataclasses.replace all make the node
+        # again from its fields, which returns the interned one.
         return NodeId, (self.base, self.context, self.fixed)
 
 
@@ -200,10 +215,11 @@ class CausalGraph:
             parents[v].append(u)
             children[u].append(v)
 
+        random_bases = {n.base for n in node_list if not n.fixed}
         for n in node_list:
             if n.fixed and parents[n]:
                 raise GraphError(f"fixed node {n.label!r} cannot have incoming edges")
-            if n.fixed and not any(m.base == n.base and not m.fixed for m in node_list):
+            if n.fixed and n.base not in random_bases:
                 raise GraphError(f"fixed node {n.label!r} has no random half in the graph")
 
         self.nodes: tuple[NodeId, ...] = tuple(node_list)
@@ -271,8 +287,10 @@ class CausalGraph:
         return len(self.nodes)
 
     def attr(self, node: NodeId) -> NodeAttrs:
-        self._require(node)
-        return self.attrs[node]
+        try:
+            return self.attrs[node]
+        except KeyError:
+            raise _unknown(node) from None
 
     def node(self, label: str) -> NodeId:
         try:
@@ -293,12 +311,16 @@ class CausalGraph:
         return found[0]
 
     def parents(self, node: NodeId) -> tuple[NodeId, ...]:
-        self._require(node)
-        return self._parents[node]
+        try:
+            return self._parents[node]
+        except KeyError:
+            raise _unknown(node) from None
 
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
-        self._require(node)
-        return self._children[node]
+        try:
+            return self._children[node]
+        except KeyError:
+            raise _unknown(node) from None
 
     def ancestors(self, node: NodeId) -> frozenset[NodeId]:
         """Strict ancestors of ``node`` (the node itself is excluded)."""
@@ -318,7 +340,8 @@ class CausalGraph:
     ) -> frozenset[NodeId]:
         seen = set(nodes)
         for n in seen:
-            self._require(n)
+            if n not in self.attrs:
+                raise _unknown(n)
         stack = list(seen)
         while stack:
             for m in step[stack.pop()]:
@@ -331,9 +354,9 @@ class CausalGraph:
         """Kahn layering; each layer is emitted in lexicographic label order."""
         return self._topo
 
-    def _require(self, node: NodeId) -> None:
-        if node not in self.attrs:
-            raise UnknownNode(f"no node labeled {node.label!r}")
+
+def _unknown(node: NodeId) -> UnknownNode:
+    return UnknownNode(f"no node labeled {node.label!r}")
 
 
 def build_graph(

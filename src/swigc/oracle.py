@@ -122,9 +122,16 @@ class PotentialOutcomeTable:
         mechanisms, stochastic = _mechanisms(self.graph, self.scm)
         # A slot per (variable, world) column, world by world in topological
         # order, then one per stochastic variable's noise; ``template``
-        # holds the pinned values.  A step evaluates one unpinned column.
+        # holds the pinned values.  A step evaluates one column that its
+        # world reaches and does not pin.  A copy its world does not reach
+        # is the observed column (``_aliases``): steps read it, and a row
+        # shows it, from the observed slot.  The observed world's steps run
+        # first with the same keys, so a missing entry still raises at the
+        # same unit, world and node.
         columns = [(base, ctx) for ctx in self.contexts for base, _, _ in mechanisms]
         slot = {c: j for j, c in enumerate(columns + [(b, None) for b in stochastic])}
+        alias = _aliases(mechanisms, self.contexts)
+        shown = _getter([slot[alias[c]] for c in columns])
         template = [0] * len(slot)
         steps = []
         for ctx in self.contexts:
@@ -134,10 +141,11 @@ class PotentialOutcomeTable:
                 if base in pinned:
                     template[at] = pinned[base]
                     continue
-                if rule is not None:
-                    reads = [slot[(rule.source, ctx)], slot[(rule.guard, ctx)]]
-                else:
-                    reads = [slot[(p, ctx)] for p in eq.parents] + [slot[(base, None)]]
+                if alias[(base, ctx)] != (base, ctx):
+                    continue
+                reads = [slot[alias[(p, ctx)]] for p in _parents(rule, eq)]
+                if rule is None:
+                    reads.append(slot[(base, None)])
                 steps.append((at, _getter(reads), rule, eq, base))
         noise_slots = slice(len(columns), None)
         # (value, numerator, denominator) per noise value of each variable
@@ -158,7 +166,7 @@ class PotentialOutcomeTable:
                         " does not cover this intervention"
                     ) from None
             weight = Fraction(prod([n for _, n, _ in picks]), prod([d for _, _, d in picks]))
-            yield TableRow(weight=weight, values=dict(zip(columns, values)))
+            yield TableRow(weight=weight, values=dict(zip(columns, shown(values))))
 
 
 def _check_size(total: int) -> None:

@@ -6,8 +6,11 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import uuid
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swigc.errors import CycleError, DuplicateName, UnknownEndpoint, UnknownNode
 from swigc.estimand import compile_study, study_swig
@@ -33,6 +36,15 @@ def diamond():
         [("A", None), ("B", None), ("C", None), ("D", None)],
         [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")],
     )
+
+
+# Small alphabets, so two drawn triples are often equal.
+_NAMES = st.sampled_from(["A", "M3", "Y", "Y_obs"])
+_ENTRIES = st.tuples(_NAMES, st.one_of(st.integers(-2, 2), st.sampled_from(["a", "m3"])))
+_TRIPLES = st.one_of(
+    st.tuples(_NAMES, st.lists(_ENTRIES, max_size=3).map(tuple), st.just(False)),
+    st.tuples(_NAMES, _ENTRIES.map(lambda e: (e,)), st.just(True)),
+)
 
 
 class TestNaming:
@@ -92,6 +104,58 @@ class TestNodeId:
         moved = dataclasses.replace(NodeId("Y", (("A", "a"),)), base="M")
         assert hash(moved) == hash(NodeId("M", (("A", "a"),)))
         assert moved.label == "M(a)"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_TRIPLES, _TRIPLES)
+    def test_a_node_is_the_one_object_of_its_fields(self, t, u):
+        n = NodeId(*t)
+        assert NodeId(*t) is n
+        assert (n == NodeId(*u)) == (t == u)
+        clones = (
+            pickle.loads(pickle.dumps(n)),
+            copy.copy(n),
+            copy.deepcopy(n),
+            dataclasses.replace(n),
+        )
+        assert all(c is n for c in clones)
+        base, context, fixed = t
+        assert n.label == (format_assignment(*context[0]) if fixed else format_term(base, context))
+
+    def test_nodes_compare_and_hash_by_identity(self):
+        assert NodeId.__hash__ is object.__hash__
+        assert NodeId.__eq__ is object.__eq__
+
+    def test_parsing_a_spec_twice_gives_the_same_nodes(self):
+        first, second = load_study("chronic_pain.swg"), load_study("chronic_pain.swg")
+        assert first.graph is not second.graph
+        assert all(a is b for a, b in zip(first.graph.nodes, second.graph.nodes, strict=True))
+        swigs = [study_swig(compile_study(s)).graph for s in (first, second)]
+        assert all(a is b for a, b in zip(swigs[0].nodes, swigs[1].nodes, strict=True))
+
+    def test_threads_making_one_new_node_get_one_object(self):
+        # Many rounds, each on a node no one has made yet, with the
+        # interpreter switching threads as often as it can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                base = f"T{uuid.uuid4().hex}"
+                start = threading.Barrier(4)
+                made = []
+
+                def make():
+                    start.wait(timeout=10)
+                    made.append(NodeId(base, (("A", 1),)))
+
+                threads = [threading.Thread(target=make) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert len(made) == 4 and all(n is made[0] for n in made)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_pickled_swig_works_under_another_hash_seed(self, tmp_path):
         graph = study_swig(compile_study(load_study("chronic_pain.swg"))).graph
