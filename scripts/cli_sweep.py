@@ -12,16 +12,23 @@ The corpus: every bundled spec under every subcommand, in text and with
 --json; simulate with --seed 0..9; and simulate --csv to a file, with the
 study's own data model and with --seed 0.  Then the option edge cases:
 --world, --out and --csv given empty, malformed, duplicated and
-unwritable values, and render --json --out.  Spec paths are printed
-relative to the checkout, and the output file as OUT.
+unwritable values, and render --json --out.  Then small members of the
+benchmark's synthetic families (perfbench/families.py), each through
+identify, dsep, simulate --seed 0 and simulate --seed 0 --csv; they are
+written to a temporary directory and printed as families/NAME.  Last,
+the refused --seeds calls: with --seed, and past the cap of 10^6 seeds.
+Spec paths are printed relative to the checkout, and the output file as
+OUT.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
+import random
 import shlex
 import tempfile
 from pathlib import Path
@@ -29,6 +36,10 @@ from pathlib import Path
 from swigc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("families", ROOT / "perfbench" / "families.py")
+families = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(families)
 
 # Extra arguments per subcommand; dsep needs a query, and this one names
 # nodes every parseable bundled study has.
@@ -81,6 +92,44 @@ def edge_cases(out: str) -> list[list[str]]:
     return argvs
 
 
+def family_specs() -> dict[str, str]:
+    """Spec text by file name: adjust-chain and dense-refute at k = 2 and 3,
+    the smallest row-scaling study (144 units, shared copies in its arm
+    worlds) and a cap-refusal study just past the cap."""
+    rng = random.Random("cli-sweep")
+    specs = {}
+    for k in (2, 3):
+        specs[f"adjust_chain_k{k}.swg"] = families.adjust_chain(rng, k)[0]
+        specs[f"dense_refute_k{k}.swg"] = families.dense_refute(rng, k)[0]
+    specs["row_scaling_144.swg"] = families.row_scaling(1)
+    specs["cap_refusal.swg"] = families.cap_refusal((2, 3), 4)
+    return specs
+
+
+def family_cases(out: str) -> list[list[str]]:
+    argvs = []
+    for name in family_specs():
+        spec = os.path.join(os.path.dirname(out), "families", name)
+        argvs += [
+            ["identify", spec],
+            ["dsep", spec, *SUBCOMMANDS["dsep"]],
+            ["simulate", spec, "--seed", "0"],
+            ["simulate", spec, "--seed", "0", "--csv", out],
+        ]
+    return argvs
+
+
+def seeds_cases(out: str) -> list[list[str]]:
+    # Only ranges refused at once: a battery checks every seed it accepts.
+    itt = "specs/itt.swg"
+    return [
+        ["simulate", itt, "--seed", "3", "--seeds", "0:2"],
+        ["simulate", itt, "--seed", "3", "--seeds", "0:2", "--csv", out],
+        ["simulate", itt, "--seeds", "0:10000000000000000000"],
+        ["simulate", itt, "--seeds", "0:1000000000000000000"],
+    ]
+
+
 def corpus(out: str) -> list[list[str]]:
     argvs = []
     for spec in sorted(f"specs/{p.name}" for p in (ROOT / "specs").glob("*.swg")):
@@ -90,7 +139,7 @@ def corpus(out: str) -> list[list[str]]:
         argvs += [["simulate", spec, "--seed", str(seed)] for seed in range(10)]
         argvs.append(["simulate", spec, "--csv", out])
         argvs.append(["simulate", spec, "--seed", "0", "--csv", out])
-    return argvs + edge_cases(out)
+    return argvs + edge_cases(out) + family_cases(out) + seeds_cases(out)
 
 
 def sha(data: bytes) -> str:
@@ -108,7 +157,8 @@ def run(argv: list[str], out: str) -> str:
     if os.path.exists(out):
         written = sha(Path(out).read_bytes())
         os.remove(out)
-    shown = shlex.join("OUT" if a == out else a for a in argv)
+    home = os.path.join(os.path.dirname(out), "")
+    shown = shlex.join("OUT" if a == out else a.removeprefix(home) for a in argv)
     streams = (sha(s.getvalue().encode("utf-8")) for s in (stdout, stderr))
     return f"{code} {' '.join(streams)} {written} {shown}"
 
@@ -117,6 +167,9 @@ def sweep() -> None:
     """Print one line per call of the corpus; run from the checkout's root."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "table.csv")
+        os.mkdir(os.path.join(tmp, "families"))
+        for name, text in family_specs().items():
+            Path(tmp, "families", name).write_text(text, encoding="utf-8")
         for argv in corpus(out):
             print(run(argv, out), flush=True)
 

@@ -10,7 +10,8 @@ Exit codes:
   4  estimand only partially identified (a cross-world event survives)
   5  estimand not identifiable (open backdoor witness)
   6  oracle mismatch: an identified formula disagrees with ground truth
-  7  resource cap exceeded (the declared noise supports multiply past the cap)
+  7  resource cap exceeded (the declared noise supports multiply past the cap,
+     or a battery of more than 1,000,000 seeds)
   8  internal error: an unexpected exception inside swigc
 """
 
@@ -279,6 +280,8 @@ def _write_table_csv(compiled: CompiledEstimand, seed, path: str) -> None:
 
 def _cmd_simulate(args, compiled: CompiledEstimand) -> tuple[dict, int]:
     study = compiled.study
+    if args.seed is not None and args.seeds is not None:
+        raise SemanticError("--seed and --seeds are mutually exclusive")
     if args.csv == "-" and args.json:
         raise SemanticError("--csv - and --json both write to stdout")
     if args.csv is not None:

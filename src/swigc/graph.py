@@ -364,24 +364,16 @@ def build_graph(
     edges: Iterable[tuple[str, str]],
 ) -> CausalGraph:
     """Build a plain DAG (empty contexts) from names and name pairs."""
-    ids: dict[str, NodeId] = {}
+    ids: list[NodeId] = []
     attrs: dict[NodeId, NodeAttrs] = {}
     for name, a in nodes:
         if not valid_name(name):
             raise SemanticError(f"invalid variable name {name!r}")
-        if name in ids:
-            raise DuplicateName(f"duplicate node label {name!r}")
         nid = NodeId(name)
-        ids[name] = nid
+        ids.append(nid)
         attrs[nid] = a if a is not None else NodeAttrs()
-    edge_ids = []
-    for u, v in edges:
-        if u not in ids:
-            raise UnknownEndpoint(f"edge endpoint {u!r} is not a node")
-        if v not in ids:
-            raise UnknownEndpoint(f"edge endpoint {v!r} is not a node")
-        edge_ids.append((ids[u], ids[v]))
-    return CausalGraph(ids.values(), attrs, edge_ids)
+    # CausalGraph refuses a duplicate name and an edge endpoint that is not a node.
+    return CausalGraph(ids, attrs, [(NodeId(u), NodeId(v)) for u, v in edges])
 
 
 # JSON import and export
@@ -431,7 +423,7 @@ def graph_to_payload(g: CausalGraph) -> dict:
 
 
 def graph_from_payload(payload: Mapping) -> CausalGraph:
-    ids: dict[str, NodeId] = {}
+    nodes: list[NodeId] = []  # CausalGraph refuses a duplicate label
     attrs: dict[NodeId, NodeAttrs] = {}
     for entry in payload["nodes"]:
         a = entry["attrs"]
@@ -440,9 +432,7 @@ def graph_from_payload(payload: Mapping) -> CausalGraph:
             d = a["deterministic"]
             rule = CompositeRule(d["source"], d["guard"], int(d["failure"]))
         nid = NodeId(entry["name"], _context_from_payload(entry["context"]), bool(entry["fixed"]))
-        if nid.label in ids:
-            raise DuplicateName(f"duplicate node label {nid.label!r}")
-        ids[nid.label] = nid
+        nodes.append(nid)
         attrs[nid] = NodeAttrs(
             role=a["role"],
             observed=bool(a["observed"]),
@@ -450,12 +440,13 @@ def graph_from_payload(payload: Mapping) -> CausalGraph:
             deterministic=rule,
             values=tuple(int(v) for v in a["values"]),
         )
+    ids = {n.label: n for n in nodes}
     edges = []
     for u, v in payload["edges"]:
         if u not in ids or v not in ids:
             raise UnknownEndpoint(f"edge endpoint {u if u not in ids else v!r} is not a node")
         edges.append((ids[u], ids[v]))
-    return CausalGraph(ids.values(), attrs, edges)
+    return CausalGraph(nodes, attrs, edges)
 
 
 def canonical_json(payload: Mapping) -> str:

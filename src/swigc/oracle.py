@@ -17,8 +17,9 @@ summed out at its node and no unit is ever built whole:
 - A world reaches the nodes it pins and, through their parents, their
   descendants.  A copy the world does not reach has the observed copy's
   noise and parent values, so it is the observed column, shared rather
-  than copied (``_aliases``); every column a step reads, keeps or is asked
-  for goes through that map.
+  than copied.  One plan (``_plan``) decides, world by world, which copies
+  are pinned, shared or evaluated; every column a step reads, keeps or is
+  asked for goes through its alias map.
 - At each node, every state is expanded by each noise value (a
   deterministic rule gives one step) and the node is evaluated in the
   observed world and in each world that reaches it: a pinned value, the
@@ -61,7 +62,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from math import lcm, prod
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -122,31 +123,27 @@ class PotentialOutcomeTable:
         mechanisms, stochastic = _mechanisms(self.graph, self.scm)
         # A slot per (variable, world) column, world by world in topological
         # order, then one per stochastic variable's noise; ``template``
-        # holds the pinned values.  A step evaluates one column that its
-        # world reaches and does not pin.  A copy its world does not reach
-        # is the observed column (``_aliases``): steps read it, and a row
-        # shows it, from the observed slot.  The observed world's steps run
-        # first with the same keys, so a missing entry still raises at the
-        # same unit, world and node.
+        # holds the pinned values.  A step evaluates one copy, in the
+        # plan's order (``_plan``).  A shared copy is the observed column:
+        # steps read it, and a row shows it, from the observed slot.  The
+        # observed world's steps run first with the same keys, so a missing
+        # entry still raises at the same unit, world and node.
         columns = [(base, ctx) for ctx in self.contexts for base, _, _ in mechanisms]
         slot = {c: j for j, c in enumerate(columns + [(b, None) for b in stochastic])}
-        alias = _aliases(mechanisms, self.contexts)
+        alias, copies = _plan(mechanisms, self.contexts)
         shown = _getter([slot[alias[c]] for c in columns])
         template = [0] * len(slot)
         steps = []
-        for ctx in self.contexts:
-            pinned = dict(ctx)
-            for base, rule, eq in mechanisms:
-                at = slot[(base, ctx)]
-                if base in pinned:
-                    template[at] = pinned[base]
-                    continue
-                if alias[(base, ctx)] != (base, ctx):
-                    continue
-                reads = [slot[alias[(p, ctx)]] for p in _parents(rule, eq)]
-                if rule is None:
-                    reads.append(slot[(base, None)])
-                steps.append((at, _getter(reads), rule, eq, base))
+        for i, ctx, value, inputs in copies:
+            base, rule, eq = mechanisms[i]
+            at = slot[(base, ctx)]
+            if value is not None:
+                template[at] = value
+                continue
+            reads = [slot[c] for c in inputs]
+            if rule is None:
+                reads.append(slot[(base, None)])
+            steps.append((at, _getter(reads), rule, eq, base))
         noise_slots = slice(len(columns), None)
         # (value, numerator, denominator) per noise value of each variable
         noise = [
@@ -176,6 +173,7 @@ def _check_size(total: int) -> None:
 
 Column = tuple[str, Context]
 Mechanism = tuple[str, CompositeRule | None, StructuralEquation | None]
+Copy = tuple[int, Context, int | None, list[Column]]  # step, world, pinned value, reads
 Cells = dict[tuple[int, ...], tuple[int, int]]  # joint value -> (mass, weighted sum)
 
 
@@ -283,22 +281,30 @@ def _parents(rule: CompositeRule | None, eq: StructuralEquation | None) -> Seque
     return (rule.source, rule.guard) if rule is not None else eq.parents
 
 
-def _aliases(mechanisms: list[Mechanism], worlds: Sequence[Context]) -> dict[Column, Column]:
-    """The column that holds each node's copy in each world.  A world
-    reaches the nodes it pins and, through their parents, their
-    descendants; a copy the world does not reach has the observed copy's
-    noise and parent values, so it is the observed column."""
-    aliases: dict[Column, Column] = {}
+def _plan(
+    mechanisms: list[Mechanism], worlds: Sequence[Context]
+) -> tuple[dict[Column, Column], list[Copy]]:
+    """The column that holds each node's copy in each world, and, world by
+    world in topological order, the copies a world reaches (see the module
+    docstring), each pinned, with its value, or evaluated, with None and
+    the columns its parents hold.  The observed world evaluates every node."""
+    alias: dict[Column, Column] = {}
+    copies: list[Copy] = []
     for ctx in worlds:
         pinned = dict(ctx)
         reached: set[str] = set()
-        for base, rule, eq in mechanisms:
-            if base in pinned or not reached.isdisjoint(_parents(rule, eq)):
-                reached.add(base)
-                aliases[(base, ctx)] = (base, ctx)
+        for i, (base, rule, eq) in enumerate(mechanisms):
+            parents = _parents(rule, eq)
+            if ctx and base not in pinned and reached.isdisjoint(parents):
+                alias[(base, ctx)] = (base, ())
+                continue
+            reached.add(base)
+            alias[(base, ctx)] = (base, ctx)
+            if base in pinned:
+                copies.append((i, ctx, pinned[base], []))
             else:
-                aliases[(base, ctx)] = (base, ())
-    return aliases
+                copies.append((i, ctx, None, [alias[(p, ctx)] for p in parents]))
+    return alias, copies
 
 
 def _forward(
@@ -306,7 +312,7 @@ def _forward(
 ) -> _Law:
     """The pass itself; a missing table entry raises KeyError."""
     step = {base: i for i, (base, _, _) in enumerate(mechanisms)}
-    alias = _aliases(mechanisms, worlds)
+    alias, copies = _plan(mechanisms, worlds)
     # the last step that needs each column; a copy of a world the pass
     # does not have, or of a variable the graph lacks, is its own column
     last = {alias.get(c, c): len(mechanisms) for c in columns}
@@ -315,41 +321,27 @@ def _forward(
         last[column] = max(last.get(column, -1), at)
 
     # Per step: the worlds that pin the node, with the pinned value, and
-    # the observed world and the worlds that reach the node without pinning
-    # it, with the columns it reads there.
-    pins: list[list[tuple[Context, int]]] = []
-    reads: list[list[tuple[Context, list[Column]]]] = []
-    for i, (base, rule, eq) in enumerate(mechanisms):
-        pins.append([])
-        reads.append([])
-        for ctx in worlds:
-            if alias[(base, ctx)] != (base, ctx):
-                continue
-            pinned = dict(ctx)
-            if base in pinned:
-                pins[i].append((ctx, pinned[base]))
-            else:
-                inputs = [alias[(p, ctx)] for p in _parents(rule, eq)]
-                reads[i].append((ctx, inputs))
-                for column in inputs:
-                    need(column, i)
-
-    # Per step: the worlds whose copies of these nodes are checked against
-    # the observed copies on the states that step leaves, the first where
-    # the observed values of the world's intervened variables are known too.
-    # Only a copy the world reaches and does not pin can differ: a shared
+    # the worlds that evaluate it, with the columns it reads there.  And
+    # the worlds whose copies of these nodes are checked against the
+    # observed copies on the states that step leaves, the first where the
+    # observed values of the world's intervened variables are known too.
+    # Only an evaluated copy of an intervened world can differ: a shared
     # copy is the observed column, and a pinned one holds the world's value,
-    # which the observed copy has wherever the check applies.
+    # which the observed copy has wherever the check applies.  The observed
+    # run never meets a world that sets a variable the graph lacks.
+    pins: list[list[tuple[Context, int]]] = [[] for _ in mechanisms]
+    reads: list[list[tuple[Context, list[Column]]]] = [[] for _ in mechanisms]
     checks: list[dict[Context, list[str]]] = [{} for _ in mechanisms]
-    for ctx in worlds[1:]:
-        if any(v not in step for v, _ in ctx):
+    for i, ctx, value, inputs in copies:
+        if value is not None:
+            pins[i].append((ctx, value))
             continue
-        pinned = dict(ctx)
-        after = max(step[v] for v in pinned)
-        for base, at in step.items():
-            if base in pinned or alias[(base, ctx)] != (base, ctx):
-                continue
-            at = max(at, after)
+        reads[i].append((ctx, inputs))
+        for column in inputs:
+            need(column, i)
+        if ctx and all(v in step for v, _ in ctx):
+            base = mechanisms[i][0]
+            at = max(i, *(step[v] for v, _ in ctx))
             checks[at].setdefault(ctx, []).append(base)
             for column in ((base, ctx), (base, ()), *((v, ()) for v, _ in ctx)):
                 need(column, at + 1)
@@ -667,15 +659,19 @@ def soundness_battery(
 ) -> list[SoundnessReport]:
     """check_soundness across seeds; order of results follows the seeds.
 
-    The study is compiled and identified once; only the data model varies.
-    A pool starts all its workers at once, so it gets no more than there
-    are seeds or processors.
+    More than ``ROW_CAP`` seeds are refused before any is checked; only
+    one past the cap is ever drawn from ``seeds``.  The study is compiled
+    and identified once; only the data model varies.  A pool starts all
+    its workers at once, so it gets no more than there are seeds or
+    processors.
     """
+    seeds = list(islice(seeds, ROW_CAP + 1))
+    if len(seeds) > ROW_CAP:
+        raise SupportTooLarge(f"a battery of more than {ROW_CAP} seeds exceeds the cap")
     compiled = compile_study(study)
     one = partial(
         check_soundness, study, compiled=compiled, report=identify_estimand(study, compiled)
     )
-    seeds = list(seeds)
     workers = min(jobs, len(seeds), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -692,7 +688,8 @@ def validate_consistency(table: PotentialOutcomeTable) -> list[str]:
     bases = [n.base for n in table.graph.topological_order()]
     for i, row in enumerate(table.units(), start=1):
         for ctx in table.contexts:
-            if not ctx or any(row.values[(v, ())] != x for v, x in ctx):
+            # a variable the graph lacks has no observed value to match
+            if not ctx or any(row.values.get((v, ())) != x for v, x in ctx):
                 continue
             for base in bases:
                 got, obs = row.values[(base, ctx)], row.values[(base, ())]
@@ -738,7 +735,7 @@ def write_csv(table: PotentialOutcomeTable, out: IO[str]) -> None:
     columns, observed columns, weight."""
     g = table.graph
     observed = [n.base for n in g.topological_order() if g.attr(n).observed]
-    intervened = {v for ctx in table.contexts for v, _ in ctx}
+    intervened = {v for ctx in table.contexts for v, _ in ctx if g.has_label(v)}
     affected = {d.base for v in intervened for d in g.descendants(g.node(v))}
     cf_cols = [(b, ctx) for ctx in table.contexts if ctx for b in observed if b in affected]
     cells = cf_cols + [(b, ()) for b in observed]

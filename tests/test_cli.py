@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from swigc.errors import SwigcError
+
 from conftest import ROOT, STUDY_FILES, golden_text, spec_path, spec_text
+import reference_dsl
 
 IDENTIFY_EXITS = {
     "itt": 0,
@@ -287,6 +290,21 @@ class TestSimulate:
         assert (res.code, res.out) == (2, "")
         assert res.err == "error: [Errno 2] No such file or directory: ''\n"
 
+    def test_seed_and_seeds_are_mutually_exclusive(self, run_cli, tmp_path):
+        # Refused before --csv writes the table of a model no battery checks.
+        target = tmp_path / "table.csv"
+        res = run_cli("simulate", spec_path("itt.swg"), "--seed", "3", "--seeds", "0:2",
+                      "--csv", str(target))
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: --seed and --seeds are mutually exclusive\n"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("last", ["10000000000000000000", "1000000000000000000"])
+    def test_battery_past_the_cap_is_refused(self, run_cli, last):
+        res = run_cli("simulate", spec_path("itt.swg"), "--seeds", f"0:{last}")
+        assert (res.code, res.out) == (7, "")
+        assert res.err == "error: a battery of more than 1000000 seeds exceeds the cap\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, run_cli, jobs):
         res = run_cli("simulate", spec_path("itt.swg"), "--seeds", "0:2", "--jobs", jobs)
@@ -336,6 +354,162 @@ class TestRender:
     def test_rejects_unknown_format(self, run_cli):
         res = run_cli("render", spec_path("itt.swg"), "--format", "svg")
         assert res.code == 2
+
+
+# Minimal edits of bundled specs, each reaching one check or naming rule:
+# (spec, [(old, new), ...], command, exit code, the error or a line printed).
+# Each old text occurs once in its spec.
+SCM_OPENS = "  scm {\n"
+SPEC_EDITS = {
+    "attribute-twice": (
+        "itt.swg", [("node A { role: treatment; }", "node A { role: treatment; role: treatment; }")],
+        "validate", 2, "node A: attribute role given twice",
+    ),
+    "denominator-zero": (
+        "itt.swg", [("A := noise { 0: 1/2;", "A := noise { 0: 1/0;")],
+        "validate", 2, "noise probability has denominator zero",
+    ),
+    "latent-observed": (
+        "itt.swg", [("node Y { role: outcome; }",
+                     "node Y { role: outcome; }\n  node U { role: latent; observed: true; }")],
+        "validate", 2, "node U: role latent contradicts observed: true",
+    ),
+    "adjust-intercurrent": (
+        "itt.swg", [("node M { role: intercurrent; }", "node M { role: intercurrent; adjust: true; }")],
+        "validate", 2, "node M: adjust is only valid on observed covariates",
+    ),
+    "invalid-name": (
+        "itt.swg", [("node M {", "node _M {")],
+        "validate", 2, "invalid variable name '_M'",
+    ),
+    "duplicate-edge": (
+        "itt.swg", [("    A -> M;", "    A -> M;\n    A -> M;")],
+        "validate", 2, "duplicate edge A -> M",
+    ),
+    "no-outcome": (
+        "itt.swg", [("node Y { role: outcome; }", "node Y { }")],
+        "validate", 2, "a study needs exactly one outcome node, found 0",
+    ),
+    "strategy-on-outcome": (
+        "itt.swg", [("strategy M: treatment_policy;",
+                     "strategy M: treatment_policy;\n  strategy Y: treatment_policy;")],
+        "validate", 2, "strategy target Y must have role intercurrent",
+    ),
+    "hypothetical-level": (
+        "itt.swg", [("strategy M: treatment_policy;", "strategy M: hypothetical(5);")],
+        "validate", 2, "hypothetical level 5 is outside declared values of M",
+    ),
+    "stratum-arm": (
+        "principal_stratum.swg", [("M(1) = 0", "M(7) = 0")],
+        "validate", 2, "principal stratum arm 7 is outside declared values of A",
+    ),
+    "stratum-level": (
+        "principal_stratum.swg", [("M(1) = 0", "M(1) = 5")],
+        "validate", 2, "principal stratum level 5 is outside declared values of M",
+    ),
+    "duplicate-equation": (
+        "itt.swg", [(SCM_OPENS, SCM_OPENS + "    A := noise { 0: 1; };\n")],
+        "validate", 2, "duplicate equation for A",
+    ),
+    "missing-equation": (
+        "itt.swg", [("    A := noise { 0: 1/2; 1: 1/2; };\n", "")],
+        "validate", 2, "scm is missing an equation for A",
+    ),
+    "noise-value-twice": (
+        "itt.swg", [("A := noise { 0: 1/2; 1: 1/2; };", "A := noise { 0: 1/2; 0: 1/2; };")],
+        "validate", 2, "noise for A lists value 0 twice",
+    ),
+    "table-needed": (
+        "itt.swg", [("M := noise { 0: 3/4; 1: 1/4; }\n      table (A) { (0, 0) -> 0;"
+                     " (0, 1) -> 1; (1, 0) -> 1; (1, 1) -> 0; };", "M := noise { 0: 3/4; 1: 1/4; };")],
+        "validate", 2, "equation for M needs a table; M has parents",
+    ),
+    "table-parent-twice": (
+        "itt.swg", [("table (A) {", "table (A, A) {")],
+        "validate", 2, "table for M lists a parent twice",
+    ),
+    "unreachable-entry": (
+        "itt.swg", [("(1, 1) -> 0; };", "(1, 1) -> 0; (2, 0) -> 0; };")],
+        "validate", 2, "table for M has an entry for unreachable values (2, 0)",
+    ),
+    "composite-non-binary": (
+        "composite.swg", [("node M { role: intercurrent; }",
+                           "node M { role: intercurrent; values: 0, 1, 2; }")],
+        "validate", 2, "composite strategy needs a binary event, but M takes [0, 1, 2]",
+    ),
+    "two-principal-strata": (
+        "principal_stratum.swg", [
+            ("node Y { role: outcome; }", "node Y { role: outcome; }\n  node N { role: intercurrent; }"),
+            ("strategy M: principal_stratum(M(1) = 0);",
+             "strategy M: principal_stratum(M(1) = 0);\n  strategy N: principal_stratum(N(1) = 0);"),
+            (SCM_OPENS, SCM_OPENS + "    N := noise { 0: 1; };\n"),
+        ],
+        "validate", 2, "at most one principal stratum strategy is allowed",
+    ),
+    "symbols-collide": (
+        "itt.swg", [
+            ("node Y { role: outcome; }", "node Y { role: outcome; }\n  node a { role: intercurrent; }"),
+            ("strategy M: treatment_policy;", "strategy M: treatment_policy;\n  strategy a: hypothetical(0);"),
+            (SCM_OPENS, SCM_OPENS + "    a := noise { 0: 1; };\n"),
+        ],
+        "validate", 2, "intervened variable names collide after lowercasing",
+    ),
+    # U and U2 are taken, so the composite endpoint is U3.
+    "derived-name-suffix": (
+        "composite.swg", [
+            ("node Y { role: outcome; }", "node Y { role: outcome; }\n  node U { }\n  node U2 { }"),
+            (SCM_OPENS, SCM_OPENS + "    U := noise { 0: 1; };\n    U2 := noise { 0: 1; };\n"),
+        ],
+        "validate", 0, "estimand: E[U3(a=1)] - E[U3(a=0)]",
+    ),
+    # C, C2 and c all stratify, so c's symbol is c3.
+    "stratum-symbol-suffix": (
+        "chronic_pain.swg", [
+            ("node Y  { role: outcome; }",
+             "node Y  { role: outcome; }\n  node c  { adjust: true; }\n  node C2 { adjust: true; }"),
+            ("    C -> M4;", "    c -> M4;\n    c -> Y;\n    C2 -> M3;\n    C2 -> Y;"),
+        ],
+        "identify", 0,
+        "combined: Σ_c,c2,c3 E[Y|A=1,C=c,C2=c2,c=c3,M3=0,M4=0]·P(C=c,C2=c2,c=c3)"
+        " - Σ_c,c2,c3 E[Y|A=0,C=c,C2=c2,c=c3,M3=0,M4=0]·P(C=c,C2=c2,c=c3)",
+    ),
+    # The node M3_a and the split node M3(a) both make the TikZ id M3_a.
+    "tikz-id-suffix": (
+        "chronic_pain.swg", [("node Y  { role: outcome; }", "node Y  { role: outcome; }\n  node M3_a { }")],
+        "render", 0,
+        r"  \node (M3_a_2) at (2.75, -2.50) [semicircle, draw, shape border rotate=90,"
+        r" inner sep=2pt] {$M3(a)$};",
+    ),
+}
+
+
+# Edits whose error the study compiler raises, after the spec parses.
+COMPILE_ERRORS = {"composite-non-binary", "two-principal-strata", "symbols-collide"}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_EDITS))
+def test_minimal_spec_edits(run_cli, tmp_path, case):
+    """Each edit gives its exit code and its one error line, or prints its
+    suffixed name; a parse error is the reference parser's message too."""
+    name, edits, command, code, line = SPEC_EDITS[case]
+    text = spec_text(name)
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    spec = tmp_path / name
+    spec.write_text(text)
+    res = run_cli(command, str(spec))
+    assert res.code == code
+    if code:
+        assert (res.out, res.err) == ("", f"error: {line}\n")
+    else:
+        assert line in res.out.splitlines()
+    if code and case not in COMPILE_ERRORS:
+        with pytest.raises(SwigcError) as refused:
+            reference_dsl.parse_study(text)
+        assert str(refused.value) == line
+    else:
+        reference_dsl.parse_study(text)
 
 
 # One request per subcommand; every bundled study answers each of them.
@@ -397,7 +571,11 @@ def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
     assert capsys.readouterr().out == first
     lines = first.splitlines()
     assert len(lines) == len(script.corpus("OUT"))
-    # Every parseable study but the capped one writes its seeded table.
+    # Every parseable bundled study but the capped one writes its seeded
+    # table, and so does every family study but the cap-refusal one.
     written = [line for line in lines if line.endswith("--seed 0 --csv OUT")]
-    assert [line.split()[0] for line in written].count("0") == len(STUDY_FILES) - 1
+    codes = {family: [line.split()[0] for line in written if f" {family}/" in line]
+             for family in ("specs", "families")}
+    assert codes["specs"].count("0") == len(STUDY_FILES) - 1
+    assert sorted(codes["families"]) == ["0"] * (len(script.family_specs()) - 1) + ["7"]
     assert all(line.split()[3] != "-" for line in written if line.startswith("0 "))

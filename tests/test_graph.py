@@ -200,8 +200,12 @@ class TestConstruction:
             build_graph([("A", None), ("A", None)], [])
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(UnknownEndpoint):
+        with pytest.raises(UnknownEndpoint, match="edge endpoint 'B' is not a node"):
             build_graph([("A", None)], [("A", "B")])
+
+    def test_unknown_source_endpoint_rejected(self):
+        with pytest.raises(UnknownEndpoint, match="edge endpoint 'C' is not a node"):
+            build_graph([("A", None)], [("C", "A")])
 
     def test_cycle_rejected_with_witness(self):
         with pytest.raises(CycleError) as exc:
@@ -258,6 +262,13 @@ class TestSerialization:
         twin = dict(payload["nodes"][0], attrs=dict(payload["nodes"][0]["attrs"], role="treatment"))
         payload["nodes"].append(twin)
         with pytest.raises(DuplicateName, match="duplicate node label 'A'"):
+            graph_from_payload(payload)
+
+    @pytest.mark.parametrize("edge, missing", [(["A", "C"], "C"), (["C", "B"], "C")])
+    def test_unknown_payload_endpoint_rejected(self, edge, missing):
+        payload = graph_to_payload(build_graph([("A", None), ("B", None)], []))
+        payload["edges"].append(edge)
+        with pytest.raises(UnknownEndpoint, match=f"edge endpoint '{missing}' is not a node"):
             graph_from_payload(payload)
 
     def test_round_trip_keeps_deterministic_rule(self):

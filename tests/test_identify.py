@@ -8,6 +8,7 @@ from swigc.dsep import d_separated, path_string
 from swigc.dsl import parse_study
 from swigc.estimand import compile_study, study_swig
 from swigc.formula import render
+from swigc.graph import NodeAttrs, build_graph
 from swigc.identify import (
     Identified,
     NotIdentifiable,
@@ -16,9 +17,11 @@ from swigc.identify import (
     render_trace,
     verdict_code,
 )
+from swigc.model import StudySpec
 from swigc.oracle import check_soundness
 
 from conftest import load_study, spec_path
+from reference_identify import subset_identify_term
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +137,29 @@ class TestRefutation:
         assert report.status == "blocked"
         assert len(calls) == 1
         assert report.left.blocked is report.right.blocked
+
+
+    def test_confounded_treatment_refutes_randomization(self):
+        # The spec language requires a parentless treatment, so only a study
+        # built through the API reaches this refutation.
+        graph = build_graph(
+            [
+                ("A", NodeAttrs(role="treatment")),
+                ("U", NodeAttrs(role="latent", observed=False)),
+                ("Y", NodeAttrs(role="outcome")),
+            ],
+            [("U", "A"), ("U", "Y"), ("A", "Y")],
+        )
+        study = StudySpec("Confounded treatment", graph, "A", (1, 0), "Y")
+        compiled = compile_study(study)
+        report = identify_estimand(study, compiled)
+        assert (report.status, verdict_code(report), report.combined) == ("blocked", 5, None)
+        for arm, mean in ((report.left, compiled.contrast.left),
+                          (report.right, compiled.contrast.right)):
+            assert isinstance(arm, NotIdentifiable)
+            assert arm.blocked.premise.label() == "Y(a) ⊥ A"
+            assert arm.blocked.witness_label == "A <- U -> Y(a)"
+            assert arm == subset_identify_term(study, mean, compiled)
 
 
 class TestAdjustedDerivation:

@@ -246,6 +246,13 @@ class TestBatteryScript:
         assert "seeds 0..2  sound 3/3" in out
         assert out.endswith(", 0 mismatches\n")
 
+    def test_battery_past_the_cap_is_refused(self, capsys):
+        argv = ["--seeds", "10000000000000000000", "--studies", "itt.swg"]
+        assert _battery_script().main(argv) == 7
+        assert capsys.readouterr().err == (
+            "error: a battery of more than 1000000 seeds exceeds the cap\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -462,7 +469,7 @@ class TestSharedCopies:
         scm = random_scm(g, 3)
         worlds = oracle._worlds(compiled.worlds())
         mechanisms, _ = oracle._mechanisms(g, scm)
-        aliases = oracle._aliases(mechanisms, worlds)
+        aliases, _ = oracle._plan(mechanisms, worlds)
         arms = worlds[1:]
         assert [dict(w)["A"] for w in arms] == [1, 0]
         columns = [(b, w) for w in worlds for b in ("C", "Y", "M3", "M4")]

@@ -1,5 +1,6 @@
 """Property-based invariants over random graphs, models, and specs."""
 
+import io
 import random
 import re
 from collections import Counter
@@ -40,6 +41,7 @@ from swigc.oracle import (
     random_scm,
     true_estimand,
     validate_consistency,
+    write_csv,
 )
 from swigc.swig import split
 
@@ -662,7 +664,9 @@ def test_unreached_copies_share_the_observed_column(data):
     forward law, and the row scan gives it the observed value on every
     unit; the law stays consistent.  Besides random interventions, every
     model is enumerated in a world that sets a sink, in that world again,
-    and in a world that sets a variable the graph lacks."""
+    and in a world that sets a variable the graph lacks, which the row
+    readers accept too: no row is inconsistent, and the CSV has a line
+    per unit."""
     graph = data.draw(oracle_graphs())
     scm = random_scm(graph, data.draw(st.integers(min_value=0, max_value=10**6)))
     names = sorted(n.base for n in graph.nodes)
@@ -671,7 +675,12 @@ def test_unreached_copies_share_the_observed_column(data):
     columns = [(b, w) for w in [(), *contexts] for b in names]
     law = _law(graph, scm, contexts, columns)
     assert law.consistent
-    rows = list(enumerate_table(graph, scm, contexts).units())
+    table = enumerate_table(graph, scm, contexts)
+    rows = list(table.units())
+    assert validate_consistency(table) == []
+    out = io.StringIO()
+    write_csv(table, out)
+    assert len(out.getvalue().splitlines()) == 1 + len(rows)
     for b, w in columns:
         node, pinned = graph.node(b), {graph.node(v) for v, _ in w if graph.has_label(v)}
         reached = node in pinned or bool(pinned & graph.ancestors(node))
