@@ -15,10 +15,13 @@ study's own data model and with --seed 0.  Then the option edge cases:
 unwritable values, and render --json --out.  Then small members of the
 benchmark's synthetic families (perfbench/families.py), each through
 identify, dsep, simulate --seed 0 and simulate --seed 0 --csv; they are
-written to a temporary directory and printed as families/NAME.  Last,
+written to a temporary directory and printed as families/NAME.  Then
 the refused --seeds calls: with --seed, and past the cap of 10^6 seeds.
-Spec paths are printed relative to the checkout, and the output file as
-OUT.
+Last, a chain whose every link has a latent root of its own (see
+``roots_chain``), through identify, simulate --seed 0..2 and simulate
+--seed 0 --csv; it is written next to the families and printed as
+ROOTS.  Spec paths are printed relative to the checkout, and the output
+file as OUT.
 """
 
 from __future__ import annotations
@@ -130,6 +133,31 @@ def seeds_cases(out: str) -> list[list[str]]:
     ]
 
 
+ROOTS = "latent_roots_3x3.swg"
+
+
+def roots_chain(roots: int, values: int) -> str:
+    """A -> X1 -> ... -> Y with ``roots`` binary links, each caused by a
+    latent root of ``values`` values that nothing else reads."""
+    links = [f"X{i}" for i in range(1, roots)] + ["Y"]
+    support = ", ".join(map(str, range(values)))
+    lines = [f'study "Latent roots {roots}x{values}" {{', "  node A { role: treatment; }"]
+    lines += [f"  node {x} {{ }}" for x in links[:-1]]
+    lines += [f"  node U{i} {{ observed: false; values: {support}; }}" for i in range(1, roots + 1)]
+    lines += ["  node Y { role: outcome; }", "  edges {"]
+    lines += [f"    {u} -> {v};" for u, v in zip(["A", *links], links)]
+    lines += [f"    U{i} -> {x};" for i, x in enumerate(links, start=1)]
+    lines += ["  }", "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def roots_cases(out: str) -> list[list[str]]:
+    spec = os.path.join(os.path.dirname(out), ROOTS)
+    argvs = [["identify", spec]]
+    argvs += [["simulate", spec, "--seed", str(seed)] for seed in range(3)]
+    return argvs + [["simulate", spec, "--seed", "0", "--csv", out]]
+
+
 def corpus(out: str) -> list[list[str]]:
     argvs = []
     for spec in sorted(f"specs/{p.name}" for p in (ROOT / "specs").glob("*.swg")):
@@ -139,7 +167,7 @@ def corpus(out: str) -> list[list[str]]:
         argvs += [["simulate", spec, "--seed", str(seed)] for seed in range(10)]
         argvs.append(["simulate", spec, "--csv", out])
         argvs.append(["simulate", spec, "--seed", "0", "--csv", out])
-    return argvs + edge_cases(out) + family_cases(out) + seeds_cases(out)
+    return argvs + edge_cases(out) + family_cases(out) + seeds_cases(out) + roots_cases(out)
 
 
 def sha(data: bytes) -> str:
@@ -170,6 +198,7 @@ def sweep() -> None:
         os.mkdir(os.path.join(tmp, "families"))
         for name, text in family_specs().items():
             Path(tmp, "families", name).write_text(text, encoding="utf-8")
+        Path(tmp, ROOTS).write_text(roots_chain(3, 3), encoding="utf-8")
         for argv in corpus(out):
             print(run(argv, out), flush=True)
 

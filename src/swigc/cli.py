@@ -282,6 +282,9 @@ def _cmd_simulate(args, compiled: CompiledEstimand) -> tuple[dict, int]:
     study = compiled.study
     if args.seed is not None and args.seeds is not None:
         raise SemanticError("--seed and --seeds are mutually exclusive")
+    if args.csv is not None and args.seeds is not None:
+        # A battery has no one model whose table the file could hold.
+        raise SemanticError("--csv and --seeds are mutually exclusive")
     if args.csv == "-" and args.json:
         raise SemanticError("--csv - and --json both write to stdout")
     if args.csv is not None:

@@ -6,10 +6,15 @@ counterfactual values side by side, with rational masses.  True estimand
 values and identified-formula values are then both exact Fractions, so
 soundness checks compare with == rather than a tolerance.
 
-The law comes from one forward pass over the nodes in topological order.
-Each node's noise belongs to that node alone and is shared by its copies
-in every world (the twin networks of Balke & Pearl 1994), so the noise is
-summed out at its node and no unit is ever built whole:
+The law comes from one forward pass over the nodes in roots-late order:
+the layered topological order, with each parentless node moved to just
+before the first node that reads it, and those no node reads last (the
+elimination order of bucket elimination, Dechter 1999).  So a root's
+noise multiplies the states from its first reader on, not from the first
+step: a latent cause of each link of a chain costs one link, not the
+chain.  Each node's noise belongs to that node alone and is shared by its
+copies in every world (the twin networks of Balke & Pearl 1994), so the
+noise is summed out at its node and no unit is ever built whole:
 
 - The state maps each joint value of the live columns to an integer mass.
   All masses share one denominator: the product, over stochastic nodes,
@@ -40,18 +45,19 @@ summed out at its node and no unit is ever built whole:
 
 Readers group the integer masses with ``_Law.given``; a Fraction is built
 only where a reader divides.  check_soundness builds one law over every
-column its readers need, reads each arm's mean from it, and hands the
-formulas its marginal over their observed variables (``_Law.over``); a
-formula groups that marginal once per distinct (columns, weighting
-column), which its two arms share.  The guards come in the order the
-units apply them: a missing equation, the cap on the product of the
-declared noise supports, then a missing table entry, reported as the
-first failure in row order.
+column its readers need and reads it once (``_read``): each arm's mean,
+from its stratum's mass and outcome-weighted sum, and the marginal over
+the formulas' observed variables, which it hands the formulas; a formula
+groups that marginal once per distinct (columns, weighting column), which
+its two arms share.  The guards come in the order the units apply them: a
+missing equation, the cap on the product of the declared noise supports,
+then a missing table entry, reported as the first failure in row order.
 
 No row table is built.  PotentialOutcomeTable.units streams one row per
-unit (noise configuration); write_csv writes each as it comes, with the
-counterfactual columns next to the factual ones, as a teaching/debugging
-view, and validate_consistency checks each.  No other reader reads them.
+unit (noise configuration), and validate_consistency checks each;
+write_csv writes each unit's cells as they come, with the counterfactual
+columns next to the factual ones, as a teaching/debugging view.  No other
+reader reads the units.
 """
 
 from __future__ import annotations
@@ -120,16 +126,23 @@ class PotentialOutcomeTable:
         """One row per unit (noise configuration), in row order: the last
         stochastic variable by name varies fastest.  A missing table entry
         raises at the first unit, world and node that reads it."""
+        columns = [(n.base, ctx) for ctx in self.contexts for n in self.graph.topological_order()]
+        for cells, weight in self._cells(columns):
+            yield TableRow(weight=weight, values=dict(zip(columns, cells)))
+
+    def _cells(self, columns: Sequence[Column]) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        """Each unit's values at ``columns``, (variable, world) columns of
+        the table, and its weight, in row order; ``units`` wraps it."""
         mechanisms, stochastic = _mechanisms(self.graph, self.scm)
         # A slot per (variable, world) column, world by world in topological
         # order, then one per stochastic variable's noise; ``template``
         # holds the pinned values.  A step evaluates one copy, in the
         # plan's order (``_plan``).  A shared copy is the observed column:
-        # steps read it, and a row shows it, from the observed slot.  The
+        # steps read it, and a unit shows it, from the observed slot.  The
         # observed world's steps run first with the same keys, so a missing
         # entry still raises at the same unit, world and node.
-        columns = [(base, ctx) for ctx in self.contexts for base, _, _ in mechanisms]
-        slot = {c: j for j, c in enumerate(columns + [(b, None) for b in stochastic])}
+        every = [(base, ctx) for ctx in self.contexts for base, _, _ in mechanisms]
+        slot = {c: j for j, c in enumerate(every + [(b, None) for b in stochastic])}
         alias, copies = _plan(mechanisms, self.contexts)
         shown = _getter([slot[alias[c]] for c in columns])
         template = [0] * len(slot)
@@ -144,7 +157,7 @@ class PotentialOutcomeTable:
             if rule is None:
                 reads.append(slot[(base, None)])
             steps.append((at, _getter(reads), rule, eq, base))
-        noise_slots = slice(len(columns), None)
+        noise_slots = slice(len(every), None)
         # (value, numerator, denominator) per noise value of each variable
         noise = [
             [(v, *Fraction(p).as_integer_ratio()) for v, p in self.scm.equations[b].noise]
@@ -163,7 +176,7 @@ class PotentialOutcomeTable:
                         " does not cover this intervention"
                     ) from None
             weight = Fraction(prod([n for _, n, _ in picks]), prod([d for _, _, d in picks]))
-            yield TableRow(weight=weight, values=dict(zip(columns, shown(values))))
+            yield shown(values), weight
 
 
 def _check_size(total: int) -> None:
@@ -239,12 +252,6 @@ class _Law:
             cells[cell] = (m + mass, total if j is None else total + mass * key[j])
         return cells
 
-    def over(self, columns: Sequence[Column]) -> _Law:
-        """The marginal law of ``columns``, zero masses included."""
-        masses = {cell: mass for cell, (mass, _) in self.given(columns).items()}
-        positions = {c: i for i, c in enumerate(columns)}
-        return _Law(positions, masses, self.denominator, self.consistent)
-
 
 def _getter(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The tuple of a key's values at ``positions``; itemgetter gives a
@@ -307,10 +314,27 @@ def _plan(
     return alias, copies
 
 
+def _roots_late(mechanisms: list[Mechanism]) -> list[Mechanism]:
+    """``mechanisms`` with each parentless node moved to just before the
+    first node that reads it, and those that no node reads moved last.
+    The other nodes keep their order, and the roots of one reader join in
+    the order its parents are listed, so the order stays topological."""
+    waiting = {base: (base, rule, eq) for base, rule, eq in mechanisms if not _parents(rule, eq)}
+    order: list[Mechanism] = []
+    for mechanism in mechanisms:
+        base, rule, eq = mechanism
+        if base not in waiting:
+            order += [waiting.pop(p) for p in _parents(rule, eq) if p in waiting]
+            order.append(mechanism)
+    return order + list(waiting.values())
+
+
 def _forward(
     mechanisms: list[Mechanism], worlds: list[Context], columns: Sequence[Column]
 ) -> _Law:
-    """The pass itself; a missing table entry raises KeyError."""
+    """The pass itself, in roots-late order; a missing table entry raises
+    KeyError."""
+    mechanisms = _roots_late(mechanisms)
     step = {base: i for i, (base, _, _) in enumerate(mechanisms)}
     alias, copies = _plan(mechanisms, worlds)
     # the last step that needs each column; a copy of a world the pass
@@ -409,15 +433,35 @@ def _mean_columns(mean: CounterfactualMean) -> list[Column]:
     return columns
 
 
-def _mean_value(mean: CounterfactualMean, law: _Law) -> Fraction:
-    """E[outcome | stratum] from a law over the mean's columns."""
-    outcome, *stratum_column = _mean_columns(mean)
-    stratum = mean.stratum
-    event = () if stratum is None else (stratum.value,)
-    mass, total = law.given(stratum_column, outcome).get(event, (0, 0))
-    if mass == 0:
-        raise EmptyStratum(f"stratum {stratum.label} has probability zero")
-    return Fraction(total, mass)
+def _read(
+    law: _Law, observed: Sequence[Column], means: Sequence[CounterfactualMean]
+) -> tuple[_Law, list[Fraction]]:
+    """In one pass over ``law``: its marginal over ``observed``, zero
+    masses included, and each mean's E[outcome | stratum], from the
+    stratum's mass and outcome-weighted sum.  The first mean whose stratum
+    has mass zero raises EmptyStratum."""
+    pick = _getter([law.positions[c] for c in observed])
+    arms = []
+    for mean in means:
+        outcome, *stratum_column = _mean_columns(mean)
+        held = _getter([law.positions[c] for c in stratum_column])
+        event = () if mean.stratum is None else (mean.stratum.value,)
+        arms.append((held, event, law.positions[outcome], [0, 0]))
+    masses: dict[tuple[int, ...], int] = {}
+    for key, mass in law.masses.items():
+        cell = pick(key)
+        masses[cell] = masses.get(cell, 0) + mass
+        for held, event, j, sums in arms:
+            if held(key) == event:
+                sums[0] += mass
+                sums[1] += mass * key[j]
+    values = []
+    for mean, (_, _, _, (mass, total)) in zip(means, arms):
+        if mass == 0:
+            raise EmptyStratum(f"stratum {mean.stratum.label} has probability zero")
+        values.append(Fraction(total, mass))
+    positions = {c: i for i, c in enumerate(observed)}
+    return _Law(positions, masses, law.denominator, law.consistent), values
 
 
 def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fraction:
@@ -429,7 +473,8 @@ def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fra
     stratum = mean.stratum
     if stratum is not None and stratum.context not in table.contexts:
         raise OracleError("table was not enumerated for the stratum's world")
-    return _mean_value(mean, _law(table.graph, table.scm, table.contexts, _mean_columns(mean)))
+    law = _law(table.graph, table.scm, table.contexts, _mean_columns(mean))
+    return _read(law, (), [mean])[1][0]
 
 
 def _formula_columns(g: CausalGraph, formula: Formula) -> list[Column]:
@@ -534,9 +579,12 @@ def random_scm(graph: CausalGraph, seed: int) -> SCMSpec:
 
     Noise probabilities are random small rationals; each parent
     configuration maps the noise bijectively onto the declared values,
-    so every value stays reachable under every intervention.
+    so every value stays reachable under every intervention.  The map is
+    ``random.sample(support, k)``'s draws, made inline: the same calls to
+    the generator, so the same tables, without the per-call overhead.
     """
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     equations: dict[str, StructuralEquation] = {}
     for base in sorted(n.base for n in graph.nodes):
         node = graph.node(base)
@@ -550,10 +598,17 @@ def random_scm(graph: CausalGraph, seed: int) -> SCMSpec:
         parents = sorted(p.base for p in graph.parents(node))
         table: dict[tuple[int, ...], int] = {}
         parent_supports = [sorted(graph.attr(graph.node(p)).values) for p in parents]
+        draws = [(k - n, n, n.bit_length()) for n in range(k, 0, -1)]
         for combo in product(*parent_supports):
-            shuffled = rng.sample(support, k)
-            for i in range(k):
-                table[tuple(combo) + (i,)] = shuffled[i]
+            # sample's pool draw: the i-th value is the j-th of the n left,
+            # j the first getrandbits below n, and the last left moves to j
+            pool = support.copy()
+            for i, n, bits in draws:
+                j = getrandbits(bits)
+                while j >= n:
+                    j = getrandbits(bits)
+                table[combo + (i,)] = pool[j]
+                pool[j] = pool[n - 1]
         equations[base] = StructuralEquation(
             parents=tuple(parents), noise=noise, table=table
         )
@@ -608,8 +663,8 @@ def check_soundness(
 
     With no ``seed``, the study's own data model is used.  One law over
     both arms' outcome and stratum columns and the observed variables of
-    both formulas serves every reader; the formulas read its marginal
-    over those observed variables.
+    both formulas serves every reader, read once: the arms' means, and
+    the marginal over those observed variables that the formulas read.
     """
     if compiled is None:
         compiled = compile_study(study)
@@ -627,8 +682,8 @@ def check_soundness(
     columns = _mean_columns(left) + _mean_columns(right) + observed
     law = _law(g, model, compiled.worlds(), list(dict.fromkeys(columns)))
 
-    true_value = _mean_value(left, law) - _mean_value(right, law)
-    marginal = law.over(observed)
+    marginal, (left_value, right_value) = _read(law, observed, (left, right))
+    true_value = left_value - right_value
     formula_value = None
     gap = None
     if identified:
@@ -741,5 +796,5 @@ def write_csv(table: PotentialOutcomeTable, out: IO[str]) -> None:
     cells = cf_cols + [(b, ()) for b in observed]
     writer = csv.writer(out)
     writer.writerow(["id", *(format_term(b, ctx) for b, ctx in cf_cols), *observed, "weight"])
-    for i, row in enumerate(table.units(), start=1):
-        writer.writerow([i, *map(row.values.__getitem__, cells), str(row.weight)])
+    for i, (values, weight) in enumerate(table._cells(cells), start=1):
+        writer.writerow([i, *values, str(weight)])

@@ -14,10 +14,15 @@ the row table: it enumerates the table with ``enumerate_table``, checks
 property tests require ``swigc.oracle`` to return exactly their values
 (``==`` on ``Fraction``s and reports), or to raise the same exception
 type with the same message.
+
+``random_scm`` is the random model drawn with one ``random.sample`` call
+per parent configuration; ``swigc.oracle.random_scm`` makes the same
+draws inline and must return the same model for every graph and seed.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -26,9 +31,9 @@ from typing import Mapping, Sequence
 from swigc.errors import EmptyStratum, OracleError, ZeroProbabilityCondition
 from swigc.estimand import CompiledEstimand, compile_study
 from swigc.formula import Difference, Event, Expect, Formula, SumOver, Term
-from swigc.graph import Context
+from swigc.graph import CausalGraph, Context
 from swigc.identify import EstimandReport, identify_estimand
-from swigc.model import CounterfactualMean, StudySpec
+from swigc.model import CounterfactualMean, SCMSpec, StructuralEquation, StudySpec
 from swigc.oracle import (
     PotentialOutcomeTable,
     SoundnessReport,
@@ -213,3 +218,31 @@ def check_soundness(
         naive_value=naive_value,
         naive_gap=naive_gap,
     )
+
+
+def random_scm(graph: CausalGraph, seed: int) -> SCMSpec:
+    """A random exact data model on ``graph``: random small rational noise
+    weights, and per parent configuration a ``random.sample`` of the
+    node's values, one per noise value."""
+    rng = random.Random(seed)
+    equations: dict[str, StructuralEquation] = {}
+    for base in sorted(n.base for n in graph.nodes):
+        node = graph.node(base)
+        if graph.attr(node).deterministic is not None:
+            continue
+        support = sorted(graph.attr(node).values)
+        k = len(support)
+        weights = [rng.randint(1, 6) for _ in range(k)]
+        total = sum(weights)
+        noise = tuple((i, Fraction(w, total)) for i, w in enumerate(weights))
+        parents = sorted(p.base for p in graph.parents(node))
+        table: dict[tuple[int, ...], int] = {}
+        parent_supports = [sorted(graph.attr(graph.node(p)).values) for p in parents]
+        for combo in product(*parent_supports):
+            shuffled = rng.sample(support, k)
+            for i in range(k):
+                table[tuple(combo) + (i,)] = shuffled[i]
+        equations[base] = StructuralEquation(
+            parents=tuple(parents), noise=noise, table=table
+        )
+    return SCMSpec(equations=equations)

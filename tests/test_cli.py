@@ -299,6 +299,19 @@ class TestSimulate:
         assert res.err == "error: --seed and --seeds are mutually exclusive\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "spec, seeds",
+        [("itt.swg", "0:10000000000000000000"), ("chronic_pain.swg", "0:2"), ("itt.swg", "0:2")],
+    )
+    def test_csv_and_seeds_are_mutually_exclusive(self, run_cli, tmp_path, spec, seeds):
+        # Refused before any file is opened: past the cap, for a study with
+        # no data model of its own, and for a battery that would run.
+        target = tmp_path / "table.csv"
+        res = run_cli("simulate", spec_path(spec), "--seeds", seeds, "--csv", str(target))
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: --csv and --seeds are mutually exclusive\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("last", ["10000000000000000000", "1000000000000000000"])
     def test_battery_past_the_cap_is_refused(self, run_cli, last):
         res = run_cli("simulate", spec_path("itt.swg"), "--seeds", f"0:{last}")
@@ -579,3 +592,8 @@ def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
     assert codes["specs"].count("0") == len(STUDY_FILES) - 1
     assert sorted(codes["families"]) == ["0"] * (len(script.family_specs()) - 1) + ["7"]
     assert all(line.split()[3] != "-" for line in written if line.startswith("0 "))
+    # The latent-roots chain is identified, sound on every seed, and its
+    # table is written.
+    roots = [line for line in lines if f" {script.ROOTS}" in line]
+    assert [line.split()[0] for line in roots] == ["0"] * len(script.roots_cases("OUT"))
+    assert roots[-1].split()[3] != "-"

@@ -41,6 +41,7 @@ from swigc.oracle import (
 )
 
 from conftest import ROOT, load_study, spec_text
+import reference_oracle
 
 
 # Expected values below were computed by hand from each fixture's tables
@@ -231,9 +232,9 @@ class TestRandomModels:
         assert {r.status for r in reports} == {"identified"}
 
 
-def _battery_script():
-    path = ROOT / "scripts" / "soundness_battery.py"
-    spec = importlib.util.spec_from_file_location("soundness_battery", path)
+def _script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
@@ -241,14 +242,14 @@ def _battery_script():
 
 class TestBatteryScript:
     def test_reports_every_seed(self, capsys):
-        assert _battery_script().main(["--seeds", "3", "--studies", "itt.swg"]) == 0
+        assert _script("soundness_battery").main(["--seeds", "3", "--studies", "itt.swg"]) == 0
         out = capsys.readouterr().out
         assert "seeds 0..2  sound 3/3" in out
         assert out.endswith(", 0 mismatches\n")
 
     def test_battery_past_the_cap_is_refused(self, capsys):
         argv = ["--seeds", "10000000000000000000", "--studies", "itt.swg"]
-        assert _battery_script().main(argv) == 7
+        assert _script("soundness_battery").main(argv) == 7
         assert capsys.readouterr().err == (
             "error: a battery of more than 1000000 seeds exceeds the cap\n"
         )
@@ -263,22 +264,23 @@ class TestBatteryScript:
     )
     def test_count_below_one_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as done:
-            _battery_script().main([*argv, "--studies", "itt.swg"])
+            _script("soundness_battery").main([*argv, "--studies", "itt.swg"])
         assert done.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith(f"error: {message}\n")
 
     def test_unreadable_study_is_one_error_line(self, capsys):
-        assert _battery_script().main(["--seeds", "1", "--studies", "itt.swg", "nope.swg"]) == 2
+        argv = ["--seeds", "1", "--studies", "itt.swg", "nope.swg"]
+        assert _script("soundness_battery").main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: [Errno 2] No such file or directory: ")
         assert err.count("\n") == 1
 
     def test_refused_model_exits_as_simulate_does(self, capsys):
-        code = _battery_script().main(["--seeds", "1", "--studies", "enumeration_cap.swg"])
-        assert code == 7
+        argv = ["--seeds", "1", "--studies", "enumeration_cap.swg"]
+        assert _script("soundness_battery").main(argv) == 7
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: 10000000 noise configurations exceed the cap of 1000000\n"
@@ -414,6 +416,28 @@ class TestOnePass:
         oracle._formula_value(g, combined, None, law)
         # 64 binding combinations per arm, yet one check per term
         assert calls == len(list(terms(combined)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_latent_roots_chain_matches_the_row_table(self, seed):
+        # 1,024 units.  Each root joins the pass just before the link that
+        # reads it, not with the treatment, yet every value is the same.
+        study = parse_study(_script("cli_sweep").roots_chain(3, 4))
+        assert check_soundness(study, seed) == reference_oracle.check_soundness(study, seed)
+
+    def test_latent_roots_join_the_pass_at_their_reader(self):
+        # 320,000 units.  Were every root to join with the treatment, the
+        # states would hold all four roots' values for the whole chain,
+        # several megabytes; joining at its link, each root's values live
+        # for one step.
+        study = parse_study(_script("cli_sweep").roots_chain(4, 10))
+        tracemalloc.start()
+        try:
+            report = check_soundness(study, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.sound and report.true_value == F(-5, 2782208)
+        assert peak < 1_000_000
 
     def test_long_chain_needs_no_row_table(self):
         # 2**17 = 131,072 units; only the live columns of one link are held.

@@ -32,6 +32,8 @@ from swigc.model import (
 from swigc.oracle import (
     SoundnessReport,
     _law,
+    _mechanisms,
+    _roots_late,
     check_soundness,
     conditionally_independent,
     data_model,
@@ -287,6 +289,58 @@ def test_random_models_are_deterministic_and_total(data):
         values = set(graph.attr(node).values)
         for combo in combos:
             assert {eq.table[combo + (n,)] for n in noise_levels} == values
+
+
+@st.composite
+def wide_dags(draw):
+    """A random DAG on 1-3 nodes of 1 to 25 values each: a node of one
+    value makes only sample's last draw, and one of more than 5 values
+    takes sample's larger-set branch."""
+    names = list(NAMES[: draw(st.integers(min_value=1, max_value=3))])
+    sizes = st.integers(min_value=1, max_value=25)
+    nodes = [(v, NodeAttrs(values=tuple(range(draw(sizes))))) for v in names]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(nodes, [p for p, k in zip(pairs, keep) if k])
+
+
+@given(wide_dags(), st.integers(min_value=0, max_value=10**6))
+def test_random_models_are_the_sampled_models(graph, seed):
+    """random_scm's inline draws give random.sample's tables, entry for
+    entry and in the same order, and the same noise weights."""
+    expected = reference_oracle.random_scm(graph, seed)
+    scm = random_scm(graph, seed)
+    assert scm == expected
+    for base, eq in scm.equations.items():
+        assert list(eq.table.items()) == list(expected.equations[base].table.items())
+
+
+@given(dags(), st.integers(min_value=0, max_value=10**6))
+def test_roots_join_the_forward_pass_at_their_first_reader(graph, seed):
+    """The forward pass's order is topological; the nodes with parents
+    keep the layered order; each root sits just before its first reader,
+    with only other roots of that reader between them, and roots no node
+    reads come last."""
+    mechanisms, _ = _mechanisms(graph, random_scm(graph, seed))
+    order = _roots_late(mechanisms)
+    assert sorted(order) == sorted(mechanisms)
+    bases = [base for base, _, _ in order]
+    parents = {base: eq.parents for base, _, eq in order}
+    position = {base: i for i, base in enumerate(bases)}
+    assert all(position[p] < position[b] for b in bases for p in parents[b])
+    readers = [b for b, _, _ in mechanisms if parents[b]]
+    assert [b for b in bases if parents[b]] == readers
+    first = {}
+    for reader in readers:
+        for p in parents[reader]:
+            if not parents[p]:
+                first.setdefault(p, reader)
+    for root in (b for b in bases if not parents[b]):
+        if root in first:
+            between = bases[position[root] + 1 : position[first[root]]]
+            assert all(first.get(b) == first[root] for b in between)
+        else:
+            assert all(not parents[b] and b not in first for b in bases[position[root]:])
 
 
 @given(st.data())
