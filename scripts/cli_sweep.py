@@ -20,8 +20,9 @@ the refused --seeds calls: with --seed, and past the cap of 10^6 seeds.
 Last, a chain whose every link has a latent root of its own (see
 ``roots_chain``), through identify, simulate --seed 0..2 and simulate
 --seed 0 --csv; it is written next to the families and printed as
-ROOTS.  Spec paths are printed relative to the checkout, and the output
-file as OUT.
+ROOTS.  Then texts at the edges of the lexer (see ``lexer_specs``)
+through validate, printed as lexer/NAME.  Spec paths are printed
+relative to the checkout, and the output file as OUT.
 """
 
 from __future__ import annotations
@@ -158,6 +159,26 @@ def roots_cases(out: str) -> list[list[str]]:
     return argvs + [["simulate", spec, "--seed", "0", "--csv", out]]
 
 
+def lexer_specs() -> dict[str, str]:
+    """Spec text by file name: a form feed and a "²" after a comment, a
+    comment holding a quote before an unterminated string, an integer
+    literal longer than int() converts, and a string where a keyword
+    belongs."""
+    itt = (ROOT / "specs" / "itt.swg").read_text(encoding="utf-8")
+    return {
+        "form_feed.swg": '# a colon:\n\f "Broken" {\n',
+        "superscript.swg": "# a comment\n\u00b2 ?\n",
+        "quote_in_comment.swg": '# say "hi\n"oops\n',
+        "long_integer.swg": itt.replace("A = 1 vs", f"A = {'1' * 5000} vs", 1),
+        "string_keyword.swg": itt.replace("  node M", '  "node" M', 1),
+    }
+
+
+def lexer_cases(out: str) -> list[list[str]]:
+    home = os.path.join(os.path.dirname(out), "lexer")
+    return [["validate", os.path.join(home, name)] for name in lexer_specs()]
+
+
 def corpus(out: str) -> list[list[str]]:
     argvs = []
     for spec in sorted(f"specs/{p.name}" for p in (ROOT / "specs").glob("*.swg")):
@@ -167,7 +188,8 @@ def corpus(out: str) -> list[list[str]]:
         argvs += [["simulate", spec, "--seed", str(seed)] for seed in range(10)]
         argvs.append(["simulate", spec, "--csv", out])
         argvs.append(["simulate", spec, "--seed", "0", "--csv", out])
-    return argvs + edge_cases(out) + family_cases(out) + seeds_cases(out) + roots_cases(out)
+    argvs += edge_cases(out) + family_cases(out) + seeds_cases(out) + roots_cases(out)
+    return argvs + lexer_cases(out)
 
 
 def sha(data: bytes) -> str:
@@ -199,6 +221,9 @@ def sweep() -> None:
         for name, text in family_specs().items():
             Path(tmp, "families", name).write_text(text, encoding="utf-8")
         Path(tmp, ROOTS).write_text(roots_chain(3, 3), encoding="utf-8")
+        os.mkdir(os.path.join(tmp, "lexer"))
+        for name, text in lexer_specs().items():
+            Path(tmp, "lexer", name).write_text(text, encoding="utf-8")
         for argv in corpus(out):
             print(run(argv, out), flush=True)
 

@@ -5,7 +5,9 @@ Exit codes:
   1  evaluation failure: zero-mass conditioning event, empty stratum,
      or a data model that does not cover a requested world
   2  unusable input: syntax error, violated study invariant, bad query,
-     a spec file that is missing or cannot be read as UTF-8 text
+     a spec file that is missing or cannot be read as UTF-8 text, or one
+     longer than the cap of 2**24 bytes (dsl.MAX_SPEC_BYTES), which is
+     refused before it is read further
   3  d-separation query: the sets are connected
   4  estimand only partially identified (a cross-world event survives)
   5  estimand not identifiable (open backdoor witness)

@@ -6,19 +6,24 @@ model.  The parser reports the first syntax error with 1-based line and
 column plus the token kinds that would have been accepted; well-formed
 files that break a study invariant raise SemanticError instead.
 
-The front end is two rules.  ``_TOKEN`` is one regex that reads one
-token per match, after skipping the whitespace and comments before it
-(a comment runs from ``#`` to the end of its line): punctuation (``->``,
-``:=`` or one of ``{}():;,=/``), an integer (an optional ``-`` and
-decimal digits), a name (letters, digits and ``_``, starting with a
-letter or ``_``), a string that closes on its own line, or the end of
-the text; any other character is an error.  The tokens are kept as
-three lists, of kinds, texts and start offsets; a line and column are
-computed from an offset only when a ParseError is raised.
+The front end reads a text in two regex passes, both built from one
+pair of pattern strings: the whitespace and comments between tokens (a
+comment runs from ``#`` to the end of its line), and the tokens:
+punctuation (``->``, ``:=`` or one of ``{}():;,=/``), an integer (an
+optional ``-`` and decimal digits), a name (letters, digits and ``_``,
+starting with a letter or ``_``), and a string that closes on its own
+line.  ``_LEXED`` finds the first character no token can start, which
+is an error; ``_TOKEN`` then lists the token texts, a string with its
+quotes and the end of the text as "".  That one list is all the parser
+keeps.  A token's kind is read from its first character when the
+grammar asks for one, and a token's start offset, for a line and
+column, is found again only when a ParseError is raised.
 The parser's grammar methods are written with four token rules:
 ``at``/``expect`` for keywords and punctuation (a failure lists every
-alternative), ``take`` for a name, integer or string, ``block`` for
-``{ item* }`` and ``commas`` for ``item, item, ...`` lists.
+alternative), ``name``/``integer``/``take`` for a name, integer, string
+or the end, ``block`` for ``{ item* }`` and ``commas`` for
+``item, item, ...`` lists.  A data-model table is checked with set
+operations; its keys are walked only to name the first fault.
 
 serialize() emits a canonical form: entries sorted by name, attributes
 reduced to non-defaults, data-model tables normalized so every key ends
@@ -28,9 +33,11 @@ byte-stable.
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from math import prod
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConflictingStrategies, ParseError, GraphError, SemanticError, SpecError
@@ -49,30 +56,27 @@ from .model import (
 __all__ = ["GRAMMAR_VERSION", "parse_study", "parse_file", "serialize"]
 
 GRAMMAR_VERSION = "1.0"
+# The longest spec file read, in bytes; a longer one is unusable input.
+MAX_SPEC_BYTES = 2**24
 
 _DECLARED_ROLES = ("covariate", "intercurrent", "latent", "outcome", "treatment")
 
 
 # tokenizer
 
-# One match reads the whitespace and comments before a token, then the
-# token; the group that matched, read from ``m.lastindex``, is its kind.
-# Alternatives are tried in order; in a str pattern ``\d`` is exactly
-# str.isdecimal and ``\w`` exactly str.isalnum or "_".  ``\Z`` ends the
-# text, so a trailing comment is never backtracked into a token.
-_TOKEN = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-    r"(?:([A-Za-z_]\w*)"
-    r"|(->|:=|[{}():;,=/])"
-    r"|(-?\d+)"
-    r"|(\w+)"
-    r'|"([^"\n]*)"'
-    r'|(")'
-    r"|(\Z)"
-    r"|(.))"
-)
-# Groups after the third need a look before their token is kept.
-_KINDS = (None, "ident", "punct", "int", "word", "string", "unterminated", "eof", "other")
+# The token rules as two pattern strings: the whitespace and comments
+# between tokens (a comment runs from "#" to the end of its line), and
+# the tokens, tried in order.  In a str pattern ``\d`` is exactly
+# str.isdecimal and ``\w`` exactly str.isalnum or "_".  A string keeps
+# its quotes, so its text never equals a keyword or punctuation mark.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_GOOD = r'[A-Za-z_]\w*|->|:=|[{}():;,=/]|-?\d+|\w+|"[^"\n]*"'
+# Its match ends at the first character no token can start.  Both parts
+# are atomic: backtracking into a comment would read a token inside it.
+_LEXED = re.compile(rf"(?:(?>{_SKIP})(?:{_GOOD}))*+(?>{_SKIP})")
+# One match per token, after the space before it; the end of the text
+# reads as "".  Where space ends the text, a second "" follows the first.
+_TOKEN = re.compile(rf"(?>{_SKIP})({_GOOD}|\Z)")
 
 
 def _error(text: str, offset: int, message: str, expected: Sequence[str] = ()) -> ParseError:
@@ -82,33 +86,35 @@ def _error(text: str, offset: int, message: str, expected: Sequence[str] = ()) -
     return ParseError(line, offset - line_start + 1, message, expected)
 
 
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """The kind, text and start offset of each token, the last one ``eof``;
-    a string's text is what its quotes enclose, and it starts at its
-    opening quote.  The first character no token can start with raises."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        kind = _KINDS[group]
-        token = m[group]
-        start = m.start(group)
-        if group > 3:
-            if kind == "string":
-                start -= 1
-            elif kind == "word" and token[0].isalpha():  # \w+ not starting in ASCII
-                kind = "ident"
-            elif kind == "unterminated":
-                raise _error(text, start, "unterminated string")
-            elif kind != "eof":
-                raise _error(text, start, f"unexpected character {token[0]!r}")
-        kinds.append(kind)
-        texts.append(token)
-        starts.append(start)
-        if kind == "eof":  # a match of \Z alone could follow one that read trailing space
-            break
-    return kinds, texts, starts
+def _tokenize(text: str) -> list[str]:
+    """The text of each token, the end of the text as "".  The first
+    character no token can start raises, and so does a ``\\w+`` word that
+    does not start with a letter, such as "²"; only a text that is not
+    ASCII can hold one."""
+    stop = _LEXED.match(text).end()
+    if not text.isascii():
+        for m in _TOKEN.finditer(text, 0, stop):
+            c = m[1][:1]
+            if c.isalnum() and not (c.isalpha() or c.isdecimal()):
+                raise _error(text, m.start(1), f"unexpected character {c!r}")
+    if stop < len(text):
+        c = text[stop]
+        message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
+        raise _error(text, stop, message)
+    return _TOKEN.findall(text)
+
+
+def _kind(token: str) -> str:
+    """A token's kind, read from its first character (and the second, for
+    "-"): ident, int, string, punct, or eof for the end of the text."""
+    c = token[:1]
+    if c.isalpha() or c == "_":
+        return "ident"
+    if c == '"':
+        return "string"
+    if token.lstrip("-")[:1].isdecimal():
+        return "int"
+    return "punct" if c else "eof"
 
 
 # parser
@@ -119,46 +125,58 @@ _T = TypeVar("_T")
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.texts, self.starts = _tokenize(text)
+        self.tokens = _tokenize(text)
         self.pos = 0
 
+    def start(self, pos: int) -> int:
+        """The offset of token ``pos``, found again for an error."""
+        return next(islice(_TOKEN.finditer(self.text), pos, None)).start(1)
+
     def fail(self, expected: Iterable[str]) -> ParseError:
-        pos = self.pos
-        what = "end of file" if self.kinds[pos] == "eof" else f"{self.texts[pos]!r}"
-        return _error(self.text, self.starts[pos], f"unexpected {what}", list(expected))
+        token = self.tokens[self.pos]
+        what = "end of file" if not token else repr(token.strip('"'))  # a string unquoted
+        return _error(self.text, self.start(self.pos), f"unexpected {what}", list(expected))
 
     def at(self, *texts: str) -> bool:
         """Whether the next token is one of these keywords or punctuation marks."""
-        pos = self.pos
-        return self.texts[pos] in texts and self.kinds[pos] != "string"
+        return self.tokens[self.pos] in texts
 
     def expect(self, *texts: str) -> str:
         """Read one of these keywords or punctuation marks and return it."""
-        if not self.at(*texts):
+        token = self.tokens[self.pos]
+        if token not in texts:
             raise self.fail([f'"{text}"' for text in texts])
         self.pos += 1
-        return self.texts[self.pos - 1]
+        return token
 
     def take(self, kind: str, what: str) -> str:
         """Read a token of ``kind`` and return its text; ``what`` names it in errors."""
-        pos = self.pos
-        if self.kinds[pos] != kind:
+        token = self.tokens[self.pos]
+        if _kind(token) != kind:
             raise self.fail([what])
-        self.pos = pos + 1
-        return self.texts[pos]
+        self.pos += 1
+        return token
 
     def name(self, what: str = "a variable name") -> str:
-        return self.take("ident", what)
+        token = self.tokens[self.pos]
+        if not (token[:1].isalpha() or token[:1] == "_"):  # _kind's "ident"
+            raise self.fail([what])
+        self.pos += 1
+        return token
 
     def integer(self) -> int:
-        start = self.starts[self.pos]
-        text = self.take("int", "an integer")
+        token = self.tokens[self.pos]
         try:
-            return int(text)
-        except ValueError:  # longer than int() converts (sys.get_int_max_str_digits)
-            digits = len(text.lstrip("-"))
+            value = int(token)  # of all tokens, int() reads exactly the integers...
+        except ValueError:
+            if _kind(token) != "int":
+                raise self.fail(["an integer"]) from None
+            # ...unless longer than it converts (sys.get_int_max_str_digits)
+            digits = len(token.lstrip("-"))
             message = f"integer literal of {digits} digits is too long"
-            raise _error(self.text, start, message) from None
+            raise _error(self.text, self.start(self.pos), message) from None
+        self.pos += 1
+        return value
 
     def block(self, item: Callable[[], _T]) -> list[_T]:
         """``{ item* }``."""
@@ -183,7 +201,7 @@ class _Parser:
 
     def study(self) -> StudySpec:
         self.expect("study")
-        title = self.take("string", "a quoted string")
+        title = self.take("string", "a quoted string")[1:-1]
         self.expect("{")
         self.expect("node")
         nodes = [self.node_decl()]
@@ -496,39 +514,54 @@ def _assemble_scm(
                     f"table for {var} lists parents {listed}, but the graph gives {actual}"
                 )
             arity = len(listed_parents) + (1 if noise is not None else 0)
-            perm = sorted(range(len(listed_parents)), key=lambda i: listed_parents[i])
-            mapping = {}
-            for key, value in entries:
-                if len(key) != arity:
-                    raise SemanticError(
-                        f"table key {key} for {var} has {len(key)} components, expected {arity}"
-                    )
-                parent_vals = key[: len(listed_parents)]
-                noise_val = key[len(listed_parents)] if noise is not None else 0
-                canon = tuple(parent_vals[i] for i in perm) + (noise_val,)
-                if canon in mapping:
-                    raise SemanticError(f"table for {var} lists key {key} twice")
-                mapping[canon] = value
+            # Keys that list the parents in order and end with the noise
+            # value are canonical already; the walk names a key of the wrong
+            # length or given twice, and puts other keys in canonical order.
+            mapping = dict(entries)
+            if (
+                noise is None
+                or listed_parents != graph_parents
+                or len(mapping) != len(entries)
+                or set(map(len, mapping)) != {arity}
+            ):
+                perm = sorted(range(len(listed_parents)), key=lambda i: listed_parents[i])
+                mapping = {}
+                for key, value in entries:
+                    if len(key) != arity:
+                        raise SemanticError(
+                            f"table key {key} for {var} has {len(key)} components,"
+                            f" expected {arity}"
+                        )
+                    parent_vals = key[: len(listed_parents)]
+                    noise_val = key[len(listed_parents)] if noise is not None else 0
+                    canon = tuple(parent_vals[i] for i in perm) + (noise_val,)
+                    if canon in mapping:
+                        raise SemanticError(f"table for {var} lists key {key} twice")
+                    mapping[canon] = value
 
-        # Sorted axes give keys in sorted order, so the walk stops at the
-        # smallest missing key after at most len(mapping) + 1 keys.
+        # The keys are distinct, so they are every point of the product of
+        # the axes when there are as many and each component lies in its
+        # axis.  Only a table that fails this is walked, to name its fault:
+        # a key is missing, or else the table is too long for its axes.
         axes = [support[p] for p in graph_parents] + [[value for value, _ in noise_entries]]
-        for key in product(*axes):
-            if key not in mapping:
-                raise SemanticError(f"table for {var} is missing an entry for {key}")
         allowed = [set(axis) for axis in axes]
-        extra = [key for key in mapping if any(c not in a for c, a in zip(key, allowed))]
-        if extra:
+        if len(mapping) != prod(map(len, axes)) or not all(
+            a.issuperset(column) for a, column in zip(allowed, zip(*mapping))
+        ):
+            # Sorted axes give keys in sorted order, so the walk stops at the
+            # smallest missing key after at most len(mapping) + 1 keys.
+            for key in product(*axes):
+                if key not in mapping:
+                    raise SemanticError(f"table for {var} is missing an entry for {key}")
+            extra = [key for key in mapping if any(c not in a for c, a in zip(key, allowed))]
             raise SemanticError(
                 f"table for {var} has an entry for unreachable values {min(extra)}"
             )
 
         declared = set(attr_by_name[var].values)
-        for value in mapping.values():
-            if value not in declared:
-                raise SemanticError(
-                    f"table for {var} produces {value}, outside its declared values"
-                )
+        if not declared.issuperset(mapping.values()):
+            value = next(v for v in mapping.values() if v not in declared)
+            raise SemanticError(f"table for {var} produces {value}, outside its declared values")
         support[var] = tuple(sorted(set(mapping.values())))
         equations[var] = StructuralEquation(
             parents=tuple(graph_parents), noise=noise_entries, table=mapping
@@ -542,12 +575,23 @@ def parse_study(text: str) -> StudySpec:
 
 
 def parse_file(path: str) -> StudySpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise SpecError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    return parse_study(text)
+    """Parse the study in the file at ``path``; one longer than
+    MAX_SPEC_BYTES is refused before any of it is decoded."""
+    with open(path, "rb") as fh:
+        # A regular file's size bounds the read, so no buffer of the cap's
+        # size is made; a device or pipe, which has no size, is read to the cap.
+        size = os.fstat(fh.fileno()).st_size
+        data = fh.read(min(size, MAX_SPEC_BYTES) + 1)
+        if len(data) > size:
+            data += fh.read(MAX_SPEC_BYTES + 1 - len(data))
+    if len(data) > MAX_SPEC_BYTES:
+        raise SpecError(f"{path}: longer than the cap of {MAX_SPEC_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SpecError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    # As a file read as text: "\r\n" and a lone "\r" each end a line.
+    return parse_study(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # canonical serialization

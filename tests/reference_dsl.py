@@ -173,7 +173,12 @@ class _Parser:
         if t.kind != "int":
             raise self.fail(["an integer"])
         self.advance()
-        return int(t.text)
+        try:
+            return int(t.text)
+        except ValueError:  # longer than int() converts (sys.get_int_max_str_digits)
+            digits = len(t.text.lstrip("-"))
+            message = f"integer literal of {digits} digits is too long"
+            raise ParseError(t.line, t.col, message) from None
 
     def string(self) -> str:
         t = self.peek()

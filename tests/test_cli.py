@@ -2,13 +2,25 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from swigc.dsl import MAX_SPEC_BYTES
 from swigc.errors import SwigcError
 
 from conftest import ROOT, STUDY_FILES, golden_text, spec_path, spec_text
 import reference_dsl
+
+
+def run_cli_process(*argv, stdin=None):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "swigc.cli", *argv], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=120)
+
 
 IDENTIFY_EXITS = {
     "itt": 0,
@@ -66,6 +78,47 @@ class TestValidate:
         assert res.err == (
             f"error: {spec}: not UTF-8 text (invalid start byte at byte 6)\n"
         )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero here")
+    def test_endless_file_is_refused_at_the_cap(self):
+        done = run_cli_process("validate", "/dev/zero")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: /dev/zero: longer than the cap of {MAX_SPEC_BYTES} bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin here")
+    def test_spec_is_read_from_a_pipe(self):
+        # A pipe has no size to bound the read, so it is read to its end.
+        done = run_cli_process("validate", "/dev/stdin", stdin=spec_text("itt.swg"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == "ok: Treatment policy"
+
+    def test_file_one_byte_over_the_cap_is_refused(self, tmp_path):
+        spec = tmp_path / "long.swg"
+        spec.write_bytes(b" " * (MAX_SPEC_BYTES + 1))
+        done = run_cli_process("validate", str(spec))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {spec}: longer than the cap of {MAX_SPEC_BYTES} bytes\n"
+
+    def test_file_at_the_cap_is_read(self, run_cli, tmp_path):
+        spec = tmp_path / "long.swg"
+        spec.write_bytes(b" " * MAX_SPEC_BYTES)
+        res = run_cli("validate", str(spec))
+        assert res.code == 2
+        end = MAX_SPEC_BYTES + 1
+        assert res.err == f'error: 1:{end}: unexpected end of file (expected "study")\n'
+
+    def test_bad_byte_is_named_by_its_offset_in_the_file(self, run_cli, tmp_path):
+        spec = tmp_path / "late.swg"
+        spec.write_bytes(spec_text("itt.swg").encode() + b"#" * 20000 + b"\xff")
+        res = run_cli("validate", str(spec))
+        offset = len(spec.read_bytes()) - 1
+        assert res.err == f"error: {spec}: not UTF-8 text (invalid start byte at byte {offset})\n"
+
+    def test_carriage_returns_end_lines(self, run_cli, tmp_path):
+        spec = tmp_path / "crlf.swg"
+        spec.write_bytes(b'study "T" {\r\n\tnode A {\r\t\t?')
+        res = run_cli("validate", str(spec))
+        assert res.err == "error: 3:3: unexpected character '?'\n"
 
 
 class TestIdentify:
@@ -597,3 +650,30 @@ def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
     roots = [line for line in lines if f" {script.ROOTS}" in line]
     assert [line.split()[0] for line in roots] == ["0"] * len(script.roots_cases("OUT"))
     assert roots[-1].split()[3] != "-"
+    # Every text at the edges of the lexer is a syntax error.
+    lexer = [line for line in lines if " lexer/" in line]
+    assert [line.split()[0] for line in lexer] == ["2"] * len(script.lexer_specs())
+
+
+def test_cli_sweep_does_not_depend_on_the_hash_seed():
+    """The sweep prints the same lines under two string hash seeds, so no
+    output of any call depends on the order of a set or dict of names."""
+    runs = [
+        subprocess.Popen(
+            [sys.executable, str(ROOT / "scripts" / "cli_sweep.py")],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    outputs = []
+    try:
+        for run in runs:
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+            outputs.append(out)
+    finally:
+        for run in runs:
+            run.kill()
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 300

@@ -823,6 +823,19 @@ SPEC_SEEDS = BUNDLED_TEXTS + [serialize(load_study(n)) for n in STUDY_FILES] + [
 # at the edges of the token rules, and comments and line breaks.
 EXTRA_TOKENS = ('"', '""', '"x', "-", "-1", "²", "½", "Ⅻ", "١", "é", "_x", "x²", "?",
                 "\f", " ", "#", "# c", "\n", "()", "true", ",", "table", "noise")
+# The edges of the lexer: a form feed and a "²" after a comment, a comment
+# holding a quote before an unterminated string, an integer literal longer
+# than int() converts, and a string where a keyword belongs.
+ITT = spec_text("itt.swg")  # its first comment line ends in a colon
+LEXER_EDGE_SPECS = [
+    ITT.replace("study ", "\f ", 1),
+    ITT.replace("study", "²study", 1),
+    ITT.replace("# Randomized", '# "Randomized', 1).replace('"Treatment policy"', '"Treatment', 1),
+    ITT.replace("A = 1 vs", f"A = {'1' * 5000} vs", 1),
+    ITT.replace("  node M", '  "node" M', 1),
+]
+LEXER_EDGE_TEXTS = ['# a colon:\n\f "Broken" {', "# c\n² ?", '# say "hi\n"oops',
+                    "x = " + "9" * 5000, '"node" A {}']
 
 
 def _token_spans(text):
@@ -880,6 +893,11 @@ def _spec_or_error(parse, text):
 
 @settings(max_examples=1000)
 @given(mutated_specs())
+@example(LEXER_EDGE_SPECS[0])
+@example(LEXER_EDGE_SPECS[1])
+@example(LEXER_EDGE_SPECS[2])
+@example(LEXER_EDGE_SPECS[3])
+@example(LEXER_EDGE_SPECS[4])
 def test_parser_matches_the_character_walk_on_mutated_specs(text):
     expected = _spec_or_error(reference_dsl.parse_study, text)
     assert _spec_or_error(parse_study, text) == expected
@@ -941,13 +959,17 @@ def _reference_tokens(text):
 
 
 def _dsl_tokens(text):
-    """dsl._tokenize's kinds, texts and start offsets as the reference's
-    (kind, text, line, col) tuples."""
-    kinds, texts, starts = dsl._tokenize(text)
-    return [
-        (kind, token, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
-        for kind, token, start in zip(kinds, texts, starts)
-    ]
+    """dsl._tokenize's texts as the reference's (kind, text, line, col)
+    tuples, up to the end of the text: each kind as the parser reads it,
+    and each start offset from the match that an error finds again."""
+    tokens = []
+    for token, m in zip(dsl._tokenize(text), dsl._TOKEN.finditer(text)):
+        kind, start = dsl._kind(token), m.start(1)
+        shown = token[1:-1] if kind == "string" else token
+        line, col = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+        tokens.append((kind, shown, line, col))
+        if kind == "eof":
+            return tokens
 
 
 def _tokens_or_error(tokenize, text):
@@ -965,6 +987,11 @@ TOKEN_ALPHABET = st.sampled_from(list('ab_Z09-->:=;{}()",/# \t\r\n²½Ⅻ١é\f\
 
 @settings(max_examples=500)
 @given(st.text(TOKEN_ALPHABET, max_size=30))
+@example(LEXER_EDGE_TEXTS[0])
+@example(LEXER_EDGE_TEXTS[1])
+@example(LEXER_EDGE_TEXTS[2])
+@example(LEXER_EDGE_TEXTS[3])
+@example(LEXER_EDGE_TEXTS[4])
 def test_tokenizer_matches_the_character_walk(text):
     expected = _tokens_or_error(_reference_tokens, text)
     assert _tokens_or_error(_dsl_tokens, text) == expected
