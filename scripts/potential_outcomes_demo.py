@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from swigc.graph import NodeAttrs, build_graph
 from swigc.model import SCMSpec, StructuralEquation
-from swigc.model import CounterfactualMean
 from swigc.oracle import (
     enumerate_table,
     eval_formula,
@@ -84,7 +83,7 @@ def main() -> int:
     print(f"\nconsistency violations: {len(violations)}")
 
     def mean(level: int) -> Fraction:
-        return true_estimand(table, CounterfactualMean("Y", (("A", level),), None))
+        return true_estimand(table, Expect(Term("Y", (("A", level),))))
 
     true_ate = mean(1) - mean(0)
     naive = eval_formula(

@@ -55,12 +55,13 @@ def run(studies: list[StudySpec], first: int, n_seeds: int, jobs: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    # A count below one would check nothing and still report success; the
-    # CLI's own check refuses it, as `swigc simulate --jobs 0` is refused.
+    # A count below one, or an empty study list, would check nothing and
+    # still report success; both are usage errors, as `swigc simulate
+    # --jobs 0` is one.
     ap.add_argument("--seeds", type=_at_least(1), default=100, help="seeds per study")
     ap.add_argument("--first", type=int, default=0, help="first seed")
     ap.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers")
-    ap.add_argument("--studies", nargs="*", default=list(DEFAULT_STUDIES))
+    ap.add_argument("--studies", nargs="+", default=list(DEFAULT_STUDIES))
     args = ap.parse_args(argv)
     try:
         studies = [parse_file(SPECS_DIR / name) for name in args.studies]

@@ -72,12 +72,9 @@ from .identify import (
 )
 from .model import (
     Composite,
-    CounterfactualMean,
-    EstimandContrast,
     Hypothetical,
     PrincipalStratum,
     SCMSpec,
-    StratumEvent,
     Strategy,
     StructuralEquation,
     StudySpec,
@@ -133,12 +130,9 @@ __all__ = [
     "path_string",
     # studies
     "Composite",
-    "CounterfactualMean",
-    "EstimandContrast",
     "Hypothetical",
     "PrincipalStratum",
     "SCMSpec",
-    "StratumEvent",
     "Strategy",
     "StructuralEquation",
     "StudySpec",

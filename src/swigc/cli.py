@@ -70,7 +70,7 @@ def _cmd_validate(args, compiled: CompiledEstimand) -> tuple[dict, int]:
         "nodes": len(study.graph),
         "edges": len(study.graph.edges),
         "strategies": {v: s.kind for v, s in sorted(study.strategies.items())},
-        "estimand": compiled.contrast.label,
+        "estimand": render(compiled.contrast),
         "canonical": serialize(study),
     }, 0
 
@@ -222,7 +222,7 @@ def _cmd_identify(args, compiled: CompiledEstimand) -> tuple[dict, int]:
     combined = report.combined
     payload = {
         "study": compiled.study.name,
-        "estimand": compiled.contrast.label,
+        "estimand": render(compiled.contrast),
         "left": arm_payload(report.left),
         "right": arm_payload(report.right),
         "combined": render(combined) if combined is not None else None,

@@ -3,8 +3,10 @@
 The output of compilation is (1) a possibly extended graph, when a
 composite strategy introduces a derived endpoint, (2) the ordered set
 of variables the study graph must be split at, treatment first, and
-(3) the contrast of counterfactual means the study targets, with any
-principal-stratum membership condition attached.
+(3) the estimand as a formula: a ``formula.Difference`` of the two
+arms' ``formula.Expect`` means, each given the principal-stratum
+membership event when there is one.  Identification starts from that
+same formula, so the estimand and its derivation share one vocabulary.
 """
 
 from __future__ import annotations
@@ -13,16 +15,8 @@ from dataclasses import dataclass
 
 from .errors import CompositeNonBinary, SemanticError
 from .graph import CausalGraph, CompositeRule, Context, NodeAttrs, NodeId
-from .model import (
-    Composite,
-    CounterfactualMean,
-    EstimandContrast,
-    Hypothetical,
-    PrincipalStratum,
-    StratumEvent,
-    StudySpec,
-    TreatmentPolicy,
-)
+from .formula import Difference, Event, Expect, Term
+from .model import Composite, Hypothetical, PrincipalStratum, StudySpec, TreatmentPolicy
 from .swig import SWIG, split
 
 __all__ = ["CompiledEstimand", "compile_study", "study_swig"]
@@ -34,7 +28,9 @@ class CompiledEstimand:
 
     ``split_vars`` holds the treatment first, then every hypothetically
     held event in name order; ``split_levels`` carries the level each
-    held event is set to in the estimand.
+    held event is set to in the estimand.  ``stratum`` is the
+    principal-stratum event, such as M(a=1)=0, that both means of
+    ``contrast`` are given.
     """
 
     study: StudySpec
@@ -42,9 +38,8 @@ class CompiledEstimand:
     outcome: str
     split_vars: tuple[str, ...]
     split_levels: dict[str, int]
-    stratum: StratumEvent | None
-    derived: str | None
-    contrast: EstimandContrast
+    stratum: Event | None
+    contrast: Difference
 
     def arm_context(self, arm: int) -> Context:
         """Intervention assignments defining one arm's potential outcome."""
@@ -54,17 +49,17 @@ class CompiledEstimand:
 
     def worlds(self) -> tuple[Context, ...]:
         """The worlds the oracle enumerates: each arm's, then the stratum's."""
-        arms = (self.contrast.left.context, self.contrast.right.context)
-        return arms if self.stratum is None else arms + (self.stratum.context,)
+        arms = (self.contrast.left.term.context, self.contrast.right.term.context)
+        return arms if self.stratum is None else arms + (self.stratum.term.context,)
 
     def stratum_box(self, arm: int) -> dict[str, int]:
         """The stratum event to box in a drawing of the world where the
         treatment is ``arm``: ``{event: level}`` when the principal stratum
         is defined in that world, else ``{}``."""
         s = self.stratum
-        if s is None or s.context != ((self.study.treatment, arm),):
+        if s is None or s.term.context != ((self.study.treatment, arm),):
             return {}
-        return {s.var: s.value}
+        return {s.term.var: s.value}
 
     def symbolic_context(self) -> Context:
         """The same variables held at symbolic levels, for generic derivations."""
@@ -116,8 +111,7 @@ def _fold_composite(
 def compile_study(study: StudySpec) -> CompiledEstimand:
     graph = study.graph
     outcome = study.outcome
-    derived: str | None = None
-    stratum: StratumEvent | None = None
+    stratum: Event | None = None
     held: list[tuple[str, int]] = []
 
     for event in sorted(study.strategies):
@@ -128,13 +122,10 @@ def compile_study(study: StudySpec) -> CompiledEstimand:
             held.append((event, strat.level))
         elif isinstance(strat, Composite):
             graph, outcome = _fold_composite(graph, outcome, event, strat)
-            derived = outcome
         elif isinstance(strat, PrincipalStratum):
             if stratum is not None:
                 raise SemanticError("at most one principal stratum strategy is allowed")
-            stratum = StratumEvent(
-                event, ((study.treatment, strat.under),), strat.equals
-            )
+            stratum = Event(Term(event, ((study.treatment, strat.under),)), strat.equals)
         else:
             raise SemanticError(f"unsupported strategy for {event}: {strat!r}")
 
@@ -149,12 +140,12 @@ def compile_study(study: StudySpec) -> CompiledEstimand:
             f"symbolic assignment {name!r} collides with a declared variable"
         )
 
-    def mean(arm: int) -> CounterfactualMean:
-        context: Context = ((study.treatment, arm),) + tuple(held)
-        return CounterfactualMean(outcome=outcome, context=context, stratum=stratum)
+    given = () if stratum is None else (stratum,)
+
+    def mean(arm: int) -> Expect:
+        return Expect(Term(outcome, ((study.treatment, arm), *held)), given)
 
     hi, lo = study.treatment_levels
-    contrast = EstimandContrast(left=mean(hi), right=mean(lo))
     return CompiledEstimand(
         study=study,
         graph=graph,
@@ -162,8 +153,7 @@ def compile_study(study: StudySpec) -> CompiledEstimand:
         split_vars=split_vars,
         split_levels=dict(held),
         stratum=stratum,
-        derived=derived,
-        contrast=contrast,
+        contrast=Difference(mean(hi), mean(lo)),
     )
 
 

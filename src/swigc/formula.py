@@ -1,4 +1,8 @@
-"""Formula fragments produced by identification.
+"""Formula fragments: the estimand and every step that identifies it.
+
+A compiled study's estimand is already a formula, a Difference of two
+Expect means such as E[Y(a=1)|M(a=1)=0] - E[Y(a=0)|M(a=1)=0]; each
+arm's derivation starts from its mean and rewrites it step by step.
 
 Terms are possibly counterfactual variables; events attach a value to a
 term; expectations condition on a tuple of events kept in the order the

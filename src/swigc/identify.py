@@ -59,7 +59,7 @@ from .formula import (
     render,
 )
 from .graph import CausalGraph, NodeId
-from .model import CounterfactualMean, StratumEvent, StudySpec
+from .model import StudySpec
 
 __all__ = [
     "DerivationStep",
@@ -112,7 +112,7 @@ _EXIT_CODES = {"identified": 0, "partial": 4, "blocked": 5}
 
 @dataclass(frozen=True)
 class Identified:
-    mean: CounterfactualMean
+    mean: Expect
     formula: Formula
     steps: tuple[DerivationStep, ...]
     status = "identified"
@@ -120,7 +120,7 @@ class Identified:
 
 @dataclass(frozen=True)
 class PartiallyIdentified:
-    mean: CounterfactualMean
+    mean: Expect
     formula: Formula
     steps: tuple[DerivationStep, ...]
     cross_world: CrossWorld
@@ -129,7 +129,7 @@ class PartiallyIdentified:
 
 @dataclass(frozen=True)
 class NotIdentifiable:
-    mean: CounterfactualMean
+    mean: Expect
     steps: tuple[DerivationStep, ...]
     blocked: OpenBackdoor
     status = "blocked"
@@ -159,15 +159,18 @@ class EstimandReport:
         return None
 
 
-def _check_term(mean: CounterfactualMean, compiled: CompiledEstimand) -> None:
-    if mean.outcome != compiled.outcome:
+def _check_term(mean: Expect, compiled: CompiledEstimand) -> None:
+    if len(mean.given) > 1:
+        raise SemanticError(f"term may be given at most one stratum event, not {len(mean.given)}")
+    outcome, context = mean.term.var, mean.term.context
+    if outcome != compiled.outcome:
         raise SemanticError(
-            f"term is about {mean.outcome}, but the study outcome is {compiled.outcome}"
+            f"term is about {outcome}, but the study outcome is {compiled.outcome}"
         )
-    if tuple(v for v, _ in mean.context) != compiled.split_vars:
+    if tuple(v for v, _ in context) != compiled.split_vars:
         expected = ", ".join(compiled.split_vars)
         raise SemanticError(f"term must assign exactly the intervened variables ({expected})")
-    for var, val in mean.context:
+    for var, val in context:
         declared = compiled.graph.attr(compiled.graph.node(var)).values
         if isinstance(val, int) and val not in declared:
             raise SemanticError(f"level {val} is outside declared values of {var}")
@@ -192,16 +195,14 @@ class _Search:
     conditioning: tuple[tuple[NodeId, DSepQuery], ...] = ()
 
 
-def _search(compiled: CompiledEstimand, stratum: StratumEvent | None) -> _Search:
+def _search(compiled: CompiledEstimand, strata: tuple[Event, ...]) -> _Search:
     """Check the shared premises and find the adjustment set, if one is needed."""
     g = study_swig(compiled).graph
     outcome_node = g.random_node(compiled.outcome)
     treat_node = g.random_node(compiled.study.treatment)
-    premise_targets = {outcome_node}
-    given: set[NodeId] = {treat_node}
-    if stratum is not None:
-        premise_targets.add(g.random_node(stratum.var))
-        given.add(g.random_node(stratum.var))
+    stratum_nodes = {g.random_node(e.term.var) for e in strata}
+    premise_targets = {outcome_node, *stratum_nodes}
+    given: set[NodeId] = {treat_node, *stratum_nodes}
 
     # Randomization: the defining counterfactuals are jointly independent
     # of the assigned arm, so the arm can enter the conditioning set.
@@ -444,32 +445,31 @@ class _Residual:
 
 def identify_term(
     study: StudySpec,
-    mean: CounterfactualMean,
+    mean: Expect,
     compiled: CompiledEstimand | None = None,
 ) -> IdentifyResult:
-    """Derive an observational formula for one counterfactual mean."""
+    """Derive an observational formula for one counterfactual mean,
+    such as E[Y(a=1)|M(a=1)=0]: the outcome under every intervened
+    variable, given at most one stratum event."""
     if compiled is None:
         compiled = compile_study(study)
     _check_term(mean, compiled)
-    return _derive(study, mean, _search(compiled, mean.stratum))
+    return _derive(study, mean, _search(compiled, mean.given))
 
 
-def _derive(study: StudySpec, mean: CounterfactualMean, search: _Search) -> IdentifyResult:
+def _derive(study: StudySpec, mean: Expect, search: _Search) -> IdentifyResult:
     """One arm's derivation from the premises its estimand shares."""
-    value_of = dict(mean.context)
+    value_of = dict(mean.term.context)
     taken = {str(v) for v in value_of.values() if isinstance(v, str)}
 
-    term = Term(mean.outcome, mean.context)
-    events: list[Event] = []
-    if mean.stratum is not None:
-        events.append(Event(Term(mean.stratum.var, mean.stratum.context), mean.stratum.value))
+    term, events = mean.term, list(mean.given)
     bindings: tuple[tuple[str, str], ...] = ()
 
     def formula_now() -> Formula:
         inner = Expect(term, tuple(events))
         return SumOver(bindings, inner) if bindings else inner
 
-    steps: list[DerivationStep] = [DerivationStep("definition", formula_now(), None)]
+    steps: list[DerivationStep] = [DerivationStep("definition", mean, None)]
     if search.blocked is not None and search.blocked.premise == search.rand_q:
         return NotIdentifiable(mean, tuple(steps), search.blocked)
     events.append(Event(Term(study.treatment), value_of[study.treatment]))
@@ -561,7 +561,7 @@ def identify_estimand(
     left, right = compiled.contrast.left, compiled.contrast.right
     _check_term(left, compiled)
     _check_term(right, compiled)
-    search = _search(compiled, compiled.stratum)
+    search = _search(compiled, left.given)
     left = _derive(study, left, search)
     right = _derive(study, right, search)
     return EstimandReport(study=study, compiled=compiled, left=left, right=right)
@@ -572,7 +572,7 @@ def arm_payload(result: IdentifyResult) -> dict:
     then its formula, or the blocked premise and witness path when it is
     refuted, and the surviving events when it is only partially identified."""
     payload: dict = {
-        "term": result.mean.label,
+        "term": render(result.mean),
         "status": result.status,
         "steps": [
             {

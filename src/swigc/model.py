@@ -6,6 +6,10 @@ keep the event as part of treatment (treatment policy), imagine it
 removed or held at a level (hypothetical), fold it into the endpoint
 (composite), or restrict to the subpopulation defined by its
 counterfactual level (principal stratum).
+
+The estimand itself has no type here: ``estimand.compile_study`` writes
+it as a ``formula.Difference`` of two ``formula.Expect`` means, in the
+vocabulary the derivations that identify it use.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .graph import CausalGraph, Context, format_term
+from .graph import CausalGraph
 
 __all__ = [
     "TreatmentPolicy",
@@ -22,9 +26,6 @@ __all__ = [
     "Composite",
     "PrincipalStratum",
     "Strategy",
-    "StratumEvent",
-    "CounterfactualMean",
-    "EstimandContrast",
     "StructuralEquation",
     "SCMSpec",
     "StudySpec",
@@ -65,47 +66,6 @@ class PrincipalStratum:
 
 
 Strategy = Union[TreatmentPolicy, Hypothetical, Composite, PrincipalStratum]
-
-
-@dataclass(frozen=True)
-class StratumEvent:
-    """A membership condition such as M(a=1)=0, possibly counterfactual."""
-
-    var: str
-    context: Context
-    value: int
-
-    @property
-    def label(self) -> str:
-        return f"{format_term(self.var, self.context)}={self.value}"
-
-
-@dataclass(frozen=True)
-class CounterfactualMean:
-    """E[Y(context) | stratum], the building block of every estimand here."""
-
-    outcome: str
-    context: Context
-    stratum: StratumEvent | None = None
-
-    @property
-    def label(self) -> str:
-        term = format_term(self.outcome, self.context)
-        if self.stratum is None:
-            return f"E[{term}]"
-        return f"E[{term}|{self.stratum.label}]"
-
-
-@dataclass(frozen=True)
-class EstimandContrast:
-    """Difference of two counterfactual means (left minus right)."""
-
-    left: CounterfactualMean
-    right: CounterfactualMean
-
-    @property
-    def label(self) -> str:
-        return f"{self.left.label} - {self.right.label}"
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ from .estimand import CompiledEstimand, compile_study
 from .formula import Difference, Event, Expect, Formula, SumOver, Term, terms
 from .graph import CausalGraph, CompositeRule, Context, format_term
 from .identify import EstimandReport, identify_estimand
-from .model import CounterfactualMean, SCMSpec, StructuralEquation, StudySpec
+from .model import SCMSpec, StructuralEquation, StudySpec
 
 __all__ = [
     "TableRow",
@@ -426,15 +426,12 @@ def _outcomes(
     return lambda parents: tuple([table[parents + (v,)] for v in noise])
 
 
-def _mean_columns(mean: CounterfactualMean) -> list[Column]:
-    columns = [(mean.outcome, mean.context)]
-    if mean.stratum is not None:
-        columns.append((mean.stratum.var, mean.stratum.context))
-    return columns
+def _mean_columns(mean: Expect) -> list[Column]:
+    return [(t.var, t.context) for t in terms(mean)]
 
 
 def _read(
-    law: _Law, observed: Sequence[Column], means: Sequence[CounterfactualMean]
+    law: _Law, observed: Sequence[Column], means: Sequence[Expect]
 ) -> tuple[_Law, list[Fraction]]:
     """In one pass over ``law``: its marginal over ``observed``, zero
     masses included, and each mean's E[outcome | stratum], from the
@@ -445,7 +442,7 @@ def _read(
     for mean in means:
         outcome, *stratum_column = _mean_columns(mean)
         held = _getter([law.positions[c] for c in stratum_column])
-        event = () if mean.stratum is None else (mean.stratum.value,)
+        event = tuple(e.value for e in mean.given)
         arms.append((held, event, law.positions[outcome], [0, 0]))
     masses: dict[tuple[int, ...], int] = {}
     for key, mass in law.masses.items():
@@ -458,20 +455,21 @@ def _read(
     values = []
     for mean, (_, _, _, (mass, total)) in zip(means, arms):
         if mass == 0:
-            raise EmptyStratum(f"stratum {mean.stratum.label} has probability zero")
+            stratum = ",".join(e.label for e in mean.given)
+            raise EmptyStratum(f"stratum {stratum} has probability zero")
         values.append(Fraction(total, mass))
     positions = {c: i for i, c in enumerate(observed)}
     return _Law(positions, masses, law.denominator, law.consistent), values
 
 
-def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fraction:
-    """Exact value of one counterfactual mean in the table's model."""
-    ctx = mean.context
+def true_estimand(table: PotentialOutcomeTable, mean: Expect) -> Fraction:
+    """Exact value of one counterfactual mean, such as E[Y(a=1)|M(a=1)=0],
+    in the table's model."""
+    ctx = mean.term.context
     if ctx not in table.contexts:
         shown = ",".join(f"{v}={x}" for v, x in ctx)
         raise OracleError(f"table was not enumerated for world ({shown})")
-    stratum = mean.stratum
-    if stratum is not None and stratum.context not in table.contexts:
+    if any(e.term.context not in table.contexts for e in mean.given):
         raise OracleError("table was not enumerated for the stratum's world")
     law = _law(table.graph, table.scm, table.contexts, _mean_columns(mean))
     return _read(law, (), [mean])[1][0]
@@ -567,7 +565,7 @@ def naive_formula(compiled: CompiledEstimand) -> Difference:
         for var in compiled.split_vars[1:]:
             events.append(Event(Term(var), compiled.split_levels[var]))
         if compiled.stratum is not None:
-            events.append(Event(Term(compiled.stratum.var), compiled.stratum.value))
+            events.append(Event(Term(compiled.stratum.term.var), compiled.stratum.value))
         return Expect(Term(compiled.study.outcome), tuple(events))
 
     hi, lo = compiled.study.treatment_levels

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from .errors import AlreadySplit, DuplicateName, LatentIntervention, UnknownVariable
 from .graph import CausalGraph, Context, NodeId, Value, graph_to_payload
 
-__all__ = ["SWIG", "split"]
+__all__ = ["SWIG", "split", "swig_to_payload"]
 
 
 @dataclass(frozen=True)

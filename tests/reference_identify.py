@@ -27,42 +27,44 @@ from swigc.identify import (
     _first_failure,
     _refute,
 )
-from swigc.model import CounterfactualMean, StudySpec
+from swigc.model import StudySpec
 
 
 def subset_identify_term(
     study: StudySpec,
-    mean: CounterfactualMean,
+    mean: Expect,
     compiled: CompiledEstimand | None = None,
 ) -> IdentifyResult:
     """Reference for :func:`swigc.identify.identify_term`."""
     if compiled is None:
         compiled = compile_study(study)
-    if mean.outcome != compiled.outcome:
+    context = mean.term.context
+    stratum = mean.given[0] if mean.given else None
+    if mean.term.var != compiled.outcome:
         raise SemanticError(
-            f"term is about {mean.outcome}, but the study outcome is {compiled.outcome}"
+            f"term is about {mean.term.var}, but the study outcome is {compiled.outcome}"
         )
-    if tuple(v for v, _ in mean.context) != compiled.split_vars:
+    if tuple(v for v, _ in context) != compiled.split_vars:
         expected = ", ".join(compiled.split_vars)
         raise SemanticError(f"term must assign exactly the intervened variables ({expected})")
-    for var, val in mean.context:
+    for var, val in context:
         declared = compiled.graph.attr(compiled.graph.node(var)).values
         if isinstance(val, int) and val not in declared:
             raise SemanticError(f"level {val} is outside declared values of {var}")
 
     sw = study_swig(compiled)
     g = sw.graph
-    value_of = dict(mean.context)
+    value_of = dict(context)
     outcome_node = g.random_node(compiled.outcome)
     treat_node = g.random_node(study.treatment)
     taken = {str(v) for v in value_of.values() if isinstance(v, str)}
 
-    term = Term(compiled.outcome, mean.context)
+    term = Term(compiled.outcome, context)
     events: list[Event] = []
     premise_targets = {outcome_node}
-    if mean.stratum is not None:
-        events.append(Event(Term(mean.stratum.var, mean.stratum.context), mean.stratum.value))
-        premise_targets.add(g.random_node(mean.stratum.var))
+    if stratum is not None:
+        events.append(stratum)
+        premise_targets.add(g.random_node(stratum.term.var))
     bindings: tuple[tuple[str, str], ...] = ()
 
     def formula_now() -> Formula:
@@ -80,8 +82,8 @@ def subset_identify_term(
     steps.append(DerivationStep("randomization", formula_now(), "randomization", rand_q))
 
     given: set[NodeId] = {treat_node}
-    if mean.stratum is not None:
-        given.add(g.random_node(mean.stratum.var))
+    if stratum is not None:
+        given.add(g.random_node(stratum.term.var))
 
     held = [g.random_node(v) for v in compiled.split_vars[1:]]
     if held:

@@ -33,7 +33,7 @@ from swigc.estimand import CompiledEstimand, compile_study
 from swigc.formula import Difference, Event, Expect, Formula, SumOver, Term
 from swigc.graph import CausalGraph, Context
 from swigc.identify import EstimandReport, identify_estimand
-from swigc.model import CounterfactualMean, SCMSpec, StructuralEquation, StudySpec
+from swigc.model import SCMSpec, StructuralEquation, StudySpec
 from swigc.oracle import (
     PotentialOutcomeTable,
     SoundnessReport,
@@ -53,23 +53,23 @@ def table_law(table: PotentialOutcomeTable, columns: Sequence[tuple[str, Context
     return law
 
 
-def true_estimand(table: PotentialOutcomeTable, mean: CounterfactualMean) -> Fraction:
+def true_estimand(table: PotentialOutcomeTable, mean: Expect) -> Fraction:
     """Exact value of one counterfactual mean, straight from the table."""
-    ctx = mean.context
+    ctx = mean.term.context
     if ctx not in table.contexts:
         shown = ",".join(f"{v}={x}" for v, x in ctx)
         raise OracleError(f"table was not enumerated for world ({shown})")
-    stratum = mean.stratum
-    if stratum is not None and stratum.context not in table.contexts:
+    stratum = mean.given[0] if mean.given else None
+    if stratum is not None and stratum.term.context not in table.contexts:
         raise OracleError("table was not enumerated for the stratum's world")
     num = Fraction(0)
     den = Fraction(0)
     for row in table.units():
         if stratum is not None:
-            if row.values[(stratum.var, stratum.context)] != stratum.value:
+            if row.values[(stratum.term.var, stratum.term.context)] != stratum.value:
                 continue
         den += row.weight
-        num += row.weight * row.values[(mean.outcome, ctx)]
+        num += row.weight * row.values[(mean.term.var, ctx)]
     if den == 0:
         raise EmptyStratum(f"stratum {stratum.label} has probability zero")
     return num / den

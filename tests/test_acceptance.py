@@ -184,7 +184,6 @@ def test_09_five_unit_table_reproduces_the_worked_numbers():
     from fractions import Fraction
 
     from swigc.formula import Difference, Event, Expect, Term
-    from swigc.model import CounterfactualMean
     from swigc.oracle import (
         eval_formula,
         true_estimand,
@@ -201,9 +200,9 @@ def test_09_five_unit_table_reproduces_the_worked_numbers():
     assert len(cells) == 5 and all(len(c) == 4 for c in cells)
 
     assert validate_consistency(table) == []
-    ate = true_estimand(
-        table, CounterfactualMean("Y", (("A", 1),), None)
-    ) - true_estimand(table, CounterfactualMean("Y", (("A", 0),), None))
+    ate = true_estimand(table, Expect(Term("Y", (("A", 1),)))) - true_estimand(
+        table, Expect(Term("Y", (("A", 0),)))
+    )
     assert ate == Fraction(-38, 5)
     naive = eval_formula(
         table,

@@ -4,6 +4,7 @@ import pytest
 
 from swigc.errors import CompositeNonBinary, SemanticError
 from swigc.estimand import compile_study, study_swig
+from swigc.formula import Event, Term, render
 from swigc.graph import CompositeRule
 
 from conftest import load_study, spec_text
@@ -34,24 +35,24 @@ class TestSplitSets:
 class TestContrast:
     def test_contrast_labels(self):
         compiled = compile_study(load_study("hypothetical_adjusted.swg"))
-        assert compiled.contrast.left.label == "E[Y(a=1,m=0)]"
-        assert compiled.contrast.right.label == "E[Y(a=0,m=0)]"
-        assert compiled.contrast.label == "E[Y(a=1,m=0)] - E[Y(a=0,m=0)]"
+        assert render(compiled.contrast.left) == "E[Y(a=1,m=0)]"
+        assert render(compiled.contrast.right) == "E[Y(a=0,m=0)]"
+        assert render(compiled.contrast) == "E[Y(a=1,m=0)] - E[Y(a=0,m=0)]"
 
     def test_principal_stratum_contrast_carries_the_event(self):
         compiled = compile_study(load_study("principal_stratum.swg"))
-        assert compiled.contrast.left.label == "E[Y(a=1)|M(a=1)=0]"
-        assert compiled.contrast.right.label == "E[Y(a=0)|M(a=1)=0]"
+        assert render(compiled.contrast.left) == "E[Y(a=1)|M(a=1)=0]"
+        assert render(compiled.contrast.right) == "E[Y(a=0)|M(a=1)=0]"
         stratum = compiled.stratum
-        assert stratum is not None
+        assert stratum == Event(Term("M", (("A", 1),)), 0)
         assert stratum.label == "M(a=1)=0"
-        assert (stratum.var, stratum.context, stratum.value) == ("M", (("A", 1),), 0)
+        assert compiled.contrast.left.given == compiled.contrast.right.given == (stratum,)
 
 
 class TestCompositeFolding:
     def test_derived_node_and_edges(self):
         compiled = compile_study(load_study("composite.swg"))
-        assert compiled.derived == "U"
+        assert compiled.outcome == "U"
         g = compiled.graph
         u = g.node("U")
         assert g.attr(u).role == "derived"
@@ -62,7 +63,7 @@ class TestCompositeFolding:
     def test_outcome_moves_to_derived_node(self):
         compiled = compile_study(load_study("composite.swg"))
         assert compiled.outcome == "U"
-        assert compiled.contrast.left.label == "E[U(a=1)]"
+        assert render(compiled.contrast.left) == "E[U(a=1)]"
 
     def test_derived_name_avoids_collision(self):
         text = """
@@ -77,7 +78,10 @@ study "Busy namespace" {
 }
 """
         compiled = compile_study(parse_study(text))
-        assert compiled.derived == "U2"
+        assert compiled.outcome == "U2"
+        g = compiled.graph
+        assert g.attr(g.node("U2")).deterministic == CompositeRule("Y", "M", 0)
+        assert g.attr(g.node("U")).deterministic is None
 
     def test_failure_outside_outcome_values_rejected(self):
         text = spec_text("composite.swg").replace("failure = 0", "failure = 9")

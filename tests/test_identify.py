@@ -6,21 +6,23 @@ import pytest
 
 from swigc.dsep import d_separated, path_string
 from swigc.dsl import parse_study
+from swigc.errors import SemanticError
 from swigc.estimand import compile_study, study_swig
-from swigc.formula import render
+from swigc.formula import Event, Expect, Term, render
 from swigc.graph import NodeAttrs, build_graph
 from swigc.identify import (
     Identified,
     NotIdentifiable,
     PartiallyIdentified,
     identify_estimand,
+    identify_term,
     render_trace,
     verdict_code,
 )
 from swigc.model import StudySpec
 from swigc.oracle import check_soundness
 
-from conftest import load_study, spec_path
+from conftest import STUDY_FILES, load_study, spec_path
 from reference_identify import subset_identify_term
 
 
@@ -67,6 +69,27 @@ class TestVerdicts:
             assert arms == [report.left.status, report.right.status], name
             seed = None if report.study.scm is not None else 0
             assert check_soundness(report.study, seed=seed).status == status, name
+
+
+class TestDefinition:
+    @pytest.mark.parametrize("name", STUDY_FILES)
+    def test_derivation_starts_from_the_compiled_mean(self, name):
+        study = load_study(name)
+        compiled = compile_study(study)
+        report = identify_estimand(study, compiled)
+        for arm, mean in ((report.left, compiled.contrast.left),
+                          (report.right, compiled.contrast.right)):
+            assert arm.mean == mean
+            assert (arm.steps[0].rule, arm.steps[0].formula) == ("definition", mean)
+
+    def test_term_given_two_events_is_refused(self):
+        study = load_study("principal_stratum.swg")
+        compiled = compile_study(study)
+        mean = compiled.contrast.left
+        two = Expect(mean.term, mean.given + (Event(Term("A"), 1),))
+        with pytest.raises(SemanticError, match="at most one stratum event, not 2"):
+            identify_term(study, two, compiled)
+        assert identify_term(study, mean, compiled) == identify_estimand(study, compiled).left
 
 
 class TestIttDerivation:

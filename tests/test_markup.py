@@ -45,8 +45,8 @@ def graph_for(stem: str):
         sw = split(compiled.graph, tuple(world))
         stratum = compiled.stratum
         boxed = {}
-        if dict(stratum.context).get(study.treatment) == level:
-            boxed = {stratum.var: stratum.value}
+        if dict(stratum.term.context).get(study.treatment) == level:
+            boxed = {stratum.term.var: stratum.value}
         return sw.graph, boxed
     compiled = compile_study(load_study(name + ".swg"))
     return study_swig(compiled).graph, {}

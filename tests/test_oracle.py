@@ -24,7 +24,6 @@ from swigc.estimand import compile_study
 from swigc.identify import identify_estimand
 from swigc.formula import Difference, Event, Expect, SumOver, Term, render, terms
 from swigc.graph import CausalGraph
-from swigc.model import CounterfactualMean
 from swigc.oracle import (
     PotentialOutcomeTable,
     check_soundness,
@@ -189,7 +188,7 @@ class TestErrors:
         table = enumerate_table(study.graph, study.scm)
         missing = "no node labeled 'Q'"
         with pytest.raises(UnknownNode, match=missing):
-            true_estimand(table, CounterfactualMean("Q", ()))
+            true_estimand(table, Expect(Term("Q")))
         with pytest.raises(UnknownNode, match=missing):
             conditionally_independent(table, "A", "Q", ())
         with pytest.raises(UnknownNode, match=missing):
@@ -269,6 +268,14 @@ class TestBatteryScript:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith(f"error: {message}\n")
+
+    def test_empty_study_list_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            _script("soundness_battery").main(["--seeds", "2", "--studies"])
+        assert done.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: argument --studies: expected at least one argument\n")
 
     def test_unreadable_study_is_one_error_line(self, capsys):
         argv = ["--seeds", "1", "--studies", "itt.swg", "nope.swg"]

@@ -20,11 +20,9 @@ from swigc.graph import NodeAttrs, build_graph, graph_from_payload, graph_to_pay
 from swigc.identify import _greedy_cut, _Residual, identify_estimand, identify_term
 from swigc.model import (
     Composite,
-    CounterfactualMean,
     Hypothetical,
     PrincipalStratum,
     SCMSpec,
-    StratumEvent,
     StructuralEquation,
     StudySpec,
     TreatmentPolicy,
@@ -614,10 +612,10 @@ def test_arm_means_match_the_row_scans(data):
     table = data.draw(oracle_models())
     names = sorted(n.base for n in table.graph.nodes)
     world = st.sampled_from(table.contexts)
-    stratum = st.none() | st.builds(StratumEvent, st.sampled_from(names), world,
-                                    st.integers(min_value=0, max_value=3))
-    mean = CounterfactualMean(data.draw(st.sampled_from(names)), data.draw(world),
-                              data.draw(stratum))
+    event = st.builds(Event, st.builds(Term, st.sampled_from(names), world),
+                      st.integers(min_value=0, max_value=3))
+    mean = Expect(Term(data.draw(st.sampled_from(names)), data.draw(world)),
+                  data.draw(st.just(()) | st.tuples(event)))
     expected = _value_or_message(reference_oracle.true_estimand, table, mean)
     assert _value_or_message(true_estimand, table, mean) == expected
 
