@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from swigc.dsl import parse_study
+from swigc.dsl import parse_file
 from swigc.errors import SwigcError
 from swigc.estimand import compile_study, study_swig
 from swigc.markup import to_dot, to_tikz
@@ -32,9 +32,9 @@ def figure_jobs(dag: bool):
     """Yield (stem, graph, conditioned_values) for every renderable view."""
     for path in sorted(SPECS_DIR.glob("*.swg")):
         try:
-            study = parse_study(path.read_text())
+            study = parse_file(str(path))
             compiled = compile_study(study)
-        except SwigcError as exc:  # broken fixtures stay listed
+        except (SwigcError, OSError) as exc:  # broken fixtures stay listed
             print(f"skip {path.name}: {exc}")
             continue
         stem = path.stem

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CompositeNonBinary, SemanticError
 from .graph import CausalGraph, CompositeRule, Context, NodeAttrs, NodeId
-from .formula import Difference, Event, Expect, Term
+from .formula import Difference, Event, Expect, Term, fresh_symbol
 from .model import Composite, Hypothetical, PrincipalStratum, StudySpec, TreatmentPolicy
 from .swig import SWIG, split
 
@@ -66,15 +66,6 @@ class CompiledEstimand:
         return tuple((v, v.lower()) for v in self.split_vars)
 
 
-def _derived_name(graph: CausalGraph) -> str:
-    if not graph.has_label("U"):
-        return "U"
-    k = 2
-    while graph.has_label(f"U{k}"):
-        k += 1
-    return f"U{k}"
-
-
 def _fold_composite(
     graph: CausalGraph, outcome: str, event: str, strat: Composite
 ) -> tuple[CausalGraph, str]:
@@ -89,7 +80,7 @@ def _fold_composite(
             f"composite failure value {strat.failure} is outside the declared"
             f" values of {outcome}: {sorted(outcome_values)}"
         )
-    name = _derived_name(graph)
+    name = fresh_symbol("U", {n.label for n in graph.nodes})
     rule = CompositeRule(source=outcome, guard=event, failure=strat.failure)
     attrs = NodeAttrs(
         role="derived",

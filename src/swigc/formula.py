@@ -28,9 +28,6 @@ __all__ = [
     "Formula",
     "render",
     "is_identified",
-    "terms",
-    "counterfactual_parts",
-    "fresh_symbol",
 ]
 
 
@@ -105,14 +102,9 @@ def terms(formula: Formula) -> Iterator[Term]:
         yield from terms(formula.right)
 
 
-def counterfactual_parts(formula: Formula) -> list[Term]:
-    """Every term still carrying a context, in rendering order."""
-    return [t for t in terms(formula) if t.context]
-
-
 def is_identified(formula: Formula) -> bool:
     """True when the formula refers only to observed joint quantities."""
-    return not counterfactual_parts(formula)
+    return not any(t.context for t in terms(formula))
 
 
 def fresh_symbol(base: str, taken: set[str]) -> str:

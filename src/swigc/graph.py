@@ -33,8 +33,6 @@ from .errors import (
 __all__ = [
     "Value",
     "Context",
-    "ROLES",
-    "valid_name",
     "format_assignment",
     "format_term",
     "CompositeRule",

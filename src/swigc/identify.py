@@ -72,8 +72,6 @@ __all__ = [
     "EstimandReport",
     "identify_term",
     "identify_estimand",
-    "arm_payload",
-    "trace_lines",
     "render_trace",
     "verdict_code",
 ]

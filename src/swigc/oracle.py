@@ -481,24 +481,15 @@ def _formula_columns(g: CausalGraph, formula: Formula) -> list[Column]:
     return [(v, ()) for v in sorted({t.var for t in terms(formula)} & observed)]
 
 
-def eval_formula(
-    table: PotentialOutcomeTable,
-    formula: Formula,
-    bindings: Mapping[str, int] | None = None,
-) -> Fraction:
+def eval_formula(table: PotentialOutcomeTable, formula: Formula) -> Fraction:
     """Evaluate an observational formula against the observed joint law of
     the variables it mentions; terms are checked as they are evaluated."""
     g = table.graph
     law = _law(g, table.scm, table.contexts, _formula_columns(g, formula))
-    return _formula_value(g, formula, bindings, law)
+    return _formula_value(g, formula, law)
 
 
-def _formula_value(
-    g: CausalGraph,
-    formula: Formula,
-    bindings: Mapping[str, int] | None,
-    law: _Law,
-) -> Fraction:
+def _formula_value(g: CausalGraph, formula: Formula, law: _Law) -> Fraction:
     """``formula``'s value; each distinct (columns, at) groups ``law`` once,
     so Expect and SumOver nodes that read the same cells share them."""
     groups: dict[tuple[tuple[Column, ...], Column | None], Cells] = {}
@@ -553,7 +544,7 @@ def _formula_value(
             return ev(f.left, binds) - ev(f.right, binds)
         raise OracleError(f"cannot evaluate {f!r}")
 
-    return ev(formula, dict(bindings or {}))
+    return ev(formula, {})
 
 
 def naive_formula(compiled: CompiledEstimand) -> Difference:
@@ -685,12 +676,12 @@ def check_soundness(
     formula_value = None
     gap = None
     if identified:
-        formula_value = _formula_value(g, report.combined, None, marginal)
+        formula_value = _formula_value(g, report.combined, marginal)
         gap = formula_value - true_value
     naive_value = None
     naive_gap = None
     try:
-        naive_value = _formula_value(g, naive, None, marginal)
+        naive_value = _formula_value(g, naive, marginal)
         naive_gap = naive_value - true_value
     except ZeroProbabilityCondition:
         pass

@@ -54,6 +54,14 @@ class TestValidate:
         assert res.out == ""
         assert res.err == "error: 6:46: integer literal of 5000 digits is too long\n"
 
+    def test_unobserved_treatment_is_refused(self, run_cli, tmp_path):
+        spec = tmp_path / "latent_a.swg"
+        spec.write_text(spec_text("itt.swg").replace(
+            "node A { role: treatment; }", "node A { role: treatment; observed: false; }"))
+        res = run_cli("validate", str(spec))
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: node A: role treatment must be observed\n"
+
     def test_missing_file(self, run_cli):
         res = run_cli("validate", "specs/no_such_study.swg")
         assert res.code == 2
@@ -376,6 +384,20 @@ class TestSimulate:
         res = run_cli("simulate", spec_path("itt.swg"), "--seeds", "0:2", "--jobs", jobs)
         assert (res.code, res.out) == (2, "")
         assert res.err.endswith("error: argument --jobs: must be 1 or more\n")
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--seeds", "5"), "argument --seeds: use FIRST:LAST, e.g. 0:100"),
+            (("--seeds", "a:b"), "argument --seeds: seed range bounds must be integers"),
+            (("--seeds", "3:3"), "argument --seeds: seed range must be non-empty"),
+            (("--seeds", "0:2", "--jobs", "x"), "argument --jobs: invalid int value: 'x'"),
+        ],
+    )
+    def test_malformed_battery_option_is_a_usage_error(self, run_cli, option, message):
+        res = run_cli("simulate", spec_path("itt.swg"), *option)
+        assert (res.code, res.out) == (2, "")
+        assert res.err.endswith(f"error: {message}\n")
 
 
 class TestRender:

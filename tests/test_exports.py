@@ -1,6 +1,5 @@
 """Public surface: every name a module exports in ``__all__`` exists."""
 
-import ast
 import importlib
 import inspect
 import pkgutil
@@ -21,20 +20,22 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_are_exported_where_they_are_defined():
-    """Each name of ``swigc.__all__`` but ``__version__`` is imported from
-    the module that defines it, and that module's ``__all__`` lists it."""
-    home = {
-        alias.name: f"swigc.{node.module}"
-        for node in ast.parse(inspect.getsource(swigc)).body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    """``swigc.__all__`` is ``__version__`` followed by each module's
+    ``__all__``, names nothing twice, and binds each name to its module's
+    object; every class or function a module lists is defined there."""
+    modules = [
+        importlib.import_module(f"swigc.{m.name}")
+        for m in pkgutil.iter_modules(swigc.__path__)
+        if m.name != "cli"
+    ]
+    modules.sort(key=lambda m: swigc.__all__.index(m.__all__[0]))
+    assert swigc.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    assert len(set(swigc.__all__)) == len(swigc.__all__)
     misplaced = []
-    for name in swigc.__all__:
-        if name == "__version__":
-            continue
-        module, obj = home[name], getattr(swigc, name)
-        defined = obj.__module__ if inspect.isclass(obj) or inspect.isfunction(obj) else module
-        if module != defined or name not in importlib.import_module(module).__all__:
-            misplaced.append(f"{name} from {module}, defined in {defined}")
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            defined = obj.__module__ if inspect.isclass(obj) or inspect.isfunction(obj) else module.__name__
+            if getattr(swigc, name) is not obj or defined != module.__name__:
+                misplaced.append(f"{name} from {module.__name__}, defined in {defined}")
     assert misplaced == []

@@ -12,7 +12,7 @@ import uuid
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swigc.errors import CycleError, DuplicateName, UnknownEndpoint, UnknownNode
+from swigc.errors import CycleError, DuplicateName, GraphError, UnknownEndpoint, UnknownNode
 from swigc.estimand import compile_study, study_swig
 from swigc.graph import (
     CausalGraph,
@@ -280,6 +280,19 @@ class TestSerialization:
         g2 = graph_from_payload(graph_to_payload(g))
         rule = g2.attr(g2.node("U")).deterministic
         assert rule == CompositeRule("Y", "M", 0)
+
+    def test_round_trip_keeps_the_fixed_halves_of_a_swig(self):
+        g = study_swig(compile_study(load_study("chronic_pain.swg"))).graph
+        g2 = graph_from_payload(graph_to_payload(g))
+        assert g2 == g
+        assert sorted(n.label for n in g2.nodes if n.fixed) == ["a", "m3", "m4"]
+
+    def test_boolean_context_value_is_refused(self):
+        payload = graph_to_payload(study_swig(compile_study(load_study("chronic_pain.swg"))).graph)
+        entry = next(e for e in payload["nodes"] if e["context"])
+        entry["context"][0][1] = True
+        with pytest.raises(GraphError, match="bad context value True"):
+            graph_from_payload(payload)
 
     def test_canonical_json_is_sorted_and_newline_terminated(self):
         text = canonical_json({"b": 1, "a": [2, 3]})

@@ -91,6 +91,19 @@ class TestDefinition:
             identify_term(study, two, compiled)
         assert identify_term(study, mean, compiled) == identify_estimand(study, compiled).left
 
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            (Term("M3", (("A", 1), ("M3", 0), ("M4", 0))), "term is about M3, but the study outcome is Y"),
+            (Term("Y", (("A", 1),)), r"term must assign exactly the intervened variables \(A, M3, M4\)"),
+            (Term("Y", (("A", 7), ("M3", 0), ("M4", 0))), "level 7 is outside declared values of A"),
+        ],
+    )
+    def test_malformed_term_is_refused(self, term, message):
+        study = load_study("chronic_pain.swg")
+        with pytest.raises(SemanticError, match=message):
+            identify_term(study, Expect(term), compile_study(study))
+
 
 class TestIttDerivation:
     def test_three_steps_per_arm(self, reports):

@@ -1,5 +1,6 @@
 """TikZ and DOT rendering pinned byte-for-byte against the golden files."""
 
+import importlib.util
 import runpy
 import sys
 
@@ -138,3 +139,25 @@ def test_render_figures_script_matches_the_cli(tmp_path, monkeypatch, run_cli, c
         assert (tmp_path / f"dag_{spec.stem}.dot").read_bytes() == dag.out.encode()
         rendered += 1
     assert rendered == len(STUDY_FILES)
+
+
+def test_render_figures_script_skips_unreadable_specs_as_the_cli_does(
+    tmp_path, monkeypatch, run_cli, capsys
+):
+    spec = importlib.util.spec_from_file_location("render_figures", ROOT / "scripts" / "render_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    specs = tmp_path / "specs"
+    specs.mkdir()
+    bad = specs / "bad.swg"
+    bad.write_bytes(b"study Bad {\xff}\n")
+    (specs / "itt.swg").write_bytes((SPECS / "itt.swg").read_bytes())
+    monkeypatch.setattr(script, "SPECS_DIR", specs)
+    monkeypatch.setattr(sys, "argv", ["render_figures.py", "--out", str(tmp_path / "out")])
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    cli = run_cli("render", str(bad))
+    assert cli.code == 2
+    assert "not UTF-8 text (invalid start byte at byte 11)" in cli.err
+    assert f"skip bad.swg: {cli.err.removeprefix('error: ')}" in out
+    assert (tmp_path / "out" / "swig_itt.tex").read_text() == run_cli("render", str(SPECS / "itt.swg")).out

@@ -22,6 +22,7 @@ from swigc import oracle
 from swigc.dsl import parse_study
 from swigc.estimand import compile_study
 from swigc.identify import identify_estimand
+from swigc.model import SCMSpec
 from swigc.formula import Difference, Event, Expect, SumOver, Term, render, terms
 from swigc.graph import CausalGraph
 from swigc.oracle import (
@@ -193,6 +194,19 @@ class TestErrors:
             conditionally_independent(table, "A", "Q", ())
         with pytest.raises(UnknownNode, match=missing):
             eval_formula(table, Expect(Term("Q")))
+
+    def test_world_the_table_lacks(self):
+        compiled = compile_study(load_study("chronic_pain.swg"))
+        table = enumerate_table(compiled.graph, data_model(compiled, 0))
+        mean = Expect(Term("Y", (("A", 0), ("M3", 0), ("M4", 0))))
+        with pytest.raises(OracleError, match=r"table was not enumerated for world \(A=0,M3=0,M4=0\)"):
+            true_estimand(table, mean)
+
+    def test_missing_equation(self):
+        study = load_study("itt.swg")
+        scm = SCMSpec({v: eq for v, eq in study.scm.equations.items() if v != "A"})
+        with pytest.raises(OracleError, match="the data model has no equation for A"):
+            enumerate_table(study.graph, scm)
 
 
 class TestRandomModels:
@@ -420,7 +434,7 @@ class TestOnePass:
             return attr(*args)
 
         monkeypatch.setattr(CausalGraph, "attr", counted)
-        oracle._formula_value(g, combined, None, law)
+        oracle._formula_value(g, combined, law)
         # 64 binding combinations per arm, yet one check per term
         assert calls == len(list(terms(combined)))
 

@@ -573,18 +573,32 @@ def oracle_formulas(draw, graph, depth=2):
     return Expect(Term(draw(var), context), tuple(given))
 
 
+def _substitute(formula, bindings):
+    """``formula`` with each free symbol set to its level in ``bindings``;
+    a sum's own symbols shadow the outer ones, as they do in evaluation."""
+    if isinstance(formula, Expect):
+        given = tuple(Event(e.term, bindings.get(e.value, e.value)) for e in formula.given)
+        return Expect(formula.term, given)
+    if isinstance(formula, SumOver):
+        bound = {sym for _, sym in formula.bindings}
+        inner = {sym: v for sym, v in bindings.items() if sym not in bound}
+        return SumOver(formula.bindings, _substitute(formula.body, inner))
+    return Difference(_substitute(formula.left, bindings), _substitute(formula.right, bindings))
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_formula_values_match_the_row_scans(data):
-    """eval_formula equals the reference on random formulas, including sums
-    over two or more bindings, and raises the same error with the same
+    """eval_formula, given a random formula with its free symbols set to
+    drawn levels, equals the reference evaluating that formula under the
+    same bindings, including sums over two or more bindings, and raises the same error with the same
     message where a conditioning event has mass zero or a term is not
     observational."""
     table = data.draw(oracle_models())
     formula = data.draw(oracle_formulas(table.graph))
     bindings = data.draw(st.dictionaries(st.sampled_from(SYMBOLS), st.integers(0, 2)))
     expected = _value_or_message(reference_oracle.eval_formula, table, formula, bindings)
-    assert _value_or_message(eval_formula, table, formula, bindings) == expected
+    assert _value_or_message(eval_formula, table, _substitute(formula, bindings)) == expected
 
 
 @settings(max_examples=100)
