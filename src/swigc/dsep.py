@@ -16,11 +16,10 @@ variables.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import OverlappingSets, UnknownNode
-from .graph import CausalGraph, NodeId
+from .graph import CausalGraph, NodeId, record
 
 __all__ = [
     "DSepQuery",
@@ -32,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class DSepQuery:
     """One conditional-independence question: x independent of y given z?"""
 
@@ -50,7 +49,7 @@ class DSepQuery:
         return base
 
 
-@dataclass(frozen=True)
+@record
 class PathWitness:
     """One open path, endpoint to endpoint, with the colliders it needed."""
 

@@ -11,10 +11,8 @@ same formula, so the estimand and its derivation share one vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CompositeNonBinary, SemanticError
-from .graph import CausalGraph, CompositeRule, Context, NodeAttrs, NodeId
+from .graph import CausalGraph, CompositeRule, Context, NodeAttrs, NodeId, record
 from .formula import Difference, Event, Expect, Term, fresh_symbol
 from .model import Composite, Hypothetical, PrincipalStratum, StudySpec, TreatmentPolicy
 from .swig import SWIG, split
@@ -22,7 +20,7 @@ from .swig import SWIG, split
 __all__ = ["CompiledEstimand", "compile_study", "study_swig"]
 
 
-@dataclass(frozen=True)
+@record
 class CompiledEstimand:
     """A study after strategy compilation.
 

@@ -14,10 +14,9 @@ observational (identified) exactly when no term carries a context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .graph import Context, Value, format_term
+from .graph import Context, Value, format_term, record
 
 __all__ = [
     "Term",
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Term:
     var: str
     context: Context = ()
@@ -41,7 +40,7 @@ class Term:
         return format_term(self.var, self.context)
 
 
-@dataclass(frozen=True)
+@record
 class Event:
     term: Term
     value: Value
@@ -51,13 +50,13 @@ class Event:
         return f"{self.term.label}={self.value}"
 
 
-@dataclass(frozen=True)
+@record
 class Expect:
     term: Term
     given: tuple[Event, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class SumOver:
     """Sum of the body over the bound variables, weighted by their joint mass."""
 
@@ -65,7 +64,7 @@ class SumOver:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Difference:
     left: "Formula"
     right: "Formula"

@@ -12,13 +12,27 @@ every set and dict keyed by nodes still means what its fields say.
 
 Every query with a choice to make breaks ties on the rendered node
 label, so results are stable across runs and platforms.
+
+Value classes across swigc are records: ``@record`` reads a class's
+annotated fields, in order, with the class attribute of the same name as
+a field's default (``default_factory(make)`` calls ``make`` for each new
+record).  It writes ``__init__``, ``__eq__`` and ``__hash__`` from the
+code text ``dataclass(frozen=True)`` generates, so a record builds,
+compares and hashes as a frozen dataclass does, with the same hash
+values.  All three come from one ``exec`` per class, not one per method,
+and ``__repr__``, ``__setattr__`` and ``__delattr__`` are shared
+functions, so defining a class costs a small fraction of a dataclass and
+importing swigc needs neither ``dataclasses`` nor ``inspect``.
+``replace(obj, **changes)`` makes a record again with some fields
+changed.  Class attributes without an annotation, such as ``kind``, stay
+class attributes.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+import sys
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -44,6 +58,87 @@ __all__ = [
     "graph_from_payload",
     "canonical_json",
 ]
+
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting a field of a record."""
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+class default_factory:
+    """A field default that calls ``make()`` for each new record."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+# The __init__ default of a field with a default_factory.
+_HAS_DEFAULT_FACTORY = object()
+
+
+def record(cls: type) -> type:
+    """Make ``cls`` a frozen value class; see the module docstring."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    closure: dict[str, object] = {"_object": object, "_HAS_DEFAULT_FACTORY": _HAS_DEFAULT_FACTORY}
+    params, sets = ["self"], []
+    for name in names:
+        value = name
+        default = cls.__dict__.get(name)
+        if isinstance(default, default_factory):
+            closure[f"_dflt_{name}"] = default.make
+            params.append(f"{name}=_HAS_DEFAULT_FACTORY")
+            value = f"_dflt_{name}() if {name} is _HAS_DEFAULT_FACTORY else {name}"
+            delattr(cls, name)
+        elif name in cls.__dict__:
+            closure[f"_dflt_{name}"] = default
+            params.append(f"{name}=_dflt_{name}")
+        else:
+            params.append(name)
+        sets.append(f"  _object.__setattr__(self,{name!r},{value})")
+    mine = "".join(f"self.{name}," for name in names)
+    theirs = "".join(f"other.{name}," for name in names)
+    text = "\n".join([
+        f"def make({', '.join(closure)}):",
+        f" def __init__({','.join(params)}):",
+        *(sets or ["  pass"]),
+        " def __eq__(self, other):",
+        "  if other.__class__ is self.__class__:",
+        f"   return ({mine})==({theirs})",
+        "  return NotImplemented",
+        " def __hash__(self):",
+        f"  return hash(({mine}))",
+        " return __init__, __eq__, __hash__",
+    ])
+    scope: dict[str, object] = {}
+    exec(text, sys.modules[cls.__module__].__dict__, scope)
+    for fn in scope["make"](**closure):
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
+    cls.__match_args__ = names
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A record like ``obj`` with the given fields changed."""
+    return obj.__class__(**{**{name: getattr(obj, name) for name in obj.__match_args__}, **changes})
+
 
 # A level is either a concrete integer or a symbolic placeholder such as "a".
 Value = int | str
@@ -75,7 +170,7 @@ def format_term(var: str, context: Context) -> str:
     return f"{var}({inner})"
 
 
-@dataclass(frozen=True)
+@record
 class CompositeRule:
     """Derived-outcome rule: copy ``source`` while ``guard`` stays 0, else ``failure``."""
 
@@ -87,7 +182,7 @@ class CompositeRule:
         return source_value if guard_value == 0 else self.failure
 
 
-@dataclass(frozen=True)
+@record
 class NodeAttrs:
     """Role and bookkeeping flags attached to a node.
 
@@ -128,7 +223,6 @@ def _check_attrs(name: str, attrs: NodeAttrs) -> NodeAttrs:
 _NODES: dict[tuple[str, Context, bool], NodeId] = {}
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class NodeId:
     """Node identity: base variable, carried context, fixed marker.
 
@@ -139,13 +233,19 @@ class NodeId:
     Nodes are interned: ``NodeId(base, context, fixed)`` returns the one
     node with those fields, so nodes with equal fields are the same
     object, ``==`` and ``hash`` are ``object``'s identity versions, and a
-    new node renders its label once.
+    new node renders its label once.  Like a record, a node is frozen
+    and its repr shows its three fields.
     """
 
     base: str
-    context: Context = ()
-    fixed: bool = False
-    label: str = field(init=False, repr=False)
+    context: Context
+    fixed: bool
+    label: str
+
+    __match_args__ = ("base", "context", "fixed")
+    __repr__ = _record_repr
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
     def __new__(cls, base: str, context: Context = (), fixed: bool = False) -> NodeId:
         key = (base, context, fixed)
@@ -163,8 +263,8 @@ class NodeId:
         return node
 
     def __reduce__(self) -> tuple:
-        # pickle, copy, deepcopy and dataclasses.replace all make the node
-        # again from its fields, which returns the interned one.
+        # pickle, copy and deepcopy make the node again from its fields, as
+        # replace does, which returns the interned one.
         return NodeId, (self.base, self.context, self.fixed)
 
 

@@ -41,7 +41,6 @@ the result is only partially identified and says which event survives.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Union
 
 from .dsep import DSepQuery, PathWitness, d_connected, d_separated, open_paths, path_string
@@ -58,7 +57,7 @@ from .formula import (
     is_identified,
     render,
 )
-from .graph import CausalGraph, NodeId
+from .graph import CausalGraph, NodeId, record
 from .model import StudySpec
 
 __all__ = [
@@ -77,7 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class DerivationStep:
     """One line of a derivation; the premise, when present, is re-checkable."""
 
@@ -87,7 +86,7 @@ class DerivationStep:
     premise: DSepQuery | None = None
 
 
-@dataclass(frozen=True)
+@record
 class OpenBackdoor:
     """Refutation witness: the premise that failed and one open path."""
 
@@ -96,7 +95,7 @@ class OpenBackdoor:
     witness_label: str
 
 
-@dataclass(frozen=True)
+@record
 class CrossWorld:
     """Counterfactual leftovers that consistency could not rewrite."""
 
@@ -108,7 +107,7 @@ class CrossWorld:
 _EXIT_CODES = {"identified": 0, "partial": 4, "blocked": 5}
 
 
-@dataclass(frozen=True)
+@record
 class Identified:
     mean: Expect
     formula: Formula
@@ -116,7 +115,7 @@ class Identified:
     status = "identified"
 
 
-@dataclass(frozen=True)
+@record
 class PartiallyIdentified:
     mean: Expect
     formula: Formula
@@ -125,7 +124,7 @@ class PartiallyIdentified:
     status = "partial"
 
 
-@dataclass(frozen=True)
+@record
 class NotIdentifiable:
     mean: Expect
     steps: tuple[DerivationStep, ...]
@@ -136,7 +135,7 @@ class NotIdentifiable:
 IdentifyResult = Union[Identified, PartiallyIdentified, NotIdentifiable]
 
 
-@dataclass(frozen=True)
+@record
 class EstimandReport:
     """Identification of both arms of a study's contrast."""
 
@@ -174,7 +173,7 @@ def _check_term(mean: Expect, compiled: CompiledEstimand) -> None:
             raise SemanticError(f"level {val} is outside declared values of {var}")
 
 
-@dataclass(frozen=True)
+@record
 class _Search:
     """The premises every arm of an estimand shares, found once.
 

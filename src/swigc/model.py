@@ -14,11 +14,10 @@ vocabulary the derivations that identify it use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .graph import CausalGraph
+from .graph import CausalGraph, default_factory, record
 
 __all__ = [
     "TreatmentPolicy",
@@ -32,14 +31,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class TreatmentPolicy:
     """Leave the event alone; it is part of what the treatment does."""
 
     kind = "treatment_policy"
 
 
-@dataclass(frozen=True)
+@record
 class Hypothetical:
     """Intervene to hold the event at ``level`` in both arms."""
 
@@ -47,7 +46,7 @@ class Hypothetical:
     kind = "hypothetical"
 
 
-@dataclass(frozen=True)
+@record
 class Composite:
     """Replace the outcome: on the event, score the fixed ``failure`` value."""
 
@@ -55,7 +54,7 @@ class Composite:
     kind = "composite"
 
 
-@dataclass(frozen=True)
+@record
 class PrincipalStratum:
     """Restrict to units whose event under arm ``under`` equals ``equals``."""
 
@@ -68,7 +67,7 @@ class PrincipalStratum:
 Strategy = Union[TreatmentPolicy, Hypothetical, Composite, PrincipalStratum]
 
 
-@dataclass(frozen=True)
+@record
 class StructuralEquation:
     """One variable's mechanism: exogenous noise plus a response table.
 
@@ -84,14 +83,14 @@ class StructuralEquation:
     table: Mapping[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
+@record
 class SCMSpec:
     """Structural equations for every non-derived variable in a graph."""
 
     equations: Mapping[str, StructuralEquation]
 
 
-@dataclass(frozen=True)
+@record
 class StudySpec:
     """Everything a parsed study file declares."""
 
@@ -100,5 +99,5 @@ class StudySpec:
     treatment: str
     treatment_levels: tuple[int, int]
     outcome: str
-    strategies: Mapping[str, Strategy] = field(default_factory=dict)
+    strategies: Mapping[str, Strategy] = default_factory(dict)
     scm: SCMSpec | None = None

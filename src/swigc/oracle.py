@@ -65,7 +65,6 @@ from __future__ import annotations
 import csv
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
@@ -81,7 +80,7 @@ from .errors import (
 )
 from .estimand import CompiledEstimand, compile_study
 from .formula import Difference, Event, Expect, Formula, SumOver, Term, terms
-from .graph import CausalGraph, CompositeRule, Context, format_term
+from .graph import CausalGraph, CompositeRule, Context, format_term, record
 from .identify import EstimandReport, identify_estimand
 from .model import SCMSpec, StructuralEquation, StudySpec
 
@@ -105,7 +104,7 @@ __all__ = [
 ROW_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@record
 class TableRow:
     """One noise configuration: its mass and every (variable, world) value."""
 
@@ -113,7 +112,7 @@ class TableRow:
     values: Mapping[tuple[str, Context], int]
 
 
-@dataclass(frozen=True)
+@record
 class PotentialOutcomeTable:
     """A model and its worlds, the observed world () first; ``units``
     streams the rows, and none is held."""
@@ -227,7 +226,7 @@ def enumerate_table(
     return PotentialOutcomeTable(graph=graph, scm=scm, contexts=tuple(worlds))
 
 
-@dataclass(frozen=True)
+@record
 class _Law:
     """Integer masses of the joint values of the law's columns over one
     shared ``denominator``, and whether every consistency check held.
@@ -621,7 +620,7 @@ def data_model(compiled: CompiledEstimand, seed: int | None) -> SCMSpec:
     return study.scm
 
 
-@dataclass(frozen=True)
+@record
 class SoundnessReport:
     """One oracle run: does the derived formula match the truth exactly?"""
 

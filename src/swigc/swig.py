@@ -15,15 +15,13 @@ fixed half, because its random half keeps no outgoing edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import AlreadySplit, DuplicateName, LatentIntervention, UnknownVariable
-from .graph import CausalGraph, Context, NodeId, Value, graph_to_payload
+from .graph import CausalGraph, Context, NodeId, Value, graph_to_payload, record, replace
 
 __all__ = ["SWIG", "split", "swig_to_payload"]
 
 
-@dataclass(frozen=True)
+@record
 class SWIG:
     """A split graph plus the intervention list that produced it."""
 

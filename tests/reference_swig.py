@@ -11,8 +11,6 @@ type with the same message.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from swigc.errors import AlreadySplit, DuplicateName, LatentIntervention, UnknownVariable
 from swigc.graph import CausalGraph, Context, NodeAttrs, NodeId
 from swigc.swig import SWIG
@@ -74,7 +72,13 @@ def split(dag: CausalGraph, interventions: Context) -> SWIG:
         fixed_ids[var] = fid
         base_attrs = dag.attrs[dag.node(var)]
         role = "covariate" if base_attrs.role == "derived" else base_attrs.role
-        attrs[fid] = replace(base_attrs, role=role, conditioned=False, deterministic=None)
+        attrs[fid] = NodeAttrs(
+            role=role,
+            observed=base_attrs.observed,
+            conditioned=False,
+            deterministic=None,
+            values=base_attrs.values,
+        )
 
     def node_for(key: tuple[str, str]) -> NodeId:
         kind, base = key

@@ -1,7 +1,6 @@
 """Core graph type: construction, validation, ordering, serialization."""
 
 import copy
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -25,6 +24,7 @@ from swigc.graph import (
     format_term,
     graph_from_payload,
     graph_to_payload,
+    replace,
     valid_name,
 )
 
@@ -88,7 +88,7 @@ class TestNodeId:
         [
             lambda n: pickle.loads(pickle.dumps(n)),
             copy.deepcopy,
-            lambda n: dataclasses.replace(n, fixed=n.fixed),
+            lambda n: replace(n, fixed=n.fixed),
         ],
         ids=["pickle", "deepcopy", "replace"],
     )
@@ -101,7 +101,7 @@ class TestNodeId:
             assert copied.label == fresh.label
 
     def test_replace_recomputes_hash_and_label(self):
-        moved = dataclasses.replace(NodeId("Y", (("A", "a"),)), base="M")
+        moved = replace(NodeId("Y", (("A", "a"),)), base="M")
         assert hash(moved) == hash(NodeId("M", (("A", "a"),)))
         assert moved.label == "M(a)"
 
@@ -115,7 +115,7 @@ class TestNodeId:
             pickle.loads(pickle.dumps(n)),
             copy.copy(n),
             copy.deepcopy(n),
-            dataclasses.replace(n),
+            replace(n),
         )
         assert all(c is n for c in clones)
         base, context, fixed = t
