@@ -17,12 +17,14 @@ benchmark's synthetic families (perfbench/families.py), each through
 identify, dsep, simulate --seed 0 and simulate --seed 0 --csv; they are
 written to a temporary directory and printed as families/NAME.  Then
 the refused --seeds calls: with --seed, and past the cap of 10^6 seeds.
-Last, a chain whose every link has a latent root of its own (see
+Then a chain whose every link has a latent root of its own (see
 ``roots_chain``), through identify, simulate --seed 0..2 and simulate
 --seed 0 --csv; it is written next to the families and printed as
 ROOTS.  Then texts at the edges of the lexer (see ``lexer_specs``)
-through validate, printed as lexer/NAME.  Spec paths are printed
-relative to the checkout, and the output file as OUT.
+through validate, printed as lexer/NAME.  Last, two adjust chains with
+blocker pairs (see ``pair_specs``) through identify, printed as
+families/NAME.  Spec paths are printed relative to the checkout, and the
+output file as OUT.
 """
 
 from __future__ import annotations
@@ -110,6 +112,22 @@ def family_specs() -> dict[str, str]:
     return specs
 
 
+def pair_specs() -> dict[str, str]:
+    """Spec text by file name: adjust chains with blocker pairs.  Either
+    node of a pair blocks its path, so several smallest sets tie and the
+    label order picks one; the second chain has two held events."""
+    rng = random.Random("cli-sweep-pairs")
+    return {
+        "adjust_chain_k2_pairs2.swg": families.adjust_chain(rng, 2, decoys=1, pairs=2)[0],
+        "adjust_chain_k3_pairs3_events2.swg": families.adjust_chain(rng, 3, pairs=3, events=2)[0],
+    }
+
+
+def pair_cases(out: str) -> list[list[str]]:
+    home = os.path.join(os.path.dirname(out), "families")
+    return [["identify", os.path.join(home, name)] for name in pair_specs()]
+
+
 def family_cases(out: str) -> list[list[str]]:
     argvs = []
     for name in family_specs():
@@ -189,7 +207,7 @@ def corpus(out: str) -> list[list[str]]:
         argvs.append(["simulate", spec, "--csv", out])
         argvs.append(["simulate", spec, "--seed", "0", "--csv", out])
     argvs += edge_cases(out) + family_cases(out) + seeds_cases(out) + roots_cases(out)
-    return argvs + lexer_cases(out)
+    return argvs + lexer_cases(out) + pair_cases(out)
 
 
 def sha(data: bytes) -> str:
@@ -218,7 +236,7 @@ def sweep() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "table.csv")
         os.mkdir(os.path.join(tmp, "families"))
-        for name, text in family_specs().items():
+        for name, text in {**family_specs(), **pair_specs()}.items():
             Path(tmp, "families", name).write_text(text, encoding="utf-8")
         Path(tmp, ROOTS).write_text(roots_chain(3, 3), encoding="utf-8")
         os.mkdir(os.path.join(tmp, "lexer"))

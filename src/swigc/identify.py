@@ -21,15 +21,18 @@ graph marries a child's parents through one uncuttable hub node rather
 than a clique, so it stays linear in the edges.  A covariate may be cut
 only when it is independent of B.  d-connection is symmetric, so one
 reachability pass from B (``d_connected``) marks every covariate that is
-not, in O(n + E) for n nodes and E edges.  One max-flow, by shortest
-augmenting paths over one residual map (Edmonds and Karp 1972), gives
-its size s.  A greedy pass in label order then updates that map in
-place: a candidate is taken when no residual path leads around it, so
-that it lies on a smallest cut (Picard and Queyranne 1980), and its unit
-is cancelled.  That is one flow, then at most three residual searches
-per candidate, O((s + k)·E) for k candidates after the O(n + E) filter;
-it yields the first such set in label order, the set an
-exhaustive search over subsets (smallest first) would return.
+not, in O(n + E) for n nodes and E edges.  One max-flow, by blocking
+flows on BFS levels (Dinic 1970), gives its size s.  Each phase costs
+O(E) and lengthens the shortest augmenting path, so there are at most
+s + 1 phases, and O(√n) when no hub or uncuttable covariate is left
+(Even and Tarjan 1975); adjust chains need two.  The residual graph of
+that flow holds every smallest cut (Picard and Queyranne 1980), and one
+closure sweep over it in label order takes each candidate that a
+smallest cut holds together with the ones taken before.  Each state
+joins a side of the cut at most once, so the sweep costs O(E) plus the
+sweeps of the candidates it passes over; it yields the first such set in
+label order, the set an exhaustive search over subsets (smallest first)
+would return.
 
 Every step records its premise, so a derivation can be re-verified
 independently.  When no covariate set licenses a move, the result
@@ -40,7 +43,6 @@ the result is only partially identified and says which event survives.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Union
 
 from .dsep import DSepQuery, PathWitness, d_connected, d_separated, open_paths, path_string
@@ -316,22 +318,43 @@ def _greedy_cut(
     """The first smallest set of ``order``'s nodes, in that order, whose
     removal cuts ``source`` from every sink; None when no such set exists.
 
-    One maximum flow gives the size.  Then each candidate in turn is
-    taken when it lies on a smallest cut of the network without the nodes
-    picked so far, in which the flow stays maximum.  A candidate passed
-    over lies on no smallest cut then, and so on none later: every later
-    smallest cut is one of the earlier ones less the nodes picked since.
+    One maximum flow gives the size s.  Its residual graph holds every
+    smallest cut: they are the residual-closed state sets that hold the
+    source and not the sink (Picard and Queyranne 1980).  ``side`` marks
+    the states every smallest cut with the picks so far puts on the
+    source side (1): what the source and the picked entries reach; and on
+    the sink side (-1): what reaches the sink or a picked exit.  A
+    candidate is taken when the states its entry reaches meet neither the
+    sink side nor its own exit, so that a smallest cut holds it with the
+    earlier picks; those states then join the source side, and the states
+    that reach its exit join the sink side.  So one closure sweep in
+    ``order`` moves each state to a side at most once; only a candidate
+    that is passed over pays for a sweep that is then discarded.
     """
     residual = _Residual(adj, source, sinks, set(order), len(order) + 1)
-    if residual.augment() > len(order):
+    size = residual.augment()
+    if size > len(order):
         return None
+    side = [0] * len(residual.arcs)
+    for state in residual.reached_from(residual.source, side, residual.sink):
+        side[state] = 1
+    for state in residual.reaching(residual.sink, side):
+        side[state] = -1
     picked: list[int] = []
     for c in order:
-        if not residual.value:
+        if len(picked) == size:
             break
-        if not residual.bypass(c):
-            residual.remove(c)
-            picked.append(c)
+        entry, exit_ = 2 * c, 2 * c + 1
+        if side[exit_] == 1 or side[entry] == -1:
+            continue
+        grown = residual.reached_from(entry, side, exit_)
+        if grown is None:
+            continue
+        for state in grown:
+            side[state] = 1
+        for state in residual.reaching(exit_, side):
+            side[state] = -1
+        picked.append(c)
     return picked
 
 
@@ -344,8 +367,10 @@ class _Residual:
     otherwise; each edge v-w gives arcs of ``cap`` units from either
     node's exit to the other's entry.  Every sink's entry feeds one
     collecting state, through which a rerouted unit may trade one sink
-    for another.  ``spare[a][b]`` is what the arc a -> b can still take
-    and ``flow[b][a]`` what it carries.
+    for another.  ``arcs[a][b]`` is what a -> b can still take: the
+    spare units of an arc a -> b, or the units that an arc b -> a
+    carries and may give back.  No two states have arcs both ways, so
+    each entry means one thing.
     """
 
     def __init__(
@@ -355,8 +380,7 @@ class _Residual:
         self.value = 0
         self.source = 2 * source + 1
         self.sink = 2 * len(adj)
-        self.spare: list[dict[int, int]] = [{} for _ in range(self.sink + 1)]
-        self.flow: list[dict[int, int]] = [{} for _ in range(self.sink + 1)]
+        self.arcs: list[dict[int, int]] = [{} for _ in range(self.sink + 1)]
         for v, near in enumerate(adj):
             if v in sinks:
                 self._arc(2 * v, self.sink, cap)
@@ -364,80 +388,102 @@ class _Residual:
             self._arc(2 * v, 2 * v + 1, 1 if v in cuttable else cap)
             for w in near:
                 self._arc(2 * v + 1, 2 * w, cap)
+        self.heads = [list(out) for out in self.arcs]
 
     def _arc(self, a: int, b: int, units: int) -> None:
-        self.spare[a][b] = units
-        self.flow[b][a] = 0
+        self.arcs[a][b] = units
+        self.arcs[b][a] = 0
 
     def augment(self) -> int:
-        """Push units along shortest augmenting paths (Edmonds and Karp
-        1972) until none is left or ``cap`` have gone through; the value."""
+        """Push blocking flows on BFS levels (Dinic 1970) until no unit is
+        left or ``cap`` have gone through; the value.  A phase is one BFS
+        that stops at the sink's level and one DFS that moves a cursor per
+        state past each arc once; a dead end leaves the levels, and a path
+        found keeps its prefix up to its first arc that filled up."""
+        arcs, heads, source, sink = self.arcs, self.heads, self.source, self.sink
         while self.value < self.cap:
-            path = self._search(self.source, self.sink, (self.spare, self.flow))
-            if path is None:
+            level = self._levels()
+            if level[sink] < 0:
                 break
-            self._push(path)
-            self.value += 1
+            cursor = [0] * len(arcs)
+            path = [source]
+            while path:
+                a = path[-1]
+                if a == sink:
+                    cut = len(path)
+                    for i in range(len(path) - 2, -1, -1):
+                        x, y = path[i], path[i + 1]
+                        arcs[x][y] -= 1
+                        arcs[y][x] += 1
+                        if not arcs[x][y]:
+                            cut = i + 1
+                    self.value += 1
+                    if self.value == self.cap:
+                        break
+                    del path[cut:]
+                    continue
+                out, ahead, deeper = arcs[a], heads[a], level[a] + 1
+                i = cursor[a]
+                while i < len(ahead) and not (out[ahead[i]] and level[ahead[i]] == deeper):
+                    i += 1
+                cursor[a] = i
+                if i < len(ahead):
+                    path.append(ahead[i])
+                else:
+                    level[a] = -1  # a dead end for the rest of the phase
+                    path.pop()
         return self.value
 
-    def bypass(self, v: int) -> bool:
-        """Move v's unit, if it carries one, onto a residual path from v's
-        entry to its exit; False when there is none, that is, when v lies
-        on a smallest cut (Picard and Queyranne 1980)."""
-        entry, exit_ = 2 * v, 2 * v + 1
-        if not self.flow[exit_][entry]:
-            return True
-        around = self._search(entry, exit_, (self.spare, self.flow))
-        if around is None:
-            return False
-        self._push([*around, entry])
-        return True
+    def _levels(self) -> list[int]:
+        """Each state's residual distance from the source, found breadth
+        first up to the sink's; -1 where it is not reached by then."""
+        arcs, sink = self.arcs, self.sink
+        level = [-1] * len(arcs)
+        level[self.source] = 0
+        frontier = [self.source]
+        while frontier and level[sink] < 0:
+            reached = []
+            for a in frontier:
+                deeper = level[a] + 1
+                for b, units in arcs[a].items():
+                    if units and level[b] < 0:
+                        level[b] = deeper
+                        reached.append(b)
+            frontier = reached
+        return level
 
-    def remove(self, v: int) -> None:
-        """Cancel the unit of a node that ``bypass`` could not move, back
-        to the source and on to the sinks, and close the node."""
-        entry, exit_ = 2 * v, 2 * v + 1
-        # Both walks follow carrying arcs backwards: from the entry to the
-        # source, and from the collecting state to the exit.
-        back = self._search(entry, self.source, (self.flow,))
-        ahead = self._search(self.sink, exit_, (self.flow,))
-        assert back is not None and ahead is not None
-        self._push(ahead + back)
-        self.spare[entry][exit_] = 0
-        self.value -= 1
+    def reached_from(self, start: int, side: list[int], goal: int) -> list[int] | None:
+        """The states ``start`` reaches along residual arcs without entering
+        the source side (``side`` 1), ``start`` first; None when they
+        include ``goal`` or a state on the sink side (``side`` -1)."""
+        if side[start] == 1:
+            return []
+        arcs = self.arcs
+        seen = [start]
+        found = {start}
+        for a in seen:
+            for b, units in arcs[a].items():
+                if units and b not in found and side[b] != 1:
+                    if b == goal or side[b] == -1:
+                        return None
+                    found.add(b)
+                    seen.append(b)
+        return seen
 
-    def _search(
-        self, start: int, goal: int, arcs: tuple[list[dict[int, int]], ...]
-    ) -> list[int] | None:
-        """The states of a shortest path from ``start`` to ``goal`` along
-        positive entries of ``arcs``, found breadth first; None when there
-        is none."""
-        back = {start: start}
-        queue = deque([start])
-        while queue:
-            state = queue.popleft()
-            for units_to in arcs:
-                for nxt, units in units_to[state].items():
-                    if units and nxt not in back:
-                        back[nxt] = state
-                        if nxt == goal:
-                            path = [goal]
-                            while path[-1] != start:
-                                path.append(back[path[-1]])
-                            return path[::-1]
-                        queue.append(nxt)
-        return None
-
-    def _push(self, path: list[int]) -> None:
-        """Send one unit along a residual path: a forward arc takes it, the
-        reverse of a carrying arc gives one back."""
-        for a, b in zip(path, path[1:]):
-            if self.spare[a].get(b):
-                self.spare[a][b] -= 1
-                self.flow[b][a] += 1
-            else:
-                self.flow[a][b] -= 1
-                self.spare[b][a] += 1
+    def reaching(self, goal: int, side: list[int]) -> list[int]:
+        """The states that reach ``goal`` along residual arcs without
+        entering the sink side (``side`` -1)."""
+        if side[goal] == -1:
+            return []
+        arcs = self.arcs
+        seen = [goal]
+        found = {goal}
+        for b in seen:
+            for a in arcs[b]:
+                if a not in found and side[a] != -1 and arcs[a][b]:
+                    found.add(a)
+                    seen.append(a)
+        return seen
 
 
 def identify_term(

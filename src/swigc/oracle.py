@@ -492,7 +492,9 @@ def _formula_value(g: CausalGraph, formula: Formula, law: _Law) -> Fraction:
     """``formula``'s value; each distinct (columns, at) groups ``law`` once,
     so Expect and SumOver nodes that read the same cells share them."""
     groups: dict[tuple[tuple[Column, ...], Column | None], Cells] = {}
-    seen: set[Formula] = set()
+    # Keyed by identity: a formula's hash walks its whole subtree, and the
+    # tree stays alive for the call, so no id is reused.
+    seen: set[int] = set()
 
     def grouped(names: Iterable[str], at: Column | None = None) -> Cells:
         key = (tuple((v, ()) for v in names), at)
@@ -509,8 +511,8 @@ def _formula_value(g: CausalGraph, formula: Formula, law: _Law) -> Fraction:
     def ev(f: Formula, binds: dict[str, int]) -> Fraction:
         # A node's terms are checked on its first evaluation only, before
         # it is grouped, in the order a full walk would check them.
-        first = f not in seen
-        seen.add(f)
+        first = id(f) not in seen
+        seen.add(id(f))
         if isinstance(f, Expect):
             if first:
                 check_observational(f.term)

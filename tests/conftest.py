@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,14 @@ def run_cli(capsys):
         return CliResult(code=code, out=out, err=err)
 
     return run
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def spec_path(name: str) -> str:

@@ -6,10 +6,18 @@ candidates, smallest first and in label order within a size, making
 2^(k+2) d-separation queries for k candidates.  The property tests
 require the engine to return exactly what it returns, or raise the same
 exception type.
+
+``_greedy_cut`` and ``_Residual`` are the min-cut search as it first
+stood: one shortest augmenting path per unit of flow (Edmonds and Karp
+1972), then for each candidate that carries a unit a search for a
+residual path around it and, when there is none, two walks that cancel
+its unit.  The property tests require the engine's blocking flow and
+closure sweep to return the same flow values and picks.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 from swigc.dsep import DSepQuery, d_separated
@@ -173,3 +181,133 @@ def subset_identify_term(
     leftovers = tuple(e for e in events if e.term.context)
     cross = CrossWorld(events=leftovers, term=term if term.context else None)
     return PartiallyIdentified(mean, final, tuple(steps), cross)
+
+
+def _greedy_cut(
+    adj: list[set[int]], source: int, sinks: set[int], order: list[int]
+) -> list[int] | None:
+    """The first smallest set of ``order``'s nodes, in that order, whose
+    removal cuts ``source`` from every sink; None when no such set exists.
+
+    One maximum flow gives the size.  Then each candidate in turn is
+    taken when it lies on a smallest cut of the network without the nodes
+    picked so far, in which the flow stays maximum.  A candidate passed
+    over lies on no smallest cut then, and so on none later: every later
+    smallest cut is one of the earlier ones less the nodes picked since.
+    """
+    residual = _Residual(adj, source, sinks, set(order), len(order) + 1)
+    if residual.augment() > len(order):
+        return None
+    picked: list[int] = []
+    for c in order:
+        if not residual.value:
+            break
+        if not residual.bypass(c):
+            residual.remove(c)
+            picked.append(c)
+    return picked
+
+
+class _Residual:
+    """A node-capacitated flow from ``source`` to ``sinks``, kept as one
+    residual map that is updated in place.
+
+    Node v is split into an entry state 2v and an exit state 2v + 1,
+    joined by an arc of one unit when v is cuttable and ``cap`` units
+    otherwise; each edge v-w gives arcs of ``cap`` units from either
+    node's exit to the other's entry.  Every sink's entry feeds one
+    collecting state, through which a rerouted unit may trade one sink
+    for another.  ``spare[a][b]`` is what the arc a -> b can still take
+    and ``flow[b][a]`` what it carries.
+    """
+
+    def __init__(
+        self, adj: list[set[int]], source: int, sinks: set[int], cuttable: set[int], cap: int
+    ) -> None:
+        self.cap = cap
+        self.value = 0
+        self.source = 2 * source + 1
+        self.sink = 2 * len(adj)
+        self.spare: list[dict[int, int]] = [{} for _ in range(self.sink + 1)]
+        self.flow: list[dict[int, int]] = [{} for _ in range(self.sink + 1)]
+        for v, near in enumerate(adj):
+            if v in sinks:
+                self._arc(2 * v, self.sink, cap)
+                continue
+            self._arc(2 * v, 2 * v + 1, 1 if v in cuttable else cap)
+            for w in near:
+                self._arc(2 * v + 1, 2 * w, cap)
+
+    def _arc(self, a: int, b: int, units: int) -> None:
+        self.spare[a][b] = units
+        self.flow[b][a] = 0
+
+    def augment(self) -> int:
+        """Push units along shortest augmenting paths (Edmonds and Karp
+        1972) until none is left or ``cap`` have gone through; the value."""
+        while self.value < self.cap:
+            path = self._search(self.source, self.sink, (self.spare, self.flow))
+            if path is None:
+                break
+            self._push(path)
+            self.value += 1
+        return self.value
+
+    def bypass(self, v: int) -> bool:
+        """Move v's unit, if it carries one, onto a residual path from v's
+        entry to its exit; False when there is none, that is, when v lies
+        on a smallest cut (Picard and Queyranne 1980)."""
+        entry, exit_ = 2 * v, 2 * v + 1
+        if not self.flow[exit_][entry]:
+            return True
+        around = self._search(entry, exit_, (self.spare, self.flow))
+        if around is None:
+            return False
+        self._push([*around, entry])
+        return True
+
+    def remove(self, v: int) -> None:
+        """Cancel the unit of a node that ``bypass`` could not move, back
+        to the source and on to the sinks, and close the node."""
+        entry, exit_ = 2 * v, 2 * v + 1
+        # Both walks follow carrying arcs backwards: from the entry to the
+        # source, and from the collecting state to the exit.
+        back = self._search(entry, self.source, (self.flow,))
+        ahead = self._search(self.sink, exit_, (self.flow,))
+        assert back is not None and ahead is not None
+        self._push(ahead + back)
+        self.spare[entry][exit_] = 0
+        self.value -= 1
+
+    def _search(
+        self, start: int, goal: int, arcs: tuple[list[dict[int, int]], ...]
+    ) -> list[int] | None:
+        """The states of a shortest path from ``start`` to ``goal`` along
+        positive entries of ``arcs``, found breadth first; None when there
+        is none."""
+        back = {start: start}
+        queue = deque([start])
+        while queue:
+            state = queue.popleft()
+            for units_to in arcs:
+                for nxt, units in units_to[state].items():
+                    if units and nxt not in back:
+                        back[nxt] = state
+                        if nxt == goal:
+                            path = [goal]
+                            while path[-1] != start:
+                                path.append(back[path[-1]])
+                            return path[::-1]
+                        queue.append(nxt)
+        return None
+
+    def _push(self, path: list[int]) -> None:
+        """Send one unit along a residual path: a forward arc takes it, the
+        reverse of a carrying arc gives one back."""
+        for a, b in zip(path, path[1:]):
+            if self.spare[a].get(b):
+                self.spare[a][b] -= 1
+                self.flow[b][a] += 1
+            else:
+                self.flow[a][b] -= 1
+                self.spare[b][a] += 1

@@ -22,7 +22,7 @@ from swigc.identify import (
 from swigc.model import StudySpec
 from swigc.oracle import check_soundness
 
-from conftest import STUDY_FILES, load_study, spec_path
+from conftest import STUDY_FILES, load_script, load_study, spec_path
 from reference_identify import subset_identify_term
 
 
@@ -307,32 +307,8 @@ class TestTraceLayout:
         assert len(starts) == 1
 
 
-def adjust_chain(k: int) -> str:
-    """A -> M -> Y with k adjust-eligible confounders C01.. of M and Y."""
-    names = [f"C{i:02d}" for i in range(1, k + 1)]
-    lines = ['study "Adjust chain" {', "  node A { role: treatment; }",
-             "  node M { role: intercurrent; }"]
-    lines += [f"  node {c} {{ adjust: true; }}" for c in names]
-    lines += ["  node Y { role: outcome; }", "  edges {", "    A -> M; A -> Y; M -> Y;"]
-    lines += [f"    {c} -> M; {c} -> Y;" for c in names]
-    lines += ["  }", "  strategy M: hypothetical(0);",
-              "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
-    return "\n".join(lines) + "\n"
-
-
-def sparse_chain(n: int) -> str:
-    """A -> M -> Y with adjust-eligible covariates C0 -> C1 -> ... -> Cn,
-    where C0 -> M and Cn -> Y."""
-    names = [f"C{i}" for i in range(n + 1)]
-    lines = ['study "Sparse chain" {', "  node A { role: treatment; }",
-             "  node M { role: intercurrent; }"]
-    lines += [f"  node {c} {{ adjust: true; }}" for c in names]
-    lines += ["  node Y { role: outcome; }", "  edges {", "    A -> M; A -> Y; M -> Y;",
-              f"    C0 -> M; C{n} -> Y;"]
-    lines += [f"    {u} -> {v};" for u, v in zip(names, names[1:])]
-    lines += ["  }", "  strategy M: hypothetical(0);",
-              "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
-    return "\n".join(lines) + "\n"
+_scaling = load_script("adjust_scaling")
+adjust_chain, sparse_chain = _scaling.adjust_chain, _scaling.sparse_chain
 
 
 def stratified_over(result) -> list[str]:
@@ -398,25 +374,48 @@ class TestAdjustmentSearch:
         # one hub per child instead of a clique of its k parents
         assert entries and max(entries) <= 10 * k
 
-    def test_one_flow_then_three_searches_per_candidate(self, monkeypatch):
+    @pytest.mark.parametrize("k", [100, 400])
+    def test_flow_and_sweep_scan_each_arc_a_few_times(self, monkeypatch, k):
         import swigc.identify
 
-        searches = 0
-        search = swigc.identify._Residual._search
+        reads = 0
 
-        def counted(self, *args):
-            nonlocal searches
-            searches += 1
-            return search(self, *args)
+        class Counted(dict):
+            """One state's residual arcs, counting every arc read."""
 
-        monkeypatch.setattr(swigc.identify._Residual, "_search", counted)
-        k = 100
+            def __getitem__(self, head):
+                nonlocal reads
+                reads += 1
+                return super().__getitem__(head)
+
+            def __iter__(self):
+                nonlocal reads
+                for head in super().__iter__():
+                    reads += 1
+                    yield head
+
+            def items(self):
+                nonlocal reads
+                for pair in super().items():
+                    reads += 1
+                    yield pair
+
+        sizes = []
+        init = swigc.identify._Residual.__init__
+
+        def counted(self, adj, *args):
+            init(self, adj, *args)
+            sizes.append(len(adj) + sum(len(near) for near in adj))
+            self.arcs = [Counted(out) for out in self.arcs]
+
+        monkeypatch.setattr(swigc.identify._Residual, "__init__", counted)
         report = identify_estimand(parse_study(adjust_chain(k)))
         assert report.status == "identified"
-        # k augmenting paths and the search that finds no more, then for
-        # each confounder a failed bypass and the two walks that cancel
-        # its unit
-        assert searches <= 4 * k + 2
+        # Two blocking-flow phases and one closure sweep read each arc a
+        # bounded number of times, whatever k is; one search per unit and
+        # three per candidate read about 1.5·k arcs per moral-graph entry.
+        assert len(sizes) == 1
+        assert reads <= 10 * sizes[0]
 
     def test_fifty_confounders_take_the_polynomial_path(self):
         report = identify_estimand(parse_study(adjust_chain(50)))
@@ -430,3 +429,15 @@ class TestAdjustmentSearch:
         names = ", ".join(sorted(f"C{i:02d}" for i in range(1, k + 1)))
         for arm in (report.left, report.right):
             assert stratified_over(arm) == [f"stratification over {{{names}}}"]
+
+    def test_scaling_script_times_the_smallest_chain(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_adjust_scaling.json"
+        argv = ["--runs", "2", "--case", "adjust_chain:12", "--out", str(out)]
+        assert _scaling.main(argv) == 0
+        line = capsys.readouterr().out
+        assert out.read_text() == line
+        result = json.loads(line)
+        assert (result["bench"], result["runs"]) == ("adjust_scaling", 2)
+        timing = result["identify_ms"]["adjust_chain(12)"]
+        assert list(result["identify_ms"]) == ["adjust_chain(12)"]
+        assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]

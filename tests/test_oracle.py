@@ -1,7 +1,6 @@
 """Exact enumeration oracle: frozen study values, error surfaces, batteries."""
 
 import hashlib
-import importlib.util
 import io
 import os
 import subprocess
@@ -40,7 +39,7 @@ from swigc.oracle import (
     write_csv,
 )
 
-from conftest import ROOT, load_study, spec_text
+from conftest import ROOT, load_script, load_study, spec_text
 import reference_oracle
 
 
@@ -245,24 +244,16 @@ class TestRandomModels:
         assert {r.status for r in reports} == {"identified"}
 
 
-def _script(name):
-    path = ROOT / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 class TestBatteryScript:
     def test_reports_every_seed(self, capsys):
-        assert _script("soundness_battery").main(["--seeds", "3", "--studies", "itt.swg"]) == 0
+        assert load_script("soundness_battery").main(["--seeds", "3", "--studies", "itt.swg"]) == 0
         out = capsys.readouterr().out
         assert "seeds 0..2  sound 3/3" in out
         assert out.endswith(", 0 mismatches\n")
 
     def test_battery_past_the_cap_is_refused(self, capsys):
         argv = ["--seeds", "10000000000000000000", "--studies", "itt.swg"]
-        assert _script("soundness_battery").main(argv) == 7
+        assert load_script("soundness_battery").main(argv) == 7
         assert capsys.readouterr().err == (
             "error: a battery of more than 1000000 seeds exceeds the cap\n"
         )
@@ -277,7 +268,7 @@ class TestBatteryScript:
     )
     def test_count_below_one_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as done:
-            _script("soundness_battery").main([*argv, "--studies", "itt.swg"])
+            load_script("soundness_battery").main([*argv, "--studies", "itt.swg"])
         assert done.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -285,7 +276,7 @@ class TestBatteryScript:
 
     def test_empty_study_list_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as done:
-            _script("soundness_battery").main(["--seeds", "2", "--studies"])
+            load_script("soundness_battery").main(["--seeds", "2", "--studies"])
         assert done.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -293,7 +284,7 @@ class TestBatteryScript:
 
     def test_unreadable_study_is_one_error_line(self, capsys):
         argv = ["--seeds", "1", "--studies", "itt.swg", "nope.swg"]
-        assert _script("soundness_battery").main(argv) == 2
+        assert load_script("soundness_battery").main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: [Errno 2] No such file or directory: ")
@@ -301,7 +292,7 @@ class TestBatteryScript:
 
     def test_refused_model_exits_as_simulate_does(self, capsys):
         argv = ["--seeds", "1", "--studies", "enumeration_cap.swg"]
-        assert _script("soundness_battery").main(argv) == 7
+        assert load_script("soundness_battery").main(argv) == 7
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: 10000000 noise configurations exceed the cap of 1000000\n"
@@ -442,7 +433,7 @@ class TestOnePass:
     def test_latent_roots_chain_matches_the_row_table(self, seed):
         # 1,024 units.  Each root joins the pass just before the link that
         # reads it, not with the treatment, yet every value is the same.
-        study = parse_study(_script("cli_sweep").roots_chain(3, 4))
+        study = parse_study(load_script("cli_sweep").roots_chain(3, 4))
         assert check_soundness(study, seed) == reference_oracle.check_soundness(study, seed)
 
     def test_latent_roots_join_the_pass_at_their_reader(self):
@@ -450,7 +441,7 @@ class TestOnePass:
         # states would hold all four roots' values for the whole chain,
         # several megabytes; joining at its link, each root's values live
         # for one step.
-        study = parse_study(_script("cli_sweep").roots_chain(4, 10))
+        study = parse_study(load_script("cli_sweep").roots_chain(4, 10))
         tracemalloc.start()
         try:
             report = check_soundness(study, seed=2)

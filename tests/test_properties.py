@@ -49,6 +49,7 @@ from conftest import SPECS, STUDY_FILES, load_study, spec_text
 from reference_dsep import open_paths as enumerated_open_paths
 from reference_identify import subset_identify_term
 import reference_dsl
+import reference_identify
 import reference_oracle
 import reference_swig
 
@@ -414,17 +415,23 @@ def test_adjustment_search_matches_the_subset_walk(study):
 
 
 @st.composite
-def flow_networks(draw):
-    """A random graph on 2-8 nodes: source 0, 1-3 sinks, and every other
-    node removed, cuttable or uncut."""
-    n = draw(st.integers(min_value=2, max_value=8))
+def flow_networks(draw, min_nodes=2, max_nodes=8, sparse=False):
+    """A random graph on ``min_nodes`` to ``max_nodes`` nodes: source 0,
+    1-3 sinks, and every other node removed, cuttable or uncut.  A sparse
+    graph has n to 2n edges and none from the source to a sink; otherwise
+    each pair is an edge or not."""
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     sinks = set(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if sparse:
+        inner = [(u, v) for u, v in pairs if u or v not in sinks]
+        edges = draw(st.lists(st.sampled_from(inner), min_size=n, max_size=2 * n))
+    else:
+        edges = [pair for pair in pairs if draw(st.booleans())]
     adj = [set() for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
-                adj[u].add(v)
-                adj[v].add(u)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
     kinds = {v: draw(st.sampled_from(("removed", "cuttable", "uncut")))
              for v in range(1, n) if v not in sinks}
     removed = {v for v, kind in kinds.items() if kind == "removed"}
@@ -488,6 +495,39 @@ def test_greedy_cut_is_the_first_smallest_cut_in_label_order(network):
     )
     picked = _greedy_cut(_without(adj, removed), 0, sinks, order)
     assert (picked if picked is None else tuple(picked)) == first
+
+
+@st.composite
+def ordered_flow_networks(draw):
+    """A flow network on 6 to 14 nodes, dense or sparse, and its
+    cuttable nodes in label order or shuffled."""
+    network = draw(flow_networks(min_nodes=6, max_nodes=14, sparse=draw(st.booleans())))
+    order = sorted(network[3])
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))
+    return network, order
+
+
+@settings(max_examples=600)
+@given(ordered_flow_networks())
+# Node 2 carries the unit of 0-1-2-5 and lies on the smallest cut {2, 3},
+# but none holds it with 1, picked first; 3 is taken instead.
+@example((([{1, 3}, {0, 2}, {1, 5}, {0, 4}, {3, 5}, {2, 4}], {5}, set(), {1, 2, 3, 4}, 8),
+          [1, 2, 3, 4]))
+# The uncut hub 4 carries all three units, from 1, 2 and 3 on to 5, 6 and 7.
+@example((([{1, 2, 3}, {0, 4}, {0, 4}, {0, 4}, {1, 2, 3, 5, 6, 7}, {4, 8}, {4, 8}, {4, 8},
+           {5, 6, 7}], {8}, set(), {1, 2, 3, 5, 6, 7}, 8), [5, 6, 7, 1, 2, 3]))
+# The source touches sink 1, so the flow reaches its cap and no set cuts.
+@example((([{1, 2}, {0}, {0, 3}, {2}], {1, 3}, set(), {2}, 3), [2]))
+def test_blocking_flow_and_sweep_match_the_augmenting_paths(case):
+    """On networks beyond the exhaustive walk's reach, the blocking flow
+    has the value and the closure sweep the picks of one augmenting path
+    per unit and three residual searches per candidate."""
+    (adj, sinks, removed, cuttable, cap), order = case
+    adj = _without(adj, removed)
+    reference = reference_identify._Residual(adj, 0, sinks, cuttable, cap).augment()
+    assert _Residual(adj, 0, sinks, cuttable, cap).augment() == reference
+    assert _greedy_cut(adj, 0, sinks, order) == reference_identify._greedy_cut(adj, 0, sinks, order)
 
 
 def _value_or_message(fn, *args):
