@@ -393,7 +393,8 @@ def _at_least(low: int):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's own parser by name."""
     p = argparse.ArgumentParser(
         prog="swigc",
         description="Compile trial specs into split graphs, estimands, and derivations.",
@@ -443,7 +444,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--world", help="concrete assignments, e.g. A=1,M3=0")
     sp.add_argument("--out", help="write the output (markup, or JSON with --json) to a file")
     sp.set_defaults(func=_cmd_render, view=_render_text)
-    return p
+    return p, sub.choices
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """What the full parser makes of ``argv``.  When ``argv[0]`` names a
+    subcommand, that subcommand's parser reads the rest, as the full one
+    would; the full parser runs only when that leaves something unread or
+    there is no subcommand first, so every usage message, help text and
+    exit code is the full parser's."""
+    full, subcommands = _parsers()
+    if argv and argv[0] in subcommands:
+        args, unread = subcommands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not unread:
+            return args
+    return full.parse_args(argv)
 
 
 def _error_code(e: SwigcError | OSError) -> int:
@@ -456,8 +473,7 @@ def _error_code(e: SwigcError | OSError) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         payload, code = args.func(args, compile_study(parse_file(args.spec)))
         output = canonical_json(payload) if args.json else args.view(payload)

@@ -179,8 +179,11 @@ def _opened(
     out: list[NodeId] = []
     for i in range(1, len(nodes) - 1):
         if arrows[i - 1] == "->" and arrows[i] == "<-":
-            below = graph.descendants(nodes[i])
-            out.extend(sorted((m for m in z if m == nodes[i] or m in below), key=lambda n: n.label))
+            # A set intersection iterates the smaller of its two sets.
+            opened = z.intersection(graph.descendants(nodes[i]))
+            if nodes[i] in z:
+                opened |= {nodes[i]}
+            out.extend(sorted(opened, key=lambda n: n.label))
     return tuple(dict.fromkeys(out))
 
 

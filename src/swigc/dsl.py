@@ -6,24 +6,30 @@ model.  The parser reports the first syntax error with 1-based line and
 column plus the token kinds that would have been accepted; well-formed
 files that break a study invariant raise SemanticError instead.
 
-The front end reads a text in two regex passes, both built from one
-pair of pattern strings: the whitespace and comments between tokens (a
-comment runs from ``#`` to the end of its line), and the tokens:
-punctuation (``->``, ``:=`` or one of ``{}():;,=/``), an integer (an
-optional ``-`` and decimal digits), a name (letters, digits and ``_``,
-starting with a letter or ``_``), and a string that closes on its own
-line.  ``_LEXED`` finds the first character no token can start, which
-is an error; ``_TOKEN`` then lists the token texts, a string with its
-quotes and the end of the text as "".  That one list is all the parser
-keeps.  A token's kind is read from its first character when the
-grammar asks for one, and a token's start offset, for a line and
-column, is found again only when a ParseError is raised.
+The front end lists a text's tokens in one regex pass: the whitespace
+and comments before each token (a comment runs from ``#`` to the end of
+its line), then the token: punctuation (``->``, ``:=`` or one of
+``{}():;,=/``), an integer (an optional ``-`` and decimal digits), a
+name (letters, digits and ``_``, starting with a letter or ``_``), a
+string that closes on its own line, the end of the text as "", or else
+the one character there, which no token can start.  That list of texts
+is all the parser keeps.  A token's kind is read from its first
+character when the grammar asks for one, and a token's start offset, for
+a line and column, is found again only when a ParseError is raised.
+No grammar rule accepts a character no token can start, so a text that
+holds one fails to parse; only then is the text checked for lexical
+errors, and the first in the text wins over the parser's error: a word
+that starts with a character that is neither a letter nor a decimal
+digit, such as "²", or a character no token can start.
 The parser's grammar methods are written with four token rules:
 ``at``/``expect`` for keywords and punctuation (a failure lists every
 alternative), ``name``/``integer``/``take`` for a name, integer, string
 or the end, ``block`` for ``{ item* }`` and ``commas`` for
-``item, item, ...`` lists.  A data-model table is checked with set
-operations; its keys are walked only to name the first fault.
+``item, item, ...`` lists.  The items that fill a file, an edge, a
+noise entry and a table entry, are read straight off the token list
+when well formed, and otherwise again with those rules.  A data-model
+table is checked with set operations; its keys are walked only to name
+the first fault.
 
 serialize() emits a canonical form: entries sorted by name, attributes
 reduced to non-defaults, data-model tables normalized so every key ends
@@ -37,11 +43,11 @@ import os
 import re
 from fractions import Fraction
 from itertools import islice, product
-from math import prod
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConflictingStrategies, ParseError, GraphError, SemanticError, SpecError
-from .graph import CausalGraph, NodeAttrs, build_graph, valid_name
+from .graph import CausalGraph, NodeAttrs, NodeId, valid_name
 from .model import (
     Composite,
     Hypothetical,
@@ -69,14 +75,17 @@ _DECLARED_ROLES = ("covariate", "intercurrent", "latent", "outcome", "treatment"
 # the tokens, tried in order.  In a str pattern ``\d`` is exactly
 # str.isdecimal and ``\w`` exactly str.isalnum or "_".  A string keeps
 # its quotes, so its text never equals a keyword or punctuation mark.
-_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+# The skip is possessive: backtracking into a comment would read a token
+# inside it.
+_SKIP = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+"
 _GOOD = r'[A-Za-z_]\w*|->|:=|[{}():;,=/]|-?\d+|\w+|"[^"\n]*"'
-# Its match ends at the first character no token can start.  Both parts
-# are atomic: backtracking into a comment would read a token inside it.
-_LEXED = re.compile(rf"(?:(?>{_SKIP})(?:{_GOOD}))*+(?>{_SKIP})")
 # One match per token, after the space before it; the end of the text
-# reads as "".  Where space ends the text, a second "" follows the first.
-_TOKEN = re.compile(rf"(?>{_SKIP})({_GOOD}|\Z)")
+# reads as "", and where space ends the text a second "" follows the
+# first.  A character no token can start, such as "@" or the quote of an
+# unterminated string, is a token of its own that no grammar rule takes.
+_TOKEN = re.compile(rf"{_SKIP}({_GOOD}|\Z|.)")
+# Its match ends at the first character no token can start.
+_LEXED = re.compile(rf"(?:{_SKIP}(?:{_GOOD}))*+{_SKIP}")
 
 
 def _error(text: str, offset: int, message: str, expected: Sequence[str] = ()) -> ParseError:
@@ -86,31 +95,32 @@ def _error(text: str, offset: int, message: str, expected: Sequence[str] = ()) -
     return ParseError(line, offset - line_start + 1, message, expected)
 
 
-def _tokenize(text: str) -> list[str]:
-    """The text of each token, the end of the text as "".  The first
-    character no token can start raises, and so does a ``\\w+`` word that
-    does not start with a letter, such as "²"; only a text that is not
-    ASCII can hold one."""
+def _lexical_error(text: str) -> ParseError | None:
+    """The first lexical error in ``text``, if it has one: the first
+    character no token can start, or before it a ``\\w+`` word that does
+    not start with a letter or decimal digit, such as "²"; only a text
+    that is not ASCII can hold one."""
     stop = _LEXED.match(text).end()
     if not text.isascii():
         for m in _TOKEN.finditer(text, 0, stop):
             c = m[1][:1]
             if c.isalnum() and not (c.isalpha() or c.isdecimal()):
-                raise _error(text, m.start(1), f"unexpected character {c!r}")
+                return _error(text, m.start(1), f"unexpected character {c!r}")
     if stop < len(text):
         c = text[stop]
         message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
-        raise _error(text, stop, message)
-    return _TOKEN.findall(text)
+        return _error(text, stop, message)
+    return None
 
 
 def _kind(token: str) -> str:
     """A token's kind, read from its first character (and the second, for
-    "-"): ident, int, string, punct, or eof for the end of the text."""
+    "-"): ident, int, string, punct, or eof for the end of the text.  The
+    lone quote of an unterminated string is no string."""
     c = token[:1]
     if c.isalpha() or c == "_":
         return "ident"
-    if c == '"':
+    if c == '"' and len(token) > 1:
         return "string"
     if token.lstrip("-")[:1].isdecimal():
         return "int"
@@ -125,7 +135,7 @@ _T = TypeVar("_T")
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
 
     def start(self, pos: int) -> int:
@@ -180,9 +190,12 @@ class _Parser:
 
     def block(self, item: Callable[[], _T]) -> list[_T]:
         """``{ item* }``."""
-        self.expect("{")
+        tokens = self.tokens
+        if tokens[self.pos] != "{":
+            raise self.fail(['"{"'])
+        self.pos += 1
         items = []
-        while not self.at("}"):
+        while tokens[self.pos] != "}":
             items.append(item())
         self.pos += 1
         return items
@@ -243,7 +256,20 @@ class _Parser:
         self.block(attribute)
         return name, attrs
 
+    # The item rules below read a well-formed item straight off the token
+    # list; any other item is read again token by token, which fails where
+    # and as the grammar says.  A short slice or a token that is no integer
+    # raises ValueError, and so does an integer longer than int() converts.
+
     def edge(self) -> tuple[str, str]:
+        pos = self.pos
+        try:
+            src, arrow, dst, semi = self.tokens[pos : pos + 4]
+            if arrow == "->" and semi == ";" and src[:1].isalpha() and dst[:1].isalpha():
+                self.pos = pos + 4
+                return src, dst
+        except ValueError:
+            pass
         src = self.name()
         self.expect("->")
         dst = self.name()
@@ -308,6 +334,19 @@ class _Parser:
         return entries
 
     def noise_entry(self) -> tuple[int, Fraction]:
+        pos = self.pos
+        try:
+            value, colon, num, end, den, semi = self.tokens[pos : pos + 6]
+            if colon == ":" and end == ";":
+                entry = int(value), Fraction(int(num))
+                self.pos = pos + 4
+                return entry
+            if colon == ":" and end == "/" and semi == ";" and int(den):
+                entry = int(value), Fraction(int(num), int(den))
+                self.pos = pos + 6
+                return entry
+        except ValueError:
+            pass
         value = self.integer()
         self.expect(":")
         num, den = self.integer(), 1
@@ -330,6 +369,24 @@ class _Parser:
         return parents, entries
 
     def table_entry(self) -> tuple[tuple[int, ...], int]:
+        pos = self.pos
+        tokens = self.tokens
+        try:
+            # "(", a key of ``width`` integers with commas between, ")"
+            close = tokens.index(")", pos) if tokens[pos] == "(" else pos
+            arrow, value, semi = tokens[close + 1 : close + 4]
+            width = (close - pos) // 2
+            if (
+                arrow == "->"
+                and semi == ";"
+                and close - pos == 2 * width
+                and tokens[pos + 2 : close : 2].count(",") == width - 1
+            ):
+                entry = tuple(map(int, tokens[pos + 1 : close : 2])), int(value)
+                self.pos = close + 4
+                return entry
+        except ValueError:
+            pass
         self.expect("(")
         key = tuple(self.commas(self.integer, ")"))
         self.expect(")")
@@ -382,8 +439,15 @@ def _assemble(
             raise SemanticError(f"duplicate edge {src} -> {dst}")
         seen_edges.add((src, dst))
 
+    # The names and edge endpoints are checked above, so the graph is
+    # built from them directly; it can still refuse a cycle.
+    ids = {name: NodeId(name) for name in attr_by_name}
     try:
-        graph = build_graph(list(attr_by_name.items()), edges)
+        graph = CausalGraph(
+            ids.values(),
+            {ids[name]: a for name, a in attr_by_name.items()},
+            [(ids[src], ids[dst]) for src, dst in edges],
+        )
     except GraphError as e:
         raise SemanticError(str(e)) from e
 
@@ -490,10 +554,12 @@ def _assemble_scm(
                 if value in values_seen:
                     raise SemanticError(f"noise for {var} lists value {value} twice")
                 values_seen.add(value)
-                if prob <= 0:
+                if prob.numerator <= 0:
                     raise SemanticError(f"noise probabilities for {var} must be positive")
-            total = sum(prob for _, prob in noise)
-            if total != 1:
+            # Over the least common denominator, as the oracle weighs them.
+            scale = lcm(*(prob.denominator for _, prob in noise))
+            if sum(prob.numerator * (scale // prob.denominator) for _, prob in noise) != scale:
+                total = sum(prob for _, prob in noise)
                 raise SemanticError(f"noise probabilities for {var} must sum to 1, got {total}")
             noise_entries = tuple(sorted(noise))
         else:
@@ -570,8 +636,15 @@ def _assemble_scm(
 
 
 def parse_study(text: str) -> StudySpec:
-    """Parse one study file; the first problem found is raised."""
-    return _Parser(text).study()
+    """Parse one study file; the first problem found is raised, and a
+    lexical error comes before any other."""
+    try:
+        return _Parser(text).study()
+    except SpecError:
+        error = _lexical_error(text)
+        if error is None:
+            raise
+    raise error
 
 
 def parse_file(path: str) -> StudySpec:

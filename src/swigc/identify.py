@@ -56,7 +56,6 @@ from .formula import (
     SumOver,
     Term,
     fresh_symbol,
-    is_identified,
     render,
 )
 from .graph import CausalGraph, NodeId, record
@@ -567,9 +566,9 @@ def _derive(study: StudySpec, mean: Expect, search: _Search) -> IdentifyResult:
         steps.append(DerivationStep("consistency", formula_now(), "consistency"))
 
     final = formula_now()
-    if is_identified(final):
-        return Identified(mean, final, tuple(steps))
     leftovers = tuple(e for e in events if e.term.context)
+    if not term.context and not leftovers:  # the formula's terms are all observed
+        return Identified(mean, final, tuple(steps))
     cross = CrossWorld(events=leftovers, term=term if term.context else None)
     return PartiallyIdentified(mean, final, tuple(steps), cross)
 

@@ -647,6 +647,46 @@ def test_calls_share_one_parser(run_cli, monkeypatch):
     assert len(built) <= 1
 
 
+ITT = spec_path("itt.swg")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--version"],
+        ["bogus", ITT],
+        ["validate"],
+        ["validate", "-h"],
+        ["validate", ITT],
+        ["validate", ITT, "--bogus"],
+        ["validate", "--js", ITT],
+        ["validate", ITT, "--version"],
+        ["validate", "--", ITT],
+        ["dsep", ITT, "--x", "Y(a)", "--y", "A", "--limit", "-1"],
+        ["simulate", ITT, "--seeds", "5:1"],
+        ["simulate", ITT, "--jobs", "0"],
+        ["simulate", ITT, "--s", "1"],
+        ["render", ITT, "--format", "svg"],
+    ],
+)
+def test_argv_parse_matches_the_full_parser(capsys, argv):
+    """The subcommand's own parser reads what the full one would: the same
+    arguments, or the same exit code, usage and message."""
+    from swigc import cli
+
+    def outcome(parse):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as e:
+            result = e.code
+        return result, capsys.readouterr()
+
+    full, _ = cli._parsers()
+    assert outcome(cli._parse_args) == outcome(full.parse_args)
+
+
 def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
     path = ROOT / "scripts" / "cli_sweep.py"
     spec = importlib.util.spec_from_file_location("cli_sweep", path)
@@ -699,3 +739,21 @@ def test_cli_sweep_does_not_depend_on_the_hash_seed():
             run.kill()
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") > 300
+
+
+def test_startup_script_reports_the_front_door(tmp_path):
+    """scripts/startup.py times start-up and, in process, the argv parse
+    and each bundled spec's parse."""
+    out = tmp_path / "BENCH_startup.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "startup.py"), "--runs", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    line = json.loads(done.stdout)
+    assert json.loads(out.read_text()) == line
+    assert line["runs"] == 2
+    assert line["argv_parse_us"]["median"] > 0
+    stems = sorted(path.stem for path in (ROOT / "specs").glob("*.swg"))
+    assert sorted(line["parse_file_us"]) == stems
+    assert all(timing["median"] > 0 for timing in line["parse_file_us"].values())

@@ -109,6 +109,27 @@ class TestErrorReporting:
             parse_study(text)
         assert str(exc.value) == "3:40: integer literal of 5000 digits is too long"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # The missing colon on line 3 is read first, but the "@" on
+            # the appended line 9 is reported.
+            (spec_text("bad_syntax.swg") + "\n@", "9:1: unexpected character '@'"),
+            # An attribute given twice is refused before the parse reaches
+            # the trailing "²".
+            (
+                MINIMAL.replace("treatment;", "treatment; role: treatment;") + "²",
+                "8:1: unexpected character '²'",
+            ),
+            # The lone quote is no title, though a string is expected there.
+            ('study " {' + MINIMAL.split("{", 1)[1], "1:7: unterminated string"),
+        ],
+    )
+    def test_a_lexical_error_wins_over_an_earlier_error(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_study(text)
+        assert str(exc.value) == message
+
     def test_error_carries_line_and_column(self):
         with pytest.raises(ParseError) as exc:
             parse_study('study "X" {')

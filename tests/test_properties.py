@@ -1011,11 +1011,15 @@ def _reference_tokens(text):
 
 
 def _dsl_tokens(text):
-    """dsl._tokenize's texts as the reference's (kind, text, line, col)
-    tuples, up to the end of the text: each kind as the parser reads it,
-    and each start offset from the match that an error finds again."""
+    """The lexical error dsl reports first, or else the texts of its one
+    token pass as the reference's (kind, text, line, col) tuples, up to
+    the end of the text: each kind as the parser reads it, and each start
+    offset from the match that an error finds again."""
+    error = dsl._lexical_error(text)
+    if error is not None:
+        raise error
     tokens = []
-    for token, m in zip(dsl._tokenize(text), dsl._TOKEN.finditer(text)):
+    for token, m in zip(dsl._TOKEN.findall(text), dsl._TOKEN.finditer(text)):
         kind, start = dsl._kind(token), m.start(1)
         shown = token[1:-1] if kind == "string" else token
         line, col = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
