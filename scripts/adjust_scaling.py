@@ -7,8 +7,9 @@
 Each case is a spec built here: ``adjust_chain(k)``, where all k
 confounders of the held event must be adjusted for (k = 12, 100, 500 and
 2000), and ``sparse_chain(n)``, where a chain of n + 1 covariates needs its
-root only (n = 1000 and 4000).  ``--case FAMILY:SIZE`` picks cases, once
-per case; the default is all six.
+root only (n = 1000, 4000 and 40000; the last is a 40,006-node SWIG).
+``--case FAMILY:SIZE`` picks cases, once per case; the default is all
+seven.
 
 Starts fresh Python processes one after another, never two at once: one
 per case and run.  Each child reads the sources under ``DIR/src`` (default:
@@ -33,7 +34,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = {"adjust_chain": (12, 100, 500, 2000), "sparse_chain": (1000, 4000)}
+SIZES = {"adjust_chain": (12, 100, 500, 2000), "sparse_chain": (1000, 4000, 40000)}
 
 CHILD = (
     "import sys, time\n"
@@ -112,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--runs", type=int, default=5, help="runs per case (default 5)")
     p.add_argument("--case", type=_case_name, action="append", dest="cases",
-                   metavar="FAMILY:SIZE", help="a case to time (default: all six)")
+                   metavar="FAMILY:SIZE", help="a case to time (default: all seven)")
     p.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is measured")
     p.add_argument("--out", type=Path, help="also write the JSON line to this file")
     args = p.parse_args(argv)

@@ -1,22 +1,29 @@
 """d-separation over graphs that may contain fixed (degenerate) nodes.
 
 One Bayes-ball step (Shachter 1998) holds the d-connection rule: from a
-node, reached by a given arrow, it lists the open moves to neighbours.
-One reachability pass over those (node, arrow) states yields each node
-the ball reaches from x given z, in time linear in the graph (Geiger,
-Verma and Pearl 1990).  ``d_connected`` collects every node it yields;
-``d_separated`` stops at the first y node.  ``open_paths`` explains a
-refusal with the same moves: a best-first search over simple paths
-yields the open ones shortest first, then in label order, and stops at
-its limit.  Fixed nodes are constants: every path through one is
-blocked, they open nothing, and they are inert as conditioning
-variables.
+node, reached by a given arrow, it opens the moves to the node's
+children, its parents, both or neither.  One reachability pass over
+those (node, arrow) states yields each node the ball reaches from x
+given z, in time linear in the graph (Geiger, Verma and Pearl 1990).
+``d_connected`` collects every node outside x it yields; ``d_separated``
+stops at the first y node.  ``open_paths`` explains a refusal with the same
+moves: a best-first search over simple paths yields the open ones
+shortest first, then in label order, and stops at its limit.  Fixed
+nodes are constants: every path through one is blocked, they open
+nothing, and they are inert as conditioning variables.
+
+Both searches run on the graph's index (see ``graph``), built once per
+graph on its first query: a node is its position in ``graph.nodes``,
+which is label order, its neighbours are position lists, and a state is
+one int.  The collider rule's An(z) is the index's own ancestor walk.
+Nodes are made only at the edges: the nodes ``d_connected`` returns and
+the witnesses ``open_paths`` emits.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import OverlappingSets, UnknownNode
 from .graph import CausalGraph, NodeId, record
@@ -78,49 +85,55 @@ def _conditioning(z: frozenset[NodeId]) -> frozenset[NodeId]:
     return frozenset(n for n in z if not n.fixed)
 
 
-def _ball_moves(
-    graph: CausalGraph, z: frozenset[NodeId]
-) -> Callable[[NodeId, str | None], list[tuple[NodeId, str]]]:
-    """The d-connection rule given ``z``, as one Bayes-ball step.
+# How the ball came to a node: from a parent, from a child, or neither, at
+# a path's start.  A state is 3 * position + came.
+_DOWN, _UP, _START = 0, 1, 2
+_ARROWS = ("->", "<-")
 
-    ``moves(node, came)`` lists the open steps (neighbour, arrow) out of
-    ``node``, where ``came`` is the arrow of the step that reached it:
-    ``None`` at a path's start, ``"->"`` from a parent, ``"<-"`` from a
-    child.  A chain or fork node passes the ball unless it is in z; a
-    collider passes it only when it or a descendant is in z.  No step
-    enters a fixed node.
+
+def _ball(graph: CausalGraph, z: frozenset[NodeId]) -> tuple:
+    """The d-connection rule given ``z``, as one Bayes-ball step on the
+    graph's index: the index and its two moves.
+
+    A move is (neighbour lists, how it arrives, gate): to a child, which
+    it reaches from a parent (``_DOWN``, "->"), or to a parent, which it
+    reaches from a child (``_UP``, "<-").  From position p, reached as
+    ``came``, the move is open when ``gate[came][p]`` is set.  A chain or
+    fork node passes the ball unless it is in z; a collider passes it
+    only when it or a descendant is in z; a path's start passes it.  No
+    step enters a fixed node.
     """
-    closure = graph.ancestral_set(z)
+    index = graph._index()
+    conditioned = [index.position[v] for v in _conditioning(z)]
+    through = bytearray(b"\x01") * len(index.fixed)
+    for p in conditioned:
+        through[p] = 0
+    collider = bytearray(len(index.fixed))
+    for p in index.reach(conditioned, index.parents):
+        collider[p] = 1
+    start = b"\x01" * len(index.fixed)
+    down, up = (through, through, start), (collider, through, start)
+    return index, ((index.children, _DOWN, down), (index.parents, _UP, up))
 
-    def moves(node: NodeId, came: str | None) -> list[tuple[NodeId, str]]:
-        out = []
-        if came is None or node not in z:
-            out.extend((c, "->") for c in graph.children(node) if not c.fixed)
-        if came is None or (node in closure if came == "->" else node not in z):
-            out.extend((p, "<-") for p in graph.parents(node) if not p.fixed)
-        return out
 
-    return moves
-
-
-def _reached(
-    graph: CausalGraph, x: frozenset[NodeId], z: frozenset[NodeId]
-) -> Iterator[NodeId]:
-    """Each node outside x that the ball reaches from x given ``z``, the
-    first time it reaches it.  Every (node, arrow) state is visited at
-    most once, so a full run is linear in the graph."""
-    moves = _ball_moves(graph, _conditioning(z))
-    frontier = [(n, None) for n in x if not n.fixed]
-    visited = set(frontier)
-    reached = set(x)
-    while frontier:
-        for state in moves(*frontier.pop()):
-            if state not in visited:
-                visited.add(state)
-                frontier.append(state)
-                if state[0] not in reached:
-                    reached.add(state[0])
-                    yield state[0]
+def _reached(graph: CausalGraph, x: frozenset[NodeId], z: frozenset[NodeId]) -> Iterator[int]:
+    """The position of each node the ball reaches from x given ``z``, once
+    per arrow it reaches it by (so at most twice), x's nodes included when
+    a path returns to them.  Every state is visited at most once, so a
+    full run is linear in the graph."""
+    index, moves = _ball(graph, z)
+    seen: set[int] = set()
+    stack = [3 * index.position[n] + _START for n in x if not n.fixed]
+    while stack:
+        p, came = divmod(stack.pop(), 3)
+        for near, arrives, gate in moves:
+            if gate[came][p]:
+                for q in near[p]:
+                    state = 3 * q + arrives
+                    if state not in seen and not index.fixed[q]:
+                        seen.add(state)
+                        stack.append(state)
+                        yield q
 
 
 def d_connected(
@@ -130,13 +143,16 @@ def d_connected(
     nodes n for which x ⊥ {n} | z fails."""
     x, z = frozenset(x), frozenset(z)
     _check_nodes(graph, x | z)
-    return frozenset(_reached(graph, x, z))
+    return frozenset(map(graph.nodes.__getitem__, _reached(graph, x, z))) - x
 
 
 def d_separated(graph: CausalGraph, query: DSepQuery) -> bool:
-    """True when every path between x and y is blocked given z."""
+    """True when every path between x and y is blocked given z.  The walk
+    stops at the first y node it reaches; x and y share no node, so its
+    returns to x do not count."""
     _check_sets(graph, query)
-    return not any(n in query.y for n in _reached(graph, query.x, query.z))
+    ends = {graph._index().position[n] for n in query.y}
+    return ends.isdisjoint(_reached(graph, query.x, query.z))
 
 
 def open_paths(
@@ -147,44 +163,47 @@ def open_paths(
     """The open paths between x and y given z, shortest first, then in
     label order, up to ``limit``.
 
-    Partial simple paths wait on a heap keyed by (length, labels); node
-    labels are unique, so no two entries tie on the key.  An extension is
-    longer than its prefix, so complete paths leave the heap in output
-    order and the search stops at the ``limit``-th.  A path ends at its
-    first y node and passes through no x node.
+    Partial simple paths wait on a heap keyed by (length, positions, how
+    each step arrived); positions are in label order and unique, so the
+    key orders paths as their labels do and no two entries tie on it.  An
+    extension is longer than its prefix, so complete paths leave the heap
+    in output order and the search stops at the ``limit``-th.  A path
+    ends at its first y node and passes through no x node.
     """
     _check_sets(graph, query)
-    z = _conditioning(query.z)
-    moves = _ball_moves(graph, z)
-    ends = {n for n in query.y if not n.fixed}
-    heap = [(1, (n.label,), (n,), ()) for n in query.x if not n.fixed]
-    heapq.heapify(heap)
+    index, moves = _ball(graph, query.z)
+    starts = {index.position[n] for n in query.x}
+    ends = {index.position[n] for n in query.y}
+    heap = sorted((1, (p,), ()) for p in starts if not index.fixed[p])  # a sorted list is a heap
     found: list[PathWitness] = []
     while heap and len(found) < limit:
-        length, labels, nodes, arrows = heapq.heappop(heap)
-        if nodes[-1] in ends:
-            found.append(PathWitness(nodes, arrows, _opened(graph, z, nodes, arrows)))
+        length, path, arrived = heapq.heappop(heap)
+        p = path[-1]
+        if p in ends:
+            found.append(_witness(graph, query.z, path, arrived))
             continue
-        for nxt, arrow in moves(nodes[-1], arrows[-1] if arrows else None):
-            if nxt not in nodes and nxt not in query.x:
-                step = (length + 1, labels + (nxt.label,), nodes + (nxt,), arrows + (arrow,))
-                heapq.heappush(heap, step)
+        came = arrived[-1] if arrived else _START
+        for near, arrives, gate in moves:
+            if gate[came][p]:
+                for q in near[p]:
+                    if not index.fixed[q] and q not in starts and q not in path:
+                        heapq.heappush(heap, (length + 1, path + (q,), arrived + (arrives,)))
     return found
 
 
-def _opened(
-    graph: CausalGraph, z: frozenset[NodeId], nodes: tuple[NodeId, ...], arrows: tuple[str, ...]
-) -> tuple[NodeId, ...]:
-    """The members of z that open the path's colliders, collider by collider."""
-    out: list[NodeId] = []
-    for i in range(1, len(nodes) - 1):
-        if arrows[i - 1] == "->" and arrows[i] == "<-":
-            # A set intersection iterates the smaller of its two sets.
-            opened = z.intersection(graph.descendants(nodes[i]))
-            if nodes[i] in z:
-                opened |= {nodes[i]}
-            out.extend(sorted(opened, key=lambda n: n.label))
-    return tuple(dict.fromkeys(out))
+def _witness(graph: CausalGraph, z: frozenset[NodeId], path: tuple, arrived: tuple) -> PathWitness:
+    """An open path of positions as a witness, with the members of z that
+    open its colliders, collider by collider, each in label order."""
+    index = graph._index()
+    conditioned = {index.position[n] for n in z}
+    opened: list[int] = []
+    for i in range(1, len(path) - 1):
+        if arrived[i - 1] == _DOWN and arrived[i] == _UP:
+            # z's members among the collider and its descendants.
+            opened.extend(sorted(conditioned.intersection(index.reach((path[i],), index.children))))
+    node = graph.nodes.__getitem__
+    arrows = tuple(_ARROWS[a] for a in arrived)
+    return PathWitness(tuple(map(node, path)), arrows, tuple(map(node, dict.fromkeys(opened))))
 
 
 def path_string(witness: PathWitness) -> str:

@@ -546,7 +546,8 @@ def _assemble_scm(
     for node in graph.topological_order():
         var = node.base
         noise, table = decls[var]
-        graph_parents = sorted(p.base for p in graph.parents(node))
+        # In label order, which is base order in a declared graph.
+        graph_parents = [p.base for p in graph.parents(node)]
 
         if noise is not None:
             values_seen: set[int] = set()

@@ -13,6 +13,18 @@ every set and dict keyed by nodes still means what its fields say.
 Every query with a choice to make breaks ties on the rendered node
 label, so results are stable across runs and platforms.
 
+A graph keeps ``nodes`` in label order, so a node's position in
+``nodes`` orders nodes as their labels do.  With its checks it builds
+the base maps: each base's random node (None when it has several) and
+its fixed node.  On its first walk it builds one index, shared by every
+graph algorithm and never rebuilt: each node's position, and per
+position the positions of its parents and of its children (every edge,
+in label order) and whether it is fixed.  The walks of ``ancestors``,
+``descendants``, ``ancestral_set``, d-separation and the adjustment
+search all run on positions, and make nodes only for what they return.
+Commands that make no query, such as rendering a graph, never build the
+index.  It is derived data, which equality ignores.
+
 Value classes across swigc are records: ``@record`` reads a class's
 annotated fields, in order, with the class attribute of the same name as
 a field's default (``default_factory(make)`` calls ``make`` for each new
@@ -276,7 +288,8 @@ class CausalGraph:
     edges.  Treat instances as frozen; all fields are plain data.
     """
 
-    __slots__ = ("nodes", "attrs", "edges", "_parents", "_children", "_by_label", "_topo")
+    __slots__ = ("nodes", "attrs", "edges", "_parents", "_children", "_by_label", "_random",
+                 "_fixed", "_topo", "_indexed")
 
     def __init__(
         self,
@@ -290,7 +303,6 @@ class CausalGraph:
             if n.label in by_label:
                 raise DuplicateName(f"duplicate node label {n.label!r}")
             by_label[n.label] = n
-        node_set = set(node_list)
 
         checked: dict[NodeId, NodeAttrs] = {}
         for n in node_list:
@@ -300,8 +312,8 @@ class CausalGraph:
 
         edge_set = set()
         for u, v in edges:
-            if u not in node_set or v not in node_set:
-                missing = u if u not in node_set else v
+            if u not in checked or v not in checked:
+                missing = u if u not in checked else v
                 raise UnknownEndpoint(f"edge endpoint {missing.label!r} is not a node")
             if u == v:
                 raise CycleError([u.label, v.label])
@@ -313,11 +325,15 @@ class CausalGraph:
             parents[v].append(u)
             children[u].append(v)
 
-        random_bases = {n.base for n in node_list if not n.fixed}
+        fixed = {n.base: n for n in node_list if n.fixed}
+        random: dict[str, NodeId | None] = {}
+        for n in node_list:
+            if not n.fixed:
+                random[n.base] = None if n.base in random else n
         for n in node_list:
             if n.fixed and parents[n]:
                 raise GraphError(f"fixed node {n.label!r} cannot have incoming edges")
-            if n.fixed and n.base not in random_bases:
+            if n.fixed and n.base not in random:
                 raise GraphError(f"fixed node {n.label!r} has no random half in the graph")
 
         self.nodes: tuple[NodeId, ...] = tuple(node_list)
@@ -326,11 +342,19 @@ class CausalGraph:
         self._parents = {n: tuple(ps) for n, ps in parents.items()}
         self._children = {n: tuple(cs) for n, cs in children.items()}
         self._by_label = by_label
+        self._random, self._fixed = random, fixed
         self._topo = self._layered_order()
+        self._indexed: _Index | None = None
+
+    def _index(self) -> _Index:
+        """The graph's index (see the module docstring), built on first use."""
+        if self._indexed is None:
+            self._indexed = _Index(self)
+        return self._indexed
 
     def _layered_order(self) -> tuple[NodeId, ...]:
         indeg = {n: len(self._parents[n]) for n in self.nodes}
-        layer = sorted((n for n in self.nodes if indeg[n] == 0), key=lambda n: n.label)
+        layer = [n for n in self.nodes if indeg[n] == 0]
         order: list[NodeId] = []
         while layer:
             order.extend(layer)
@@ -352,10 +376,8 @@ class CausalGraph:
         path = [start]
         seen = {start: 0}
         while True:
-            nxt = min(
-                (p for p in self._parents[path[-1]] if p in leftover),
-                key=lambda n: n.label,
-            )
+            # Parents are listed in label order, so the first is the least.
+            nxt = next(p for p in self._parents[path[-1]] if p in leftover)
             if nxt in seen:
                 cyc = path[seen[nxt]:]
                 return [cyc[0].label] + [n.label for n in reversed(cyc[1:])] + [cyc[0].label]
@@ -401,12 +423,11 @@ class CausalGraph:
 
     def random_node(self, base: str) -> NodeId:
         """The unique random (non-fixed) node for a base variable."""
-        found = [n for n in self.nodes if not n.fixed and n.base == base]
-        if not found:
+        if base not in self._random:
             raise UnknownNode(f"no random node for variable {base!r}")
-        if len(found) > 1:
+        if self._random[base] is None:
             raise GraphError(f"variable {base!r} has several random nodes")
-        return found[0]
+        return self._random[base]
 
     def parents(self, node: NodeId) -> tuple[NodeId, ...]:
         try:
@@ -422,35 +443,51 @@ class CausalGraph:
 
     def ancestors(self, node: NodeId) -> frozenset[NodeId]:
         """Strict ancestors of ``node`` (the node itself is excluded)."""
-        return self._reach((node,), self._parents) - {node}
+        return self._reach((node,), up=True) - {node}
 
     def descendants(self, node: NodeId) -> frozenset[NodeId]:
         """Strict descendants of ``node`` (the node itself is excluded)."""
-        return self._reach((node,), self._children) - {node}
+        return self._reach((node,), up=False) - {node}
 
     def ancestral_set(self, nodes: Iterable[NodeId]) -> frozenset[NodeId]:
         """``nodes`` and all their ancestors, found in one walk over parents
         that reads each node's parents at most once."""
-        return self._reach(nodes, self._parents)
+        return self._reach(nodes, up=True)
 
-    def _reach(
-        self, nodes: Iterable[NodeId], step: Mapping[NodeId, tuple[NodeId, ...]]
-    ) -> frozenset[NodeId]:
-        seen = set(nodes)
-        for n in seen:
-            if n not in self.attrs:
-                raise _unknown(n)
-        stack = list(seen)
-        while stack:
-            for m in step[stack.pop()]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return frozenset(seen)
+    def _reach(self, nodes: Iterable[NodeId], up: bool) -> frozenset[NodeId]:
+        index = self._index()
+        try:
+            starts = [index.position[n] for n in nodes]
+        except KeyError as e:
+            raise _unknown(e.args[0]) from None
+        found = index.reach(starts, index.parents if up else index.children)
+        return frozenset(map(self.nodes.__getitem__, found))
 
     def topological_order(self) -> tuple[NodeId, ...]:
         """Kahn layering; each layer is emitted in lexicographic label order."""
         return self._topo
+
+
+class _Index:
+    """A graph's nodes as positions in ``nodes``; see the module docstring."""
+
+    def __init__(self, graph: CausalGraph) -> None:
+        self.position = position = {n: i for i, n in enumerate(graph.nodes)}
+        self.parents = [[position[p] for p in graph._parents[n]] for n in graph.nodes]
+        self.children = [[position[c] for c in graph._children[n]] for n in graph.nodes]
+        self.fixed = bytes(n.fixed for n in graph.nodes)
+
+    def reach(self, starts: Iterable[int], step: list[list[int]]) -> list[int]:
+        """``starts`` and every position that ``step``'s lists lead to from
+        them, each once; each position's list is read at most once."""
+        seen = set(starts)
+        found = list(seen)
+        for p in found:
+            for q in step[p]:
+                if q not in seen:
+                    seen.add(q)
+                    found.append(q)
+        return found
 
 
 def _unknown(node: NodeId) -> UnknownNode:

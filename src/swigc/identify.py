@@ -213,18 +213,15 @@ def _search(compiled: CompiledEstimand, strata: tuple[Event, ...]) -> _Search:
     strat_q = None
     failed = _first_failure(g, outcome_node, frozenset(given), held)
     if failed is not None:
-        candidates = sorted(
-            (
-                n
-                for n in g.nodes
-                if not n.fixed
-                and not n.context
-                and g.attrs[n].conditioned
-                and n.base not in compiled.split_vars
-                and n != outcome_node
-            ),
-            key=lambda n: n.label,
-        )
+        candidates = [  # in label order, as g.nodes is
+            n
+            for n in g.nodes
+            if not n.fixed
+            and not n.context
+            and g.attrs[n].conditioned
+            and n.base not in compiled.split_vars
+            and n != outcome_node
+        ]
         found = _smallest_adjustment(g, outcome_node, frozenset(given), held, candidates)
         if found is None:
             return _Search(rand_q, blocked=_refute(g, failed))
@@ -287,19 +284,23 @@ def _first_smallest_cut(
     """The first smallest set of ``usable`` nodes, in label order, that cuts
     the outcome from the held events in the moral graph of ``area``
     (fixed and ``baseline`` nodes deleted); None when no such cut exists.
+
+    The moral graph's nodes are the graph's positions, so its label order
+    is its number order; the positions it deletes stay, without edges.
     """
-    nodes = sorted((n for n in area if not n.fixed and n not in baseline), key=lambda n: n.label)
-    index = {n: i for i, n in enumerate(nodes)}
-    adj: list[set[int]] = [set() for _ in nodes]
+    index = graph._index()
+    at = index.position
+    kept = {at[v] for v in area if not v.fixed and v not in baseline}
+    adj: list[set[int]] = [set() for _ in graph.nodes]
     # Moralize with one uncuttable hub per child of two or more parents
     # instead of a clique: a path through the hub is a path through a
     # married edge, so every cut that avoids hubs stays a cut.
-    for v in area:
-        parents = [index[p] for p in graph.parents(v) if p in index]
-        if v in index:
+    for v in map(at.__getitem__, area):
+        parents = [p for p in index.parents[v] if p in kept]
+        if v in kept:
             for p in parents:
-                adj[p].add(index[v])
-                adj[index[v]].add(p)
+                adj[p].add(v)
+                adj[v].add(p)
         if len(parents) > 1:
             adj.append(set(parents))
             for p in parents:
@@ -307,8 +308,8 @@ def _first_smallest_cut(
 
     # Forcing a candidate into the cut only deletes it: it is in ``area``,
     # so the ancestral set, and with it the moral graph, stays the same.
-    order = _greedy_cut(adj, index[outcome], {index[h] for h in held}, [index[c] for c in usable])
-    return None if order is None else tuple(nodes[i] for i in order)
+    order = _greedy_cut(adj, at[outcome], {at[h] for h in held}, [at[c] for c in usable])
+    return None if order is None else tuple(map(graph.nodes.__getitem__, order))
 
 
 def _greedy_cut(

@@ -34,37 +34,23 @@ def _graph_of(target: CausalGraph | SWIG) -> CausalGraph:
 
 def _layout(graph: CausalGraph) -> dict[NodeId, tuple[float, float]]:
     """Positions keyed by node; split pairs share a unit, fixed half offset right."""
-    randoms: dict[str, NodeId] = {}
-    fixed: dict[str, NodeId] = {}
-    for n in graph.nodes:
-        (fixed if n.fixed else randoms)[n.base] = n
-
-    unit_parents: dict[str, set[str]] = {b: set() for b in randoms}
-    for u, v in graph.edges:
-        if u.base != v.base:
-            unit_parents[v.base].add(u.base)
-
+    # A unit's layer is one past its parents' deepest, among the units laid
+    # out before it in topological order.
     layer: dict[str, int] = {}
     for node in graph.topological_order():
-        if node.fixed:
-            continue
-        b = node.base
-        layer[b] = max((layer[p] + 1 for p in unit_parents[b] if p in layer), default=0)
-
-    by_layer: dict[int, list[str]] = {}
-    for b, k in layer.items():
-        by_layer.setdefault(k, []).append(b)
+        if not node.fixed:
+            above = (layer[p.base] + 1 for p in graph.parents(node) if p.base in layer)
+            layer[node.base] = max(above, default=0)
 
     pos: dict[NodeId, tuple[float, float]] = {}
-    for k in sorted(by_layer):
-        members = sorted(by_layer[k], key=lambda b: randoms[b].label)
-        for i, b in enumerate(members):
-            offset = (i + 1) // 2 * (1 if i % 2 else -1)
-            x = k * X_STEP
-            y = offset * Y_STEP
-            pos[randoms[b]] = (x, y)
-            if b in fixed:
-                pos[fixed[b]] = (x + PAIR_GAP, y)
+    filled: dict[int, int] = {}
+    for node in graph._random.values():  # in label order
+        k = layer[node.base]
+        i = filled[k] = filled.get(k, -1) + 1
+        x, y = k * X_STEP, (i + 1) // 2 * (1 if i % 2 else -1) * Y_STEP
+        pos[node] = (x, y)
+        if node.base in graph._fixed:
+            pos[graph._fixed[node.base]] = (x + PAIR_GAP, y)
     return pos
 
 
@@ -106,7 +92,6 @@ def _kinds(graph: CausalGraph, shown: Mapping[str, int]) -> dict[NodeId, str]:
     a boxed node (a shown value or an adjusted covariate), a latent node,
     the random half of a split variable, any other node.
     """
-    split_bases = {n.base for n in graph.nodes if n.fixed}
     kinds: dict[NodeId, str] = {}
     for n in graph.nodes:
         a = graph.attrs[n]
@@ -117,7 +102,7 @@ def _kinds(graph: CausalGraph, shown: Mapping[str, int]) -> dict[NodeId, str]:
         elif a.role == "latent":
             kinds[n] = "latent"
         else:
-            kinds[n] = "half" if n.base in split_bases else "plain"
+            kinds[n] = "half" if n.base in graph._fixed else "plain"
     return kinds
 
 
@@ -132,7 +117,7 @@ def to_tikz(
     """
     shown = dict(conditioned_values or {})
     graph = _graph_of(target)
-    swig_mode = any(n.fixed for n in graph.nodes) or isinstance(target, SWIG)
+    swig_mode = bool(graph._fixed) or isinstance(target, SWIG)
     kinds = _kinds(graph, shown)
     # A node of a split graph that is not split itself is bare text.
     style = {**_TIKZ_STYLE, "plain": "inner sep=1pt"} if swig_mode else _TIKZ_STYLE
@@ -165,16 +150,13 @@ def to_dot(
     shown = dict(conditioned_values or {})
     graph = _graph_of(target)
     kinds = _kinds(graph, shown)
-    randoms = {n.base: n for n in graph.nodes if not n.fixed}
-    fixed = sorted((n for n in graph.nodes if n.fixed), key=lambda n: n.base)
-
     lines = ["digraph G {", "  rankdir=LR;", f"  edge [color={EDGE_COLOR}];"]
-    for i, f in enumerate(fixed):
+    for i, (base, f) in enumerate(sorted(graph._fixed.items())):
         lines.append(
             f'  subgraph cluster_{i} {{ rank=same; style=invis;'
-            f' "{randoms[f.base].label}"; "{f.label}"; }}'
+            f' "{graph._random[base].label}"; "{f.label}"; }}'
         )
-    for n in sorted(graph.nodes, key=lambda m: m.label):
+    for n in graph.nodes:
         attrs = _DOT_STYLE[kinds[n]]
         if kinds[n] == "boxed" and n.base in shown:
             attrs += f', label="{n.label}={shown[n.base]}"'

@@ -31,7 +31,7 @@ class SWIG:
 
 def split(dag: CausalGraph, interventions: Context) -> SWIG:
     """Split ``dag`` at the given (variable, level) assignments."""
-    if any(n.fixed for n in dag.nodes):
+    if dag._fixed:
         raise AlreadySplit("graph already contains fixed nodes")
     intervened: set[str] = set()
     for var, _ in interventions:

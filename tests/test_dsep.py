@@ -2,7 +2,7 @@
 
 import pytest
 
-from swigc.dsep import DSepQuery, _ball_moves, d_separated, open_paths, path_string
+from swigc.dsep import DSepQuery, _ball, d_separated, open_paths, path_string
 from swigc.errors import OverlappingSets
 from swigc.estimand import compile_study, study_swig
 from swigc.graph import NodeAttrs, build_graph
@@ -64,7 +64,7 @@ class TestClassicPatterns:
         assert [n.label for n in paths[0].colliders_opened] == ["C"]
 
 
-class _CountedLookups(dict):
+class _CountedLookups(list):
     lookups = 0
 
     def __getitem__(self, key):
@@ -79,9 +79,11 @@ class TestLongChain:
         z = names[1:-1:2]
         assert len(z) == 1999
         assert d_separated(g, q(g, ["V0"], ["V3999"], z))
-        # Each node's parents are read at most once while z's closure is built.
-        g._parents = parents = _CountedLookups(g._parents)
-        _ball_moves(g, frozenset(g.node(s) for s in z))
+        # Each node's parent list in the index is read at most once while
+        # z's closure is built.
+        index = g._index()
+        index.parents = parents = _CountedLookups(index.parents)
+        _ball(g, frozenset(g.node(s) for s in z))
         assert parents.lookups == 3998
 
 

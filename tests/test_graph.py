@@ -245,6 +245,52 @@ class TestOrdering:
         assert {n.label for n in g.children(a)} == {"B", "C"}
 
 
+class TestRandomNode:
+    def test_a_variable_without_a_random_node(self):
+        g = diamond()
+        with pytest.raises(UnknownNode, match="no random node for variable 'Q'"):
+            g.random_node("Q")
+
+    def test_a_variable_with_several_random_nodes(self):
+        nodes = [NodeId("Y"), NodeId("Y", (("A", "a"),))]
+        g = CausalGraph(nodes, {n: NodeAttrs() for n in nodes}, [])
+        with pytest.raises(GraphError, match="variable 'Y' has several random nodes"):
+            g.random_node("Y")
+
+    def test_the_fixed_half_is_not_the_random_node(self, studies):
+        g = study_swig(compile_study(studies["hypothetical_adjusted"])).graph
+        assert g.random_node("A").label == "A"
+        assert g.random_node("Y").label == "Y(a,m)"
+
+
+class TestIndex:
+    def test_positions_are_label_order_and_lists_follow_the_edges(self, studies):
+        for study in studies.values():
+            g = study_swig(compile_study(study)).graph
+            index = g._index()
+            assert [n.label for n in g.nodes] == sorted(n.label for n in g.nodes)
+            assert index.position == {n: i for i, n in enumerate(g.nodes)}
+            for n, i in index.position.items():
+                assert index.parents[i] == [index.position[p] for p in g.parents(n)]
+                assert index.children[i] == [index.position[c] for c in g.children(n)]
+                assert index.fixed[i] == n.fixed
+
+    def test_the_index_is_built_once(self):
+        g = diamond()
+        assert g._index() is g._index()
+
+    def test_copies_and_equality_ignore_the_index(self):
+        g = diamond()
+        unbuilt = pickle.loads(pickle.dumps(g))
+        ancestors = g.ancestors(g.node("D"))
+        built = pickle.loads(pickle.dumps(g))
+        assert unbuilt._indexed is None and built._indexed is not None
+        for copied in (unbuilt, built, copy.deepcopy(g)):
+            assert copied == g
+            assert copied.ancestors(copied.node("D")) == ancestors
+            assert copied._index().position == g._index().position
+
+
 class TestSerialization:
     def test_payload_round_trip(self):
         g = build_graph(

@@ -137,16 +137,22 @@ def test_separation_matches_networkx(data):
     assert d_separated(graph, query) == expected
 
 
+# Names in declaration order, which edges follow (earlier to later), but
+# not in label order: V10 sorts before V9, and lower case after upper case.
+# A held variable V is fixed at the level xV, which no name starts with.
+_SHUFFLED = ["V9", "V10", "b", "A", "V2", "a", "Z", "c"]
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_connected_set_matches_separation_node_by_node(data):
     """d_connected(x, z) is every random node n outside x with x ⊥ {n} | z failing."""
-    names = [f"V{i}" for i in range(data.draw(st.integers(min_value=2, max_value=8)))]
+    names = _SHUFFLED[: data.draw(st.integers(min_value=2, max_value=8))]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     dag = build_graph([(v, NodeAttrs()) for v in names], [p for p, k in zip(pairs, keep) if k])
     held = data.draw(st.sets(st.sampled_from(names), max_size=2))
-    graph = split(dag, tuple((v, v.lower()) for v in sorted(held))).graph
+    graph = split(dag, tuple((v, f"x{v}") for v in sorted(held))).graph
     x = data.draw(st.sets(st.sampled_from(graph.nodes), min_size=1, max_size=2))
     z = data.draw(st.sets(st.sampled_from(graph.nodes)))
     expected = {
@@ -165,13 +171,13 @@ def test_open_paths_match_the_enumerator(data):
     """The best-first witnesses equal the recursive enumerator's, field for
     field and in order, at every limit, on DAGs and split graphs with
     multi-node x and y and a random z."""
-    names = [f"V{i}" for i in range(data.draw(st.integers(min_value=2, max_value=8)))]
+    names = _SHUFFLED[: data.draw(st.integers(min_value=2, max_value=8))]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     graph = build_graph([(v, NodeAttrs()) for v in names], [p for p, k in zip(pairs, keep) if k])
     held = data.draw(st.sets(st.sampled_from(names), max_size=2))
     if held:
-        graph = split(graph, tuple((v, v.lower()) for v in sorted(held))).graph
+        graph = split(graph, tuple((v, f"x{v}") for v in sorted(held))).graph
     order = data.draw(st.permutations(graph.nodes))
     cut = data.draw(st.integers(min_value=1, max_value=min(3, len(order) - 1)))
     end = data.draw(st.integers(min_value=cut + 1, max_value=min(cut + 3, len(order))))
