@@ -6,16 +6,19 @@
 
 Each case is a spec built here: ``adjust_chain(k)``, where all k
 confounders of the held event must be adjusted for (k = 12, 100, 500 and
-2000), and ``sparse_chain(n)``, where a chain of n + 1 covariates needs its
-root only (n = 1000, 4000 and 40000; the last is a 40,006-node SWIG).
-``--case FAMILY:SIZE`` picks cases, once per case; the default is all
-seven.
+2000); ``sparse_chain(n)``, where a chain of n + 1 covariates needs its
+root only (n = 1000, 4000 and 40000; the last is a 40,006-node SWIG); and
+``dense_refute(k)``, where k latent confounders of the held event and the
+outcome, with an edge between every two of them, leave it unidentified
+(k = 125, 250 and 500; the last has 125,753 edges).  ``--case
+FAMILY:SIZE`` picks cases, once per case; the default is all ten.
 
 Starts fresh Python processes one after another, never two at once: one
 per case and run.  Each child reads the sources under ``DIR/src`` (default:
 this checkout), parses the spec from its stdin and times one
-``identify_estimand`` call in process; the adjustment set it reports is
-checked against the one the case was built to need.
+``identify_estimand`` call in process.  What each arm reports is checked
+against what the case was built to give: the adjustment set, or the
+witness through the least latent label.
 
 Prints one JSON line: per case, the median and quartiles of the identify
 time in milliseconds; ``--out`` writes the same line to a file.  Run it on
@@ -34,7 +37,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = {"adjust_chain": (12, 100, 500, 2000), "sparse_chain": (1000, 4000, 40000)}
+SIZES = {
+    "adjust_chain": (12, 100, 500, 2000),
+    "sparse_chain": (1000, 4000, 40000),
+    "dense_refute": (125, 250, 500),
+}
 
 CHILD = (
     "import sys, time\n"
@@ -46,7 +53,10 @@ CHILD = (
     "elapsed = time.perf_counter() - start\n"
     "print(elapsed * 1e3)\n"
     "for arm in (report.left, report.right):\n"
-    "    print(*(s.justification for s in arm.steps if s.rule == 'stratification'))\n"
+    "    if arm.status == 'blocked':\n"
+    "        print(arm.blocked.witness_label)\n"
+    "    else:\n"
+    "        print(*(s.justification for s in arm.steps if s.rule == 'stratification'))\n"
 )
 
 
@@ -78,11 +88,29 @@ def sparse_chain(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def dense_refute(k: int) -> str:
+    """A -> M -> Y with k latent confounders U001.. of M and Y, and an edge
+    U_i -> U_j for every i < j."""
+    names = [f"U{i:03d}" for i in range(1, k + 1)]
+    lines = ['study "Dense refute" {', "  node A { role: treatment; }",
+             "  node M { role: intercurrent; }"]
+    lines += [f"  node {u} {{ observed: false; }}" for u in names]
+    lines += ["  node Y { role: outcome; }", "  edges {", "    A -> M; A -> Y; M -> Y;"]
+    lines += [f"    {u} -> M; {u} -> Y;" for u in names]
+    lines += [f"    {u} -> {v};" for i, u in enumerate(names) for v in names[i + 1:]]
+    lines += ["  }", "  strategy M: hypothetical(0);",
+              "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def case(family: str, size: int) -> tuple[str, str]:
-    """A case's spec text and the stratification step each arm must show."""
+    """A case's spec text and what each arm must report: its
+    stratification step, or its witness."""
     if family == "adjust_chain":
         chosen = sorted(f"C{i:02d}" for i in range(1, size + 1))
         return adjust_chain(size), f"stratification over {{{', '.join(chosen)}}}"
+    if family == "dense_refute":
+        return dense_refute(size), "M(a) <- U001 -> Y(a,m)"
     return sparse_chain(size), "stratification over {C0}"
 
 
@@ -113,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--runs", type=int, default=5, help="runs per case (default 5)")
     p.add_argument("--case", type=_case_name, action="append", dest="cases",
-                   metavar="FAMILY:SIZE", help="a case to time (default: all seven)")
+                   metavar="FAMILY:SIZE", help="a case to time (default: all ten)")
     p.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is measured")
     p.add_argument("--out", type=Path, help="also write the JSON line to this file")
     args = p.parse_args(argv)

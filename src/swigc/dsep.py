@@ -12,12 +12,12 @@ shortest first, then in label order, and stops at its limit.  Fixed
 nodes are constants: every path through one is blocked, they open
 nothing, and they are inert as conditioning variables.
 
-Both searches run on the graph's index (see ``graph``), built once per
-graph on its first query: a node is its position in ``graph.nodes``,
-which is label order, its neighbours are position lists, and a state is
-one int.  The collider rule's An(z) is the index's own ancestor walk.
-Nodes are made only at the edges: the nodes ``d_connected`` returns and
-the witnesses ``open_paths`` emits.
+Both searches run on the graph's index (see ``graph``), built with the
+graph: a node is its position in ``graph.nodes``, which is label order,
+its neighbours are position lists, and a state is one int.  The
+collider rule's An(z) is the index's own ancestor walk.  Nodes are made
+only at the edges: the nodes ``d_connected`` returns and the witnesses
+``open_paths`` emits.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _ball(graph: CausalGraph, z: frozenset[NodeId]) -> tuple:
     only when it or a descendant is in z; a path's start passes it.  No
     step enters a fixed node.
     """
-    index = graph._index()
+    index = graph._index
     conditioned = [index.position[v] for v in _conditioning(z)]
     through = bytearray(b"\x01") * len(index.fixed)
     for p in conditioned:
@@ -151,7 +151,7 @@ def d_separated(graph: CausalGraph, query: DSepQuery) -> bool:
     stops at the first y node it reaches; x and y share no node, so its
     returns to x do not count."""
     _check_sets(graph, query)
-    ends = {graph._index().position[n] for n in query.y}
+    ends = {graph._index.position[n] for n in query.y}
     return ends.isdisjoint(_reached(graph, query.x, query.z))
 
 
@@ -194,7 +194,7 @@ def open_paths(
 def _witness(graph: CausalGraph, z: frozenset[NodeId], path: tuple, arrived: tuple) -> PathWitness:
     """An open path of positions as a witness, with the members of z that
     open its colliders, collider by collider, each in label order."""
-    index = graph._index()
+    index = graph._index
     conditioned = {index.position[n] for n in z}
     opened: list[int] = []
     for i in range(1, len(path) - 1):

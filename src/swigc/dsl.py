@@ -46,8 +46,8 @@ from itertools import islice, product
 from math import lcm, prod
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .errors import ConflictingStrategies, ParseError, GraphError, SemanticError, SpecError
-from .graph import CausalGraph, NodeAttrs, NodeId, valid_name
+from .errors import ConflictingStrategies, CycleError, ParseError, SemanticError, SpecError
+from .graph import CausalGraph, NodeAttrs, NodeId, _check_attrs, _ordered, valid_name
 from .model import (
     Composite,
     Hypothetical,
@@ -439,16 +439,20 @@ def _assemble(
             raise SemanticError(f"duplicate edge {src} -> {dst}")
         seen_edges.add((src, dst))
 
-    # The names and edge endpoints are checked above, so the graph is
-    # built from them directly; it can still refuse a cycle.
-    ids = {name: NodeId(name) for name in attr_by_name}
+    # The names, edge endpoints and duplicate edges are checked above, so
+    # the graph skips the constructor's checks of them.  The checks left run
+    # in the constructor's order: attributes in label order, self-loops in
+    # declaration order, then cycles.
+    graph_nodes, position, ids = _ordered(map(NodeId, attr_by_name))
+    attrs = {n: _check_attrs(n.label, attr_by_name[n.label]) for n in graph_nodes}
+    parents: list[list[int]] = [[] for _ in graph_nodes]
     try:
-        graph = CausalGraph(
-            ids.values(),
-            {ids[name]: a for name, a in attr_by_name.items()},
-            [(ids[src], ids[dst]) for src, dst in edges],
-        )
-    except GraphError as e:
+        for src, dst in edges:
+            if src == dst:
+                raise CycleError([src, dst])
+            parents[position[ids[dst]]].append(position[ids[src]])
+        graph = CausalGraph._checked(attrs, parents, graph_nodes, position, ids)
+    except CycleError as e:
         raise SemanticError(str(e)) from e
 
     by_role: dict[str, list[str]] = {}

@@ -12,7 +12,7 @@ same formula, so the estimand and its derivation share one vocabulary.
 from __future__ import annotations
 
 from .errors import CompositeNonBinary, SemanticError
-from .graph import CausalGraph, CompositeRule, Context, NodeAttrs, NodeId, record
+from .graph import CausalGraph, CompositeRule, Context, NodeAttrs, NodeId, _ordered, record
 from .formula import Difference, Event, Expect, Term, fresh_symbol
 from .model import Composite, Hypothetical, PrincipalStratum, StudySpec, TreatmentPolicy
 from .swig import SWIG, split
@@ -86,15 +86,13 @@ def _fold_composite(
         deterministic=rule,
         values=tuple(sorted(set(outcome_values) | {strat.failure})),
     )
+    # The new node is a sink with a fresh name and valid attributes, so the
+    # graph is built from checked parts.
     new = NodeId(name)
-    nodes = list(graph.nodes) + [new]
-    all_attrs = dict(graph.attrs)
-    all_attrs[new] = attrs
-    edges = list(graph.edges) + [
-        (graph.node(event), new),
-        (graph.node(outcome), new),
-    ]
-    return CausalGraph(nodes, all_attrs, edges), name
+    nodes, position, labels = _ordered([*graph.nodes, new])
+    ends = {position[graph.node(event)], position[graph.node(outcome)]}
+    parents = [[position[p] for p in graph.parents(n)] if n is not new else ends for n in nodes]
+    return CausalGraph._checked({**graph.attrs, new: attrs}, parents, nodes, position, labels), name
 
 
 def compile_study(study: StudySpec) -> CompiledEstimand:

@@ -14,16 +14,21 @@ Every query with a choice to make breaks ties on the rendered node
 label, so results are stable across runs and platforms.
 
 A graph keeps ``nodes`` in label order, so a node's position in
-``nodes`` orders nodes as their labels do.  With its checks it builds
-the base maps: each base's random node (None when it has several) and
-its fixed node.  On its first walk it builds one index, shared by every
-graph algorithm and never rebuilt: each node's position, and per
-position the positions of its parents and of its children (every edge,
-in label order) and whether it is fixed.  The walks of ``ancestors``,
-``descendants``, ``ancestral_set``, d-separation and the adjustment
-search all run on positions, and make nodes only for what they return.
-Commands that make no query, such as rendering a graph, never build the
-index.  It is derived data, which equality ignores.
+``nodes`` orders nodes as their labels do.  It keeps one adjacency, its
+index, built with the graph and never rebuilt: each node's position, and
+per position the positions of its parents and of its children (every
+edge, in label order) and whether it is fixed.  ``parents``,
+``children`` and ``edges`` map positions back to nodes; the walks of
+``ancestors``, ``descendants``, ``ancestral_set``, d-separation and the
+adjustment search all run on positions, and make nodes only for what
+they return.  With the index it builds the base maps: each base's random
+node and its fixed node, None for a base with several.
+
+The constructor checks its parts, then builds.  A graph made from parts
+that already passed some of those checks skips them and calls the same
+build, which still refuses a cycle: the split graph of a DAG, a study
+graph with a composite outcome folded in, and the DAG of a parsed spec,
+whose parser checks its names and edges itself.
 
 Value classes across swigc are records: ``@record`` reads a class's
 annotated fields, in order, with the class attribute of the same name as
@@ -45,6 +50,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -288,8 +294,7 @@ class CausalGraph:
     edges.  Treat instances as frozen; all fields are plain data.
     """
 
-    __slots__ = ("nodes", "attrs", "edges", "_parents", "_children", "_by_label", "_random",
-                 "_fixed", "_topo", "_indexed")
+    __slots__ = ("nodes", "attrs", "_by_label", "_random", "_fixed", "_index", "_topo")
 
     def __init__(
         self,
@@ -297,103 +302,107 @@ class CausalGraph:
         attrs: Mapping[NodeId, NodeAttrs],
         edges: Iterable[tuple[NodeId, NodeId]],
     ):
-        node_list = sorted(nodes, key=lambda n: n.label)
-        by_label: dict[str, NodeId] = {}
-        for n in node_list:
-            if n.label in by_label:
-                raise DuplicateName(f"duplicate node label {n.label!r}")
-            by_label[n.label] = n
-
+        node_list, position, by_label = _ordered(nodes)
         checked: dict[NodeId, NodeAttrs] = {}
         for n in node_list:
             if n not in attrs:
                 raise GraphError(f"missing attributes for node {n.label!r}")
             checked[n] = _check_attrs(n.label, attrs[n])
 
-        edge_set = set()
+        parents: list[set[int]] = [set() for _ in node_list]
         for u, v in edges:
-            if u not in checked or v not in checked:
-                missing = u if u not in checked else v
+            if u not in position or v not in position:
+                missing = u if u not in position else v
                 raise UnknownEndpoint(f"edge endpoint {missing.label!r} is not a node")
             if u == v:
                 raise CycleError([u.label, v.label])
-            edge_set.add((u, v))
+            parents[position[v]].add(position[u])
+        self._build(checked, parents, node_list, position, by_label)
 
-        parents: dict[NodeId, list[NodeId]] = {n: [] for n in node_list}
-        children: dict[NodeId, list[NodeId]] = {n: [] for n in node_list}
-        for u, v in sorted(edge_set, key=lambda e: (e[0].label, e[1].label)):
-            parents[v].append(u)
-            children[u].append(v)
+    @classmethod
+    def _checked(cls, attrs, parents, nodes, position, by_label) -> CausalGraph:
+        """The graph of parts that passed the constructor's checks: checked
+        ``attrs``; per position, the positions of its parents, distinct and
+        not itself; and what ``_ordered`` returns for the nodes.  It still
+        refuses a fixed node with parents or without a random half, and a
+        cycle."""
+        graph = cls.__new__(cls)
+        graph._build(attrs, parents, nodes, position, by_label)
+        return graph
 
-        fixed = {n.base: n for n in node_list if n.fixed}
-        random: dict[str, NodeId | None] = {}
-        for n in node_list:
-            if not n.fixed:
-                random[n.base] = None if n.base in random else n
-        for n in node_list:
-            if n.fixed and parents[n]:
+    def _build(self, attrs, parents, nodes, position, by_label) -> None:
+        up = [tuple(sorted(ps)) for ps in parents]
+        down: list[list[int]] = [[] for _ in nodes]
+        for v, ps in enumerate(up):
+            for p in ps:
+                down[p].append(v)
+
+        # Each base's random and fixed node, None for a base with several.
+        random, fixed = {}, {}
+        for n in nodes:
+            same = fixed if n.fixed else random
+            same[n.base] = None if n.base in same else n
+        for n in nodes:
+            if n.fixed and up[position[n]]:
                 raise GraphError(f"fixed node {n.label!r} cannot have incoming edges")
             if n.fixed and n.base not in random:
                 raise GraphError(f"fixed node {n.label!r} has no random half in the graph")
 
-        self.nodes: tuple[NodeId, ...] = tuple(node_list)
-        self.attrs: dict[NodeId, NodeAttrs] = checked
-        self.edges: frozenset[tuple[NodeId, NodeId]] = frozenset(edge_set)
-        self._parents = {n: tuple(ps) for n, ps in parents.items()}
-        self._children = {n: tuple(cs) for n, cs in children.items()}
-        self._by_label = by_label
-        self._random, self._fixed = random, fixed
+        self.nodes: tuple[NodeId, ...] = tuple(nodes)
+        self.attrs: dict[NodeId, NodeAttrs] = attrs
+        self._by_label, self._random, self._fixed = by_label, random, fixed
+        self._index = _Index(position, up, down, bytes([n.fixed for n in nodes]))
         self._topo = self._layered_order()
-        self._indexed: _Index | None = None
-
-    def _index(self) -> _Index:
-        """The graph's index (see the module docstring), built on first use."""
-        if self._indexed is None:
-            self._indexed = _Index(self)
-        return self._indexed
 
     def _layered_order(self) -> tuple[NodeId, ...]:
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
-        layer = [n for n in self.nodes if indeg[n] == 0]
-        order: list[NodeId] = []
+        index = self._index
+        indeg = list(map(len, index.parents))
+        layer = [p for p, d in enumerate(indeg) if not d]
+        order: list[int] = []
         while layer:
-            order.extend(layer)
-            ready: list[NodeId] = []
-            for n in layer:
-                for c in self._children[n]:
+            order += layer
+            ready: list[int] = []
+            for p in layer:
+                for c in index.children[p]:
                     indeg[c] -= 1
-                    if indeg[c] == 0:
+                    if not indeg[c]:
                         ready.append(c)
-            layer = sorted(ready, key=lambda n: n.label)
-        if len(order) != len(self.nodes):
-            raise CycleError(self._cycle_witness({n for n in self.nodes if indeg[n] > 0}))
-        return tuple(order)
+            layer = sorted(ready)
+        if len(order) != len(indeg):
+            raise CycleError(self._cycle_witness({p for p, d in enumerate(indeg) if d}))
+        # A tuple made from a list gets its final size at once; one made
+        # from an iterator of unknown length is resized, and CPython then
+        # keeps its block on a free list that only tuples of that exact
+        # size reuse.
+        return tuple([self.nodes[p] for p in order])
 
-    def _cycle_witness(self, leftover: set[NodeId]) -> list[str]:
+    def _cycle_witness(self, leftover: set[int]) -> list[str]:
         # Every leftover node keeps at least one leftover parent, so a
         # parent walk must revisit; the reversed slice is a forward cycle.
-        start = min(leftover, key=lambda n: n.label)
-        path = [start]
-        seen = {start: 0}
+        path = [min(leftover)]
+        seen = {path[0]: 0}
         while True:
             # Parents are listed in label order, so the first is the least.
-            nxt = next(p for p in self._parents[path[-1]] if p in leftover)
+            nxt = next(p for p in self._index.parents[path[-1]] if p in leftover)
             if nxt in seen:
-                cyc = path[seen[nxt]:]
-                return [cyc[0].label] + [n.label for n in reversed(cyc[1:])] + [cyc[0].label]
+                cyc = [self.nodes[p].label for p in path[seen[nxt]:]]
+                return [cyc[0], *reversed(cyc[1:]), cyc[0]]
             seen[nxt] = len(path)
             path.append(nxt)
 
     # queries
 
+    @property
+    def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """Every edge, as a (parent, child) pair."""
+        node = self.nodes.__getitem__
+        return frozenset((node(p), node(v)) for v, ps in enumerate(self._index.parents) for p in ps)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CausalGraph):
             return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.attrs == other.attrs
-            and self.edges == other.edges
-        )
+        return (self.nodes, self.attrs, self._index.parents) == (
+            other.nodes, other.attrs, other._index.parents)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -430,14 +439,14 @@ class CausalGraph:
         return self._random[base]
 
     def parents(self, node: NodeId) -> tuple[NodeId, ...]:
-        try:
-            return self._parents[node]
-        except KeyError:
-            raise _unknown(node) from None
+        return self._near(node, self._index.parents)
 
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
+        return self._near(node, self._index.children)
+
+    def _near(self, node: NodeId, step: list[tuple[int, ...]]) -> tuple[NodeId, ...]:
         try:
-            return self._children[node]
+            return tuple([self.nodes[p] for p in step[self._index.position[node]]])
         except KeyError:
             raise _unknown(node) from None
 
@@ -455,7 +464,7 @@ class CausalGraph:
         return self._reach(nodes, up=True)
 
     def _reach(self, nodes: Iterable[NodeId], up: bool) -> frozenset[NodeId]:
-        index = self._index()
+        index = self._index
         try:
             starts = [index.position[n] for n in nodes]
         except KeyError as e:
@@ -471,13 +480,12 @@ class CausalGraph:
 class _Index:
     """A graph's nodes as positions in ``nodes``; see the module docstring."""
 
-    def __init__(self, graph: CausalGraph) -> None:
-        self.position = position = {n: i for i, n in enumerate(graph.nodes)}
-        self.parents = [[position[p] for p in graph._parents[n]] for n in graph.nodes]
-        self.children = [[position[c] for c in graph._children[n]] for n in graph.nodes]
-        self.fixed = bytes(n.fixed for n in graph.nodes)
+    __slots__ = ("position", "parents", "children", "fixed")
 
-    def reach(self, starts: Iterable[int], step: list[list[int]]) -> list[int]:
+    def __init__(self, position: dict[NodeId, int], parents: list, children: list, fixed: bytes):
+        self.position, self.parents, self.children, self.fixed = position, parents, children, fixed
+
+    def reach(self, starts: Iterable[int], step: list) -> list[int]:
         """``starts`` and every position that ``step``'s lists lead to from
         them, each once; each position's list is read at most once."""
         seen = set(starts)
@@ -488,6 +496,17 @@ class _Index:
                     seen.add(q)
                     found.append(q)
         return found
+
+
+def _ordered(nodes: Iterable[NodeId]) -> tuple[list[NodeId], dict, dict]:
+    """``nodes`` in label order, each one's position in that order, and the
+    nodes by label; refuses the least repeated label."""
+    ordered = sorted(nodes, key=attrgetter("label"))
+    by_label = {n.label: n for n in ordered}
+    if len(by_label) < len(ordered):
+        twin = next(a for a, b in zip(ordered, ordered[1:]) if a.label == b.label)
+        raise DuplicateName(f"duplicate node label {twin.label!r}")
+    return ordered, {n: i for i, n in enumerate(ordered)}, by_label
 
 
 def _unknown(node: NodeId) -> UnknownNode:
@@ -530,14 +549,8 @@ def _context_from_payload(payload: Iterable) -> Context:
 def graph_to_payload(g: CausalGraph) -> dict:
     nodes = []
     for n in g.nodes:
-        a = g.attrs[n]
-        rule = None
-        if a.deterministic is not None:
-            rule = {
-                "source": a.deterministic.source,
-                "guard": a.deterministic.guard,
-                "failure": a.deterministic.failure,
-            }
+        a, d = g.attrs[n], g.attrs[n].deterministic
+        rule = None if d is None else {"source": d.source, "guard": d.guard, "failure": d.failure}
         nodes.append(
             {
                 "name": n.base,
@@ -553,8 +566,7 @@ def graph_to_payload(g: CausalGraph) -> dict:
                 },
             }
         )
-    edges = sorted([u.label, v.label] for u, v in g.edges)
-    return {"nodes": nodes, "edges": edges}
+    return {"nodes": nodes, "edges": sorted([u.label, v.label] for u, v in g.edges)}
 
 
 def graph_from_payload(payload: Mapping) -> CausalGraph:
@@ -562,10 +574,8 @@ def graph_from_payload(payload: Mapping) -> CausalGraph:
     attrs: dict[NodeId, NodeAttrs] = {}
     for entry in payload["nodes"]:
         a = entry["attrs"]
-        rule = None
-        if a.get("deterministic"):
-            d = a["deterministic"]
-            rule = CompositeRule(d["source"], d["guard"], int(d["failure"]))
+        d = a.get("deterministic")
+        rule = CompositeRule(d["source"], d["guard"], int(d["failure"])) if d else None
         nid = NodeId(entry["name"], _context_from_payload(entry["context"]), bool(entry["fixed"]))
         nodes.append(nid)
         attrs[nid] = NodeAttrs(

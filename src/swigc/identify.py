@@ -288,7 +288,7 @@ def _first_smallest_cut(
     The moral graph's nodes are the graph's positions, so its label order
     is its number order; the positions it deletes stay, without edges.
     """
-    index = graph._index()
+    index = graph._index
     at = index.position
     kept = {at[v] for v in area if not v.fixed and v not in baseline}
     adj: list[set[int]] = [set() for _ in graph.nodes]

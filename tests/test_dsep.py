@@ -81,7 +81,7 @@ class TestLongChain:
         assert d_separated(g, q(g, ["V0"], ["V3999"], z))
         # Each node's parent list in the index is read at most once while
         # z's closure is built.
-        index = g._index()
+        index = g._index
         index.parents = parents = _CountedLookups(index.parents)
         _ball(g, frozenset(g.node(s) for s in z))
         assert parents.lookups == 3998

@@ -229,6 +229,11 @@ class TestOrdering:
         g = diamond()
         assert [n.label for n in g.topological_order()] == ["A", "B", "C", "D"]
 
+    def test_each_layer_is_in_label_order_whichever_parent_freed_it(self):
+        # A frees D before B frees C, yet C comes first in their layer.
+        g = build_graph([(s, None) for s in "ABCD"], [("A", "D"), ("B", "C")])
+        assert [n.label for n in g.topological_order()] == ["A", "B", "C", "D"]
+
     def test_every_edge_respects_the_order(self):
         g = diamond()
         pos = {n: i for i, n in enumerate(g.topological_order())}
@@ -267,28 +272,36 @@ class TestIndex:
     def test_positions_are_label_order_and_lists_follow_the_edges(self, studies):
         for study in studies.values():
             g = study_swig(compile_study(study)).graph
-            index = g._index()
+            index = g._index
             assert [n.label for n in g.nodes] == sorted(n.label for n in g.nodes)
             assert index.position == {n: i for i, n in enumerate(g.nodes)}
             for n, i in index.position.items():
-                assert index.parents[i] == [index.position[p] for p in g.parents(n)]
-                assert index.children[i] == [index.position[c] for c in g.children(n)]
+                assert list(index.parents[i]) == [index.position[p] for p in g.parents(n)]
+                assert list(index.children[i]) == [index.position[c] for c in g.children(n)]
                 assert index.fixed[i] == n.fixed
 
     def test_the_index_is_built_once(self):
+        # The graph builds its index with itself; queries read it and
+        # never replace it.
         g = diamond()
-        assert g._index() is g._index()
+        index = g._index
+        g.ancestors(g.node("D"))
+        g.descendants(g.node("A"))
+        assert g._index is index
 
     def test_copies_and_equality_ignore_the_index(self):
+        # Every graph carries its index from construction on, so a copy
+        # carries an equal one: equal copies answer the same, through
+        # their own index.
         g = diamond()
-        unbuilt = pickle.loads(pickle.dumps(g))
         ancestors = g.ancestors(g.node("D"))
-        built = pickle.loads(pickle.dumps(g))
-        assert unbuilt._indexed is None and built._indexed is not None
-        for copied in (unbuilt, built, copy.deepcopy(g)):
+        for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert copied == g
+            assert copied._index is not g._index
+            assert copied._index.position == g._index.position
+            assert copied._index.parents == g._index.parents
             assert copied.ancestors(copied.node("D")) == ancestors
-            assert copied._index().position == g._index().position
+            assert copied.topological_order() == g.topological_order()
 
 
 class TestSerialization:

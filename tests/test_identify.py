@@ -441,3 +441,13 @@ class TestAdjustmentSearch:
         timing = result["identify_ms"]["adjust_chain(12)"]
         assert list(result["identify_ms"]) == ["adjust_chain(12)"]
         assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]
+
+    def test_scaling_script_checks_the_dense_witness(self, capsys):
+        # The child prints each blocked arm's witness, which the script
+        # checks against the one through the least latent label.
+        assert _scaling.main(["--runs", "2", "--case", "dense_refute:3"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert list(result["identify_ms"]) == ["dense_refute(3)"]
+        report = identify_estimand(parse_study(_scaling.dense_refute(3)))
+        for arm in (report.left, report.right):
+            assert arm.blocked.witness_label == "M(a) <- U001 -> Y(a,m)"

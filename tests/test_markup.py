@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from swigc.errors import GraphError
 from swigc.estimand import compile_study, study_swig
+from swigc.graph import CausalGraph, NodeAttrs, NodeId
 from swigc.markup import to_dot, to_tikz
 from swigc.swig import split
 
@@ -118,6 +120,26 @@ def test_adjustment_covariates_render_as_rectangles():
     tex = golden_text("swig_hypothetical_adjusted.tex")
     (c_line,) = [l for l in tex.splitlines() if "{$C$}" in l]
     assert "rectangle" in c_line
+
+
+@pytest.mark.parametrize("render", [to_tikz, to_dot])
+@pytest.mark.parametrize(
+    "nodes, kind",
+    [
+        ([NodeId("Y"), NodeId("Y", (("A", "a"),))], "random"),
+        (
+            [NodeId("A"), NodeId("A", (("A", "a"),), True), NodeId("A", (("A", 1),), True)],
+            "fixed",
+        ),
+    ],
+)
+def test_a_base_with_several_halves_of_one_kind_is_refused(render, nodes, kind):
+    # Only a library caller can make such a graph; a drawing pairs each
+    # base's random node with its fixed half, so it names the base instead.
+    graph = CausalGraph(nodes, {n: NodeAttrs() for n in nodes}, [])
+    message = f"cannot draw variable '{nodes[0].base}': it has several {kind} nodes"
+    with pytest.raises(GraphError, match=message):
+        render(graph)
 
 
 def test_render_figures_script_matches_the_cli(tmp_path, monkeypatch, run_cli, capsys):

@@ -16,7 +16,15 @@ from swigc.dsep import DSepQuery, d_connected, d_separated, open_paths
 from swigc.errors import SwigcError
 from swigc.estimand import compile_study
 from swigc.formula import Difference, Event, Expect, SumOver, Term
-from swigc.graph import NodeAttrs, build_graph, graph_from_payload, graph_to_payload
+from swigc.graph import (
+    CausalGraph,
+    NodeAttrs,
+    NodeId,
+    _Index,
+    build_graph,
+    graph_from_payload,
+    graph_to_payload,
+)
 from swigc.identify import _greedy_cut, _Residual, identify_estimand, identify_term
 from swigc.model import (
     Composite,
@@ -277,6 +285,86 @@ def test_split_matches_the_routed_reference_on_bundled_studies(name):
         expected = _swig_or_error(reference_swig.split, compiled.graph, world)
         assert not isinstance(expected[0], type)
         assert _swig_or_error(split, compiled.graph, world) == expected
+
+
+def _assert_same_build(graph, checked):
+    """``graph`` agrees with ``checked``, which the checking constructor
+    built from the same parts, on everything a graph keeps and answers."""
+    assert graph == checked
+    assert graph.topological_order() == checked.topological_order()
+    for n in checked.nodes:
+        assert graph.parents(n) == checked.parents(n)
+        assert graph.children(n) == checked.children(n)
+    for name in _Index.__slots__:
+        assert getattr(graph._index, name) == getattr(checked._index, name)
+    # The renderers read the base maps in order.
+    assert list(graph._random.items()) == list(checked._random.items())
+    assert list(graph._fixed.items()) == list(checked._fixed.items())
+    assert graph._by_label == checked._by_label
+
+
+@settings(max_examples=300)
+@given(split_inputs())
+def test_split_graphs_equal_the_checked_builds(case):
+    # The reference splits through the checking constructor; the refusals
+    # are compared in test_split_matches_the_routed_reference.
+    dag, interventions = case
+    try:
+        expected = reference_swig.split(dag, interventions).graph
+    except SwigcError:
+        return
+    _assert_same_build(split(dag, interventions).graph, expected)
+
+
+@st.composite
+def derived_studies(draw):
+    """Spec text of a random study, with the edges it declares: treatment
+    A, events M1.., covariates C1.. (some latent) and outcome Y, edges only
+    from earlier to later names in a drawn order with A first, and a
+    hypothetical or composite strategy per event."""
+    events = [f"M{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]
+    covariates = [f"C{i}" for i in range(1, draw(st.integers(0, 3)) + 1)]
+    order = ["A", *draw(st.permutations([*events, *covariates, "Y"]))]
+    pairs = [(u, v) for i, u in enumerate(order) for v in order[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    lines = ['study "derived" {', "  node A { role: treatment; }", "  node Y { role: outcome; }"]
+    lines += [f"  node {m} {{ role: intercurrent; }}" for m in events]
+    for c in covariates:
+        kind = draw(st.sampled_from(["adjust: true;", "observed: false;"]))
+        lines.append(f"  node {c} {{ {kind} }}")
+    lines += ["  edges {", *(f"    {u} -> {v};" for u, v in edges), "  }"]
+    for m in events:
+        strategy = draw(st.sampled_from(["hypothetical(0)", "composite(failure = 0)"]))
+        lines.append(f"  strategy {m}: {strategy};")
+    lines += ["  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+    return "\n".join(lines) + "\n", edges
+
+
+@settings(max_examples=150)
+@given(derived_studies())
+def test_derived_graphs_equal_the_checked_builds(case):
+    """The parsed DAG, the study graph with each composite outcome folded
+    in, and its SWIGs equal what the checking constructor builds from the
+    declared edges, each derived sink's two edges, and the reference split."""
+    text, edges = case
+    study = parse_study(text)
+    dag = study.graph
+    declared = [(NodeId(u), NodeId(v)) for u, v in edges]
+    _assert_same_build(dag, CausalGraph(dag.nodes, dag.attrs, declared))
+
+    compiled = compile_study(study)
+    graph = compiled.graph
+    folded = [*edges]
+    for n in graph.nodes:
+        rule = graph.attrs[n].deterministic
+        if rule is not None:
+            folded += [(rule.guard, n.base), (rule.source, n.base)]
+    checked = CausalGraph(graph.nodes, graph.attrs, [(NodeId(u), NodeId(v)) for u, v in folded])
+    _assert_same_build(graph, checked)
+
+    for world in [compiled.symbolic_context(), *(compiled.arm_context(a) for a in (0, 1))]:
+        _assert_same_build(split(graph, world).graph, reference_swig.split(checked, world).graph)
 
 
 @given(st.data())

@@ -2,9 +2,15 @@
 
 import pytest
 
-from swigc.errors import AlreadySplit, DuplicateName, LatentIntervention, UnknownVariable
+from swigc.errors import (
+    AlreadySplit,
+    CycleError,
+    DuplicateName,
+    LatentIntervention,
+    UnknownVariable,
+)
 from swigc.estimand import compile_study, study_swig
-from swigc.graph import NodeAttrs, build_graph
+from swigc.graph import CausalGraph, NodeAttrs, NodeId, build_graph
 from swigc.swig import split, swig_to_payload
 
 from conftest import load_study
@@ -106,6 +112,26 @@ class TestSplitAttrs:
         assert labels == {"A", "a", "M(a)", "m", "U", "Y(a,m)"}
         fixed = {n["label"] for n in payload["nodes"] if n["fixed"]}
         assert fixed == {"a", "m"}
+
+
+class TestSharedBases:
+    """A DAG where two nodes share a base, which only a library caller can
+    make, goes through the checking constructor, which merges them."""
+
+    A, Y, YA = NodeId("A"), NodeId("Y"), NodeId("Y", (("A", "a"),))
+
+    def test_the_nodes_of_a_base_merge_into_one_random_node(self):
+        attrs = {self.A: NodeAttrs(role="treatment"), self.Y: NodeAttrs(), self.YA: NodeAttrs()}
+        dag = CausalGraph([self.A, self.Y, self.YA], attrs, [(self.A, self.YA)])
+        g = split(dag, (("A", "a"),)).graph
+        assert [n.label for n in g.nodes] == ["A", "Y(a)", "a"]
+        assert {(u.label, v.label) for u, v in g.edges} == {("a", "Y(a)")}
+
+    def test_an_edge_between_them_is_a_cycle(self):
+        dag = CausalGraph([self.Y, self.YA], {self.Y: NodeAttrs(), self.YA: NodeAttrs()},
+                          [(self.Y, self.YA)])
+        with pytest.raises(CycleError, match="Y -> Y"):
+            split(dag, ())
 
 
 class TestSplitErrors:
