@@ -21,8 +21,11 @@ Then a chain whose every link has a latent root of its own (see
 ``roots_chain``), through identify, simulate --seed 0..2 and simulate
 --seed 0 --csv; it is written next to the families and printed as
 ROOTS.  Then texts at the edges of the lexer (see ``lexer_specs``)
-through validate, printed as lexer/NAME.  Last, two adjust chains with
+through validate, printed as lexer/NAME.  Then two adjust chains with
 blocker pairs (see ``pair_specs``) through identify, printed as
+families/NAME.  Last, a dense-refute study with many open paths (see
+``witness_specs``) through dsep --limit 20, in text and with --json, so
+the order of its witnesses is fingerprinted too; it is printed as
 families/NAME.  Spec paths are printed relative to the checkout, and the
 output file as OUT.
 """
@@ -128,6 +131,24 @@ def pair_cases(out: str) -> list[list[str]]:
     return [["identify", os.path.join(home, name)] for name in pair_specs()]
 
 
+def witness_specs() -> dict[str, str]:
+    """Spec text by file name: a dense-refute study at k = 6.  Between M
+    and Y given A it has 6 open paths of three nodes and 30 of four, so
+    the first 20 span two lengths and many label orders."""
+    rng = random.Random("cli-sweep-witness")
+    return {"dense_refute_k6.swg": families.dense_refute(rng, 6)[0]}
+
+
+def witness_cases(out: str) -> list[list[str]]:
+    home = os.path.join(os.path.dirname(out), "families")
+    query = ["--x", "M", "--y", "Y", "--z", "A", "--limit", "20"]
+    argvs = []
+    for name in witness_specs():
+        spec = os.path.join(home, name)
+        argvs += [["dsep", spec, *query], ["dsep", spec, *query, "--json"]]
+    return argvs
+
+
 def family_cases(out: str) -> list[list[str]]:
     argvs = []
     for name in family_specs():
@@ -207,7 +228,7 @@ def corpus(out: str) -> list[list[str]]:
         argvs.append(["simulate", spec, "--csv", out])
         argvs.append(["simulate", spec, "--seed", "0", "--csv", out])
     argvs += edge_cases(out) + family_cases(out) + seeds_cases(out) + roots_cases(out)
-    return argvs + lexer_cases(out) + pair_cases(out)
+    return argvs + lexer_cases(out) + pair_cases(out) + witness_cases(out)
 
 
 def sha(data: bytes) -> str:
@@ -236,7 +257,7 @@ def sweep() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "table.csv")
         os.mkdir(os.path.join(tmp, "families"))
-        for name, text in {**family_specs(), **pair_specs()}.items():
+        for name, text in {**family_specs(), **pair_specs(), **witness_specs()}.items():
             Path(tmp, "families", name).write_text(text, encoding="utf-8")
         Path(tmp, ROOTS).write_text(roots_chain(3, 3), encoding="utf-8")
         os.mkdir(os.path.join(tmp, "lexer"))

@@ -68,7 +68,7 @@ def _cmd_validate(args, compiled: CompiledEstimand) -> tuple[dict, int]:
         "study": study.name,
         "grammar": GRAMMAR_VERSION,
         "nodes": len(study.graph),
-        "edges": len(study.graph.edges),
+        "edges": sum(map(len, study.graph._index.children)),
         "strategies": {v: s.kind for v, s in sorted(study.strategies.items())},
         "estimand": render(compiled.contrast),
         "canonical": serialize(study),

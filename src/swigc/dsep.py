@@ -7,12 +7,15 @@ those (node, arrow) states yields each node the ball reaches from x
 given z, in time linear in the graph (Geiger, Verma and Pearl 1990).
 ``d_connected`` collects every node outside x it yields; ``d_separated``
 stops at the first y node.  ``open_paths`` explains a refusal with the same
-moves: a best-first search over simple paths yields the open ones
-shortest first, then in label order, and stops at its limit.  Fixed
+moves.  One breadth-first sweep back from y's nodes over those states
+gives each state the fewest moves left to a y node, ignoring simplicity.
+An A* search over simple paths, keyed by length plus moves left, then
+yields the open paths shortest first, then in label order, and stops at
+its limit; it never pushes a path whose last state cannot reach y.  Fixed
 nodes are constants: every path through one is blocked, they open
 nothing, and they are inert as conditioning variables.
 
-Both searches run on the graph's index (see ``graph``), built with the
+The searches run on the graph's index (see ``graph``), built with the
 graph: a node is its position in ``graph.nodes``, which is label order,
 its neighbours are position lists, and a state is one int.  The
 collider rule's An(z) is the index's own ancestor walk.  Nodes are made
@@ -163,32 +166,83 @@ def open_paths(
     """The open paths between x and y given z, shortest first, then in
     label order, up to ``limit``.
 
-    Partial simple paths wait on a heap keyed by (length, positions, how
-    each step arrived); positions are in label order and unique, so the
-    key orders paths as their labels do and no two entries tie on it.  An
-    extension is longer than its prefix, so complete paths leave the heap
-    in output order and the search stops at the ``limit``-th.  A path
-    ends at its first y node and passes through no x node.
+    An A* search (Hart, Nilsson and Raphael 1968) over simple paths.  A
+    path ends at its first y node and passes through no x node.  Partial
+    paths wait on a heap keyed by (length + moves left, positions, how
+    each step arrived), where ``_moves_left`` gives the fewest moves from
+    the path's last state to a y node; a path whose last state reaches
+    none is never pushed.  Positions are in label order and unique, so
+    the key orders paths as their labels do and no two entries tie on
+    it.
+
+    The output is in exact order for two reasons.  Moves left never
+    overstate what a path still needs, so every prefix of a complete
+    path keys at most that path's length; where it keys exactly that,
+    its positions sort before those of any later path of that length.
+    And the search never closes a state, so every prefix is pushed.
+    Thus each prefix of an earlier path stays below any later complete
+    path on the heap, complete paths leave it in output order, and the
+    search stops at the ``limit``-th.
     """
     _check_sets(graph, query)
     index, moves = _ball(graph, query.z)
     starts = {index.position[n] for n in query.x}
     ends = {index.position[n] for n in query.y}
-    heap = sorted((1, (p,), ()) for p in starts if not index.fixed[p])  # a sorted list is a heap
+    left = _moves_left(index, moves, starts, ends)
+    heap = sorted(  # a sorted list is a heap
+        (1 + left[3 * p + _START], (p,), ()) for p in starts if left[3 * p + _START] >= 0
+    )
     found: list[PathWitness] = []
     while heap and len(found) < limit:
-        length, path, arrived = heapq.heappop(heap)
+        _, path, arrived = heapq.heappop(heap)
         p = path[-1]
         if p in ends:
             found.append(_witness(graph, query.z, path, arrived))
             continue
         came = arrived[-1] if arrived else _START
+        length = len(path) + 1
         for near, arrives, gate in moves:
             if gate[came][p]:
                 for q in near[p]:
-                    if not index.fixed[q] and q not in starts and q not in path:
-                        heapq.heappush(heap, (length + 1, path + (q,), arrived + (arrives,)))
+                    more = left[3 * q + arrives]
+                    if more >= 0 and q not in path:
+                        heapq.heappush(heap, (length + more, path + (q,), arrived + (arrives,)))
     return found
+
+
+def _moves_left(index, moves: tuple, starts: set[int], ends: set[int]) -> list[int]:
+    """Per state, the fewest Bayes-ball moves from it to a y node, -1 when
+    none leads there: one breadth-first sweep back from y's nodes, which
+    ignores simplicity.  It never passes through a y node or enters an x
+    or fixed node, so an x node has only its start state, as in the
+    search."""
+    left = [-1] * (3 * len(index.fixed))
+    sweep = [3 * q + a for q in ends if not index.fixed[q] for a in (_DOWN, _UP)]
+    for state in sweep:
+        left[state] = 0
+    # A state reached from a parent is one move from that parent's
+    # states, and one reached from a child one move from the child's.
+    back = (index.parents, index.children)
+    for state in sweep:
+        q, arrived = divmod(state, 3)
+        gate = moves[arrived][2]
+        more = left[state] + 1
+        for p in back[arrived][q]:
+            down, up = 3 * p + _DOWN, 3 * p + _UP
+            if left[down] >= 0 and left[up] >= 0 or index.fixed[p]:
+                continue
+            if p in starts:
+                # A start opens every move, and no move leads into it.
+                if left[3 * p + _START] < 0:
+                    left[3 * p + _START] = more
+                continue
+            if left[down] < 0 and gate[_DOWN][p]:
+                left[down] = more
+                sweep.append(down)
+            if left[up] < 0 and gate[_UP][p]:
+                left[up] = more
+                sweep.append(up)
+    return left
 
 
 def _witness(graph: CausalGraph, z: frozenset[NodeId], path: tuple, arrived: tuple) -> PathWitness:

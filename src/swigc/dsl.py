@@ -720,9 +720,8 @@ def serialize(study: StudySpec) -> str:
         parts = _attr_parts(study.graph.attrs[node])
         body = "{ " + " ".join(parts) + " }" if parts else "{}"
         lines.append(f"  node {node.base} {body}")
-    edge_text = " ".join(
-        f"{u} -> {v};" for u, v in sorted((u.base, v.base) for u, v in study.graph.edges)
-    )
+    # Declared nodes have empty contexts, so a label is its base.
+    edge_text = " ".join(f"{u.base} -> {v.base};" for u, v in study.graph.ordered_edges())
     lines.append("  edges { " + edge_text + " }" if edge_text else "  edges {}")
     for var in sorted(study.strategies):
         lines.append("  " + _strategy_text(var, study.strategies[var]))

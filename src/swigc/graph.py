@@ -18,7 +18,9 @@ A graph keeps ``nodes`` in label order, so a node's position in
 index, built with the graph and never rebuilt: each node's position, and
 per position the positions of its parents and of its children (every
 edge, in label order) and whether it is fixed.  ``parents``,
-``children`` and ``edges`` map positions back to nodes; the walks of
+``children``, ``edges`` and ``ordered_edges`` map positions back to
+nodes; the last walks the child lists, which gives every edge in label
+order of parent, then child, with no sort.  The walks of
 ``ancestors``, ``descendants``, ``ancestral_set``, d-separation and the
 adjustment search all run on positions, and make nodes only for what
 they return.  With the index it builds the base maps: each base's random
@@ -395,8 +397,14 @@ class CausalGraph:
     @property
     def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
         """Every edge, as a (parent, child) pair."""
-        node = self.nodes.__getitem__
-        return frozenset((node(p), node(v)) for v, ps in enumerate(self._index.parents) for p in ps)
+        return frozenset(self.ordered_edges())
+
+    def ordered_edges(self) -> list[tuple[NodeId, NodeId]]:
+        """Every edge, as a (parent, child) pair, in label order of the
+        parent, then of the child: the index's child lists in position
+        order, so no sort."""
+        nodes = self.nodes
+        return [(nodes[p], nodes[c]) for p, cs in enumerate(self._index.children) for c in cs]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CausalGraph):
@@ -566,7 +574,7 @@ def graph_to_payload(g: CausalGraph) -> dict:
                 },
             }
         )
-    return {"nodes": nodes, "edges": sorted([u.label, v.label] for u, v in g.edges)}
+    return {"nodes": nodes, "edges": [[u.label, v.label] for u, v in g.ordered_edges()]}
 
 
 def graph_from_payload(payload: Mapping) -> CausalGraph:

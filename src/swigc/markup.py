@@ -141,7 +141,7 @@ def to_tikz(
         lines.append(
             f"  \\node ({ids[n]}) at ({x:.2f}, {y:.2f}) [{style[kinds[n]]}] {{${_tex(label)}$}};"
         )
-    for u, v in sorted(graph.edges, key=lambda e: (e[0].label, e[1].label)):
+    for u, v in graph.ordered_edges():
         lines.append(
             f"  \\path ({ids[u]}) edge [->, very thick, color={EDGE_COLOR}] ({ids[v]});"
         )
@@ -168,7 +168,7 @@ def to_dot(
         if kinds[n] == "boxed" and n.base in shown:
             attrs += f', label="{n.label}={shown[n.base]}"'
         lines.append(f'  "{n.label}" [{attrs}];')
-    for u, v in sorted(graph.edges, key=lambda e: (e[0].label, e[1].label)):
+    for u, v in graph.ordered_edges():
         lines.append(f'  "{u.label}" -> "{v.label}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

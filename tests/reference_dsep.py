@@ -1,15 +1,29 @@
-"""The recursive witness enumerator, kept as the reference for the best-first one.
+"""The witness searches ``swigc.dsep`` used to ship, kept as references.
 
-``open_paths`` here is the enumerator ``swigc.dsep`` used to ship: it
-lists every simple open path by recursion, one call per path node, then
-sorts the lot shortest first and by label sequence and cuts it to
-``limit``.  The property tests require the best-first search to return
-exactly its list, witness for witness, at every limit.
+``open_paths`` here is the recursive enumerator: it lists every simple
+open path by recursion, one call per path node, then sorts the lot
+shortest first and by label sequence and cuts it to ``limit``.
+``best_first_open_paths`` is the best-first search that replaced it: a
+heap of partial paths keyed by (length, positions, arrows), which pops
+every shorter or lower-labelled partial path first, even one that cannot
+reach y.  The property tests require the A* search to return exactly the
+enumerator's list, witness for witness, at every limit, and exactly the
+best-first list on graphs too large for the enumerator.
 """
 
 from __future__ import annotations
 
-from swigc.dsep import DSepQuery, PathWitness, _check_sets, _conditioning
+import heapq
+
+from swigc.dsep import (
+    _START,
+    DSepQuery,
+    PathWitness,
+    _ball,
+    _check_sets,
+    _conditioning,
+    _witness,
+)
 from swigc.graph import CausalGraph, NodeId
 
 
@@ -94,3 +108,31 @@ def open_paths(
     ]
     witnesses.sort(key=lambda w: (len(w.nodes), tuple(n.label for n in w.nodes)))
     return witnesses[:limit]
+
+
+def best_first_open_paths(
+    graph: CausalGraph,
+    query: DSepQuery,
+    limit: int = 5,
+) -> list[PathWitness]:
+    """The open paths between x and y given z, shortest first, then in
+    label order, up to ``limit``, by a best-first search keyed by length."""
+    _check_sets(graph, query)
+    index, moves = _ball(graph, query.z)
+    starts = {index.position[n] for n in query.x}
+    ends = {index.position[n] for n in query.y}
+    heap = sorted((1, (p,), ()) for p in starts if not index.fixed[p])
+    found: list[PathWitness] = []
+    while heap and len(found) < limit:
+        length, path, arrived = heapq.heappop(heap)
+        p = path[-1]
+        if p in ends:
+            found.append(_witness(graph, query.z, path, arrived))
+            continue
+        came = arrived[-1] if arrived else _START
+        for near, arrives, gate in moves:
+            if gate[came][p]:
+                for q in near[p]:
+                    if not index.fixed[q] and q not in starts and q not in path:
+                        heapq.heappush(heap, (length + 1, path + (q,), arrived + (arrives,)))
+    return found

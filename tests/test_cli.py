@@ -715,6 +715,10 @@ def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
     # Every text at the edges of the lexer is a syntax error.
     lexer = [line for line in lines if " lexer/" in line]
     assert [line.split()[0] for line in lexer] == ["2"] * len(script.lexer_specs())
+    # Every witness-order call lists open paths (exit 3).
+    names = [f" families/{name} " for name in script.witness_specs()]
+    witness = [line for line in lines if any(name in line for name in names)]
+    assert [line.split()[0] for line in witness] == ["3"] * len(script.witness_cases("OUT"))
 
 
 def test_cli_sweep_does_not_depend_on_the_hash_seed():

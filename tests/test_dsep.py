@@ -1,5 +1,7 @@
 """d-separation on DAGs and SWIGs: hand-worked cases with known answers."""
 
+import heapq
+
 import pytest
 
 from swigc.dsep import DSepQuery, _ball, d_separated, open_paths, path_string
@@ -177,3 +179,36 @@ class TestOpenPathOrdering:
         )
         query = q(g, ["A"], ["Y"])
         assert len(open_paths(g, query, limit=2)) == 2
+
+
+class TestWitnessSearchCost:
+    """The sweep of moves left steers the search at y: on a latent clique
+    of 60 confounders it pops only the prefixes of the paths it returns."""
+
+    @staticmethod
+    def clique():
+        us = [f"U{i:02d}" for i in range(1, 61)]
+        edges = [(u, v) for i, u in enumerate(us) for v in us[i + 1:]]
+        edges += [(u, end) for u in us for end in ("M", "Y")]
+        return build_graph([(v, None) for v in ["M", "Y", *us]], edges)
+
+    @staticmethod
+    def counted_pops(monkeypatch):
+        pops = []
+        pop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or pop(heap))
+        return pops
+
+    def test_the_first_witness_pops_one_entry_per_node(self, monkeypatch):
+        g = self.clique()
+        pops = self.counted_pops(monkeypatch)
+        (witness,) = open_paths(g, q(g, ["M"], ["Y"]), limit=1)
+        assert path_string(witness) == "M <- U01 -> Y"
+        assert len(pops) == 3
+
+    def test_five_witnesses_pop_at_most_eleven_entries(self, monkeypatch):
+        g = self.clique()
+        pops = self.counted_pops(monkeypatch)
+        paths = [path_string(w) for w in open_paths(g, q(g, ["M"], ["Y"]), limit=5)]
+        assert paths == [f"M <- U0{i} -> Y" for i in range(1, 6)]
+        assert len(pops) <= 11

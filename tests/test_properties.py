@@ -54,7 +54,7 @@ from swigc.oracle import (
 from swigc.swig import split
 
 from conftest import SPECS, STUDY_FILES, load_study, spec_text
-from reference_dsep import open_paths as enumerated_open_paths
+from reference_dsep import best_first_open_paths, open_paths as enumerated_open_paths
 from reference_identify import subset_identify_term
 import reference_dsl
 import reference_identify
@@ -193,6 +193,50 @@ def test_open_paths_match_the_enumerator(data):
     query = DSepQuery(frozenset(order[:cut]), frozenset(order[cut:end]), frozenset(z))
     for limit in (0, 1, 2, 5, 10**6):
         assert open_paths(graph, query, limit) == enumerated_open_paths(graph, query, limit)
+
+
+# Declaration order again, but longer: V10, V11 and V14 sort before V2,
+# V3 and V9, and lower case after upper case.
+_WIDE = ["V9", "V10", "b", "A", "V2", "a", "Z", "c", "V14", "B", "V3", "d", "V11", "C"]
+
+
+def _latent_clique(k: int) -> CausalGraph:
+    """M and Y with k confounders U01.., each U_i -> U_j for i < j."""
+    us = [f"U{i:02d}" for i in range(1, k + 1)]
+    edges = [(u, v) for i, u in enumerate(us) for v in us[i + 1:]]
+    edges += [(u, end) for u in us for end in ("M", "Y")]
+    return build_graph([(v, NodeAttrs()) for v in ["M", "Y", *us]], edges)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_open_paths_match_the_best_first_search(data):
+    """The A* witnesses equal the best-first search's, field for field and
+    in order, at limits 0, 1, 2, 5 and 50, on graphs too large for the
+    enumerator: split DAGs of 9-14 nodes with multi-node x and y, and
+    latent cliques of up to 12 confounders between M and Y with a random
+    z among them."""
+    if data.draw(st.booleans()):
+        names = _WIDE[: data.draw(st.integers(min_value=9, max_value=len(_WIDE)))]
+        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [p for p, k in zip(pairs, keep) if k]
+        graph = build_graph([(v, NodeAttrs()) for v in names], edges)
+        held = data.draw(st.sets(st.sampled_from(names), max_size=3))
+        if held:
+            graph = split(graph, tuple((v, f"x{v}") for v in sorted(held))).graph
+        order = data.draw(st.permutations(graph.nodes))
+        cut = data.draw(st.integers(min_value=1, max_value=3))
+        end = data.draw(st.integers(min_value=cut + 1, max_value=cut + 3))
+        z = [n for n in order[end:] if data.draw(st.booleans())]
+        query = DSepQuery(frozenset(order[:cut]), frozenset(order[cut:end]), frozenset(z))
+    else:
+        graph = _latent_clique(data.draw(st.integers(min_value=1, max_value=12)))
+        confounders = [n for n in graph.nodes if n.base.startswith("U")]
+        z = data.draw(st.sets(st.sampled_from(confounders)))
+        query = DSepQuery(frozenset({graph.node("M")}), frozenset({graph.node("Y")}), frozenset(z))
+    for limit in (0, 1, 2, 5, 50):
+        assert open_paths(graph, query, limit) == best_first_open_paths(graph, query, limit)
 
 
 @given(st.data())
