@@ -26,8 +26,13 @@ blocker pairs (see ``pair_specs``) through identify, printed as
 families/NAME.  Last, a dense-refute study with many open paths (see
 ``witness_specs``) through dsep --limit 20, in text and with --json, so
 the order of its witnesses is fingerprinted too; it is printed as
-families/NAME.  Spec paths are printed relative to the checkout, and the
-output file as OUT.
+families/NAME.  Then the calls no other part reaches (see
+``more_cases``): an accepted battery, render --dag, a data model that
+misses an entry an intervention needs (written next to the families and
+printed as MISSING), dsep sets with commas and parentheses, empty,
+overlapping and unknown sets, a witness that opens a collider, and the
+argv values argparse refuses.  Spec paths are printed relative to the
+checkout, and the output file as OUT.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import random
 import shlex
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from swigc.cli import main
 
@@ -218,6 +224,41 @@ def lexer_cases(out: str) -> list[list[str]]:
     return [["validate", os.path.join(home, name)] for name in lexer_specs()]
 
 
+MISSING = "missing_entry.swg"
+
+
+def missing_entry_spec() -> str:
+    """simplest.swg with A always 0, so Y's table covers only A = 0 and the
+    arm A = 1 misses an entry."""
+    text = (ROOT / "specs" / "simplest.swg").read_text(encoding="utf-8")
+    text = text.replace("A := noise { 0: 1/2; 1: 1/2; };", "A := noise { 0: 1; };")
+    return text.replace("(1, 0) -> 1; (1, 1) -> 1; ", "")
+
+
+def more_cases(out: str) -> list[list[str]]:
+    itt, adjusted = "specs/itt.swg", "specs/hypothetical_adjusted.swg"
+    composite, missing = "specs/composite.swg", os.path.join(os.path.dirname(out), MISSING)
+    argvs = [
+        ["simulate", itt, "--seeds", "0:3"],
+        ["simulate", itt, "--seeds", "0:3", "--json"],
+        ["simulate", itt, "--seeds", "0:3", "--jobs", "2"],
+        ["render", itt, "--dag"],
+        ["simulate", missing],
+        ["simulate", missing, "--csv", out],
+        ["simulate", missing, "--csv", "-"],
+        ["dsep", adjusted, "--x", "Y(a,m)", "--y", "M(a)", "--z", "A,C"],
+        ["dsep", adjusted, "--x", " , ", "--y", "M(a)"],
+        ["dsep", adjusted, "--x", "Y", "--y", "M,Y(a,m)"],
+        ["dsep", adjusted, "--x", "Y", "--y", "Q(a)"],
+        ["dsep", composite, "--x", "M(a)", "--y", "Y(a)", "--z", "U(a)"],
+        ["dsep", composite, "--x", "M(a)", "--y", "Y(a)", "--z", "U(a)", "--json"],
+    ]
+    refused = [["--seeds", "5"], ["--seeds", "a:b"], ["--seeds", "3:3"], ["--jobs", "x"],
+               ["--jobs", "0"], ["--bogus"]]
+    argvs += [["simulate", itt, *extra] for extra in refused]
+    return argvs + [["dsep", itt, *SUBCOMMANDS["dsep"], "--limit", "-1"]]
+
+
 def corpus(out: str) -> list[list[str]]:
     argvs = []
     for spec in sorted(f"specs/{p.name}" for p in (ROOT / "specs").glob("*.swg")):
@@ -228,7 +269,7 @@ def corpus(out: str) -> list[list[str]]:
         argvs.append(["simulate", spec, "--csv", out])
         argvs.append(["simulate", spec, "--seed", "0", "--csv", out])
     argvs += edge_cases(out) + family_cases(out) + seeds_cases(out) + roots_cases(out)
-    return argvs + lexer_cases(out) + pair_cases(out) + witness_cases(out)
+    return argvs + lexer_cases(out) + pair_cases(out) + witness_cases(out) + more_cases(out)
 
 
 def sha(data: bytes) -> str:
@@ -254,12 +295,15 @@ def run(argv: list[str], out: str) -> str:
 
 def sweep() -> None:
     """Print one line per call of the corpus; run from the checkout's root."""
-    with tempfile.TemporaryDirectory() as tmp:
+    # argparse wraps a usage message to the terminal's width; a fixed width
+    # makes its refusals print the same bytes on every terminal.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
         out = os.path.join(tmp, "table.csv")
         os.mkdir(os.path.join(tmp, "families"))
         for name, text in {**family_specs(), **pair_specs(), **witness_specs()}.items():
             Path(tmp, "families", name).write_text(text, encoding="utf-8")
         Path(tmp, ROOTS).write_text(roots_chain(3, 3), encoding="utf-8")
+        Path(tmp, MISSING).write_text(missing_entry_spec(), encoding="utf-8")
         os.mkdir(os.path.join(tmp, "lexer"))
         for name, text in lexer_specs().items():
             Path(tmp, "lexer", name).write_text(text, encoding="utf-8")

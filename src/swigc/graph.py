@@ -24,13 +24,16 @@ order of parent, then child, with no sort.  The walks of
 ``ancestors``, ``descendants``, ``ancestral_set``, d-separation and the
 adjustment search all run on positions, and make nodes only for what
 they return.  With the index it builds the base maps: each base's random
-node and its fixed node, None for a base with several.
+node and its fixed node.  A SWIG splits an intervened variable into one
+random and one fixed node and leaves any other variable one random node,
+so the build refuses a second random or a second fixed node of a base,
+and every map entry is a node.
 
 The constructor checks its parts, then builds.  A graph made from parts
 that already passed some of those checks skips them and calls the same
-build, which still refuses a cycle: the split graph of a DAG, a study
-graph with a composite outcome folded in, and the DAG of a parsed spec,
-whose parser checks its names and edges itself.
+build, which still refuses a shared base and a cycle: the split graph of
+a DAG, a study graph with a composite outcome folded in, and the DAG of
+a parsed spec, whose parser checks its names and edges itself.
 
 Value classes across swigc are records: ``@record`` reads a class's
 annotated fields, in order, with the class attribute of the same name as
@@ -248,7 +251,8 @@ class NodeId:
 
     The fixed half of a split variable stores its own assignment as a
     one-entry context; that single entry is also what its label renders
-    (``a`` for a symbolic level, ``a=1`` for a concrete one).
+    (``a`` for a symbolic level, ``a=1`` for a concrete one), and a fixed
+    node with any other number of entries is refused.
 
     Nodes are interned: ``NodeId(base, context, fixed)`` returns the one
     node with those fields, so nodes with equal fields are the same
@@ -271,6 +275,8 @@ class NodeId:
         key = (base, context, fixed)
         node = _NODES.get(key)
         if node is None:
+            if fixed and len(context) != 1:
+                raise GraphError(f"a fixed node of {base!r} must carry exactly one assignment")
             node = object.__new__(cls)
             object.__setattr__(node, "base", base)
             object.__setattr__(node, "context", context)
@@ -292,8 +298,9 @@ class CausalGraph:
     """A validated immutable DAG over :class:`NodeId` nodes.
 
     Construction checks label uniqueness, edge endpoints, acyclicity
-    (reporting a cycle witness), and that fixed nodes have no incoming
-    edges.  Treat instances as frozen; all fields are plain data.
+    (reporting a cycle witness), that each base has one random node and
+    at most one fixed node, and that fixed nodes have no incoming edges.
+    Treat instances as frozen; all fields are plain data.
     """
 
     __slots__ = ("nodes", "attrs", "_by_label", "_random", "_fixed", "_index", "_topo")
@@ -326,8 +333,8 @@ class CausalGraph:
         """The graph of parts that passed the constructor's checks: checked
         ``attrs``; per position, the positions of its parents, distinct and
         not itself; and what ``_ordered`` returns for the nodes.  It still
-        refuses a fixed node with parents or without a random half, and a
-        cycle."""
+        refuses a base with several random or several fixed nodes, a fixed
+        node with parents or without a random half, and a cycle."""
         graph = cls.__new__(cls)
         graph._build(attrs, parents, nodes, position, by_label)
         return graph
@@ -339,11 +346,14 @@ class CausalGraph:
             for p in ps:
                 down[p].append(v)
 
-        # Each base's random and fixed node, None for a base with several.
+        # Each base's one random node and at most one fixed node.
         random, fixed = {}, {}
         for n in nodes:
             same = fixed if n.fixed else random
-            same[n.base] = None if n.base in same else n
+            if n.base in same:
+                kind = "fixed" if n.fixed else "random"
+                raise GraphError(f"variable {n.base!r} has several {kind} nodes")
+            same[n.base] = n
         for n in nodes:
             if n.fixed and up[position[n]]:
                 raise GraphError(f"fixed node {n.label!r} cannot have incoming edges")
@@ -442,8 +452,6 @@ class CausalGraph:
         """The unique random (non-fixed) node for a base variable."""
         if base not in self._random:
             raise UnknownNode(f"no random node for variable {base!r}")
-        if self._random[base] is None:
-            raise GraphError(f"variable {base!r} has several random nodes")
         return self._random[base]
 
     def parents(self, node: NodeId) -> tuple[NodeId, ...]:

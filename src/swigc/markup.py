@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from .errors import GraphError
 from .graph import CausalGraph, NodeId
 from .swig import SWIG
 
@@ -31,12 +30,9 @@ PAIR_GAP = 1.1
 
 def _graph_of(target: CausalGraph | SWIG) -> CausalGraph:
     """The graph to draw.  A drawing pairs each base's random node with its
-    fixed half, so a base with several of either is refused."""
-    graph = target.graph if isinstance(target, SWIG) else target
-    for kind, halves in (("random", graph._random), ("fixed", graph._fixed)):
-        for base in (b for b, n in halves.items() if n is None):
-            raise GraphError(f"cannot draw variable {base!r}: it has several {kind} nodes")
-    return graph
+    fixed half; a graph refuses a base with several of either when it is
+    built, so every graph can be drawn."""
+    return target.graph if isinstance(target, SWIG) else target
 
 
 def _layout(graph: CausalGraph) -> dict[NodeId, tuple[float, float]]:

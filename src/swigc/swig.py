@@ -14,12 +14,11 @@ fixed half, because its random half keeps no outgoing edge.  A node's
 context is its own reach set ordered by intervention position.
 
 The DAG was checked when it was built, and so are the split graph's
-parts: each random node keeps its DAG node's attributes and parent list,
-with an intervened parent's position renamed to its fixed half's.  So
-the split graph skips the constructor's checks; only the labels of the
-new nodes are checked, since a fixed half's label may repeat another.
-A DAG where several nodes share a base (only a library caller can make
-one) is split through the checking constructor, which merges them.
+parts: a graph holds one random node per base, so each DAG node becomes
+one random node that keeps its attributes and parent list, with an
+intervened parent's position renamed to its fixed half's.  So the split
+graph skips the constructor's checks; only the labels of the new nodes
+are checked, since a fixed half's label may repeat another.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def split(dag: CausalGraph, interventions: Context) -> SWIG:
     bases = [n.base for n in nodes]
     reach: dict[str, set[int]] = {}
     for n in dag.topological_order():
-        hit = reach.setdefault(n.base, set())
+        hit = reach[n.base] = set()
         for p in index.parents[index.position[n]]:
             hit |= {order[bases[p]]} if bases[p] in order else reach[bases[p]]
 
@@ -69,19 +68,14 @@ def split(dag: CausalGraph, interventions: Context) -> SWIG:
         a = dag.attrs[dag.node(var)]
         role = "covariate" if a.role == "derived" else a.role
         attrs[fid] = replace(a, role=role, conditioned=False, deterministic=None)
-    if len(randoms) < len(nodes):
-        # Several nodes share a base; the checking constructor merges them.
-        edges = [(fixed.get(u.base) or randoms[u.base], randoms[v.base]) for u, v in dag.edges]
-        graph = CausalGraph([*randoms.values(), *fixed.values()], attrs, edges)
-    else:
-        # One random node per DAG node, in the DAG's order: each keeps its
-        # parents, with an intervened parent's fixed half in its place.
-        new, position, by_label = _ordered([*randoms.values(), *fixed.values()])
-        source = [position[fixed.get(b) or randoms[b]] for b in bases]
-        parents: list = [()] * len(new)
-        for n, ps in zip(randoms.values(), index.parents):
-            parents[position[n]] = [source[p] for p in ps]
-        graph = CausalGraph._checked(attrs, parents, new, position, by_label)
+    # One random node per DAG node, in the DAG's order: each keeps its
+    # parents, with an intervened parent's fixed half in its place.
+    new, position, by_label = _ordered([*randoms.values(), *fixed.values()])
+    source = [position[fixed.get(b) or randoms[b]] for b in bases]
+    parents: list = [()] * len(new)
+    for n, ps in zip(randoms.values(), index.parents):
+        parents[position[n]] = [source[p] for p in ps]
+    graph = CausalGraph._checked(attrs, parents, new, position, by_label)
     return SWIG(graph=graph, interventions=tuple(interventions))
 
 

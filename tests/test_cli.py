@@ -719,6 +719,11 @@ def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
     names = [f" families/{name} " for name in script.witness_specs()]
     witness = [line for line in lines if any(name in line for name in names)]
     assert [line.split()[0] for line in witness] == ["3"] * len(script.witness_cases("OUT"))
+    # The calls no other part reaches: three accepted batteries and a DAG
+    # drawing, three missing entries, one separated and three refused dsep
+    # queries, two open colliders and seven argv refusals.
+    more = lines[-len(script.more_cases("OUT")):]
+    assert [line.split()[0] for line in more] == "0 0 0 0 1 1 1 0 2 2 2 3 3 2 2 2 2 2 2 2".split()
 
 
 def test_cli_sweep_does_not_depend_on_the_hash_seed():
@@ -743,6 +748,33 @@ def test_cli_sweep_does_not_depend_on_the_hash_seed():
             run.kill()
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") > 300
+
+
+def test_code_lines_script_counts_what_is_not_a_docstring_or_comment(tmp_path):
+    package = tmp_path / "src" / "swigc"
+    package.mkdir(parents=True)
+    (package / "empty.py").write_text('"""Only a docstring,\n\nand comments."""\n\n# one\n  # two\n')
+    (package / "code.py").write_text(
+        '"""Module docstring."""\n'
+        "import os  # a comment after code\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring,\n    on two lines."""\n'
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        '        return """a string\n        on two lines"""\n'
+        "\n"
+        "X = (1,\n"
+        "     2)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), "--root", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    line = json.loads(done.stdout)
+    assert line["modules"] == {"code.py": 7, "empty.py": 0}
+    assert line["total"] == sum(line["modules"].values())
 
 
 def test_startup_script_reports_the_front_door(tmp_path):

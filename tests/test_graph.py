@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from swigc.errors import CycleError, DuplicateName, GraphError, UnknownEndpoint, UnknownNode
 from swigc.estimand import compile_study, study_swig
 from swigc.graph import (
+    _ordered,
     CausalGraph,
     CompositeRule,
     NodeAttrs,
@@ -121,6 +122,15 @@ class TestNodeId:
         base, context, fixed = t
         assert n.label == (format_assignment(*context[0]) if fixed else format_term(base, context))
 
+    @pytest.mark.parametrize("context", [(), (("A", "a"), ("M", 0))])
+    def test_a_fixed_node_carries_exactly_one_assignment(self, context):
+        message = "a fixed node of 'A' must carry exactly one assignment"
+        with pytest.raises(GraphError, match=message):
+            NodeId("A", context, fixed=True)
+        # The refusal interns nothing, and the random node of the same
+        # fields is still made.
+        assert NodeId("A", context).label == format_term("A", context)
+
     def test_nodes_compare_and_hash_by_identity(self):
         assert NodeId.__hash__ is object.__hash__
         assert NodeId.__eq__ is object.__eq__
@@ -224,6 +234,26 @@ class TestConstruction:
         assert CausalGraph.__hash__ is None
 
 
+class TestOneNodePerVariable:
+    """A graph holds one random node per variable and at most one fixed
+    node, as a SWIG does; every way of building one refuses a second (the
+    constructor's refusals are in TestRandomNode and test_markup)."""
+
+    def test_parts_that_skip_the_checks_are_still_refused(self):
+        fixed = [NodeId("A", (("A", "a"),), True), NodeId("A", (("A", 1),), True)]
+        nodes, position, by_label = _ordered([NodeId("A"), *fixed])
+        attrs = {n: NodeAttrs() for n in nodes}
+        with pytest.raises(GraphError, match="variable 'A' has several fixed nodes"):
+            CausalGraph._checked(attrs, [set(), set(), set()], nodes, position, by_label)
+
+    def test_a_payload_with_a_second_node_is_refused(self):
+        payload = graph_to_payload(build_graph([("A", None), ("Y", None)], [("A", "Y")]))
+        twin = dict(payload["nodes"][1], label="Y(a)", context=[["A", "a"]])
+        payload["nodes"].append(twin)
+        with pytest.raises(GraphError, match="variable 'Y' has several random nodes"):
+            graph_from_payload(payload)
+
+
 class TestOrdering:
     def test_topological_order_is_layered_lexicographic(self):
         g = diamond()
@@ -257,10 +287,11 @@ class TestRandomNode:
             g.random_node("Q")
 
     def test_a_variable_with_several_random_nodes(self):
+        # The graph refuses the second random node of Y when it is built,
+        # so random_node never meets a base with several.
         nodes = [NodeId("Y"), NodeId("Y", (("A", "a"),))]
-        g = CausalGraph(nodes, {n: NodeAttrs() for n in nodes}, [])
         with pytest.raises(GraphError, match="variable 'Y' has several random nodes"):
-            g.random_node("Y")
+            CausalGraph(nodes, {n: NodeAttrs() for n in nodes}, [])
 
     def test_the_fixed_half_is_not_the_random_node(self, studies):
         g = study_swig(compile_study(studies["hypothetical_adjusted"])).graph
@@ -351,6 +382,13 @@ class TestSerialization:
         entry = next(e for e in payload["nodes"] if e["context"])
         entry["context"][0][1] = True
         with pytest.raises(GraphError, match="bad context value True"):
+            graph_from_payload(payload)
+
+    def test_a_fixed_entry_without_an_assignment_is_refused(self):
+        payload = graph_to_payload(study_swig(compile_study(load_study("itt.swg"))).graph)
+        entry = next(e for e in payload["nodes"] if e["fixed"])
+        entry["context"] = []
+        with pytest.raises(GraphError, match="must carry exactly one assignment"):
             graph_from_payload(payload)
 
     def test_canonical_json_is_sorted_and_newline_terminated(self):

@@ -134,12 +134,12 @@ def test_adjustment_covariates_render_as_rectangles():
     ],
 )
 def test_a_base_with_several_halves_of_one_kind_is_refused(render, nodes, kind):
-    # Only a library caller can make such a graph; a drawing pairs each
-    # base's random node with its fixed half, so it names the base instead.
-    graph = CausalGraph(nodes, {n: NodeAttrs() for n in nodes}, [])
-    message = f"cannot draw variable '{nodes[0].base}': it has several {kind} nodes"
+    # A drawing pairs each base's random node with its fixed half.  The
+    # graph refuses a base with several of either when it is built, so no
+    # renderer is ever handed one.
+    message = f"variable '{nodes[0].base}' has several {kind} nodes"
     with pytest.raises(GraphError, match=message):
-        render(graph)
+        render(CausalGraph(nodes, {n: NodeAttrs() for n in nodes}, []))
 
 
 def test_render_figures_script_matches_the_cli(tmp_path, monkeypatch, run_cli, capsys):

@@ -1,8 +1,11 @@
 """Property-based invariants over random graphs, models, and specs."""
 
+import contextlib
 import io
+import os
 import random
 import re
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swigc import dsl
+from swigc.cli import main as cli_main
 from swigc.dsl import parse_study, serialize
 from swigc.dsep import DSepQuery, d_connected, d_separated, open_paths
 from swigc.errors import SwigcError
@@ -24,6 +28,7 @@ from swigc.graph import (
     build_graph,
     graph_from_payload,
     graph_to_payload,
+    replace,
 )
 from swigc.identify import _greedy_cut, _Residual, identify_estimand, identify_term
 from swigc.model import (
@@ -1142,6 +1147,65 @@ def table_edits(draw):
 def test_table_checks_match_the_character_walk(text):
     expected = _spec_or_error(reference_dsl.parse_study, text)
     assert _spec_or_error(parse_study, text) == expected
+
+
+# One edit that makes a valid spec invalid, as a pattern and the text
+# that replaces its first group: drop a table entry; a strategy, estimand
+# or table level outside the declared values; an edge, strategy or table
+# parent naming an undeclared variable; an attribute given twice.
+INVALID_EDITS = {
+    "drop entry": (TABLE_ROW, ""),
+    "strategy level": (re.compile(r"strategy \w+: \w+\([^;]*?(-?\d+)\);"), "9"),
+    "estimand level": (re.compile(r"estimand mean_difference\(\w+; \w+ = (-?\d+)"), "9"),
+    "table level": (re.compile(r"\) -> (-?\d+);"), "9"),
+    "edge name": (re.compile(r"(\w+) -> \w+;"), "Q"),
+    "strategy name": (re.compile(r"strategy (\w+):"), "Q"),
+    "table parent": (re.compile(r"table \((\w+)"), "Q"),
+    "attribute twice": (re.compile(r"node \w+ \{ ?((?:role|observed|adjust|values): [^;]*;)"), None),
+}
+CLI_CALLS = [["validate"], ["swig"], ["dsep", "--x", "Y", "--y", "A"], ["identify"], ["simulate"],
+             ["render"]]
+
+
+@st.composite
+def invalid_specs(draw):
+    """A valid random study, written as spec text, with one invalid edit.
+    Its model is random_scm's: the gaps and zero weights of exact_models
+    are refused by the spec language already."""
+    study = draw(soundness_studies())
+    text = serialize(replace(study, scm=random_scm(study.graph, draw(st.integers(0, 2**16)))))
+    sites = {kind: list(pattern.finditer(text)) for kind, (pattern, _) in INVALID_EDITS.items()}
+    kind = draw(st.sampled_from([k for k, found in sites.items() if found]))
+    site = draw(st.sampled_from(sites[kind]))
+    group = 0 if kind == "drop entry" else 1
+    new = INVALID_EDITS[kind][1]
+    new = f"{site.group(1)} {site.group(1)}" if new is None else new
+    return text[: site.start(group)] + new + text[site.end(group):]
+
+
+@settings(max_examples=100)
+@given(invalid_specs())
+def test_every_subcommand_reports_an_invalid_spec_in_one_line(text):
+    """Every subcommand, run in process on the spec, exits with a
+    documented code other than 8; a nonzero code comes with exactly one
+    error line and nothing on stdout, or with a verdict and nothing on
+    stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edited.swg")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        for command, *extra in CLI_CALLS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main([command, path, *extra])
+            out, err = out.getvalue(), err.getvalue()
+            assert 0 <= code <= 7, (command, err)
+            if code == 0:
+                assert err == ""
+            elif err:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert re.search(r"^verdict: ", out, re.M), out
 
 
 def _reference_tokens(text):

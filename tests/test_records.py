@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import swigc
+from swigc.errors import GraphError
 from swigc.formula import Event, Term
 from swigc.graph import _HAS_DEFAULT_FACTORY, NodeAttrs, NodeId, _record_repr, replace
 from swigc.identify import Identified
@@ -190,6 +191,7 @@ _NODE_TWIN = dataclasses.dataclass(frozen=True)(
     st.booleans(),
 )
 def test_a_node_prints_and_refuses_assignment_as_a_frozen_dataclass(base, context, fixed):
+    context = context[:1] if fixed else context  # a fixed node carries one assignment
     node, twin = NodeId(base, context, fixed), _NODE_TWIN(base, context, fixed)
     assert repr(node) == repr(twin)
     assert NodeId.__match_args__ == _NODE_TWIN.__match_args__
@@ -197,7 +199,11 @@ def test_a_node_prints_and_refuses_assignment_as_a_frozen_dataclass(base, contex
         assert _outcome(setattr, node, name, 1) == _outcome(setattr, twin, name, 1)
         assert _outcome(delattr, node, name) == _outcome(delattr, twin, name)
     assert replace(node) is node
-    assert replace(node, fixed=not fixed) is NodeId(base, context, not fixed)
+    if len(context) == 1:
+        assert replace(node, fixed=not fixed) is NodeId(base, context, not fixed)
+    else:
+        with pytest.raises(GraphError, match="exactly one assignment"):
+            replace(node, fixed=True)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -4,8 +4,8 @@ import pytest
 
 from swigc.errors import (
     AlreadySplit,
-    CycleError,
     DuplicateName,
+    GraphError,
     LatentIntervention,
     UnknownVariable,
 )
@@ -115,23 +115,22 @@ class TestSplitAttrs:
 
 
 class TestSharedBases:
-    """A DAG where two nodes share a base, which only a library caller can
-    make, goes through the checking constructor, which merges them."""
+    """A DAG where two nodes share a base is refused when it is built, so
+    split only ever meets one random node per variable."""
 
     A, Y, YA = NodeId("A"), NodeId("Y"), NodeId("Y", (("A", "a"),))
 
-    def test_the_nodes_of_a_base_merge_into_one_random_node(self):
+    def test_a_dag_with_two_nodes_of_a_base_is_refused(self):
         attrs = {self.A: NodeAttrs(role="treatment"), self.Y: NodeAttrs(), self.YA: NodeAttrs()}
-        dag = CausalGraph([self.A, self.Y, self.YA], attrs, [(self.A, self.YA)])
-        g = split(dag, (("A", "a"),)).graph
-        assert [n.label for n in g.nodes] == ["A", "Y(a)", "a"]
-        assert {(u.label, v.label) for u, v in g.edges} == {("a", "Y(a)")}
+        with pytest.raises(GraphError, match="variable 'Y' has several random nodes"):
+            CausalGraph([self.A, self.Y, self.YA], attrs, [(self.A, self.YA)])
 
-    def test_an_edge_between_them_is_a_cycle(self):
-        dag = CausalGraph([self.Y, self.YA], {self.Y: NodeAttrs(), self.YA: NodeAttrs()},
-                          [(self.Y, self.YA)])
-        with pytest.raises(CycleError, match="Y -> Y"):
-            split(dag, ())
+    def test_an_edge_between_them_is_refused_as_a_shared_base(self):
+        # The refusal comes before the cycle check: split would have made
+        # the edge a self-loop Y -> Y.
+        with pytest.raises(GraphError, match="variable 'Y' has several random nodes"):
+            CausalGraph([self.Y, self.YA], {self.Y: NodeAttrs(), self.YA: NodeAttrs()},
+                        [(self.Y, self.YA)])
 
 
 class TestSplitErrors:
