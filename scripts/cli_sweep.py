@@ -31,7 +31,9 @@ families/NAME.  Then the calls no other part reaches (see
 misses an entry an intervention needs (written next to the families and
 printed as MISSING), dsep sets with commas and parentheses, empty,
 overlapping and unknown sets, a witness that opens a collider, and the
-argv values argparse refuses.  Spec paths are printed relative to the
+argv values argparse refuses.  Then two specs whose edges close a cycle
+(see ``cycle_specs``) through validate and identify, in text and with
+--json, printed as cycles/NAME.  Spec paths are printed relative to the
 checkout, and the output file as OUT.
 """
 
@@ -259,6 +261,30 @@ def more_cases(out: str) -> list[list[str]]:
     return argvs + [["dsep", itt, *SUBCOMMANDS["dsep"], "--limit", "-1"]]
 
 
+def cycle_specs() -> dict[str, str]:
+    """Spec text by file name: itt.swg with a self-loop on M, which the
+    parser refuses as it reads the edge, and with a node B on the cycle
+    M -> B -> Y -> M, which the graph build refuses with the cycle it
+    walks."""
+    itt = (ROOT / "specs" / "itt.swg").read_text(encoding="utf-8")
+    edge = "    M -> Y;\n"
+    three = itt.replace("  node Y", "  node B { }\n  node Y", 1)
+    return {
+        "self_loop.swg": itt.replace(edge, edge + "    M -> M;\n", 1),
+        "three_cycle.swg": three.replace(edge, "    M -> B;\n    B -> Y;\n    Y -> M;\n", 1),
+    }
+
+
+def cycle_cases(out: str) -> list[list[str]]:
+    home = os.path.join(os.path.dirname(out), "cycles")
+    return [
+        [command, os.path.join(home, name), *mode]
+        for name in cycle_specs()
+        for command in ("validate", "identify")
+        for mode in ([], ["--json"])
+    ]
+
+
 def corpus(out: str) -> list[list[str]]:
     argvs = []
     for spec in sorted(f"specs/{p.name}" for p in (ROOT / "specs").glob("*.swg")):
@@ -269,7 +295,8 @@ def corpus(out: str) -> list[list[str]]:
         argvs.append(["simulate", spec, "--csv", out])
         argvs.append(["simulate", spec, "--seed", "0", "--csv", out])
     argvs += edge_cases(out) + family_cases(out) + seeds_cases(out) + roots_cases(out)
-    return argvs + lexer_cases(out) + pair_cases(out) + witness_cases(out) + more_cases(out)
+    argvs += lexer_cases(out) + pair_cases(out) + witness_cases(out) + more_cases(out)
+    return argvs + cycle_cases(out)
 
 
 def sha(data: bytes) -> str:
@@ -307,6 +334,9 @@ def sweep() -> None:
         os.mkdir(os.path.join(tmp, "lexer"))
         for name, text in lexer_specs().items():
             Path(tmp, "lexer", name).write_text(text, encoding="utf-8")
+        os.mkdir(os.path.join(tmp, "cycles"))
+        for name, text in cycle_specs().items():
+            Path(tmp, "cycles", name).write_text(text, encoding="utf-8")
         for argv in corpus(out):
             print(run(argv, out), flush=True)
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code lines of each swigc module.
+"""Count the code lines of each swigc module, and the names it exports.
 
     python3 scripts/code_lines.py [--root DIR]
 
@@ -7,9 +7,12 @@ A code line is a line that holds a token other than a comment: blank
 lines, comment lines and the lines of a module, class or function
 docstring do not count, and a string or bracket spread over several
 lines counts each line it spans.  Reads every ``*.py`` under
-``DIR/src/swigc`` (default: this checkout) and prints one JSON line:
-the count per module, by path relative to that directory, and the total.
-Run it on two checkouts to compare their size.
+``DIR/src/swigc`` (default: this checkout), without importing it, and
+prints one JSON line: the count per module, by path relative to that
+directory, the total, and ``exported``, the number of names listed in
+the modules' ``__all__`` literals (the package's own list adds
+``__version__`` to theirs).  Run it on two checkouts to compare their
+size.
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ def _docstrings(tree: ast.Module) -> set[tuple[int, int]]:
     return starts
 
 
+def exported(text: str) -> int:
+    """The number of names listed in the ``__all__`` literal of the Python
+    source ``text``; its starred entries are not names."""
+    for node in ast.parse(text).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return sum(isinstance(item, ast.Constant) for item in node.value.elts)
+    return 0
+
+
 def code_lines(text: str) -> int:
     """The number of code lines in the Python source ``text``."""
     docstrings = _docstrings(ast.parse(text))
@@ -56,11 +69,13 @@ def code_lines(text: str) -> int:
 
 def count(root: Path) -> dict:
     package = root / "src" / "swigc"
-    modules = {
-        path.relative_to(package).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+    texts = {
+        path.relative_to(package).as_posix(): path.read_text(encoding="utf-8")
         for path in sorted(package.rglob("*.py"))
     }
-    return {"modules": modules, "total": sum(modules.values())}
+    modules = {name: code_lines(text) for name, text in texts.items()}
+    names = sum(map(exported, texts.values()))
+    return {"modules": modules, "total": sum(modules.values()), "exported": names}
 
 
 def main() -> None:

@@ -8,7 +8,8 @@ given z, in time linear in the graph (Geiger, Verma and Pearl 1990).
 ``d_connected`` collects every node outside x it yields; ``d_separated``
 stops at the first y node.  ``open_paths`` explains a refusal with the same
 moves.  One breadth-first sweep back from y's nodes over those states
-gives each state the fewest moves left to a y node, ignoring simplicity.
+gives each state the fewest moves left to a y node, ignoring simplicity;
+for one witness it stops once it has reached as far as that witness needs.
 An A* search over simple paths, keyed by length plus moves left, then
 yields the open paths shortest first, then in label order, and stops at
 its limit; it never pushes a path whose last state cannot reach y.  Fixed
@@ -188,7 +189,7 @@ def open_paths(
     index, moves = _ball(graph, query.z)
     starts = {index.position[n] for n in query.x}
     ends = {index.position[n] for n in query.y}
-    left = _moves_left(index, moves, starts, ends)
+    left = _moves_left(index, moves, starts, ends, first=limit == 1)
     heap = sorted(  # a sorted list is a heap
         (1 + left[3 * p + _START], (p,), ()) for p in starts if left[3 * p + _START] >= 0
     )
@@ -210,20 +211,38 @@ def open_paths(
     return found
 
 
-def _moves_left(index, moves: tuple, starts: set[int], ends: set[int]) -> list[int]:
+def _moves_left(index, moves: tuple, starts: set[int], ends: set[int], first: bool) -> list[int]:
     """Per state, the fewest Bayes-ball moves from it to a y node, -1 when
     none leads there: one breadth-first sweep back from y's nodes, which
     ignores simplicity.  It never passes through a y node or enters an x
     or fixed node, so an x node has only its start state, as in the
-    search."""
+    search.
+
+    With ``first`` (one witness wanted) the sweep stops once every start
+    has a distance, or once the level that gave the first start its
+    distance d is finished; the states it leaves unset read -1, and the
+    search pops what it would pop after a full sweep.  A breadth-first
+    sweep sets each state's exact distance, so every state closer to y
+    than d, and every start at d, is set when it stops.  A shortest walk
+    from a start to y repeats no node: at a node met twice, the first
+    visit already opens the move the walk leaves by at the second, so the
+    walk would shorten.  So the first witness has d moves, and the state
+    after its i-th move is d - i moves from y, and set.  A state left
+    unset is at least d moves from y, so every path through one is longer
+    than d and would pop after that witness.
+    """
     left = [-1] * (3 * len(index.fixed))
     sweep = [3 * q + a for q in ends if not index.fixed[q] for a in (_DOWN, _UP)]
     for state in sweep:
         left[state] = 0
+    unset = {p for p in starts if not index.fixed[p]}
+    stop = len(left)  # the level at which the sweep stops; only ``first`` lowers it
     # A state reached from a parent is one move from that parent's
     # states, and one reached from a child one move from the child's.
     back = (index.parents, index.children)
     for state in sweep:
+        if left[state] >= stop or first and not unset:
+            break
         q, arrived = divmod(state, 3)
         gate = moves[arrived][2]
         more = left[state] + 1
@@ -235,6 +254,9 @@ def _moves_left(index, moves: tuple, starts: set[int], ends: set[int]) -> list[i
                 # A start opens every move, and no move leads into it.
                 if left[3 * p + _START] < 0:
                     left[3 * p + _START] = more
+                    unset.discard(p)
+                    if first:
+                        stop = min(stop, more)
                 continue
             if left[down] < 0 and gate[_DOWN][p]:
                 left[down] = more

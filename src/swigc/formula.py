@@ -26,7 +26,6 @@ __all__ = [
     "Difference",
     "Formula",
     "render",
-    "is_identified",
 ]
 
 
@@ -99,11 +98,6 @@ def terms(formula: Formula) -> Iterator[Term]:
     elif isinstance(formula, Difference):
         yield from terms(formula.left)
         yield from terms(formula.right)
-
-
-def is_identified(formula: Formula) -> bool:
-    """True when the formula refers only to observed joint quantities."""
-    return not any(t.context for t in terms(formula))
 
 
 def fresh_symbol(base: str, taken: set[str]) -> str:

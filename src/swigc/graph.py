@@ -78,7 +78,6 @@ __all__ = [
     "CausalGraph",
     "build_graph",
     "graph_to_payload",
-    "graph_from_payload",
     "canonical_json",
 ]
 
@@ -553,15 +552,6 @@ def _context_payload(context: Context) -> list[list]:
     return [[var, val] for var, val in context]
 
 
-def _context_from_payload(payload: Iterable) -> Context:
-    out = []
-    for var, val in payload:
-        if not isinstance(val, (int, str)) or isinstance(val, bool):
-            raise GraphError(f"bad context value {val!r}")
-        out.append((str(var), val))
-    return tuple(out)
-
-
 def graph_to_payload(g: CausalGraph) -> dict:
     nodes = []
     for n in g.nodes:
@@ -583,31 +573,6 @@ def graph_to_payload(g: CausalGraph) -> dict:
             }
         )
     return {"nodes": nodes, "edges": [[u.label, v.label] for u, v in g.ordered_edges()]}
-
-
-def graph_from_payload(payload: Mapping) -> CausalGraph:
-    nodes: list[NodeId] = []  # CausalGraph refuses a duplicate label
-    attrs: dict[NodeId, NodeAttrs] = {}
-    for entry in payload["nodes"]:
-        a = entry["attrs"]
-        d = a.get("deterministic")
-        rule = CompositeRule(d["source"], d["guard"], int(d["failure"])) if d else None
-        nid = NodeId(entry["name"], _context_from_payload(entry["context"]), bool(entry["fixed"]))
-        nodes.append(nid)
-        attrs[nid] = NodeAttrs(
-            role=a["role"],
-            observed=bool(a["observed"]),
-            conditioned=bool(a["conditioned"]),
-            deterministic=rule,
-            values=tuple(int(v) for v in a["values"]),
-        )
-    ids = {n.label: n for n in nodes}
-    edges = []
-    for u, v in payload["edges"]:
-        if u not in ids or v not in ids:
-            raise UnknownEndpoint(f"edge endpoint {u if u not in ids else v!r} is not a node")
-        edges.append((ids[u], ids[v]))
-    return CausalGraph(nodes, attrs, edges)
 
 
 def canonical_json(payload: Mapping) -> str:

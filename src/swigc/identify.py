@@ -72,7 +72,6 @@ __all__ = [
     "EstimandReport",
     "identify_term",
     "identify_estimand",
-    "render_trace",
     "verdict_code",
 ]
 
@@ -654,12 +653,6 @@ def trace_lines(arm: dict) -> list[str]:
     elif "cross_world" in arm:
         lines.append(f"REMAINING CROSS-WORLD TERM: {arm['formula']}")
     return lines
-
-
-def render_trace(result: IdentifyResult) -> list[str]:
-    """The derivation as fixed-width text lines, one step per line; the
-    CLI formats the same payload with the same ``trace_lines``."""
-    return trace_lines(arm_payload(result))
 
 
 def verdict_code(report: EstimandReport) -> int:

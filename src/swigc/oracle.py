@@ -33,8 +33,8 @@ noise is summed out at its node and no unit is ever built whole:
 - Each column that no later node reads, no query wants and no
   consistency check needs is then dropped, which merges the states that
   differed only there.
-- States of mass zero are kept: errors reached only through zero-weight
-  noise still raise, and conditionally_independent reads the law's keys.
+- States of mass zero are kept, so that errors reached only through
+  zero-weight noise still raise.
 - Consistency is checked, not assumed, on the copies that can differ: a
   world's reached, unpinned copies.  (A shared copy is the observed one,
   and a pinned copy holds the value the check's condition gives the
@@ -97,7 +97,6 @@ __all__ = [
     "check_soundness",
     "soundness_battery",
     "validate_consistency",
-    "conditionally_independent",
     "write_csv",
 ]
 
@@ -743,36 +742,6 @@ def validate_consistency(table: PotentialOutcomeTable) -> list[str]:
                         f"row {i}: {format_term(base, ctx)}={got} but observed {base}={obs}"
                     )
     return problems
-
-
-def conditionally_independent(
-    table: PotentialOutcomeTable, x: str, y: str, z: Sequence[str]
-) -> bool:
-    """Exact conditional independence of two variables in the full joint law."""
-    names = list(dict.fromkeys((x, y, *z)))
-    law = _law(table.graph, table.scm, table.contexts, [(v, ()) for v in names])
-    marginals: dict[tuple[str, ...], Cells] = {}
-
-    def mass(assignment: Mapping[str, int]) -> int:
-        key = tuple(assignment)
-        if key not in marginals:
-            marginals[key] = law.given([(v, ()) for v in key])
-        return marginals[key].get(tuple(assignment.values()), (0, 0))[0]
-
-    support = {v: sorted(value for value, in law.given([(v, ())])) for v in names}
-    for z_combo in product(*(support[v] for v in z)):
-        base = dict(zip(z, z_combo))
-        pz = mass(base)
-        if pz == 0:
-            continue
-        for xv in support[x]:
-            for yv in support[y]:
-                pxy = mass({**base, x: xv, y: yv})
-                px = mass({**base, x: xv})
-                py = mass({**base, y: yv})
-                if pxy * pz != px * py:
-                    return False
-    return True
 
 
 def write_csv(table: PotentialOutcomeTable, out: IO[str]) -> None:

@@ -23,7 +23,7 @@ from itertools import combinations
 from swigc.dsep import DSepQuery, d_separated
 from swigc.errors import SemanticError
 from swigc.estimand import CompiledEstimand, compile_study, study_swig
-from swigc.formula import Event, Expect, Formula, SumOver, Term, fresh_symbol, is_identified
+from swigc.formula import Event, Expect, Formula, SumOver, Term, fresh_symbol, terms
 from swigc.graph import NodeId
 from swigc.identify import (
     CrossWorld,
@@ -176,7 +176,7 @@ def subset_identify_term(
         steps.append(DerivationStep("consistency", formula_now(), "consistency"))
 
     final = formula_now()
-    if is_identified(final):
+    if not any(t.context for t in terms(final)):
         return Identified(mean, final, tuple(steps))
     leftovers = tuple(e for e in events if e.term.context)
     cross = CrossWorld(events=leftovers, term=term if term.context else None)

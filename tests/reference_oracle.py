@@ -13,7 +13,10 @@ the row table: it enumerates the table with ``enumerate_table``, checks
 ``validate_consistency`` and reads the rows with the readers here.  The
 property tests require ``swigc.oracle`` to return exactly their values
 (``==`` on ``Fraction``s and reports), or to raise the same exception
-type with the same message.
+type with the same message.  No program path asks for conditional
+independence, so its forward-pass reader is a test helper,
+``conftest.conditionally_independent``, which reads ``swigc.oracle``'s
+law; the row scan here is its reference.
 
 ``random_scm`` is the random model drawn with one ``random.sample`` call
 per parent configuration; ``swigc.oracle.random_scm`` makes the same

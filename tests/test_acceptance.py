@@ -20,15 +20,17 @@ from swigc.estimand import compile_study, study_swig
 from swigc.formula import render
 from swigc.identify import Identified, PartiallyIdentified, identify_estimand
 from swigc.markup import to_tikz
-from swigc.oracle import (
-    conditionally_independent,
-    enumerate_table,
-    random_scm,
-    soundness_battery,
-)
+from swigc.oracle import enumerate_table, random_scm, soundness_battery
 from swigc.swig import split
 
-from conftest import STUDY_FILES, golden_text, load_study, spec_path, spec_text
+from conftest import (
+    STUDY_FILES,
+    conditionally_independent,
+    golden_text,
+    load_study,
+    spec_path,
+    spec_text,
+)
 
 
 def passed(slug: str) -> None:

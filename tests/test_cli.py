@@ -11,7 +11,7 @@ import pytest
 from swigc.dsl import MAX_SPEC_BYTES
 from swigc.errors import SwigcError
 
-from conftest import ROOT, STUDY_FILES, golden_text, spec_path, spec_text
+from conftest import ROOT, STUDY_FILES, golden_text, load_script, spec_path, spec_text
 import reference_dsl
 
 
@@ -722,8 +722,27 @@ def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
     # The calls no other part reaches: three accepted batteries and a DAG
     # drawing, three missing entries, one separated and three refused dsep
     # queries, two open colliders and seven argv refusals.
-    more = lines[-len(script.more_cases("OUT")):]
+    cycles = len(script.cycle_cases("OUT"))
+    more = lines[-len(script.more_cases("OUT")) - cycles:-cycles]
     assert [line.split()[0] for line in more] == "0 0 0 0 1 1 1 0 2 2 2 3 3 2 2 2 2 2 2 2".split()
+    # Every call on a spec whose edges close a cycle is refused (exit 2).
+    assert [line.split()[0] for line in lines[-cycles:]] == ["2"] * 8
+
+
+def test_a_cycle_is_refused_in_one_error_line(run_cli, tmp_path):
+    """The sweep's cyclic specs: the parser refuses the self-loop as it
+    reads the edge, and the graph build names the cycle it walks."""
+    specs = load_script("cli_sweep").cycle_specs()
+    cycles = {"self_loop.swg": "M -> M", "three_cycle.swg": "B -> Y -> M -> B"}
+    assert sorted(specs) == sorted(cycles)
+    for name, text in specs.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        for argv in (["validate"], ["identify"]):
+            for mode in ([], ["--json"]):
+                result = run_cli(*argv, str(path), *mode)
+                assert (result.code, result.out) == (2, "")
+                assert result.err == f"error: graph has a cycle: {cycles[name]}\n"
 
 
 def test_cli_sweep_does_not_depend_on_the_hash_seed():
@@ -767,14 +786,20 @@ def test_code_lines_script_counts_what_is_not_a_docstring_or_comment(tmp_path):
         "X = (1,\n"
         "     2)\n"
     )
+    (package / "listed.py").write_text('__all__ = ["A", "f"]  # two names\n')
+    (package / "__init__.py").write_text(
+        'from .listed import *\n\n__all__ = ["__version__", *listed.__all__]\n'
+    )
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "code_lines.py"), "--root", str(tmp_path)],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     line = json.loads(done.stdout)
-    assert line["modules"] == {"code.py": 7, "empty.py": 0}
+    assert line["modules"] == {"__init__.py": 2, "code.py": 7, "empty.py": 0, "listed.py": 1}
     assert line["total"] == sum(line["modules"].values())
+    # The two listed names and the package's own __version__.
+    assert line["exported"] == 3
 
 
 def test_startup_script_reports_the_front_door(tmp_path):

@@ -1,6 +1,7 @@
 """d-separation on DAGs and SWIGs: hand-worked cases with known answers."""
 
 import heapq
+import sys
 
 import pytest
 
@@ -212,3 +213,22 @@ class TestWitnessSearchCost:
         paths = [path_string(w) for w in open_paths(g, q(g, ["M"], ["Y"]), limit=5)]
         assert paths == [f"M <- U0{i} -> Y" for i in range(1, 6)]
         assert len(pops) <= 11
+
+    def test_one_witness_stops_the_sweep_at_its_start(self):
+        """For one witness the sweep of moves left reads Y's two lists and
+        U01's two, then stops: its start M has a distance.  A full sweep
+        reads a list for each of the 122 states it sets."""
+        g = self.clique()
+        reads = []
+
+        class Counted(list):
+            def __getitem__(self, p):
+                if sys._getframe(1).f_code.co_name == "_moves_left":
+                    reads.append(p)
+                return list.__getitem__(self, p)
+
+        index = g._index
+        index.parents, index.children = Counted(index.parents), Counted(index.children)
+        (witness,) = open_paths(g, q(g, ["M"], ["Y"]), limit=1)
+        assert path_string(witness) == "M <- U01 -> Y"
+        assert len(reads) <= 4

@@ -23,13 +23,12 @@ from swigc.graph import (
     canonical_json,
     format_assignment,
     format_term,
-    graph_from_payload,
     graph_to_payload,
     replace,
     valid_name,
 )
 
-from conftest import ROOT, load_study
+from conftest import ROOT, graph_from_payload, load_study
 
 
 def diamond():

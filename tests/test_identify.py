@@ -14,9 +14,10 @@ from swigc.identify import (
     Identified,
     NotIdentifiable,
     PartiallyIdentified,
+    arm_payload,
     identify_estimand,
     identify_term,
-    render_trace,
+    trace_lines,
     verdict_code,
 )
 from swigc.model import StudySpec
@@ -116,7 +117,7 @@ class TestIttDerivation:
         ]
 
     def test_trace_lines(self, reports):
-        assert render_trace(reports["itt"].left) == [
+        assert trace_lines(arm_payload(reports["itt"].left)) == [
             "E[Y(a=1)]",
             "E[Y(a=1)|A=1]  (randomization)",
             "E[Y|A=1]       (consistency)",
@@ -151,7 +152,7 @@ class TestRefutation:
         assert blocked.blocked.premise.label() == "Y(a,m) ⊥ M(a) | A"
 
     def test_trace_tail(self, reports):
-        lines = render_trace(reports["hypothetical_unobserved"].left)
+        lines = trace_lines(arm_payload(reports["hypothetical_unobserved"].left))
         assert lines[-1] == "BLOCKED: open backdoor path M(a) <- U -> Y(a,m)"
 
     def test_witness_starts_backdoor(self, reports):
@@ -200,7 +201,7 @@ class TestRefutation:
 
 class TestAdjustedDerivation:
     def test_trace(self, reports):
-        assert render_trace(reports["hypothetical_adjusted"].left) == [
+        assert trace_lines(arm_payload(reports["hypothetical_adjusted"].left)) == [
             "E[Y(a=1,m=0)]",
             "E[Y(a=1,m=0)|A=1]                          (randomization)",
             "Σ_c E[Y(a=1,m=0)|A=1,C=c]·P(C=c)           (stratification over {C})",
@@ -229,7 +230,7 @@ class TestCompositeDerivation:
         assert render(reports["composite"].combined) == "E[U|A=1] - E[U|A=0]"
 
     def test_trace(self, reports):
-        assert render_trace(reports["composite"].left) == [
+        assert trace_lines(arm_payload(reports["composite"].left)) == [
             "E[U(a=1)]",
             "E[U(a=1)|A=1]  (randomization)",
             "E[U|A=1]       (consistency)",
@@ -249,8 +250,8 @@ class TestPrincipalStratum:
         assert [e.label for e in right.cross_world.events] == ["M(a=1)=0"]
 
     def test_trace_tails(self, reports):
-        left_lines = render_trace(reports["principal_stratum"].left)
-        right_lines = render_trace(reports["principal_stratum"].right)
+        left_lines = trace_lines(arm_payload(reports["principal_stratum"].left))
+        right_lines = trace_lines(arm_payload(reports["principal_stratum"].right))
         assert left_lines[-1] == "E[Y|M=0,A=1]            (consistency)"
         assert right_lines[-1] == "REMAINING CROSS-WORLD TERM: E[Y|M(a=1)=0,A=0]"
 
@@ -300,7 +301,7 @@ class TestChronicPain:
 
 class TestTraceLayout:
     def test_justifications_align(self, reports):
-        lines = render_trace(reports["hypothetical_adjusted"].left)
+        lines = trace_lines(arm_payload(reports["hypothetical_adjusted"].left))
         cols = {line.index("(") for line in lines if "(justification" not in line and " (" in line}
         # every justification opens at the same column
         starts = {line.rindex("  (") for line in lines[1:]}

@@ -27,7 +27,6 @@ from swigc.graph import CausalGraph
 from swigc.oracle import (
     PotentialOutcomeTable,
     check_soundness,
-    conditionally_independent,
     data_model,
     enumerate_table,
     eval_formula,
@@ -39,7 +38,7 @@ from swigc.oracle import (
     write_csv,
 )
 
-from conftest import ROOT, load_script, load_study, spec_text
+from conftest import ROOT, conditionally_independent, load_script, load_study, spec_text
 import reference_oracle
 
 

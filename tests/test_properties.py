@@ -26,7 +26,6 @@ from swigc.graph import (
     NodeId,
     _Index,
     build_graph,
-    graph_from_payload,
     graph_to_payload,
     replace,
 )
@@ -46,7 +45,6 @@ from swigc.oracle import (
     _mechanisms,
     _roots_late,
     check_soundness,
-    conditionally_independent,
     data_model,
     enumerate_table,
     eval_formula,
@@ -58,7 +56,14 @@ from swigc.oracle import (
 )
 from swigc.swig import split
 
-from conftest import SPECS, STUDY_FILES, load_study, spec_text
+from conftest import (
+    SPECS,
+    STUDY_FILES,
+    conditionally_independent,
+    graph_from_payload,
+    load_study,
+    spec_text,
+)
 from reference_dsep import best_first_open_paths, open_paths as enumerated_open_paths
 from reference_identify import subset_identify_term
 import reference_dsl
