@@ -33,8 +33,9 @@ printed as MISSING), dsep sets with commas and parentheses, empty,
 overlapping and unknown sets, a witness that opens a collider, and the
 argv values argparse refuses.  Then two specs whose edges close a cycle
 (see ``cycle_specs``) through validate and identify, in text and with
---json, printed as cycles/NAME.  Spec paths are printed relative to the
-checkout, and the output file as OUT.
+--json, printed as cycles/NAME.  Last, a dsep call that asks for no
+witness (see ``limit_cases``), in text and with --json.  Spec paths are
+printed relative to the checkout, and the output file as OUT.
 """
 
 from __future__ import annotations
@@ -285,6 +286,14 @@ def cycle_cases(out: str) -> list[list[str]]:
     ]
 
 
+def limit_cases(out: str) -> list[list[str]]:
+    """dsep --limit 0 on a dense-refute study between M and Y, whose paths
+    are open: no witness is listed, and the query is still checked."""
+    spec = os.path.join(os.path.dirname(out), "families", "dense_refute_k3.swg")
+    query = ["--x", "M", "--y", "Y", "--limit", "0"]
+    return [["dsep", spec, *query], ["dsep", spec, *query, "--json"]]
+
+
 def corpus(out: str) -> list[list[str]]:
     argvs = []
     for spec in sorted(f"specs/{p.name}" for p in (ROOT / "specs").glob("*.swg")):
@@ -296,7 +305,7 @@ def corpus(out: str) -> list[list[str]]:
         argvs.append(["simulate", spec, "--seed", "0", "--csv", out])
     argvs += edge_cases(out) + family_cases(out) + seeds_cases(out) + roots_cases(out)
     argvs += lexer_cases(out) + pair_cases(out) + witness_cases(out) + more_cases(out)
-    return argvs + cycle_cases(out)
+    return argvs + cycle_cases(out) + limit_cases(out)
 
 
 def sha(data: bytes) -> str:

@@ -183,9 +183,12 @@ def open_paths(
     And the search never closes a state, so every prefix is pushed.
     Thus each prefix of an earlier path stays below any later complete
     path on the heap, complete paths leave it in output order, and the
-    search stops at the ``limit``-th.
+    search stops at the ``limit``-th, and at a ``limit`` of 0 before the
+    sweep, once the query is checked.
     """
     _check_sets(graph, query)
+    if limit < 1:
+        return []
     index, moves = _ball(graph, query.z)
     starts = {index.position[n] for n in query.x}
     ends = {index.position[n] for n in query.y}

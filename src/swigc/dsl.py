@@ -711,7 +711,11 @@ def _equation_text(var: str, eq: StructuralEquation) -> str:
 
 
 def serialize(study: StudySpec) -> str:
-    """Canonical text for a declared study; see the module docstring."""
+    """Canonical text for a declared study; see the module docstring.
+
+    The text is written as the study holds it, not checked: a model built
+    in code with a zero noise weight, a missing table entry or an entry
+    for unreachable values serializes to text that parse_study refuses."""
     for node in study.graph.nodes:
         if node.context or node.fixed or study.graph.attrs[node].role == "derived":
             raise SemanticError("only declared studies can be serialized")

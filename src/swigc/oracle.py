@@ -53,11 +53,13 @@ its two arms share.  The guards come in the order the units apply them: a
 missing equation, the cap on the product of the declared noise supports,
 then a missing table entry, reported as the first failure in row order.
 
-No row table is built.  PotentialOutcomeTable.units streams one row per
-unit (noise configuration), and validate_consistency checks each;
-write_csv writes each unit's cells as they come, with the counterfactual
-columns next to the factual ones, as a teaching/debugging view.  No other
-reader reads the units.
+No row table is built.  PotentialOutcomeTable._cells is the one unit
+stream: each unit's (noise configuration's) values at the columns asked
+for, and its weight.  validate_consistency checks each unit; write_csv
+writes each unit's cells as they come, with the counterfactual columns
+next to the factual ones, as a teaching/debugging view; and a missing
+table entry is named by reading units, with no columns, up to the first
+that fails.  No other reader reads the units.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from .identify import EstimandReport, identify_estimand
 from .model import SCMSpec, StructuralEquation, StudySpec
 
 __all__ = [
-    "TableRow",
     "PotentialOutcomeTable",
     "enumerate_table",
     "true_estimand",
@@ -104,33 +105,20 @@ ROW_CAP = 10**6
 
 
 @record
-class TableRow:
-    """One noise configuration: its mass and every (variable, world) value."""
-
-    weight: Fraction
-    values: Mapping[tuple[str, Context], int]
-
-
-@record
 class PotentialOutcomeTable:
-    """A model and its worlds, the observed world () first; ``units``
-    streams the rows, and none is held."""
+    """A model and its worlds, the observed world () first; ``_cells``
+    streams the units, and none is held."""
 
     graph: CausalGraph
     scm: SCMSpec
     contexts: tuple[Context, ...]
 
-    def units(self) -> Iterator[TableRow]:
-        """One row per unit (noise configuration), in row order: the last
-        stochastic variable by name varies fastest.  A missing table entry
-        raises at the first unit, world and node that reads it."""
-        columns = [(n.base, ctx) for ctx in self.contexts for n in self.graph.topological_order()]
-        for cells, weight in self._cells(columns):
-            yield TableRow(weight=weight, values=dict(zip(columns, cells)))
-
     def _cells(self, columns: Sequence[Column]) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """Each unit's values at ``columns``, (variable, world) columns of
-        the table, and its weight, in row order; ``units`` wraps it."""
+        """Each unit's (noise configuration's) values at ``columns``,
+        (variable, world) columns of the table, and its weight, in row
+        order: the last stochastic variable by name varies fastest.  A
+        missing table entry raises at the first unit, world and node that
+        reads it."""
         mechanisms, stochastic = _mechanisms(self.graph, self.scm)
         # A slot per (variable, world) column, world by world in topological
         # order, then one per stochastic variable's noise; ``template``
@@ -272,9 +260,9 @@ def _law(
     try:
         law = _forward(mechanisms, worlds, columns)
     except KeyError:
-        # Some unit misses a table entry; the units, read up to the first
-        # that fails, name it.
-        for _ in PotentialOutcomeTable(graph, scm, tuple(worlds)).units():
+        # Some unit misses a table entry; the units, read with no columns
+        # up to the first that fails, name it.
+        for _ in PotentialOutcomeTable(graph, scm, tuple(worlds))._cells(()):
             pass
         raise
     for var, _ in columns:
@@ -730,13 +718,16 @@ def validate_consistency(table: PotentialOutcomeTable) -> list[str]:
     world's assignments, that world's values must equal the observed ones."""
     problems: list[str] = []
     bases = [n.base for n in table.graph.topological_order()]
-    for i, row in enumerate(table.units(), start=1):
-        for ctx in table.contexts:
-            # a variable the graph lacks has no observed value to match
-            if not ctx or any(row.values.get((v, ())) != x for v, x in ctx):
+    at = {base: j for j, base in enumerate(bases)}
+    # a world that sets a variable the graph lacks has no observed value to match
+    worlds = [ctx for ctx in table.contexts if ctx and all(v in at for v, _ in ctx)]
+    columns = [(base, ctx) for ctx in [(), *worlds] for base in bases]
+    for i, (cells, _) in enumerate(table._cells(columns), start=1):
+        for k, ctx in enumerate(worlds, start=1):
+            if any(cells[at[v]] != x for v, x in ctx):
                 continue
-            for base in bases:
-                got, obs = row.values[(base, ctx)], row.values[(base, ())]
+            for j, base in enumerate(bases):
+                got, obs = cells[k * len(bases) + j], cells[j]
                 if got != obs:
                     problems.append(
                         f"row {i}: {format_term(base, ctx)}={got} but observed {base}={obs}"

@@ -1,8 +1,14 @@
-"""The row-table oracle, kept as the reference for the forward pass.
+"""The row view of the oracle, and the row-table readers kept as the
+reference for the forward pass.
 
-``swigc.oracle`` builds no row table; ``PotentialOutcomeTable.units``
-streams the rows.  The row table lives here only: a reader that scans
-the rows more than once builds ``tuple(table.units())`` once.
+``swigc.oracle`` has no row view: ``PotentialOutcomeTable._cells``
+streams the units' cells for its own readers.  ``units`` here is the
+row view, and it enumerates the units itself, without ``_cells`` or
+``_plan``: every noise configuration, and in every world every node's
+copy evaluated afresh, so the shared copies of the forward pass are
+checked against an enumerator that shares nothing.  No row table is
+held either: a reader that scans the rows more than once builds
+``tuple(units(table))`` once.
 
 ``true_estimand``, ``eval_formula``, ``joint_probability`` and
 ``conditionally_independent`` here are the readers ``swigc.oracle`` used
@@ -29,7 +35,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from swigc.errors import EmptyStratum, OracleError, ZeroProbabilityCondition
 from swigc.estimand import CompiledEstimand, compile_study
@@ -40,7 +46,6 @@ from swigc.model import SCMSpec, StructuralEquation, StudySpec
 from swigc.oracle import (
     PotentialOutcomeTable,
     SoundnessReport,
-    TableRow,
     data_model,
     enumerate_table,
     naive_formula,
@@ -48,11 +53,53 @@ from swigc.oracle import (
 )
 
 
+Row = tuple[Fraction, dict[tuple[str, Context], int]]
+
+
+def units(table: PotentialOutcomeTable) -> Iterator[Row]:
+    """One (weight, values) row per unit, in row order: the noise values of
+    the stochastic variables by name, the last varying fastest, and
+    ``values`` holding every (variable, world) cell.  In each world of the
+    table, each node in topological order is pinned, follows its composite
+    rule or looks its table up; the weight is the product of the noise
+    values' probabilities.  A missing table entry raises at the first
+    unit, then world, then node that reads it."""
+    graph, equations = table.graph, table.scm.equations
+    order = graph.topological_order()
+    stochastic = sorted(n.base for n in order if graph.attr(n).deterministic is None)
+    for picks in product(*(equations[base].noise for base in stochastic)):
+        noise = {base: value for base, (value, _) in zip(stochastic, picks)}
+        weight = Fraction(1)
+        for _, prob in picks:
+            weight *= prob
+        values: dict[tuple[str, Context], int] = {}
+        for ctx in table.contexts:
+            pinned = dict(ctx)
+            for node in order:
+                base, rule = node.base, graph.attr(node).deterministic
+                if base in pinned:
+                    value = pinned[base]
+                elif rule is not None:
+                    guard = values[(rule.guard, ctx)]
+                    value = values[(rule.source, ctx)] if guard == 0 else rule.failure
+                else:
+                    eq = equations[base]
+                    key = tuple(values[(p, ctx)] for p in eq.parents) + (noise[base],)
+                    if key not in eq.table:
+                        raise OracleError(
+                            f"table for {base} has no entry for {key}; the data model"
+                            " does not cover this intervention"
+                        )
+                    value = eq.table[key]
+                values[(base, ctx)] = value
+        yield weight, values
+
+
 def table_law(table: PotentialOutcomeTable, columns: Sequence[tuple[str, Context]]) -> Counter:
     """Exact mass of each joint value of the (variable, world) ``columns``, in one pass."""
     law = Counter()
-    for row in table.units():
-        law[tuple([row.values[c] for c in columns])] += row.weight
+    for weight, values in units(table):
+        law[tuple([values[c] for c in columns])] += weight
     return law
 
 
@@ -67,12 +114,12 @@ def true_estimand(table: PotentialOutcomeTable, mean: Expect) -> Fraction:
         raise OracleError("table was not enumerated for the stratum's world")
     num = Fraction(0)
     den = Fraction(0)
-    for row in table.units():
+    for weight, values in units(table):
         if stratum is not None:
-            if row.values[(stratum.term.var, stratum.term.context)] != stratum.value:
+            if values[(stratum.term.var, stratum.term.context)] != stratum.value:
                 continue
-        den += row.weight
-        num += row.weight * row.values[(mean.term.var, ctx)]
+        den += weight
+        num += weight * values[(mean.term.var, ctx)]
     if den == 0:
         raise EmptyStratum(f"stratum {stratum.label} has probability zero")
     return num / den
@@ -93,7 +140,7 @@ def eval_formula(
     bindings: Mapping[str, int] | None = None,
 ) -> Fraction:
     """Evaluate an observational formula against the observed joint law."""
-    rows = tuple(table.units())
+    rows = tuple(units(table))
 
     def check_observational(term: Term) -> None:
         if term.context:
@@ -110,10 +157,10 @@ def eval_formula(
                 wanted.append((e.term.var, _event_value(e, binds)))
             num = Fraction(0)
             den = Fraction(0)
-            for row in rows:
-                if all(row.values[(v, ())] == x for v, x in wanted):
-                    den += row.weight
-                    num += row.weight * row.values[(f.term.var, ())]
+            for weight, values in rows:
+                if all(values[(v, ())] == x for v, x in wanted):
+                    den += weight
+                    num += weight * values[(f.term.var, ())]
             if den == 0:
                 shown = ",".join(f"{v}={x}" for v, x in wanted)
                 raise ZeroProbabilityCondition(f"conditioning event {shown} has mass zero")
@@ -123,15 +170,15 @@ def eval_formula(
             supports = []
             for var, _ in f.bindings:
                 check_observational(Term(var))
-                supports.append(sorted({row.values[(var, ())] for row in rows}))
+                supports.append(sorted({values[(var, ())] for _, values in rows}))
             for combo in product(*supports):
                 weight = Fraction(0)
-                for row in rows:
+                for w, values in rows:
                     if all(
-                        row.values[(var, ())] == val
+                        values[(var, ())] == val
                         for (var, _), val in zip(f.bindings, combo)
                     ):
-                        weight += row.weight
+                        weight += w
                 if weight == 0:
                     continue
                 inner = dict(binds)
@@ -146,11 +193,11 @@ def eval_formula(
     return ev(formula, dict(bindings or {}))
 
 
-def joint_probability(rows: Sequence[TableRow], assignment: Mapping[str, int]) -> Fraction:
+def joint_probability(rows: Sequence[Row], assignment: Mapping[str, int]) -> Fraction:
     mass = Fraction(0)
-    for row in rows:
-        if all(row.values[(v, ())] == x for v, x in assignment.items()):
-            mass += row.weight
+    for weight, values in rows:
+        if all(values[(v, ())] == x for v, x in assignment.items()):
+            mass += weight
     return mass
 
 
@@ -158,10 +205,10 @@ def conditionally_independent(
     table: PotentialOutcomeTable, x: str, y: str, z: Sequence[str]
 ) -> bool:
     """Exact conditional independence of two variables in the full joint law."""
-    rows = tuple(table.units())
+    rows = tuple(units(table))
 
     def support(var: str) -> list[int]:
-        return sorted({row.values[(var, ())] for row in rows})
+        return sorted({values[(var, ())] for _, values in rows})
 
     for z_combo in product(*(support(v) for v in z)):
         base = dict(zip(z, z_combo))

@@ -722,11 +722,14 @@ def test_cli_sweep_prints_the_same_fingerprints_twice(capsys, monkeypatch):
     # The calls no other part reaches: three accepted batteries and a DAG
     # drawing, three missing entries, one separated and three refused dsep
     # queries, two open colliders and seven argv refusals.
-    cycles = len(script.cycle_cases("OUT"))
-    more = lines[-len(script.more_cases("OUT")) - cycles:-cycles]
+    limits = len(script.limit_cases("OUT"))
+    tail = len(script.cycle_cases("OUT")) + limits
+    more = lines[-len(script.more_cases("OUT")) - tail:-tail]
     assert [line.split()[0] for line in more] == "0 0 0 0 1 1 1 0 2 2 2 3 3 2 2 2 2 2 2 2".split()
     # Every call on a spec whose edges close a cycle is refused (exit 2).
-    assert [line.split()[0] for line in lines[-cycles:]] == ["2"] * 8
+    assert [line.split()[0] for line in lines[-tail:-limits]] == ["2"] * 8
+    # Asking for no witness still answers that the paths are open (exit 3).
+    assert [line.split()[0] for line in lines[-limits:]] == ["3", "3"]
 
 
 def test_a_cycle_is_refused_in_one_error_line(run_cli, tmp_path):

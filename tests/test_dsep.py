@@ -232,3 +232,24 @@ class TestWitnessSearchCost:
         (witness,) = open_paths(g, q(g, ["M"], ["Y"]), limit=1)
         assert path_string(witness) == "M <- U01 -> Y"
         assert len(reads) <= 4
+
+    def test_no_witness_reads_no_neighbour_list(self):
+        """At a limit of 0 the search returns before the sweep and before
+        the start heap: no neighbour list is read anywhere."""
+        g = self.clique()
+        reads = []
+
+        class Counted(list):
+            def __getitem__(self, p):
+                reads.append(p)
+                return list.__getitem__(self, p)
+
+        index = g._index
+        index.parents, index.children = Counted(index.parents), Counted(index.children)
+        assert open_paths(g, q(g, ["M"], ["Y"]), limit=0) == []
+        assert reads == []
+
+    def test_no_witness_still_refuses_overlapping_sets(self):
+        g = self.clique()
+        with pytest.raises(OverlappingSets, match="x and y share nodes: M"):
+            open_paths(g, q(g, ["M"], ["M", "Y"]), limit=0)

@@ -111,14 +111,14 @@ class TestTableMechanics:
         study = load_study("composite.swg")
         compiled = compile_study(study)
         table = enumerate_table(compiled.graph, study.scm)
-        for row in table.units():
-            y, m = row.values[("Y", ())], row.values[("M", ())]
-            assert row.values[("U", ())] == (y if m == 0 else 0)
+        for _, values in reference_oracle.units(table):
+            y, m = values[("Y", ())], values[("M", ())]
+            assert values[("U", ())] == (y if m == 0 else 0)
 
     def test_weights_sum_to_one(self):
         study = load_study("hypothetical_adjusted.swg")
         table = enumerate_table(study.graph, study.scm)
-        assert sum(row.weight for row in table.units()) == 1
+        assert sum(weight for weight, _ in reference_oracle.units(table)) == 1
 
     def test_consistency_holds_on_own_models(self):
         study = load_study("itt.swg")
@@ -128,6 +128,29 @@ class TestTableMechanics:
             contexts=[compiled.arm_context(1), compiled.arm_context(0)],
         )
         assert validate_consistency(table) == []
+
+    def test_an_inconsistent_unit_is_reported(self, monkeypatch):
+        # No model swigc builds is inconsistent, so the stream is made so:
+        # in the first unit whose observed A is 1 (unit 5), Y(a=1) is
+        # flipped from the observed Y.  Only that cell is reported, and the
+        # world A=0 never matches that unit.
+        study = load_study("itt.swg")
+        compiled = compile_study(study)
+        treated = compiled.arm_context(1)
+        table = enumerate_table(compiled.graph, study.scm, [treated, compiled.arm_context(0)])
+        cells = PotentialOutcomeTable._cells
+
+        def flipped(table, columns):
+            a, y = columns.index(("A", ())), columns.index(("Y", treated))
+            done = False
+            for values, weight in cells(table, columns):
+                if not done and values[a] == 1:
+                    values = values[:y] + (1 - values[y],) + values[y + 1:]
+                    done = True
+                yield values, weight
+
+        monkeypatch.setattr(PotentialOutcomeTable, "_cells", flipped)
+        assert validate_consistency(table) == ["row 5: Y(a=1)=0 but observed Y=1"]
 
     @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
     def test_csv_export_is_frozen(self, name):
@@ -369,14 +392,14 @@ class TestOnePass:
         study = load_study("chronic_pain.swg")
         compiled = compile_study(study)
         scans = 0
-        units = PotentialOutcomeTable.units
+        cells = PotentialOutcomeTable._cells
 
-        def counted(table):
+        def counted(table, columns):
             nonlocal scans
             scans += 1
-            return units(table)
+            return cells(table, columns)
 
-        monkeypatch.setattr(PotentialOutcomeTable, "units", counted)
+        monkeypatch.setattr(PotentialOutcomeTable, "_cells", counted)
         table = enumerate_table(compiled.graph, random_scm(compiled.graph, 3), compiled.worlds())
         combined = identify_estimand(study, compiled).combined
         assert render(combined).startswith("Σ_c E[Y|A=1,C=c,M3=0,M4=0]·P(C=c)")
