@@ -30,6 +30,11 @@ noise is summed out at its node and no unit is ever built whole:
   observed world and in each world that reaches it: a pinned value, the
   composite rule, or a table lookup.  A shared copy's lookup is the
   observed one, so a missing entry is still met.
+- A stochastic root that no world pins, no reader asks for and only one
+  node reads is never a column: it is summed out at that node, its only
+  bucket.  The node's noise runs over each combination of its summed
+  roots' values (roots in plan order), then over its own noise, with the
+  weights multiplied, so the states never hold the root.
 - Each column that no later node reads, no query wants and no
   consistency check needs is then dropped, which merges the states that
   differed only there.
@@ -216,14 +221,16 @@ def enumerate_table(
 @record
 class _Law:
     """Integer masses of the joint values of the law's columns over one
-    shared ``denominator``, and whether every consistency check held.
-    ``positions`` gives each column's position in a key; copies that share
-    a column share its position."""
+    shared ``denominator``, whether every consistency check held, and the
+    ``widest`` state count any step of the pass held.  ``positions`` gives
+    each column's position in a key; copies that share a column share its
+    position."""
 
     positions: Mapping[Column, int]
     masses: Mapping[tuple[int, ...], int]
     denominator: int
     consistent: bool
+    widest: int
 
     def given(self, columns: Sequence[Column], at: Column | None = None) -> Cells:
         """(mass, sum of mass times the value at ``at``, 0 without it) for
@@ -342,6 +349,7 @@ def _forward(
     pins: list[list[tuple[Context, int]]] = [[] for _ in mechanisms]
     reads: list[list[tuple[Context, list[Column]]]] = [[] for _ in mechanisms]
     checks: list[dict[Context, list[str]]] = [{} for _ in mechanisms]
+    first: dict[Column, int] = {}  # the first step that reads each column
     for i, ctx, value, inputs in copies:
         if value is not None:
             pins[i].append((ctx, value))
@@ -349,6 +357,7 @@ def _forward(
         reads[i].append((ctx, inputs))
         for column in inputs:
             need(column, i)
+            first.setdefault(column, i)
         if ctx and all(v in step for v, _ in ctx):
             base = mechanisms[i][0]
             at = max(i, *(step[v] for v, _ in ctx))
@@ -356,20 +365,35 @@ def _forward(
             for column in ((base, ctx), (base, ()), *((v, ()) for v, _ in ctx)):
                 need(column, at + 1)
 
+    # A stochastic root that no world pins and that only its first reader
+    # needs (no other step reads it, no caller asks for it) is summed out in
+    # that reader's step, its only bucket, and never becomes a column: the
+    # reader's noise runs over the roots' values, then its own noise.
+    roots: list[list[Mechanism]] = [[] for _ in mechanisms]
+    summed: set[int] = set()
+    for j, (base, rule, eq) in enumerate(mechanisms):
+        reader = first.get((base, ()), -1)
+        if rule is None and not eq.parents and not pins[j] and last.get((base, ())) == reader:
+            roots[reader].append((base, rule, eq))
+            summed.add(j)
+
     live: list[Column] = []
     at: dict[Column, int] = {}  # the position of each live column in a state's key
     states: dict[tuple[int, ...], int] = {(): 1}
     denominator = 1
+    widest = 1
     consistent = True
     for i, (base, rule, eq) in enumerate(mechanisms):
-        if rule is None:
-            scale = lcm(*(p.denominator for _, p in eq.noise))
-            weights = [p.numerator * (scale // p.denominator) for _, p in eq.noise]
-            denominator *= scale
-        else:
-            weights = [1]
+        if i in summed:
+            continue
+        scale, weights = _scaled(eq) if rule is None else (1, [1])
+        denominator *= scale
         outcomes = _outcomes(rule, eq)
-        picks = [_getter([at[c] for c in inputs]) for _, inputs in reads[i]]
+        eliminated = {(b, ()) for b, _, _ in roots[i]}
+        if eliminated:
+            outcomes, weights, scale = _summed(roots[i], reads[i][0][1], outcomes, weights)
+            denominator *= scale
+        picks = [_getter([at[c] for c in inputs if c not in eliminated]) for _, inputs in reads[i]]
         grown = live + [(base, ctx) for ctx, _ in reads[i]] + [(base, ctx) for ctx, _ in pins[i]]
         fixed = tuple(x for _, x in pins[i])
         kept = [j for j, c in enumerate(grown) if last.get(c, -1) > i]
@@ -388,18 +412,51 @@ def _forward(
                 cell = keep(key + new + fixed)
                 nxt[cell] = nxt.get(cell, 0) + mass * weight
         states = nxt
+        widest = max(widest, len(states))
         live = [grown[j] for j in kept]
         at = {c: j for j, c in enumerate(live)}
         for ctx, bases in checks[i].items():
             held = _getter([at[(v, ())] for v, _ in ctx])
             values = tuple(x for _, x in ctx)
-            copies = _getter([at[(b, ctx)] for b in bases])
+            evaluated = _getter([at[(b, ctx)] for b in bases])
             observed = _getter([at[(b, ())] for b in bases])
             consistent = consistent and all(
-                held(key) != values or copies(key) == observed(key) for key in states
+                held(key) != values or evaluated(key) == observed(key) for key in states
             )
     positions = {**at, **{c: at[alias[c]] for c in columns if c in alias}}
-    return _Law(positions, states, denominator, consistent)
+    return _Law(positions, states, denominator, consistent, widest)
+
+
+def _scaled(eq: StructuralEquation) -> tuple[int, list[int]]:
+    """The lcm of the noise denominators, and each noise weight over it."""
+    scale = lcm(*(p.denominator for _, p in eq.noise))
+    return scale, [p.numerator * (scale // p.denominator) for _, p in eq.noise]
+
+
+def _summed(
+    roots: list[Mechanism],
+    inputs: list[Column],
+    outcomes: Callable[[tuple[int, ...]], tuple[int, ...]],
+    weights: list[int],
+) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], list[int], int]:
+    """A reader's outcomes, weights and extra denominator with ``roots``
+    summed out at it: the noise runs over each combination of the roots'
+    values (noise order, roots in plan order), then over the reader's own
+    noise.  ``inputs`` are the columns the reader's parents hold, the
+    roots' among them; the outcomes take the other parents' values."""
+    held = [(b, ()) for b, _, _ in roots]
+    # the parents' values in ``inputs`` order, from the other parents'
+    # values followed by a combination of the roots' values
+    order = [k for k, c in enumerate(inputs) if c not in held] + [inputs.index(c) for c in held]
+    rebuild = _getter(sorted(range(len(order)), key=order.__getitem__))
+    combos = list(product(*([eq.table[(v,)] for v, _ in eq.noise] for _, _, eq in roots)))
+    scaled = [_scaled(eq) for _, _, eq in roots]
+
+    def summed(parents: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([x for combo in combos for x in outcomes(rebuild(parents + combo))])
+
+    combined = [prod(ws) * w for ws in product(*(ws for _, ws in scaled)) for w in weights]
+    return summed, combined, prod(scale for scale, _ in scaled)
 
 
 def _outcomes(
@@ -445,7 +502,7 @@ def _read(
             raise EmptyStratum(f"stratum {stratum} has probability zero")
         values.append(Fraction(total, mass))
     positions = {c: i for i, c in enumerate(observed)}
-    return _Law(positions, masses, law.denominator, law.consistent), values
+    return _Law(positions, masses, law.denominator, law.consistent, law.widest), values
 
 
 def true_estimand(table: PotentialOutcomeTable, mean: Expect) -> Fraction:

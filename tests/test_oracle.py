@@ -2,11 +2,13 @@
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -21,9 +23,9 @@ from swigc import oracle
 from swigc.dsl import parse_study
 from swigc.estimand import compile_study
 from swigc.identify import identify_estimand
-from swigc.model import SCMSpec
+from swigc.model import SCMSpec, StructuralEquation
 from swigc.formula import Difference, Event, Expect, SumOver, Term, render, terms
-from swigc.graph import CausalGraph
+from swigc.graph import CausalGraph, CompositeRule, NodeAttrs, build_graph
 from swigc.oracle import (
     PotentialOutcomeTable,
     check_soundness,
@@ -541,6 +543,145 @@ class TestSharedCopies:
                 assert dict(w)[event] == 0
                 assert aliases[(event, w)] == (event, w)
                 assert law.given([(event, w)]).keys() == {(0,)}
+
+
+def _model(*equations):
+    """An SCMSpec from (base, parents, their supports, noise weights over
+    their sum, outcome per table key)."""
+    return SCMSpec({
+        base: StructuralEquation(
+            parents,
+            tuple((v, F(w, sum(weights))) for v, w in enumerate(weights)),
+            {key: outcome(*key) for key in product(*supports, range(len(weights)))},
+        )
+        for base, parents, supports, weights, outcome in equations
+    })
+
+
+class TestSummedRoots:
+    """A stochastic root that no world pins, no reader asks for and one
+    node reads is summed out at that node and never becomes a column; the
+    law is the row scan's all the same."""
+
+    @pytest.fixture
+    def summed(self, monkeypatch):
+        """The bases summed out at each reader that sums any, in pass order."""
+        seen = []
+        real = oracle._summed
+
+        def spy(roots, *rest):
+            seen.append([base for base, _, _ in roots])
+            return real(roots, *rest)
+
+        monkeypatch.setattr(oracle, "_summed", spy)
+        return seen
+
+    @staticmethod
+    def assert_row_law(graph, scm, worlds, columns):
+        law = oracle._law(graph, scm, worlds, columns)
+        table = PotentialOutcomeTable(graph, scm, ((), *worlds))
+        got = {key: F(mass, law.denominator) for key, (mass, _) in law.given(columns).items()}
+        assert got == dict(reference_oracle.table_law(table, columns))
+        return law
+
+    @pytest.mark.parametrize(
+        "case, widest", [(("row_scaling", 56), 1412), (("chronic_pain", None), 88)]
+    )
+    def test_widest_state_count(self, monkeypatch, case, widest):
+        # row_scaling's 56-valued N was a column for one step: 2,016 states.
+        laws = []
+        law = oracle._law
+        monkeypatch.setattr(oracle, "_law", lambda *args: laws.append(law(*args)) or laws[-1])
+        _, text = load_script("oracle_scaling").case(*case)
+        assert check_soundness(parse_study(text), seed=0).sound
+        assert [law.widest for law in laws] == [widest]
+
+    def test_pinned_asked_and_shared_roots_stay_columns(self, summed):
+        # P is pinned by the world, Q is asked for, T has two readers: each
+        # is a column.  A (read by X only) and S (read by Y only) are summed.
+        # The world pins P's one reader too, so no consistency check keeps
+        # P's observed column; only its pin does.
+        graph = build_graph(
+            [("A", None), ("P", None), ("Q", NodeAttrs(values=(0, 1, 2))), ("T", None),
+             ("S", NodeAttrs(observed=False, values=(0, 1, 2))), ("X", None), ("Y", None)],
+            [("A", "X"), ("T", "X"), ("X", "Y"), ("P", "Y"), ("Q", "Y"), ("T", "Y"), ("S", "Y")],
+        )
+        world = (("P", 1), ("Y", 0))
+        columns = [("Y", ()), ("P", world), ("Q", ())]
+        law = self.assert_row_law(graph, random_scm(graph, 5), [world], columns)
+        assert summed == [["A"], ["S"]]
+        assert law.consistent
+
+    def test_composite_reader_sums_its_guard(self, summed):
+        rule = CompositeRule(source="S", guard="G", failure=0)
+        graph = build_graph(
+            [("A", NodeAttrs(role="treatment")), ("G", None), ("S", None),
+             ("D", NodeAttrs(role="derived", deterministic=rule))],
+            [("A", "S"), ("S", "D"), ("G", "D")],
+        )
+        world = (("A", 1),)
+        columns = [("D", ()), ("D", world), ("S", world)]
+        self.assert_row_law(graph, random_scm(graph, 2), [world], columns)
+        assert summed == [["G"]]
+
+    def test_zero_weight_root_value_keeps_its_states(self, summed):
+        # R = 0 has weight zero, and only there is Y = 2: the key stays,
+        # with mass zero.
+        scm = _model(
+            ("A", (), (), (1, 1), lambda u: u),
+            ("R", (), (), (0, 1, 1), lambda u: u),
+            ("Y", ("A", "R"), ((0, 1), (0, 1, 2)), (1, 3), lambda a, r, u: 2 if r == 0 else a),
+        )
+        graph = build_graph(
+            [("A", None), ("R", NodeAttrs(values=(0, 1, 2))), ("Y", NodeAttrs(values=(0, 1, 2)))],
+            [("A", "Y"), ("R", "Y")],
+        )
+        law = self.assert_row_law(graph, scm, [], [("Y", ())])
+        assert summed == [["A", "R"]]
+        assert law.given([("Y", ())]) == {(0,): (8, 0), (1,): (8, 0), (2,): (0, 0)}
+
+    def test_entry_missing_at_one_root_value_is_named(self, summed):
+        scm = _model(
+            ("A", (), (), (1, 1), lambda u: u),
+            ("R", (), (), (1, 1, 1), lambda u: u),
+            ("Y", ("A", "R"), ((0, 1), (0, 1, 2)), (1, 1), lambda a, r, u: (a + r + u) % 2),
+        )
+        del scm.equations["Y"].table[(1, 2, 0)]
+        graph = build_graph(
+            [("A", None), ("R", NodeAttrs(values=(0, 1, 2))), ("Y", None)],
+            [("A", "Y"), ("R", "Y")],
+        )
+        message = (
+            "table for Y has no entry for (1, 2, 0); the data model"
+            " does not cover this intervention"
+        )
+        table = PotentialOutcomeTable(graph, scm, ((),))
+        with pytest.raises(OracleError) as expected:
+            reference_oracle.table_law(table, [("Y", ())])
+        with pytest.raises(OracleError) as raised:
+            oracle._law(graph, scm, [], [("Y", ())])
+        assert str(raised.value) == str(expected.value) == message
+        assert summed == [["A", "R"]]
+
+    def test_scaling_script_times_the_smallest_row_study(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_oracle_scaling.json"
+        argv = ["--runs", "2", "--case", "row_scaling:56", "--out", str(out)]
+        assert load_script("oracle_scaling").main(argv) == 0
+        line = capsys.readouterr().out
+        assert out.read_text() == line
+        result = json.loads(line)
+        assert (result["bench"], result["runs"]) == ("oracle_scaling", 2)
+        timing = result["check_soundness_ms"]["row_scaling(56)"]
+        assert list(result["check_soundness_ms"]) == ["row_scaling(56)"]
+        assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]
+        assert result["widest"] == {"row_scaling(56)": 1412}
+        _, text = load_script("oracle_scaling").case("row_scaling", 56)
+        report = check_soundness(parse_study(text), seed=0)
+        assert result["values"]["row_scaling(56)"] == {
+            "true": str(report.true_value),
+            "formula": str(report.formula_value),
+            "naive": str(report.naive_value),
+        }
 
 
 class _LineCounter:

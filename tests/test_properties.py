@@ -913,6 +913,49 @@ def test_forward_law_matches_the_row_scan(data):
     assert _value_or_message(forward, columns) == _value_or_message(rows, columns)
 
 
+@st.composite
+def rooted_graphs(draw):
+    """An oracle graph with one to three extra latent roots R0.. of 2-5
+    values, each read by one or two of its nodes."""
+    graph = draw(oracle_graphs())
+    names = sorted(n.base for n in graph.nodes)
+    nodes = [(n.base, graph.attr(n)) for n in graph.nodes]
+    edges = [(p.base, n.base) for n in graph.nodes for p in graph.parents(n)]
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        values = tuple(range(draw(st.integers(min_value=2, max_value=5))))
+        nodes.append((f"R{i}", NodeAttrs(observed=False, values=values)))
+        readers = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+        edges += [(f"R{i}", reader) for reader in readers]
+    return build_graph(nodes, edges)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_summed_roots_keep_the_row_scan_law(data):
+    """With extra latent roots, those that one node reads and no world pins
+    or column asks for summed out at that node, the forward law grouped by
+    random columns has the row scan's keys, zero-mass keys included, and
+    masses, and it raises the row enumerator's error for a missing entry."""
+    graph = data.draw(rooted_graphs())
+    scm = data.draw(exact_models(graph))
+    names = sorted(n.base for n in graph.nodes)
+    contexts = data.draw(interventions(names))
+    column = st.tuples(st.sampled_from(names), st.sampled_from([(), *contexts]))
+    columns = data.draw(st.lists(column, max_size=4))
+
+    def rows():
+        table = PotentialOutcomeTable(graph, scm, ((), *contexts))
+        return dict(reference_oracle.table_law(table, columns))
+
+    def forward():
+        law = _law(graph, scm, contexts, columns)
+        assert law.consistent
+        cells = law.given(columns)
+        return {key: Fraction(mass, law.denominator) for key, (mass, _) in cells.items()}
+
+    assert _value_or_message(forward) == _value_or_message(rows)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_unreached_copies_share_the_observed_column(data):
