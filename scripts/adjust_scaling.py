@@ -13,12 +13,11 @@ outcome, with an edge between every two of them, leave it unidentified
 (k = 125, 250 and 500; the last has 125,753 edges).  ``--case
 FAMILY:SIZE`` picks cases, once per case; the default is all ten.
 
-Starts fresh Python processes one after another, never two at once: one
-per case and run.  Each child reads the sources under ``DIR/src`` (default:
-this checkout), parses the spec from its stdin and times one
-``identify_estimand`` call in process.  What each arm reports is checked
-against what the case was built to give: the adjustment set, or the
-witness through the least latent label.
+Runs each case in fresh Python processes through ``scaling_harness.py``:
+the child parses the spec and times one ``identify_estimand`` call in
+process.  What each arm reports is checked against what the case was
+built to give: the adjustment set, or the witness through the least
+latent label.
 
 Prints one JSON line: per case, the median and quartiles of the identify
 time in milliseconds; ``--out`` writes the same line to a file.  Run it on
@@ -28,15 +27,12 @@ two checkouts to compare them, alternating if the machine's speed drifts.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import scaling_harness  # noqa: E402
+
 SIZES = {
     "adjust_chain": (12, 100, 500, 2000),
     "sparse_chain": (1000, 4000, 40000),
@@ -104,30 +100,25 @@ def dense_refute(k: int) -> str:
 
 
 def case(family: str, size: int) -> tuple[str, str]:
-    """A case's spec text and what each arm must report: its
-    stratification step, or its witness."""
+    """A case's name and spec text."""
+    build = {"adjust_chain": adjust_chain, "sparse_chain": sparse_chain}.get(family, dense_refute)
+    return f"{family}({size})", build(size)
+
+
+def check(key: tuple[str, int], arms: list[str]) -> dict:
+    """Nothing to report once each arm gave what the case was built to
+    give: its stratification step, or its witness."""
+    family, size = key
     if family == "adjust_chain":
         chosen = sorted(f"C{i:02d}" for i in range(1, size + 1))
-        return adjust_chain(size), f"stratification over {{{', '.join(chosen)}}}"
-    if family == "dense_refute":
-        return dense_refute(size), "M(a) <- U001 -> Y(a,m)"
-    return sparse_chain(size), "stratification over {C0}"
-
-
-def _summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
-
-
-def _time(text: str, expected: str, env: dict, cwd: Path) -> float:
-    argv = [sys.executable, "-c", CHILD]
-    done = subprocess.run(argv, input=text, env=env, cwd=cwd, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.exit(f"error: the identify child exited {done.returncode}:\n{done.stderr}")
-    ms, *arms = done.stdout.splitlines()
+        expected = f"stratification over {{{', '.join(chosen)}}}"
+    elif family == "dense_refute":
+        expected = "M(a) <- U001 -> Y(a,m)"
+    else:
+        expected = "stratification over {C0}"
     if arms != [expected, expected]:
-        sys.exit(f"error: expected {expected!r} in both arms, got {arms!r}")
-    return float(ms)
+        raise ValueError(f"expected {expected!r} in both arms, got {arms!r}")
+    return {}
 
 
 def _case_name(text: str) -> tuple[str, int]:
@@ -138,39 +129,18 @@ def _case_name(text: str) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--runs", type=int, default=5, help="runs per case (default 5)")
-    p.add_argument("--case", type=_case_name, action="append", dest="cases",
-                   metavar="FAMILY:SIZE", help="a case to time (default: all ten)")
-    p.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is measured")
-    p.add_argument("--out", type=Path, help="also write the JSON line to this file")
-    args = p.parse_args(argv)
-    if args.runs < 2:
-        p.error("--runs must be at least 2")
-    root = args.root.resolve()
-    if not (root / "src" / "swigc" / "__init__.py").is_file():
-        p.error(f"no swigc sources under {root / 'src'}")
-    cases = args.cases or [(family, size) for family, sizes in SIZES.items() for size in sizes]
-
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    timings = {}
-    for family, size in cases:
-        text, expected = case(family, size)
-        samples = [_time(text, expected, env, root) for _ in range(args.runs)]
-        timings[f"{family}({size})"] = _summary(samples)
-
-    line = json.dumps(
-        {
-            "bench": "adjust_scaling",
-            "python": platform.python_version(),
-            "runs": args.runs,
-            "identify_ms": timings,
-        }
+    return scaling_harness.main(
+        argv,
+        __doc__,
+        bench="adjust_scaling",
+        timed="identify_ms",
+        child=CHILD,
+        cases=[(family, size) for family, sizes in SIZES.items() for size in sizes],
+        parse_case=_case_name,
+        metavar="FAMILY:SIZE",
+        case=case,
+        check=check,
     )
-    print(line)
-    if args.out is not None:
-        args.out.write_text(line + "\n")
-    return 0
 
 
 if __name__ == "__main__":

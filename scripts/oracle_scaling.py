@@ -12,13 +12,12 @@ root that nothing else reads (K = 4; ``scripts/cli_sweep.py``); and
 ``chronic_pain``, the bundled spec.  ``--case`` picks cases, once per
 case; the default is all six.
 
-Starts fresh Python processes one after another, never two at once: one
-per case and run.  Each child reads the sources under ``DIR/src`` (default:
-this checkout), parses the spec from its stdin and times one
-``check_soundness(study, seed=0)`` call in process.  It also reports the
-widest state count of the oracle's forward pass (null from a checkout whose
-law does not record it) and the report's exact values, which must be the
-same in every run of a case and must be sound.
+Runs each case in fresh Python processes through ``scaling_harness.py``:
+the child parses the spec and times one ``check_soundness(study, seed=0)``
+call in process.  It also reports the widest state count of the oracle's
+forward pass (null from a checkout whose law does not record it) and the
+report's exact values, which must be the same in every run of a case and
+must be sound.
 
 Prints one JSON line: per case, the median and quartiles of the check's
 time in milliseconds, the widest state count and the exact values;
@@ -32,14 +31,13 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import scaling_harness  # noqa: E402
+
+ROOT = scaling_harness.ROOT
 SIZES = {"row_scaling": (56, 448, 3500, 6944), "roots_chain": (4,), "chronic_pain": (None,)}
 
 CHILD = (
@@ -84,18 +82,13 @@ def case(family: str, size: int | None) -> tuple[str, str]:
     return family, (ROOT / "specs" / f"{family}.swg").read_text(encoding="utf-8")
 
 
-def _summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
-
-
-def _run(text: str, env: dict, cwd: Path) -> tuple[float, dict]:
-    argv = [sys.executable, "-c", CHILD]
-    done = subprocess.run(argv, input=text, env=env, cwd=cwd, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.exit(f"error: the oracle child exited {done.returncode}:\n{done.stderr}")
-    ms, result = done.stdout.splitlines()
-    return float(ms), json.loads(result)
+def check(key: tuple[str, int | None], lines: list[str]) -> dict:
+    """The widest state count and the exact values of a sound report."""
+    (line,) = lines
+    found = json.loads(line)
+    if not found.pop("sound"):
+        raise ValueError(f"an unsound report: {found}")
+    return {"widest": found.pop("widest"), "values": found}
 
 
 def _case_name(text: str) -> tuple[str, int | None]:
@@ -110,47 +103,18 @@ def _case_name(text: str) -> tuple[str, int | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--runs", type=int, default=5, help="runs per case (default 5)")
-    p.add_argument("--case", type=_case_name, action="append", dest="cases",
-                   metavar="FAMILY[:SIZE]", help="a case to time (default: all six)")
-    p.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is measured")
-    p.add_argument("--out", type=Path, help="also write the JSON line to this file")
-    args = p.parse_args(argv)
-    if args.runs < 2:
-        p.error("--runs must be at least 2")
-    root = args.root.resolve()
-    if not (root / "src" / "swigc" / "__init__.py").is_file():
-        p.error(f"no swigc sources under {root / 'src'}")
-    cases = args.cases or [(family, size) for family, sizes in SIZES.items() for size in sizes]
-
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    timings, widest, values = {}, {}, {}
-    for family, size in cases:
-        name, text = case(family, size)
-        runs = [_run(text, env, root) for _ in range(args.runs)]
-        results = {json.dumps(result, sort_keys=True) for _, result in runs}
-        result = runs[0][1]
-        if len(results) > 1 or not result.pop("sound"):
-            sys.exit(f"error: {name} gave an unsound or varying report: {sorted(results)}")
-        timings[name] = _summary([ms for ms, _ in runs])
-        widest[name] = result.pop("widest")
-        values[name] = result
-
-    line = json.dumps(
-        {
-            "bench": "oracle_scaling",
-            "python": platform.python_version(),
-            "runs": args.runs,
-            "check_soundness_ms": timings,
-            "widest": widest,
-            "values": values,
-        }
+    return scaling_harness.main(
+        argv,
+        __doc__,
+        bench="oracle_scaling",
+        timed="check_soundness_ms",
+        child=CHILD,
+        cases=[(family, size) for family, sizes in SIZES.items() for size in sizes],
+        parse_case=_case_name,
+        metavar="FAMILY[:SIZE]",
+        case=case,
+        check=check,
     )
-    print(line)
-    if args.out is not None:
-        args.out.write_text(line + "\n")
-    return 0
 
 
 if __name__ == "__main__":

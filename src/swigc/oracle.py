@@ -387,13 +387,11 @@ def _forward(
         if i in summed:
             continue
         scale, weights = _scaled(eq) if rule is None else (1, [1])
-        denominator *= scale
         outcomes = _outcomes(rule, eq)
-        eliminated = {(b, ()) for b, _, _ in roots[i]}
-        if eliminated:
-            outcomes, weights, scale = _summed(roots[i], reads[i][0][1], outcomes, weights)
-            denominator *= scale
-        picks = [_getter([at[c] for c in inputs if c not in eliminated]) for _, inputs in reads[i]]
+        if roots[i]:
+            outcomes, weights, scale, reads[i] = _summed(roots[i], reads[i], outcomes, weights, scale)
+        denominator *= scale
+        picks = [_getter([at[c] for c in inputs]) for _, inputs in reads[i]]
         grown = live + [(base, ctx) for ctx, _ in reads[i]] + [(base, ctx) for ctx, _ in pins[i]]
         fixed = tuple(x for _, x in pins[i])
         kept = [j for j, c in enumerate(grown) if last.get(c, -1) > i]
@@ -435,16 +433,21 @@ def _scaled(eq: StructuralEquation) -> tuple[int, list[int]]:
 
 def _summed(
     roots: list[Mechanism],
-    inputs: list[Column],
+    reads: list[tuple[Context, list[Column]]],
     outcomes: Callable[[tuple[int, ...]], tuple[int, ...]],
     weights: list[int],
-) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], list[int], int]:
-    """A reader's outcomes, weights and extra denominator with ``roots``
-    summed out at it: the noise runs over each combination of the roots'
-    values (noise order, roots in plan order), then over the reader's own
-    noise.  ``inputs`` are the columns the reader's parents hold, the
-    roots' among them; the outcomes take the other parents' values."""
+    scale: int,
+) -> tuple[
+    Callable[[tuple[int, ...]], tuple[int, ...]], list[int], int, list[tuple[Context, list[Column]]]
+]:
+    """A reader's outcomes, weights, scale and reads with ``roots`` summed
+    out at it: the noise runs over each combination of the roots' values
+    (noise order, roots in plan order), then over the reader's own noise,
+    and the scale takes in the roots' lcms.  Every world's read holds the
+    roots' columns in the same places; the returned reads leave them out,
+    and the outcomes take the other parents' values."""
     held = [(b, ()) for b, _, _ in roots]
+    inputs = reads[0][1]
     # the parents' values in ``inputs`` order, from the other parents'
     # values followed by a combination of the roots' values
     order = [k for k, c in enumerate(inputs) if c not in held] + [inputs.index(c) for c in held]
@@ -456,7 +459,9 @@ def _summed(
         return tuple([x for combo in combos for x in outcomes(rebuild(parents + combo))])
 
     combined = [prod(ws) * w for ws in product(*(ws for _, ws in scaled)) for w in weights]
-    return summed, combined, prod(scale for scale, _ in scaled)
+    scale *= prod(s for s, _ in scaled)
+    kept = [(ctx, [c for c in inputs if c not in held]) for ctx, inputs in reads]
+    return summed, combined, scale, kept
 
 
 def _outcomes(
