@@ -13,15 +13,18 @@ outcome, with an edge between every two of them, leave it unidentified
 (k = 125, 250 and 500; the last has 125,753 edges).  ``--case
 FAMILY:SIZE`` picks cases, once per case; the default is all ten.
 
-Runs each case in fresh Python processes through ``scaling_harness.py``:
-the child parses the spec and times one ``identify_estimand`` call in
-process.  What each arm reports is checked against what the case was
-built to give: the adjustment set, or the witness through the least
-latent label.
+Runs each case in fresh Python processes through ``scaling_harness.py``.
+The child times, in process, three layers: one ``parse_study`` of the
+spec, one ``study_swig`` of the compiled study (the split graph that
+identify starts from), and one ``identify_estimand`` of the parsed study.
+Each time is the least of three warm calls after an untimed first one.
+What each arm reports is checked against what the case was built to
+give: the adjustment set, or the witness through the least latent label.
 
-Prints one JSON line: per case, the median and quartiles of the identify
-time in milliseconds; ``--out`` writes the same line to a file.  Run it on
-two checkouts to compare them, alternating if the machine's speed drifts.
+Prints one JSON line: per case, the median and quartiles of each layer's
+time in milliseconds (``parse_ms``, ``split_ms`` and ``identify_ms``);
+``--out`` writes the same line to a file.  Run it on two checkouts to
+compare them, alternating if the machine's speed drifts.
 """
 
 from __future__ import annotations
@@ -40,14 +43,16 @@ SIZES = {
 }
 
 CHILD = (
-    "import sys, time\n"
+    "import sys\n"
     "from swigc.dsl import parse_study\n"
+    "from swigc.estimand import compile_study, study_swig\n"
     "from swigc.identify import identify_estimand\n"
-    "study = parse_study(sys.stdin.read())\n"
-    "start = time.perf_counter()\n"
-    "report = identify_estimand(study)\n"
-    "elapsed = time.perf_counter() - start\n"
-    "print(elapsed * 1e3)\n"
+    "text = sys.stdin.read()\n"
+    "study, parse_ms = least(lambda: parse_study(text))\n"
+    "compiled = compile_study(study)\n"
+    "_, split_ms = least(lambda: study_swig(compiled))\n"
+    "report, identify_ms = least(lambda: identify_estimand(study))\n"
+    "print(parse_ms, split_ms, identify_ms, sep='\\n')\n"
     "for arm in (report.left, report.right):\n"
     "    if arm.status == 'blocked':\n"
     "        print(arm.blocked.witness_label)\n"
@@ -133,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         argv,
         __doc__,
         bench="adjust_scaling",
-        timed="identify_ms",
+        timed=("parse_ms", "split_ms", "identify_ms"),
         child=CHILD,
         cases=[(family, size) for family, sizes in SIZES.items() for size in sizes],
         parse_case=_case_name,

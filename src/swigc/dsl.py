@@ -452,6 +452,7 @@ def _assemble(
                 raise CycleError([src, dst])
             parents[position[ids[dst]]].append(position[ids[src]])
         graph = CausalGraph._checked(attrs, parents, graph_nodes, position, ids)
+        graph.topological_order()
     except CycleError as e:
         raise SemanticError(str(e)) from e
 

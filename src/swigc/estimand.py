@@ -87,7 +87,7 @@ def _fold_composite(
         values=tuple(sorted(set(outcome_values) | {strat.failure})),
     )
     # The new node is a sink with a fresh name and valid attributes, so the
-    # graph is built from checked parts.
+    # graph is built from checked parts, and a sink closes no cycle.
     new = NodeId(name)
     nodes, position, labels = _ordered([*graph.nodes, new])
     ends = {position[graph.node(event)], position[graph.node(outcome)]}

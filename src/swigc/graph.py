@@ -31,9 +31,14 @@ and every map entry is a node.
 
 The constructor checks its parts, then builds.  A graph made from parts
 that already passed some of those checks skips them and calls the same
-build, which still refuses a shared base and a cycle: the split graph of
-a DAG, a study graph with a composite outcome folded in, and the DAG of
-a parsed spec, whose parser checks its names and edges itself.
+build, which still refuses a shared base: the split graph of a DAG, a
+study graph with a composite outcome folded in, and the DAG of a parsed
+spec, whose parser checks its names and edges itself.  The build makes no
+topological order; ``topological_order`` lays one out on its first call
+and keeps it, and its Kahn pass is what refuses a cycle.  So the two
+builders whose parts may hold a cycle, the constructor and the parser,
+ask for the order at once, and a graph acyclic by construction (a split
+graph, or a graph with a sink added) is laid out only when a reader asks.
 
 Value classes across swigc are records: ``@record`` reads a class's
 annotated fields, in order, with the class attribute of the same name as
@@ -326,20 +331,23 @@ class CausalGraph:
                 raise CycleError([u.label, v.label])
             parents[position[v]].add(position[u])
         self._build(checked, parents, node_list, position, by_label)
+        self.topological_order()  # refuses a cycle
 
     @classmethod
     def _checked(cls, attrs, parents, nodes, position, by_label) -> CausalGraph:
         """The graph of parts that passed the constructor's checks: checked
         ``attrs``; per position, the positions of its parents, distinct and
         not itself; and what ``_ordered`` returns for the nodes.  It still
-        refuses a base with several random or several fixed nodes, a fixed
-        node with parents or without a random half, and a cycle."""
+        refuses a base with several random or several fixed nodes, and a
+        fixed node with parents or without a random half.  It does not look
+        for a cycle: a caller whose parts may hold one calls
+        ``topological_order`` on the graph at once, which refuses it."""
         graph = cls.__new__(cls)
         graph._build(attrs, parents, nodes, position, by_label)
         return graph
 
     def _build(self, attrs, parents, nodes, position, by_label) -> None:
-        up = [tuple(sorted(ps)) for ps in parents]
+        up = [tuple(sorted(ps)) if len(ps) > 1 else tuple(ps) for ps in parents]
         down: list[list[int]] = [[] for _ in nodes]
         for v, ps in enumerate(up):
             for p in ps:
@@ -363,7 +371,7 @@ class CausalGraph:
         self.attrs: dict[NodeId, NodeAttrs] = attrs
         self._by_label, self._random, self._fixed = by_label, random, fixed
         self._index = _Index(position, up, down, bytes([n.fixed for n in nodes]))
-        self._topo = self._layered_order()
+        self._topo = None
 
     def _layered_order(self) -> tuple[NodeId, ...]:
         index = self._index
@@ -378,7 +386,7 @@ class CausalGraph:
                     indeg[c] -= 1
                     if not indeg[c]:
                         ready.append(c)
-            layer = sorted(ready)
+            layer = sorted(ready) if len(ready) > 1 else ready
         if len(order) != len(indeg):
             raise CycleError(self._cycle_witness({p for p, d in enumerate(indeg) if d}))
         # A tuple made from a list gets its final size at once; one made
@@ -488,7 +496,11 @@ class CausalGraph:
         return frozenset(map(self.nodes.__getitem__, found))
 
     def topological_order(self) -> tuple[NodeId, ...]:
-        """Kahn layering; each layer is emitted in lexicographic label order."""
+        """Kahn layering; each layer is emitted in lexicographic label order.
+        The order is laid out on the first call and kept; that call raises
+        ``CycleError`` on a graph with a cycle."""
+        if self._topo is None:
+            self._topo = self._layered_order()
         return self._topo
 
 

@@ -439,9 +439,10 @@ class TestAdjustmentSearch:
         assert out.read_text() == line
         result = json.loads(line)
         assert (result["bench"], result["runs"]) == ("adjust_scaling", 2)
-        timing = result["identify_ms"]["adjust_chain(12)"]
-        assert list(result["identify_ms"]) == ["adjust_chain(12)"]
-        assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]
+        for layer in ("parse_ms", "split_ms", "identify_ms"):
+            timing = result[layer]["adjust_chain(12)"]
+            assert list(result[layer]) == ["adjust_chain(12)"]
+            assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]
 
     def test_scaling_script_checks_the_dense_witness(self, capsys):
         # The child prints each blocked arm's witness, which the script

@@ -1,5 +1,7 @@
 """Node splitting: labels, edge routing, contexts, error cases."""
 
+import random
+
 import pytest
 
 from swigc.errors import (
@@ -11,9 +13,12 @@ from swigc.errors import (
 )
 from swigc.estimand import compile_study, study_swig
 from swigc.graph import CausalGraph, NodeAttrs, NodeId, build_graph
+from swigc.identify import identify_estimand
+from swigc.markup import to_tikz
 from swigc.swig import split, swig_to_payload
 
-from conftest import load_study
+import reference_swig
+from conftest import golden_text, load_study
 
 
 def confounded():
@@ -112,6 +117,37 @@ class TestSplitAttrs:
         assert labels == {"A", "a", "M(a)", "m", "U", "Y(a,m)"}
         fixed = {n["label"] for n in payload["nodes"] if n["fixed"]}
         assert fixed == {"a", "m"}
+
+
+class TestOnePass:
+    def test_a_split_graph_is_laid_out_only_when_drawn(self, monkeypatch):
+        # The parser lays out the DAG it builds, and split reads that order;
+        # the split graph is acyclic by construction, so only the drawing
+        # asks for its order.
+        study = load_study("hypothetical_adjusted.swg")
+        calls = []
+        layered = CausalGraph._layered_order
+        monkeypatch.setattr(
+            CausalGraph, "_layered_order", lambda g: calls.append(g) or layered(g)
+        )
+        identify_estimand(study)
+        assert calls == []
+        graph = study_swig(compile_study(study)).graph
+        assert to_tikz(graph) == golden_text("swig_hypothetical_adjusted.tex")
+        assert calls == [graph]
+
+    def test_seventy_interventions_match_the_reference(self):
+        # Reach is a bit set per node; W and Y are reached by all seventy
+        # fixed halves, so their sets pass one machine word.
+        xs = [f"X{i:02d}" for i in range(70)]
+        edges = [(x, "W") for x in xs] + [(x, "V") for x in xs[::2]]
+        edges += [(u, v) for u, v in zip(xs, xs[1:])] + [("W", "Y"), ("V", "Y")]
+        dag = build_graph([(n, None) for n in [*xs, "V", "W", "Y"]], edges)
+        interventions = [(x, x.lower() if i % 3 else i % 2) for i, x in enumerate(xs)]
+        random.Random(0).shuffle(interventions)
+        sw = split(dag, tuple(interventions))
+        assert sw == reference_swig.split(dag, tuple(interventions))
+        assert sw.graph.random_node("Y").context == tuple(interventions)
 
 
 class TestSharedBases:
