@@ -5,8 +5,10 @@ front door.
     python3 scripts/startup.py [--runs 15] [--root DIR] [--out BENCH_startup.json]
 
 Starts fresh Python processes one after another, never two at once.  Each
-run is three children: one times ``import swigc.cli`` in process and
-counts the modules it adds to ``sys.modules``; one is a whole CLI call,
+run is four children: a bare ``python -c pass``, timed by wall clock from
+here, which is the interpreter and ``site`` start-up no swigc change can
+remove; one times ``import swigc.cli`` in process and counts the modules
+it adds to ``sys.modules``; one is a whole CLI call,
 ``python -m swigc.cli validate specs/itt.swg``, timed by wall clock from
 here; and one times the front door in process, after one untimed round:
 the argv parse of every request shape of the benchmark's ``specs``
@@ -17,11 +19,12 @@ run first, so every recorded run imports from a warm cache
 (``PYTHONDONTWRITEBYTECODE`` is dropped from the children's environment).
 
 Prints one JSON line: the median and quartiles over the runs of the
-import and CLI timings in milliseconds, of the median argv parse over
-the request shapes in microseconds, and of each spec's parse in
-microseconds, and the module count; ``--out`` writes the same line to a
-file.  Run it on two checkouts to compare them, alternating if the
-machine's speed drifts.
+bare start-up, import and CLI timings in milliseconds, of the CLI call
+net of the bare start-up (swigc's part of it) and of the import's share
+of that part, of the median argv parse over the request shapes in
+microseconds, and of each spec's parse in microseconds, and the module
+count; ``--out`` writes the same line to a file.  Run it on two
+checkouts to compare them, alternating if the machine's speed drifts.
 """
 
 from __future__ import annotations
@@ -120,20 +123,23 @@ def main(argv: list[str] | None = None) -> int:
     if not (root / "src" / "swigc" / "__init__.py").is_file():
         p.error(f"no swigc sources under {root / 'src'}")
 
-    imports, walls, added, argv_us, spec_us = [], [], [], [], []
+    bares, imports, walls, added, argv_us, spec_us = [], [], [], [], [], []
     with tempfile.TemporaryDirectory(prefix="swigc-pycache-") as cache:
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)  # the warm-up run must fill the cache
+        bare = [sys.executable, "-c", "pass"]
         importer = [sys.executable, "-c", IMPORT_CHILD]
         validate = [sys.executable, "-m", "swigc.cli", "validate", SPEC]
         front = [sys.executable, "-c", FRONT_CHILD, str(ROOT / "perfbench")]
         for run in range(args.runs + 1):
+            bare_wall, _ = _run(bare, env, root)
             _, out = _run(importer, env, root)
             wall, _ = _run(validate, env, root)
             _, front_out = _run(front, env, root)
             if run == 0:
                 continue  # warms the bytecode cache
             ms, modules = out.split()
+            bares.append(bare_wall)
             imports.append(float(ms))
             walls.append(wall)
             added.append(int(modules))
@@ -141,13 +147,18 @@ def main(argv: list[str] | None = None) -> int:
             argv_us.append(timings["argv_parse_us"])
             spec_us.append(timings["parse_file_us"])
 
+    # swigc's part of each CLI call: its wall time less the bare start-up.
+    nets = [wall - bare for wall, bare in zip(walls, bares)]
     line = json.dumps(
         {
             "bench": "startup",
             "python": platform.python_version(),
             "runs": args.runs,
+            "bare_python_wall_ms": _summary(bares),
             "import_swigc_cli_ms": _summary(imports),
             "validate_wall_ms": _summary(walls),
+            "validate_net_ms": _summary(nets),
+            "import_share_of_net": _summary([i / n for i, n in zip(imports, nets)]),
             "argv_parse_us": _summary(argv_us),
             "parse_file_us": _by_key(spec_us),
             "modules_added": statistics.median_low(added),

@@ -25,11 +25,22 @@ The parser's grammar methods are written with four token rules:
 ``at``/``expect`` for keywords and punctuation (a failure lists every
 alternative), ``name``/``integer``/``take`` for a name, integer, string
 or the end, ``block`` for ``{ item* }`` and ``commas`` for
-``item, item, ...`` lists.  The items that fill a file, an edge, a
-noise entry and a table entry, are read straight off the token list
-when well formed, and otherwise again with those rules.  A data-model
-table is checked with set operations; its keys are walked only to name
-the first fault.
+``item, item, ...`` lists.  Most of a file is read straight off the
+token list, as slices of a fixed stride whose punctuation is counted:
+
+- the node declarations, when every one is ``name { key: value; }`` for
+  a declared role, ``observed`` or ``adjust`` (stride 8);
+- the edges block, when every edge is ``name -> name;`` (stride 4);
+- a noise block, when every entry is ``value: p/q;`` with q not zero or
+  every one is ``value: p;``;
+- a table's parent list, and its entries, when every key has as many
+  components as the first (stride 2w + 4 for w components).
+
+A block or item that is not well formed is read again with the token
+rules, which fail where and as the grammar says, so no error and no
+line:column depends on the fast reads.  The assembly checks names, edge
+endpoints, repeated edges, equations, noise blocks and tables as sets
+and counts, and walks the items in order only to name the first fault.
 
 serialize() emits a canonical form: entries sorted by name, attributes
 reduced to non-defaults, data-model tables normalized so every key ends
@@ -42,12 +53,13 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, repeat
 from math import lcm, prod
+from operator import add, attrgetter, eq, itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConflictingStrategies, CycleError, ParseError, SemanticError, SpecError
-from .graph import CausalGraph, NodeAttrs, NodeId, _check_attrs, _ordered, valid_name
+from .graph import CausalGraph, NodeAttrs, NodeId, valid_name
 from .model import (
     Composite,
     Hypothetical,
@@ -113,6 +125,47 @@ def _lexical_error(text: str) -> ParseError | None:
     return None
 
 
+def _is_name(token: str) -> bool:
+    """Whether a token is a name, _kind's "ident"."""
+    return token[:1].isalpha() or token[:1] == "_"
+
+
+# A declaration's one attribute, ``key: value;``, as node_decl reads it,
+# by its key and value tokens: a role a study may declare, or observed or
+# adjust.
+_DECL_ITEMS = {
+    **{("role", role): (("role", role),) for role in _DECLARED_ROLES},
+    **{
+        (key, text): ((key, text == "true"),)
+        for key in ("observed", "adjust")
+        for text in ("true", "false")
+    },
+}
+
+
+# The integers from -16 to 255 by their text, so that a block's integers
+# are read with dictionary lookups rather than int() calls.
+_SMALL_INTS = {str(i): i for i in range(-16, 256)}
+# The fractions p/q with 0 <= p <= q <= 12 by (p, q): the usual noise
+# weights, looked up rather than reduced.
+_FRACTIONS = {(p, q): Fraction(p, q) for q in range(1, 13) for p in range(q + 1)}
+
+
+def _fraction(weight: tuple[int, int]) -> Fraction:
+    """p/q for ``weight`` (p, q); ZeroDivisionError where q is 0."""
+    fraction = _FRACTIONS.get(weight)
+    return Fraction(*weight) if fraction is None else fraction
+
+
+def _ints(texts: Sequence[str]) -> list[int]:
+    """``texts`` read as integers; ValueError where one is no integer, or
+    is longer than int() converts."""
+    try:
+        return list(map(_SMALL_INTS.__getitem__, texts))
+    except KeyError:
+        return list(map(int, texts))
+
+
 def _kind(token: str) -> str:
     """A token's kind, read from its first character (and the second, for
     "-"): ident, int, string, punct, or eof for the end of the text.  The
@@ -137,6 +190,7 @@ class _Parser:
         self.text = text
         self.tokens = _TOKEN.findall(text)
         self.pos = 0
+        self.noises: dict[tuple[str, ...], list[tuple[int, Fraction]]] = {}
 
     def start(self, pos: int) -> int:
         """The offset of token ``pos``, found again for an error."""
@@ -217,10 +271,8 @@ class _Parser:
         title = self.take("string", "a quoted string")[1:-1]
         self.expect("{")
         self.expect("node")
-        nodes = [self.node_decl()]
-        while self.expect("node", "edges") == "node":
-            nodes.append(self.node_decl())
-        edges = self.block(self.edge)
+        nodes = self.node_decls()
+        edges = self.edges_block(nodes[0])
         strategies = []
         while self.expect("strategy", "estimand") == "strategy":
             strategies.append(self.strategy_decl())
@@ -232,7 +284,52 @@ class _Parser:
         self.take("eof", "end of file")
         return _assemble(title, nodes, edges, strategies, estimand, scm)
 
-    def node_decl(self) -> tuple[str, dict]:
+    # The block rules below read a block straight off the token list when
+    # every item in it is well formed, and otherwise again item by item,
+    # which fails where and as the grammar says.  A slice of one offset of
+    # every item is checked by counting its punctuation.  No token ends the
+    # block, a token is no integer, or an integer is longer than int()
+    # converts: each raises ValueError, which sends the block to the item
+    # rules.
+
+    def node_decls(self) -> tuple[list[str], list[tuple]]:
+        """``name { attribute* }`` after each ``node``, up to ``edges``,
+        which is read too, as the names and their attributes: slices of
+        stride 8 when every declaration is ``name { key: value; }`` for a
+        declared role, observed or adjust, with a name valid_name takes."""
+        tokens = self.tokens
+        start = self.pos
+        # Only a block whose first declaration has that shape is tried.
+        if tokens[start + 6 : start + 8] in (["}", "node"], ["}", "edges"]):
+            try:
+                end = tokens.index("edges", start) + 1
+                n, odd = divmod(end - start, 8)
+                names = tokens[start:end:8]
+                if (
+                    not odd
+                    and tokens[start + 1 : end : 8].count("{") == n
+                    and tokens[start + 3 : end : 8].count(":") == n
+                    and tokens[start + 5 : end : 8].count(";") == n
+                    and tokens[start + 6 : end : 8].count("}") == n
+                    and tokens[start + 7 : end : 8].count("node") == n - 1
+                    and _VALID_NAMES.fullmatch("\n".join(names) + "\n")
+                ):
+                    pairs = zip(tokens[start + 2 : end : 8], tokens[start + 4 : end : 8])
+                    decls = list(map(_DECL_ITEMS.__getitem__, pairs))
+                    self.pos = end
+                    return names, decls
+            except (ValueError, KeyError):
+                pass
+        names, decls = [], []
+        while True:
+            name, items = self.node_decl()
+            names.append(name)
+            decls.append(items)
+            if self.expect("node", "edges") != "node":
+                return names, decls
+
+    def node_decl(self) -> tuple[str, tuple]:
+        """A name and its attributes as (key, value) pairs."""
         name = self.name()
         attrs: dict = {}
 
@@ -254,22 +351,33 @@ class _Parser:
             attrs[key] = value
 
         self.block(attribute)
-        return name, attrs
+        return name, tuple(attrs.items())
 
-    # The item rules below read a well-formed item straight off the token
-    # list; any other item is read again token by token, which fails where
-    # and as the grammar says.  A short slice or a token that is no integer
-    # raises ValueError, and so does an integer longer than int() converts.
+    def edges_block(self, names: list[str]) -> tuple[list[str], list[str]]:
+        """``{ edge* }`` as its sources and its targets: slices of stride 4
+        when every edge is ``name -> name ;``.  An endpoint among the
+        declared ``names`` is a name."""
+        tokens = self.tokens
+        start = self.pos + 1
+        if tokens[self.pos] == "{":
+            try:
+                end = tokens.index("}", start)
+                n, odd = divmod(end - start, 4)
+                srcs, dsts = tokens[start:end:4], tokens[start + 2 : end : 4]
+                if (
+                    not odd
+                    and tokens[start + 1 : end : 4].count("->") == n
+                    and tokens[start + 3 : end : 4].count(";") == n
+                    and all(map(_is_name, set(srcs).union(dsts).difference(names)))
+                ):
+                    self.pos = end + 1
+                    return srcs, dsts
+            except ValueError:
+                pass
+        edges = self.block(self.edge)
+        return [src for src, _ in edges], [dst for _, dst in edges]
 
     def edge(self) -> tuple[str, str]:
-        pos = self.pos
-        try:
-            src, arrow, dst, semi = self.tokens[pos : pos + 4]
-            if arrow == "->" and semi == ";" and src[:1].isalpha() and dst[:1].isalpha():
-                self.pos = pos + 4
-                return src, dst
-        except ValueError:
-            pass
         src = self.name()
         self.expect("->")
         dst = self.name()
@@ -328,25 +436,40 @@ class _Parser:
 
     def noise_block(self) -> list[tuple[int, Fraction]]:
         self.expect("noise")
-        entries = self.block(self.noise_entry)
+        entries = self.noise_entries()
         if not entries:
             raise SemanticError("noise block must list at least one value")
         return entries
 
+    def noise_entries(self) -> list[tuple[int, Fraction]]:
+        """``{ noise_entry* }``, read off the token list when every entry
+        is ``value: p/q;`` with q not zero or every one is ``value: p;``:
+        the integers at even offsets, the punctuation at odd ones.  A block
+        whose tokens repeat one read so before is that block's list."""
+        tokens = self.tokens
+        start = self.pos + 1
+        if tokens[self.pos] == "{":
+            try:
+                end = tokens.index("}", start)
+                body = tuple(tokens[start:end])
+                entries = self.noises.get(body)
+                if entries is None and len(body) % 2 == 0:
+                    ints, marks = _ints(body[::2]), body[1::2]
+                    if marks == (":", "/", ";") * (len(marks) // 3):
+                        weights = zip(ints[1::3], ints[2::3])
+                        entries = list(zip(ints[::3], map(_fraction, weights)))
+                    elif marks == (":", ";") * (len(marks) // 2):
+                        weights = zip(ints[1::2], repeat(1))
+                        entries = list(zip(ints[::2], map(_fraction, weights)))
+                if entries is not None:
+                    self.noises[body] = entries
+                    self.pos = end + 1
+                    return entries
+            except (ValueError, ZeroDivisionError):
+                pass
+        return self.block(self.noise_entry)
+
     def noise_entry(self) -> tuple[int, Fraction]:
-        pos = self.pos
-        try:
-            value, colon, num, end, den, semi = self.tokens[pos : pos + 6]
-            if colon == ":" and end == ";":
-                entry = int(value), Fraction(int(num))
-                self.pos = pos + 4
-                return entry
-            if colon == ":" and end == "/" and semi == ";" and int(den):
-                entry = int(value), Fraction(int(num), int(den))
-                self.pos = pos + 6
-                return entry
-        except ValueError:
-            pass
         value = self.integer()
         self.expect(":")
         num, den = self.integer(), 1
@@ -358,35 +481,66 @@ class _Parser:
         self.expect(";")
         return value, Fraction(num, den)
 
-    def table_block(self) -> tuple[list[str], list[tuple[tuple[int, ...], int]]]:
-        self.expect("table")
-        self.expect("(")
-        parents = self.commas(self.name, ")")
-        self.expect(")")
-        entries = self.block(self.table_entry)
-        if not entries:
+    def table_block(self) -> tuple[list[str], list[tuple[int, ...]], list[int]]:
+        """Its parents, and its entries as keys and values.  A parent list
+        of names with commas between is read off the token list."""
+        tokens = self.tokens
+        pos = self.pos
+        parents = None
+        if tokens[pos + 1] == "(":
+            try:
+                close = tokens.index(")", pos + 2)
+                names = tokens[pos + 2 : close : 2]
+                commas = tokens[pos + 3 : close : 2]
+                if commas == [","] * (len(names) - 1) and all(map(_is_name, names)):
+                    parents, self.pos = names, close + 1
+            except ValueError:
+                pass
+        if parents is None:
+            self.expect("table")
+            self.expect("(")
+            parents = self.commas(self.name, ")")
+            self.expect(")")
+        keys, values = self.table_entries()
+        if not keys:
             raise SemanticError("table block must list at least one entry")
-        return parents, entries
+        return parents, keys, values
+
+    def table_entries(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """``{ table_entry* }`` as its keys and its values: slices of
+        stride 2w + 4 (5 for w = 0) when every key has the w components of
+        the first, one slice per component.  Once every other offset holds
+        what it should, the block holds the w - 1 commas of each key when
+        it holds as many commas as all the keys."""
+        tokens = self.tokens
+        start = self.pos + 1
+        if tokens[self.pos] == "{" and tokens[start] == "(":
+            try:
+                end = tokens.index("}", start)
+                close = tokens.index(")", start)
+                size = close - start + 4
+                n, odd = divmod(end - start, size)
+                if (
+                    not odd
+                    and (size == 5 or not size % 2)
+                    and tokens[start:end:size].count("(") == n
+                    and tokens[close:end:size].count(")") == n
+                    and tokens[close + 1 : end : size].count("->") == n
+                    and tokens[close + 3 : end : size].count(";") == n
+                ):
+                    columns = [
+                        _ints(tokens[start + j : end : size]) for j in range(1, close - start, 2)
+                    ]
+                    values = _ints(tokens[close + 2 : end : size])
+                    if tokens[start:end].count(",") == n * max(len(columns) - 1, 0):
+                        self.pos = end + 1
+                        return list(zip(*columns)) if columns else [()] * n, values
+            except ValueError:
+                pass
+        entries = self.block(self.table_entry)
+        return [key for key, _ in entries], [value for _, value in entries]
 
     def table_entry(self) -> tuple[tuple[int, ...], int]:
-        pos = self.pos
-        tokens = self.tokens
-        try:
-            # "(", a key of ``width`` integers with commas between, ")"
-            close = tokens.index(")", pos) if tokens[pos] == "(" else pos
-            arrow, value, semi = tokens[close + 1 : close + 4]
-            width = (close - pos) // 2
-            if (
-                arrow == "->"
-                and semi == ";"
-                and close - pos == 2 * width
-                and tokens[pos + 2 : close : 2].count(",") == width - 1
-            ):
-                entry = tuple(map(int, tokens[pos + 1 : close : 2])), int(value)
-                self.pos = close + 4
-                return entry
-        except ValueError:
-            pass
         self.expect("(")
         key = tuple(self.commas(self.integer, ")"))
         self.expect(")")
@@ -399,7 +553,15 @@ class _Parser:
 # semantic assembly
 
 
-def _node_attrs(name: str, raw: dict) -> NodeAttrs:
+# valid_name of each of a list of names, joined by newlines.
+_VALID_NAMES = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*\n)*")
+
+
+def _node_attrs(name: str, items: tuple) -> tuple[NodeAttrs, str | None]:
+    """A declared node's attributes as its graph keeps them, and the fault
+    that the graph's checks name after the edges', if it has one.  The
+    faults raised here come first, in declaration order."""
+    raw = dict(items)
     role = raw.get("role", "covariate")
     if role not in _DECLARED_ROLES:
         allowed = ", ".join(_DECLARED_ROLES)
@@ -411,60 +573,104 @@ def _node_attrs(name: str, raw: dict) -> NodeAttrs:
         raise SemanticError(f"node {name}: role latent contradicts observed: true")
     if adjust and (role != "covariate" or not observed):
         raise SemanticError(f"node {name}: adjust is only valid on observed covariates")
-    return NodeAttrs(role=role, observed=observed, conditioned=adjust, values=values)
+    fault = None
+    if not observed and role == "covariate":
+        role = "latent"
+    elif not observed and role != "latent":
+        fault = f"role {role} must be observed"
+    if fault is None and len(set(values)) != len(values):
+        fault = "declared values must be non-empty and distinct"
+    return NodeAttrs(role=role, observed=observed, conditioned=adjust, values=values), fault
+
+
+# The checked declarations node_decls reads off the token list, and the
+# empty one; none of them has a fault.
+_COMMON_SHAPES = {items: _node_attrs("", items) for items in [(), *_DECL_ITEMS.values()]}
 
 
 def _assemble(
     title: str,
-    nodes: list[tuple[str, dict]],
-    edges: list[tuple[str, str]],
+    nodes: tuple[list[str], list[tuple]],
+    edges: tuple[list[str], list[str]],
     strategies: list[tuple[str, Strategy]],
     estimand: tuple[str, str, int, str, int],
     scm: list[tuple] | None,
 ) -> StudySpec:
-    attr_by_name: dict[str, NodeAttrs] = {}
-    for name, raw in nodes:
-        if not valid_name(name):
-            raise SemanticError(f"invalid variable name {name!r}")
-        if name in attr_by_name:
-            raise SemanticError(f"duplicate node {name}")
-        attr_by_name[name] = _node_attrs(name, raw)
-
-    seen_edges: set[tuple[str, str]] = set()
-    for src, dst in edges:
-        for end in (src, dst):
-            if end not in attr_by_name:
-                raise SemanticError(f"edge endpoint {end} is not a declared node")
-        if (src, dst) in seen_edges:
-            raise SemanticError(f"duplicate edge {src} -> {dst}")
-        seen_edges.add((src, dst))
-
-    # The names, edge endpoints and duplicate edges are checked above, so
-    # the graph skips the constructor's checks of them.  The checks left run
-    # in the constructor's order: attributes in label order, self-loops in
-    # declaration order, then cycles.
-    graph_nodes, position, ids = _ordered(map(NodeId, attr_by_name))
-    attrs = {n: _check_attrs(n.label, attr_by_name[n.label]) for n in graph_nodes}
-    parents: list[list[int]] = [[] for _ in graph_nodes]
+    # The checks run in the graph constructor's order: names, repeats and
+    # attributes in declaration order, edge endpoints and repeats in edge
+    # order, the attribute faults left in label order, self-loops in edge
+    # order, then cycles.  Names and edges are checked as sets and counts,
+    # and walked in order only to name the first fault; nodes declared
+    # with the same attributes share one check.
+    names, decls = nodes
+    if len(set(names)) < len(names) or not _VALID_NAMES.fullmatch("\n".join(names) + "\n"):
+        seen: set[str] = set()
+        for name, items in zip(names, decls):
+            if not valid_name(name):
+                raise SemanticError(f"invalid variable name {name!r}")
+            if name in seen:
+                raise SemanticError(f"duplicate node {name}")
+            seen.add(name)
+            _node_attrs(name, items)
+    # Most nodes use a common declaration, checked when the module loads.
+    shapes, faults = _COMMON_SHAPES, {}
     try:
-        for src, dst in edges:
-            if src == dst:
-                raise CycleError([src, dst])
-            parents[position[ids[dst]]].append(position[ids[src]])
-        graph = CausalGraph._checked(attrs, parents, graph_nodes, position, ids)
+        checked = list(map(shapes.__getitem__, decls))
+    except KeyError:
+        shapes, checked = dict(shapes), []
+        for name, items in zip(names, decls):
+            shape = shapes.get(items)
+            if shape is None:
+                shape = shapes[items] = _node_attrs(name, items)
+            checked.append(shape)
+            if shape[1] is not None:
+                faults[name] = shape[1]
+    attr_by_name = dict(zip(names, map(itemgetter(0), checked)))
+
+    # A declared node's label is its name.  Repeated edges add fewer
+    # parents than there are edges.
+    labels = sorted(names)
+    order = range(len(labels))
+    index = dict(zip(labels, order))
+    srcs, dsts = edges
+    parents: list[set[int]] = [set() for _ in labels]
+    if index.keys() >= set(srcs).union(dsts):
+        for src, dst in zip(map(index.__getitem__, srcs), map(index.__getitem__, dsts)):
+            parents[dst].add(src)
+    if sum(map(len, parents)) < len(srcs):
+        seen_edges: set[tuple[str, str]] = set()
+        for src, dst in zip(srcs, dsts):
+            for end in (src, dst):
+                if end not in index:
+                    raise SemanticError(f"edge endpoint {end} is not a declared node")
+            if (src, dst) in seen_edges:
+                raise SemanticError(f"duplicate edge {src} -> {dst}")
+            seen_edges.add((src, dst))
+    if faults:
+        name = min(faults)
+        raise SemanticError(f"node {name}: {faults[name]}")
+
+    graph_nodes = list(map(NodeId, labels))
+    attrs = dict(zip(graph_nodes, map(attr_by_name.__getitem__, labels)))
+    try:
+        if any(map(eq, srcs, dsts)):
+            loop = next(src for src, dst in zip(srcs, dsts) if src == dst)
+            raise CycleError([loop, loop])
+        position, by_label = dict(zip(graph_nodes, order)), dict(zip(labels, graph_nodes))
+        graph = CausalGraph._checked(attrs, parents, graph_nodes, position, by_label)
         graph.topological_order()
     except CycleError as e:
         raise SemanticError(str(e)) from e
 
-    by_role: dict[str, list[str]] = {}
-    for name, a in attr_by_name.items():
-        by_role.setdefault(a.role, []).append(name)
+    # In declaration order.
+    roles = list(map(attrgetter("role"), attr_by_name.values()))
     for role in ("treatment", "outcome"):
-        found = by_role.get(role, [])
-        if len(found) != 1:
-            raise SemanticError(f"a study needs exactly one {role} node, found {len(found)}")
-    treatment = by_role["treatment"][0]
-    outcome = by_role["outcome"][0]
+        if roles.count(role) != 1:
+            raise SemanticError(
+                f"a study needs exactly one {role} node, found {roles.count(role)}"
+            )
+    treatment = names[roles.index("treatment")]
+    outcome = names[roles.index("outcome")]
     if graph.parents(graph.node(treatment)):
         raise SemanticError(f"treatment {treatment} must have no parents; it is randomized")
 
@@ -477,7 +683,7 @@ def _assemble(
         if var in strategy_map:
             raise ConflictingStrategies(f"{var} is given more than one strategy")
         strategy_map[var] = strat
-    for var in sorted(by_role.get("intercurrent", [])):
+    for var in sorted(name for name, role in zip(names, roles) if role == "intercurrent"):
         if var not in strategy_map:
             raise SemanticError(f"no strategy declared for intercurrent event {var}")
 
@@ -535,110 +741,148 @@ def _assemble_scm(
     attr_by_name: dict[str, NodeAttrs],
     raw: list[tuple],
 ) -> SCMSpec:
-    decls: dict[str, tuple] = {}
-    for var, noise, table in raw:
-        if var not in attr_by_name:
-            raise SemanticError(f"equation for undeclared variable {var}")
-        if var in decls:
-            raise SemanticError(f"duplicate equation for {var}")
-        decls[var] = (noise, table)
-    for name in attr_by_name:
-        if name not in decls:
-            raise SemanticError(f"scm is missing an equation for {name}")
+    # Equation faults in equation order, then a missing equation in
+    # declaration order: the names are checked as sets, and walked only to
+    # name the first fault.
+    decls = {var: (noise, table) for var, noise, table in raw}
+    if len(decls) < len(raw) or decls.keys() != attr_by_name.keys():
+        seen: set[str] = set()
+        for var, _, _ in raw:
+            if var not in attr_by_name:
+                raise SemanticError(f"equation for undeclared variable {var}")
+            if var in seen:
+                raise SemanticError(f"duplicate equation for {var}")
+            seen.add(var)
+        missing = next(name for name in attr_by_name if name not in decls)
+        raise SemanticError(f"scm is missing an equation for {missing}")
 
-    support: dict[str, tuple[int, ...]] = {}
+    # Each variable's support, as a sorted axis and as a set.
+    axes: dict[str, tuple[int, ...]] = {}
+    supports: dict[str, set[int]] = {}
     equations: dict[str, StructuralEquation] = {}
+    # Noise blocks with the same tokens are one list (see noise_entries),
+    # checked once; ``raw`` keeps each list, and so its id, alive.
+    checked: dict[int, tuple] = {}
     for node in graph.topological_order():
         var = node.base
         noise, table = decls[var]
+        if noise is None:
+            noise_entries, noise_axis, noise_set = _NO_NOISE
+        elif id(noise) in checked:
+            noise_entries, noise_axis, noise_set = checked[id(noise)]
+        else:
+            noise_entries, noise_axis, noise_set = checked[id(noise)] = _checked_noise(var, noise)
         # In label order, which is base order in a declared graph.
         graph_parents = [p.base for p in graph.parents(node)]
-
-        if noise is not None:
-            values_seen: set[int] = set()
-            for value, prob in noise:
-                if value in values_seen:
-                    raise SemanticError(f"noise for {var} lists value {value} twice")
-                values_seen.add(value)
-                if prob.numerator <= 0:
-                    raise SemanticError(f"noise probabilities for {var} must be positive")
-            # Over the least common denominator, as the oracle weighs them.
-            scale = lcm(*(prob.denominator for _, prob in noise))
-            if sum(prob.numerator * (scale // prob.denominator) for _, prob in noise) != scale:
-                total = sum(prob for _, prob in noise)
-                raise SemanticError(f"noise probabilities for {var} must sum to 1, got {total}")
-            noise_entries = tuple(sorted(noise))
-        else:
-            noise_entries = ((0, Fraction(1)),)
-
         if table is None:
             if graph_parents:
                 raise SemanticError(f"equation for {var} needs a table; {var} has parents")
-            mapping = {(value,): value for value, _ in noise_entries}
+            # A key per noise value, so the keys are its whole axis.
+            mapping = dict(zip(zip(noise_axis), noise_axis))
+            produced = noise_set
         else:
-            listed_parents, entries = table
-            if len(set(listed_parents)) != len(listed_parents):
-                raise SemanticError(f"table for {var} lists a parent twice")
-            if sorted(listed_parents) != graph_parents:
-                listed = ", ".join(listed_parents) if listed_parents else "none"
-                actual = ", ".join(graph_parents) if graph_parents else "none"
-                raise SemanticError(
-                    f"table for {var} lists parents {listed}, but the graph gives {actual}"
-                )
-            arity = len(listed_parents) + (1 if noise is not None else 0)
-            # Keys that list the parents in order and end with the noise
-            # value are canonical already; the walk names a key of the wrong
-            # length or given twice, and puts other keys in canonical order.
-            mapping = dict(entries)
-            if (
-                noise is None
-                or listed_parents != graph_parents
-                or len(mapping) != len(entries)
-                or set(map(len, mapping)) != {arity}
-            ):
-                perm = sorted(range(len(listed_parents)), key=lambda i: listed_parents[i])
-                mapping = {}
-                for key, value in entries:
-                    if len(key) != arity:
-                        raise SemanticError(
-                            f"table key {key} for {var} has {len(key)} components,"
-                            f" expected {arity}"
-                        )
-                    parent_vals = key[: len(listed_parents)]
-                    noise_val = key[len(listed_parents)] if noise is not None else 0
-                    canon = tuple(parent_vals[i] for i in perm) + (noise_val,)
-                    if canon in mapping:
-                        raise SemanticError(f"table for {var} lists key {key} twice")
-                    mapping[canon] = value
-
-        # The keys are distinct, so they are every point of the product of
-        # the axes when there are as many and each component lies in its
-        # axis.  Only a table that fails this is walked, to name its fault:
-        # a key is missing, or else the table is too long for its axes.
-        axes = [support[p] for p in graph_parents] + [[value for value, _ in noise_entries]]
-        allowed = [set(axis) for axis in axes]
-        if len(mapping) != prod(map(len, axes)) or not all(
-            a.issuperset(column) for a, column in zip(allowed, zip(*mapping))
-        ):
-            # Sorted axes give keys in sorted order, so the walk stops at the
-            # smallest missing key after at most len(mapping) + 1 keys.
-            for key in product(*axes):
-                if key not in mapping:
-                    raise SemanticError(f"table for {var} is missing an entry for {key}")
-            extra = [key for key in mapping if any(c not in a for c, a in zip(key, allowed))]
-            raise SemanticError(
-                f"table for {var} has an entry for unreachable values {min(extra)}"
+            mapping = _canonical_table(var, table, graph_parents, noise is not None)
+            _check_coverage(
+                var,
+                mapping,
+                [*map(axes.__getitem__, graph_parents), noise_axis],
+                [*map(supports.__getitem__, graph_parents), noise_set],
             )
+            produced = set(mapping.values())
 
-        declared = set(attr_by_name[var].values)
-        if not declared.issuperset(mapping.values()):
+        declared = attr_by_name[var].values
+        if not produced.issubset(declared):
             value = next(v for v in mapping.values() if v not in declared)
             raise SemanticError(f"table for {var} produces {value}, outside its declared values")
-        support[var] = tuple(sorted(set(mapping.values())))
+        axes[var], supports[var] = tuple(sorted(produced)), produced
         equations[var] = StructuralEquation(
             parents=tuple(graph_parents), noise=noise_entries, table=mapping
         )
     return SCMSpec(equations=equations)
+
+
+# An equation without noise reads one noise value, 0, always.
+_NO_NOISE = ((0, Fraction(1)),), (0,), {0}
+
+
+def _checked_noise(var: str, noise: list[tuple[int, Fraction]]) -> tuple:
+    """A noise block sorted by value, its values in order and as a set,
+    once its values are distinct, its weights positive and their sum 1."""
+    values_seen: set[int] = set()
+    for value, prob in noise:
+        if value in values_seen:
+            raise SemanticError(f"noise for {var} lists value {value} twice")
+        values_seen.add(value)
+        if prob.numerator <= 0:
+            raise SemanticError(f"noise probabilities for {var} must be positive")
+    # Over the least common denominator, as the oracle weighs them.
+    scale = lcm(*(prob.denominator for _, prob in noise))
+    if sum(prob.numerator * (scale // prob.denominator) for _, prob in noise) != scale:
+        total = sum(prob for _, prob in noise)
+        raise SemanticError(f"noise probabilities for {var} must sum to 1, got {total}")
+    entries = tuple(sorted(noise))
+    return entries, tuple([value for value, _ in entries]), values_seen
+
+
+def _check_coverage(var: str, mapping: dict, axes: list[tuple[int, ...]], sets: list) -> None:
+    """Refuse a table whose distinct keys are not every point of the
+    product of the axes, each given sorted and as a set.
+
+    They are when there are as many and each component lies in its axis.
+    Only a table that fails this is walked, to name its fault: a key is
+    missing, or else the table is too long for its axes."""
+    if len(mapping) != prod(map(len, axes)) or not all(map(set.issuperset, sets, zip(*mapping))):
+        # Sorted axes give keys in sorted order, so the walk stops at the
+        # smallest missing key after at most len(mapping) + 1 keys.
+        for key in product(*axes):
+            if key not in mapping:
+                raise SemanticError(f"table for {var} is missing an entry for {key}")
+        extra = [key for key in mapping if any(c not in a for c, a in zip(key, sets))]
+        raise SemanticError(f"table for {var} has an entry for unreachable values {min(extra)}")
+
+
+def _canonical_table(
+    var: str,
+    table: tuple[list[str], list[tuple[int, ...]], list[int]],
+    graph_parents: list[str],
+    noisy: bool,
+) -> dict[tuple[int, ...], int]:
+    """A table block as a mapping from canonical keys, the parents' values
+    in label order and then the noise value, to values."""
+    listed_parents, keys, values = table
+    # The graph's parents are distinct and sorted.
+    if listed_parents != graph_parents:
+        if len(set(listed_parents)) != len(listed_parents):
+            raise SemanticError(f"table for {var} lists a parent twice")
+        if sorted(listed_parents) != graph_parents:
+            listed = ", ".join(listed_parents) if listed_parents else "none"
+            actual = ", ".join(graph_parents) if graph_parents else "none"
+            raise SemanticError(
+                f"table for {var} lists parents {listed}, but the graph gives {actual}"
+            )
+    arity = len(listed_parents) + noisy
+    # Keys that list the parents in order, each of the arity, are
+    # canonical once a table without noise gives each a noise value of 0;
+    # the walk names a key of the wrong length or given twice, and puts
+    # other keys in canonical order.
+    if listed_parents == graph_parents and set(map(len, keys)) == {arity}:
+        mapping = dict(zip(keys if noisy else map(add, keys, repeat((0,))), values))
+        if len(mapping) == len(keys):
+            return mapping
+    perm = sorted(range(len(listed_parents)), key=lambda i: listed_parents[i])
+    mapping = {}
+    for key, value in zip(keys, values):
+        if len(key) != arity:
+            raise SemanticError(
+                f"table key {key} for {var} has {len(key)} components, expected {arity}"
+            )
+        parent_vals = key[: len(listed_parents)]
+        noise_val = key[len(listed_parents)] if noisy else 0
+        canon = tuple(parent_vals[i] for i in perm) + (noise_val,)
+        if canon in mapping:
+            raise SemanticError(f"table for {var} lists key {key} twice")
+        mapping[canon] = value
+    return mapping
 
 
 def parse_study(text: str) -> StudySpec:

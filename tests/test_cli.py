@@ -818,6 +818,14 @@ def test_startup_script_reports_the_front_door(tmp_path):
     assert json.loads(out.read_text()) == line
     assert line["runs"] == 2
     assert line["argv_parse_us"]["median"] > 0
+    # The bare interpreter start-up is timed, and taken off the CLI call;
+    # over two runs a median is a mean, so the medians subtract.
+    bare, wall = line["bare_python_wall_ms"], line["validate_wall_ms"]
+    assert bare["median"] > 0
+    assert line["validate_net_ms"]["median"] == pytest.approx(
+        wall["median"] - bare["median"], abs=0.02
+    )
+    assert line["import_share_of_net"]["median"] > 0
     stems = sorted(path.stem for path in (ROOT / "specs").glob("*.swg"))
     assert sorted(line["parse_file_us"]) == stems
     assert all(timing["median"] > 0 for timing in line["parse_file_us"].values())

@@ -9,7 +9,7 @@ from swigc.dsl import GRAMMAR_VERSION, parse_study, serialize
 from swigc.errors import ParseError, SemanticError, SpecError
 from swigc.model import Composite, Hypothetical, PrincipalStratum, TreatmentPolicy
 
-from conftest import STUDY_FILES, spec_text
+from conftest import STUDY_FILES, load_script, spec_text
 
 VALID = [n for n in STUDY_FILES]
 
@@ -226,6 +226,22 @@ class TestErrorReporting:
         missing = ", ".join(["0"] * 19 + ["1", "0"])
         assert str(exc.value) == f"table for Y is missing an entry for ({missing})"
         assert peak < 5 * 2**20
+
+
+def test_parse_peak_memory_is_bounded_by_the_text():
+    """A sparse chain of about 0.5 MB: the token list and the graph it
+    builds stay under 40 times the text, so no block read copies the token
+    list whole."""
+    text = load_script("adjust_scaling").sparse_chain(10_000)
+    assert 0.45e6 < len(text) < 0.55e6
+    tracemalloc.start()
+    try:
+        study = parse_study(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(study.graph.nodes) == 10_004
+    assert peak < 40 * len(text)
 
 
 class TestCanonicalForm:

@@ -1200,6 +1200,84 @@ def test_table_checks_match_the_character_walk(text):
     assert _spec_or_error(parse_study, text) == expected
 
 
+# The blocks the parser reads off the token list: a pattern whose group 1
+# holds a block's items, the pattern of one item, and what joins two.
+ITEM_BLOCKS = {
+    "nodes": (
+        re.compile(r"((?:node \w+ *\{[^{}]*\}\s*)+)edges"), re.compile(r"node \w+ *\{[^{}]*\}"), " "
+    ),
+    "edges": (re.compile(r"edges \{([^{}]*)\}"), re.compile(r"\w+ -> \w+;"), " "),
+    "noise": (re.compile(r"noise \{([^{}]*)\}"), re.compile(r"-?\d+: -?\d+(?:/-?\d+)?;"), " "),
+    "parents": (re.compile(r"table \(([^()]*)\)"), re.compile(r"\w+"), ", "),
+    "table": (re.compile(r"table \([^()]*\) \{([^{}]*)\}"), re.compile(r"\([^()]*\) -> -?\d+;"), " "),
+}
+# Each seed's blocks of each kind, as (seed text, block match).
+BLOCK_SITES = {
+    kind: [(text, m) for text in SPEC_SEEDS for m in block.finditer(text) if item.search(m[1])]
+    for kind, (block, item, _) in ITEM_BLOCKS.items()
+}
+
+
+def _corrupt(item, op, at, new):
+    """``item`` with one fault: ``op`` names it, ``at`` picks where."""
+    if op == "semicolon":
+        cut = item.rfind(";")
+        return item if cut < 0 else item[:cut] + item[cut + 1:]
+    if op == "arrow":
+        return item.replace("->", "- >", 1)
+    if op == "add comma":
+        return item[:at % (len(item) + 1)] + "," + item[at % (len(item) + 1):]
+    if op == "drop comma":
+        return item.replace(",", "", 1)
+    if op == "repeat":
+        return f"{item} {item}"
+    if op == "cut":  # the item's first tokens only
+        return " ".join(re.findall(r"->|-?\d+|\w+|\S", item)[: at % 4 + 1])
+    # "mark" swaps a punctuation mark, "swap" a value or name, for ``new``.
+    pattern = r"->|[{}():;,=/]" if op == "mark" else r"-?\d+|[A-Za-z_]\w*"
+    found = list(re.finditer(pattern, item))
+    if not found:  # a parent name holds no mark
+        return item
+    value = found[at % len(found)]
+    return item[: value.start()] + new + item[value.end():]
+
+
+@st.composite
+def shuffled_blocks(draw):
+    """A seed spec with the items of one block (node declarations, edges,
+    a noise block, a table's parents or its entries) shuffled, then one
+    item of it, or every item alike, corrupted: its last ";" dropped, its
+    "->" split, a comma added or dropped, the item repeated or cut short, a
+    punctuation mark swapped for another, or a value or name swapped for a
+    name or an integer too long to convert.  A fault shared by every item
+    is the one a slice read, which checks an offset of every item at once,
+    could miss."""
+    kind = draw(st.sampled_from(sorted(BLOCK_SITES)))
+    text, site = draw(st.sampled_from(BLOCK_SITES[kind]))
+    _, item_re, sep = ITEM_BLOCKS[kind]
+    items = draw(st.permutations(item_re.findall(site[1])))
+    ops = ("semicolon", "arrow", "add comma", "drop comma", "repeat", "cut", "mark", "swap")
+    op = draw(st.sampled_from(ops))
+    news = (",", ";", ":", "->", "=", ")") if op == "mark" else ("Q", "9" * 5000)
+    at, new = draw(st.integers(0, 40)), draw(st.sampled_from(news))
+    if draw(st.booleans()):
+        items = [_corrupt(item, op, at, new) for item in items]
+    else:
+        i = draw(st.integers(0, len(items) - 1))
+        items[i] = _corrupt(items[i], op, at, new)
+    return text[: site.start(1)] + sep.join(items) + " " + text[site.end(1):]
+
+
+@settings(max_examples=800)
+@given(shuffled_blocks())
+def test_block_reads_match_the_character_walk_on_shuffled_blocks(text):
+    """Where a block read off the token list meets a faulty item, the
+    parser fails where and as the reference does; a shuffled block with a
+    harmless edit parses to the same study."""
+    expected = _spec_or_error(reference_dsl.parse_study, text)
+    assert _spec_or_error(parse_study, text) == expected
+
+
 # One edit that makes a valid spec invalid, as a pattern and the text
 # that replaces its first group: drop a table entry; a strategy, estimand
 # or table level outside the declared values; an edge, strategy or table
