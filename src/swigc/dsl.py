@@ -25,22 +25,21 @@ The parser's grammar methods are written with four token rules:
 ``at``/``expect`` for keywords and punctuation (a failure lists every
 alternative), ``name``/``integer``/``take`` for a name, integer, string
 or the end, ``block`` for ``{ item* }`` and ``commas`` for
-``item, item, ...`` lists.  Most of a file is read straight off the
+``item, item, ...`` lists.  Two blocks are read straight off the
 token list, as slices of a fixed stride whose punctuation is counted:
 
 - the node declarations, when every one is ``name { key: value; }`` for
   a declared role, ``observed`` or ``adjust`` (stride 8);
-- the edges block, when every edge is ``name -> name;`` (stride 4);
-- a noise block, when every entry is ``value: p/q;`` with q not zero or
-  every one is ``value: p;``;
-- a table's parent list, and its entries, when every key has as many
-  components as the first (stride 2w + 4 for w components).
+- the edges block, when every edge is ``name -> name;`` (stride 4).
 
-A block or item that is not well formed is read again with the token
-rules, which fail where and as the grammar says, so no error and no
-line:column depends on the fast reads.  The assembly checks names, edge
-endpoints, repeated edges, equations, noise blocks and tables as sets
-and counts, and walks the items in order only to name the first fault.
+Two items are read straight off the token list too: a noise entry
+``value: p;`` or ``value: p/q;`` with q not zero, and a table entry
+whose key has its commas.  A block or item that is not well formed is
+read again with the token rules, which fail where and as the grammar
+says, so no error and no line:column depends on the fast reads.  The
+assembly checks names, edge endpoints, repeated edges, equations and
+tables as sets and counts, and walks the items in order only to name
+the first fault.
 
 serialize() emits a canonical form: entries sorted by name, attributes
 reduced to non-defaults, data-model tables normalized so every key ends
@@ -53,9 +52,9 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from itertools import islice, product, repeat
+from itertools import islice, product
 from math import lcm, prod
-from operator import add, attrgetter, eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConflictingStrategies, CycleError, ParseError, SemanticError, SpecError
@@ -125,11 +124,6 @@ def _lexical_error(text: str) -> ParseError | None:
     return None
 
 
-def _is_name(token: str) -> bool:
-    """Whether a token is a name, _kind's "ident"."""
-    return token[:1].isalpha() or token[:1] == "_"
-
-
 # A declaration's one attribute, ``key: value;``, as node_decl reads it,
 # by its key and value tokens: a role a study may declare, or observed or
 # adjust.
@@ -141,29 +135,6 @@ _DECL_ITEMS = {
         for text in ("true", "false")
     },
 }
-
-
-# The integers from -16 to 255 by their text, so that a block's integers
-# are read with dictionary lookups rather than int() calls.
-_SMALL_INTS = {str(i): i for i in range(-16, 256)}
-# The fractions p/q with 0 <= p <= q <= 12 by (p, q): the usual noise
-# weights, looked up rather than reduced.
-_FRACTIONS = {(p, q): Fraction(p, q) for q in range(1, 13) for p in range(q + 1)}
-
-
-def _fraction(weight: tuple[int, int]) -> Fraction:
-    """p/q for ``weight`` (p, q); ZeroDivisionError where q is 0."""
-    fraction = _FRACTIONS.get(weight)
-    return Fraction(*weight) if fraction is None else fraction
-
-
-def _ints(texts: Sequence[str]) -> list[int]:
-    """``texts`` read as integers; ValueError where one is no integer, or
-    is longer than int() converts."""
-    try:
-        return list(map(_SMALL_INTS.__getitem__, texts))
-    except KeyError:
-        return list(map(int, texts))
 
 
 def _kind(token: str) -> str:
@@ -190,7 +161,6 @@ class _Parser:
         self.text = text
         self.tokens = _TOKEN.findall(text)
         self.pos = 0
-        self.noises: dict[tuple[str, ...], list[tuple[int, Fraction]]] = {}
 
     def start(self, pos: int) -> int:
         """The offset of token ``pos``, found again for an error."""
@@ -288,15 +258,15 @@ class _Parser:
     # every item in it is well formed, and otherwise again item by item,
     # which fails where and as the grammar says.  A slice of one offset of
     # every item is checked by counting its punctuation.  No token ends the
-    # block, a token is no integer, or an integer is longer than int()
-    # converts: each raises ValueError, which sends the block to the item
-    # rules.
+    # block (ValueError), or a declaration is not one the fast read takes
+    # (KeyError): either sends the block to the item rules.
 
-    def node_decls(self) -> tuple[list[str], list[tuple]]:
+    def node_decls(self) -> tuple[list[str], list[tuple], bool]:
         """``name { attribute* }`` after each ``node``, up to ``edges``,
-        which is read too, as the names and their attributes: slices of
-        stride 8 when every declaration is ``name { key: value; }`` for a
-        declared role, observed or adjust, with a name valid_name takes."""
+        which is read too, as the names, their attributes and whether the
+        names are known to be valid: slices of stride 8 when every
+        declaration is ``name { key: value; }`` for a declared role,
+        observed or adjust, with a name valid_name takes."""
         tokens = self.tokens
         start = self.pos
         # Only a block whose first declaration has that shape is tried.
@@ -317,7 +287,7 @@ class _Parser:
                     pairs = zip(tokens[start + 2 : end : 8], tokens[start + 4 : end : 8])
                     decls = list(map(_DECL_ITEMS.__getitem__, pairs))
                     self.pos = end
-                    return names, decls
+                    return names, decls, True
             except (ValueError, KeyError):
                 pass
         names, decls = [], []
@@ -326,7 +296,7 @@ class _Parser:
             names.append(name)
             decls.append(items)
             if self.expect("node", "edges") != "node":
-                return names, decls
+                return names, decls, False
 
     def node_decl(self) -> tuple[str, tuple]:
         """A name and its attributes as (key, value) pairs."""
@@ -368,7 +338,7 @@ class _Parser:
                     not odd
                     and tokens[start + 1 : end : 4].count("->") == n
                     and tokens[start + 3 : end : 4].count(";") == n
-                    and all(map(_is_name, set(srcs).union(dsts).difference(names)))
+                    and all(_kind(t) == "ident" for t in set(srcs).union(dsts).difference(names))
                 ):
                     self.pos = end + 1
                     return srcs, dsts
@@ -436,40 +406,30 @@ class _Parser:
 
     def noise_block(self) -> list[tuple[int, Fraction]]:
         self.expect("noise")
-        entries = self.noise_entries()
+        entries = self.block(self.noise_entry)
         if not entries:
             raise SemanticError("noise block must list at least one value")
         return entries
 
-    def noise_entries(self) -> list[tuple[int, Fraction]]:
-        """``{ noise_entry* }``, read off the token list when every entry
-        is ``value: p/q;`` with q not zero or every one is ``value: p;``:
-        the integers at even offsets, the punctuation at odd ones.  A block
-        whose tokens repeat one read so before is that block's list."""
-        tokens = self.tokens
-        start = self.pos + 1
-        if tokens[self.pos] == "{":
-            try:
-                end = tokens.index("}", start)
-                body = tuple(tokens[start:end])
-                entries = self.noises.get(body)
-                if entries is None and len(body) % 2 == 0:
-                    ints, marks = _ints(body[::2]), body[1::2]
-                    if marks == (":", "/", ";") * (len(marks) // 3):
-                        weights = zip(ints[1::3], ints[2::3])
-                        entries = list(zip(ints[::3], map(_fraction, weights)))
-                    elif marks == (":", ";") * (len(marks) // 2):
-                        weights = zip(ints[1::2], repeat(1))
-                        entries = list(zip(ints[::2], map(_fraction, weights)))
-                if entries is not None:
-                    self.noises[body] = entries
-                    self.pos = end + 1
-                    return entries
-            except (ValueError, ZeroDivisionError):
-                pass
-        return self.block(self.noise_entry)
+    # The item rules below read a well-formed item straight off the token
+    # list; any other item is read again token by token, which fails where
+    # and as the grammar says.  A short slice or a token that is no integer
+    # raises ValueError, and so does an integer longer than int() converts.
 
     def noise_entry(self) -> tuple[int, Fraction]:
+        pos = self.pos
+        try:
+            value, colon, num, end, den, semi = self.tokens[pos : pos + 6]
+            if colon == ":" and end == ";":
+                entry = int(value), Fraction(int(num))
+                self.pos = pos + 4
+                return entry
+            if colon == ":" and end == "/" and semi == ";" and int(den):
+                entry = int(value), Fraction(int(num), int(den))
+                self.pos = pos + 6
+                return entry
+        except ValueError:
+            pass
         value = self.integer()
         self.expect(":")
         num, den = self.integer(), 1
@@ -481,66 +441,35 @@ class _Parser:
         self.expect(";")
         return value, Fraction(num, den)
 
-    def table_block(self) -> tuple[list[str], list[tuple[int, ...]], list[int]]:
-        """Its parents, and its entries as keys and values.  A parent list
-        of names with commas between is read off the token list."""
-        tokens = self.tokens
-        pos = self.pos
-        parents = None
-        if tokens[pos + 1] == "(":
-            try:
-                close = tokens.index(")", pos + 2)
-                names = tokens[pos + 2 : close : 2]
-                commas = tokens[pos + 3 : close : 2]
-                if commas == [","] * (len(names) - 1) and all(map(_is_name, names)):
-                    parents, self.pos = names, close + 1
-            except ValueError:
-                pass
-        if parents is None:
-            self.expect("table")
-            self.expect("(")
-            parents = self.commas(self.name, ")")
-            self.expect(")")
-        keys, values = self.table_entries()
-        if not keys:
-            raise SemanticError("table block must list at least one entry")
-        return parents, keys, values
-
-    def table_entries(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """``{ table_entry* }`` as its keys and its values: slices of
-        stride 2w + 4 (5 for w = 0) when every key has the w components of
-        the first, one slice per component.  Once every other offset holds
-        what it should, the block holds the w - 1 commas of each key when
-        it holds as many commas as all the keys."""
-        tokens = self.tokens
-        start = self.pos + 1
-        if tokens[self.pos] == "{" and tokens[start] == "(":
-            try:
-                end = tokens.index("}", start)
-                close = tokens.index(")", start)
-                size = close - start + 4
-                n, odd = divmod(end - start, size)
-                if (
-                    not odd
-                    and (size == 5 or not size % 2)
-                    and tokens[start:end:size].count("(") == n
-                    and tokens[close:end:size].count(")") == n
-                    and tokens[close + 1 : end : size].count("->") == n
-                    and tokens[close + 3 : end : size].count(";") == n
-                ):
-                    columns = [
-                        _ints(tokens[start + j : end : size]) for j in range(1, close - start, 2)
-                    ]
-                    values = _ints(tokens[close + 2 : end : size])
-                    if tokens[start:end].count(",") == n * max(len(columns) - 1, 0):
-                        self.pos = end + 1
-                        return list(zip(*columns)) if columns else [()] * n, values
-            except ValueError:
-                pass
+    def table_block(self) -> tuple[list[str], list[tuple[tuple[int, ...], int]]]:
+        self.expect("table")
+        self.expect("(")
+        parents = self.commas(self.name, ")")
+        self.expect(")")
         entries = self.block(self.table_entry)
-        return [key for key, _ in entries], [value for _, value in entries]
+        if not entries:
+            raise SemanticError("table block must list at least one entry")
+        return parents, entries
 
     def table_entry(self) -> tuple[tuple[int, ...], int]:
+        pos = self.pos
+        tokens = self.tokens
+        try:
+            # "(", a key of ``width`` integers with commas between, ")"
+            close = tokens.index(")", pos) if tokens[pos] == "(" else pos
+            arrow, value, semi = tokens[close + 1 : close + 4]
+            width = (close - pos) // 2
+            if (
+                arrow == "->"
+                and semi == ";"
+                and close - pos == 2 * width
+                and tokens[pos + 2 : close : 2].count(",") == width - 1
+            ):
+                entry = tuple(map(int, tokens[pos + 1 : close : 2])), int(value)
+                self.pos = close + 4
+                return entry
+        except ValueError:
+            pass
         self.expect("(")
         key = tuple(self.commas(self.integer, ")"))
         self.expect(")")
@@ -590,7 +519,7 @@ _COMMON_SHAPES = {items: _node_attrs("", items) for items in [(), *_DECL_ITEMS.v
 
 def _assemble(
     title: str,
-    nodes: tuple[list[str], list[tuple]],
+    nodes: tuple[list[str], list[tuple], bool],
     edges: tuple[list[str], list[str]],
     strategies: list[tuple[str, Strategy]],
     estimand: tuple[str, str, int, str, int],
@@ -601,9 +530,12 @@ def _assemble(
     # order, the attribute faults left in label order, self-loops in edge
     # order, then cycles.  Names and edges are checked as sets and counts,
     # and walked in order only to name the first fault; nodes declared
-    # with the same attributes share one check.
-    names, decls = nodes
-    if len(set(names)) < len(names) or not _VALID_NAMES.fullmatch("\n".join(names) + "\n"):
+    # with the same attributes share one check.  The names node_decls
+    # read off the token list are valid already.
+    names, decls, valid = nodes
+    if len(set(names)) < len(names) or not (
+        valid or _VALID_NAMES.fullmatch("\n".join(names) + "\n")
+    ):
         seen: set[str] = set()
         for name, items in zip(names, decls):
             if not valid_name(name):
@@ -760,18 +692,13 @@ def _assemble_scm(
     axes: dict[str, tuple[int, ...]] = {}
     supports: dict[str, set[int]] = {}
     equations: dict[str, StructuralEquation] = {}
-    # Noise blocks with the same tokens are one list (see noise_entries),
-    # checked once; ``raw`` keeps each list, and so its id, alive.
-    checked: dict[int, tuple] = {}
     for node in graph.topological_order():
         var = node.base
         noise, table = decls[var]
         if noise is None:
             noise_entries, noise_axis, noise_set = _NO_NOISE
-        elif id(noise) in checked:
-            noise_entries, noise_axis, noise_set = checked[id(noise)]
         else:
-            noise_entries, noise_axis, noise_set = checked[id(noise)] = _checked_noise(var, noise)
+            noise_entries, noise_axis, noise_set = _checked_noise(var, noise)
         # In label order, which is base order in a declared graph.
         graph_parents = [p.base for p in graph.parents(node)]
         if table is None:
@@ -843,13 +770,13 @@ def _check_coverage(var: str, mapping: dict, axes: list[tuple[int, ...]], sets: 
 
 def _canonical_table(
     var: str,
-    table: tuple[list[str], list[tuple[int, ...]], list[int]],
+    table: tuple[list[str], list[tuple[tuple[int, ...], int]]],
     graph_parents: list[str],
     noisy: bool,
 ) -> dict[tuple[int, ...], int]:
     """A table block as a mapping from canonical keys, the parents' values
     in label order and then the noise value, to values."""
-    listed_parents, keys, values = table
+    listed_parents, entries = table
     # The graph's parents are distinct and sorted.
     if listed_parents != graph_parents:
         if len(set(listed_parents)) != len(listed_parents):
@@ -860,18 +787,18 @@ def _canonical_table(
             raise SemanticError(
                 f"table for {var} lists parents {listed}, but the graph gives {actual}"
             )
-    arity = len(listed_parents) + noisy
     # Keys that list the parents in order, each of the arity, are
     # canonical once a table without noise gives each a noise value of 0;
     # the walk names a key of the wrong length or given twice, and puts
     # other keys in canonical order.
-    if listed_parents == graph_parents and set(map(len, keys)) == {arity}:
-        mapping = dict(zip(keys if noisy else map(add, keys, repeat((0,))), values))
-        if len(mapping) == len(keys):
+    if listed_parents == graph_parents:
+        mapping = dict(entries) if noisy else {key + (0,): value for key, value in entries}
+        if len(mapping) == len(entries) and set(map(len, mapping)) == {len(graph_parents) + 1}:
             return mapping
+    arity = len(listed_parents) + noisy
     perm = sorted(range(len(listed_parents)), key=lambda i: listed_parents[i])
     mapping = {}
-    for key, value in zip(keys, values):
+    for key, value in entries:
         if len(key) != arity:
             raise SemanticError(
                 f"table key {key} for {var} has {len(key)} components, expected {arity}"

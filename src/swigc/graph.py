@@ -353,31 +353,24 @@ class CausalGraph:
             for p in ps:
                 down[p].append(v)
 
-        # Each base's one random node and at most one fixed node.  A graph
-        # without fixed nodes, such as a parsed study's, needs only the
-        # first map, and has it when no two nodes share a base.
-        flags = bytes(map(attrgetter("fixed"), nodes))
+        # Each base's one random node and at most one fixed node.
         random, fixed = {}, {}
-        if not any(flags):
-            random = dict(zip(map(attrgetter("base"), nodes), nodes))
-        if len(random) < len(nodes):
-            random = {}
-            for n in nodes:
-                same = fixed if n.fixed else random
-                if n.base in same:
-                    kind = "fixed" if n.fixed else "random"
-                    raise GraphError(f"variable {n.base!r} has several {kind} nodes")
-                same[n.base] = n
-            for n in nodes:
-                if n.fixed and up[position[n]]:
-                    raise GraphError(f"fixed node {n.label!r} cannot have incoming edges")
-                if n.fixed and n.base not in random:
-                    raise GraphError(f"fixed node {n.label!r} has no random half in the graph")
+        for n in nodes:
+            same = fixed if n.fixed else random
+            if n.base in same:
+                kind = "fixed" if n.fixed else "random"
+                raise GraphError(f"variable {n.base!r} has several {kind} nodes")
+            same[n.base] = n
+        for n in nodes:
+            if n.fixed and up[position[n]]:
+                raise GraphError(f"fixed node {n.label!r} cannot have incoming edges")
+            if n.fixed and n.base not in random:
+                raise GraphError(f"fixed node {n.label!r} has no random half in the graph")
 
         self.nodes: tuple[NodeId, ...] = tuple(nodes)
         self.attrs: dict[NodeId, NodeAttrs] = attrs
         self._by_label, self._random, self._fixed = by_label, random, fixed
-        self._index = _Index(position, up, down, flags)
+        self._index = _Index(position, up, down, bytes([n.fixed for n in nodes]))
         self._topo = None
 
     def _layered_order(self) -> tuple[NodeId, ...]:

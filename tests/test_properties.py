@@ -1271,9 +1271,9 @@ def shuffled_blocks(draw):
 @settings(max_examples=800)
 @given(shuffled_blocks())
 def test_block_reads_match_the_character_walk_on_shuffled_blocks(text):
-    """Where a block read off the token list meets a faulty item, the
-    parser fails where and as the reference does; a shuffled block with a
-    harmless edit parses to the same study."""
+    """Where a block or item read off the token list meets a faulty item,
+    the parser fails where and as the reference does; a shuffled block
+    with a harmless edit parses to the same study."""
     expected = _spec_or_error(reference_dsl.parse_study, text)
     assert _spec_or_error(parse_study, text) == expected
 
