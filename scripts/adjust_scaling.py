@@ -10,8 +10,10 @@ confounders of the held event must be adjusted for (k = 12, 100, 500 and
 root only (n = 1000, 4000 and 40000; the last is a 40,006-node SWIG); and
 ``dense_refute(k)``, where k latent confounders of the held event and the
 outcome, with an edge between every two of them, leave it unidentified
-(k = 125, 250 and 500; the last has 125,753 edges).  ``--case
-FAMILY:SIZE`` picks cases, once per case; the default is all ten.
+(k = 125, 250 and 500; the last has 125,753 edges); and ``held(k)``,
+where k held events each have a confounder of their own that must be
+adjusted for (k = 50, 100 and 200).  ``--case FAMILY:SIZE`` picks cases,
+once per case; the default is all thirteen.
 
 Runs each case in fresh Python processes through ``scaling_harness.py``.
 The child times, in process, three layers: one ``parse_study`` of the
@@ -19,7 +21,8 @@ spec, one ``study_swig`` of the compiled study (the split graph that
 identify starts from), and one ``identify_estimand`` of the parsed study.
 Each time is the least of three warm calls after an untimed first one.
 What each arm reports is checked against what the case was built to
-give: the adjustment set, or the witness through the least latent label.
+give: an identified arm with the adjustment set, or the witness through
+the least latent label.
 
 Prints one JSON line: per case, the median and quartiles of each layer's
 time in milliseconds (``parse_ms``, ``split_ms`` and ``identify_ms``);
@@ -40,6 +43,7 @@ SIZES = {
     "adjust_chain": (12, 100, 500, 2000),
     "sparse_chain": (1000, 4000, 40000),
     "dense_refute": (125, 250, 500),
+    "held": (50, 100, 200),
 }
 
 CHILD = (
@@ -57,7 +61,7 @@ CHILD = (
     "    if arm.status == 'blocked':\n"
     "        print(arm.blocked.witness_label)\n"
     "    else:\n"
-    "        print(*(s.justification for s in arm.steps if s.rule == 'stratification'))\n"
+    "        print(arm.status, *(s.justification for s in arm.steps if s.rule == 'stratification'))\n"
 )
 
 
@@ -104,23 +108,38 @@ def dense_refute(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def held(k: int) -> str:
+    """A -> Y with k held events M01.., each with A -> M0i -> Y and an
+    adjust-eligible confounder C0i -> M0i, C0i -> Y of its own."""
+    events = [f"M{i:02d}" for i in range(1, k + 1)]
+    names = [f"C{i:02d}" for i in range(1, k + 1)]
+    lines = ['study "Held events" {', "  node A { role: treatment; }"]
+    lines += [f"  node {c} {{ adjust: true; }}" for c in names]
+    lines += [f"  node {m} {{ role: intercurrent; }}" for m in events]
+    lines += ["  node Y { role: outcome; }", "  edges {", "    A -> Y;"]
+    lines += [f"    A -> {m}; {m} -> Y; {c} -> {m}; {c} -> Y;" for m, c in zip(events, names)]
+    lines += ["  }", *(f"  strategy {m}: hypothetical(0);" for m in events),
+              "  estimand mean_difference(Y; A = 1 vs A = 0);", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def case(family: str, size: int) -> tuple[str, str]:
     """A case's name and spec text."""
-    build = {"adjust_chain": adjust_chain, "sparse_chain": sparse_chain}.get(family, dense_refute)
-    return f"{family}({size})", build(size)
+    build = {"adjust_chain": adjust_chain, "sparse_chain": sparse_chain, "held": held}
+    return f"{family}({size})", build.get(family, dense_refute)(size)
 
 
 def check(key: tuple[str, int], arms: list[str]) -> dict:
     """Nothing to report once each arm gave what the case was built to
-    give: its stratification step, or its witness."""
+    give: its status and stratification step, or its witness."""
     family, size = key
-    if family == "adjust_chain":
+    if family in ("adjust_chain", "held"):
         chosen = sorted(f"C{i:02d}" for i in range(1, size + 1))
-        expected = f"stratification over {{{', '.join(chosen)}}}"
+        expected = f"identified stratification over {{{', '.join(chosen)}}}"
     elif family == "dense_refute":
         expected = "M(a) <- U001 -> Y(a,m)"
     else:
-        expected = "stratification over {C0}"
+        expected = "identified stratification over {C0}"
     if arms != [expected, expected]:
         raise ValueError(f"expected {expected!r} in both arms, got {arms!r}")
     return {}

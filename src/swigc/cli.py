@@ -64,15 +64,17 @@ def _lines(lines: list[str]) -> str:
 
 def _cmd_validate(args, compiled: CompiledEstimand) -> tuple[dict, int]:
     study = compiled.study
-    return {
+    payload = {
         "study": study.name,
         "grammar": GRAMMAR_VERSION,
         "nodes": len(study.graph),
         "edges": sum(map(len, study.graph._index.children)),
         "strategies": {v: s.kind for v, s in sorted(study.strategies.items())},
         "estimand": render(compiled.contrast),
-        "canonical": serialize(study),
-    }, 0
+    }
+    if args.json:  # the text view does not show it
+        payload["canonical"] = serialize(study)
+    return payload, 0
 
 
 def _validate_text(p: dict) -> str:

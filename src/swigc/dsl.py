@@ -29,17 +29,28 @@ or the end, ``block`` for ``{ item* }`` and ``commas`` for
 token list, as slices of a fixed stride whose punctuation is counted:
 
 - the node declarations, when every one is ``name { key: value; }`` for
-  a declared role, ``observed`` or ``adjust`` (stride 8);
+  a declared role, ``observed`` or ``adjust`` and the names are distinct
+  and valid (stride 8);
 - the edges block, when every edge is ``name -> name;`` (stride 4).
 
 Two items are read straight off the token list too: a noise entry
 ``value: p;`` or ``value: p/q;`` with q not zero, and a table entry
 whose key has its commas.  A block or item that is not well formed is
 read again with the token rules, which fail where and as the grammar
-says, so no error and no line:column depends on the fast reads.  The
-assembly checks names, edge endpoints, repeated edges, equations and
-tables as sets and counts, and walks the items in order only to name
-the first fault.
+says, so no error and no line:column depends on the fast reads.
+
+Each node declaration has one checked path.  One table, built when the
+module loads, maps a declaration read off the token list to its checked
+attributes.  Declarations read item by item are walked once in
+declaration order, which refuses an invalid or repeated name and the
+spec's own refusals (an undeclared role, latent with observed: true,
+adjust off an observed covariate); each distinct declaration then goes
+once through the graph's attribute rule, graph._check_attrs, whose
+faults are raised after the edge checks, for the least label, as the
+graph constructor orders them.  The assembly checks edge endpoints,
+repeated edges, equations and tables as sets and counts, keeps each
+variable's support once, as a set, and walks the items in order only to
+name the first fault.
 
 serialize() emits a canonical form: entries sorted by name, attributes
 reduced to non-defaults, data-model tables normalized so every key ends
@@ -54,11 +65,11 @@ import re
 from fractions import Fraction
 from itertools import islice, product
 from math import lcm, prod
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, eq
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConflictingStrategies, CycleError, ParseError, SemanticError, SpecError
-from .graph import CausalGraph, NodeAttrs, NodeId, valid_name
+from .graph import CausalGraph, NodeAttrs, NodeId, _check_attrs, valid_name
 from .model import (
     Composite,
     Hypothetical,
@@ -122,19 +133,6 @@ def _lexical_error(text: str) -> ParseError | None:
         message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
         return _error(text, stop, message)
     return None
-
-
-# A declaration's one attribute, ``key: value;``, as node_decl reads it,
-# by its key and value tokens: a role a study may declare, or observed or
-# adjust.
-_DECL_ITEMS = {
-    **{("role", role): (("role", role),) for role in _DECLARED_ROLES},
-    **{
-        (key, text): ((key, text == "true"),)
-        for key in ("observed", "adjust")
-        for text in ("true", "false")
-    },
-}
 
 
 def _kind(token: str) -> str:
@@ -261,12 +259,14 @@ class _Parser:
     # block (ValueError), or a declaration is not one the fast read takes
     # (KeyError): either sends the block to the item rules.
 
-    def node_decls(self) -> tuple[list[str], list[tuple], bool]:
+    def node_decls(self) -> tuple[list[str], list | dict, bool]:
         """``name { attribute* }`` after each ``node``, up to ``edges``,
-        which is read too, as the names, their attributes and whether the
-        names are known to be valid: slices of stride 8 when every
-        declaration is ``name { key: value; }`` for a declared role,
-        observed or adjust, with a name valid_name takes."""
+        which is read too, as the names, their declarations and whether
+        those are checked already.  When every declaration is ``name {
+        key: value; }`` for a declared role, observed or adjust, and the
+        names are distinct and valid_name takes them, slices of stride 8
+        give each name its checked attributes; else node_decl reads each
+        declaration's attribute pairs."""
         tokens = self.tokens
         start = self.pos
         # Only a block whose first declaration has that shape is tried.
@@ -282,12 +282,13 @@ class _Parser:
                     and tokens[start + 5 : end : 8].count(";") == n
                     and tokens[start + 6 : end : 8].count("}") == n
                     and tokens[start + 7 : end : 8].count("node") == n - 1
+                    and len(set(names)) == n
                     and _VALID_NAMES.fullmatch("\n".join(names) + "\n")
                 ):
                     pairs = zip(tokens[start + 2 : end : 8], tokens[start + 4 : end : 8])
-                    decls = list(map(_DECL_ITEMS.__getitem__, pairs))
+                    attrs = dict(zip(names, map(_DECL_ATTRS.__getitem__, pairs)))
                     self.pos = end
-                    return names, decls, True
+                    return names, attrs, True
             except (ValueError, KeyError):
                 pass
         names, decls = [], []
@@ -486,10 +487,9 @@ class _Parser:
 _VALID_NAMES = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*\n)*")
 
 
-def _node_attrs(name: str, items: tuple) -> tuple[NodeAttrs, str | None]:
-    """A declared node's attributes as its graph keeps them, and the fault
-    that the graph's checks name after the edges', if it has one.  The
-    faults raised here come first, in declaration order."""
+def _node_attrs(name: str, items: tuple) -> NodeAttrs:
+    """A declared node's attributes, once the spec's own refusals pass;
+    the graph's rule, _check_attrs, is still to be applied."""
     raw = dict(items)
     role = raw.get("role", "covariate")
     if role not in _DECLARED_ROLES:
@@ -502,24 +502,47 @@ def _node_attrs(name: str, items: tuple) -> tuple[NodeAttrs, str | None]:
         raise SemanticError(f"node {name}: role latent contradicts observed: true")
     if adjust and (role != "covariate" or not observed):
         raise SemanticError(f"node {name}: adjust is only valid on observed covariates")
-    fault = None
-    if not observed and role == "covariate":
-        role = "latent"
-    elif not observed and role != "latent":
-        fault = f"role {role} must be observed"
-    if fault is None and len(set(values)) != len(values):
-        fault = "declared values must be non-empty and distinct"
-    return NodeAttrs(role=role, observed=observed, conditioned=adjust, values=values), fault
+    return NodeAttrs(role=role, observed=observed, conditioned=adjust, values=values)
 
 
-# The checked declarations node_decls reads off the token list, and the
-# empty one; none of them has a fault.
-_COMMON_SHAPES = {items: _node_attrs("", items) for items in [(), *_DECL_ITEMS.values()]}
+# A declaration ``name { key: value; }`` that node_decls reads off the
+# token list, by its key and value tokens, as its checked attributes.
+_DECL_ATTRS = {
+    (key, str(value).lower()): _check_attrs("", _node_attrs("", ((key, value),)))
+    for key in ("role", "observed", "adjust")
+    for value in (_DECLARED_ROLES if key == "role" else (True, False))
+}
+
+
+def _checked_decls(names: list[str], decls: list[tuple]) -> tuple[dict, list[str]]:
+    """The declarations node_decl read, walked in declaration order: an
+    invalid or repeated name and the spec's own refusals are raised, and
+    each distinct declaration is checked once.  Returns each node's
+    attributes as the graph keeps them, and the nodes whose attributes
+    the graph's rule refuses, for the caller to raise later."""
+    attr_by_name: dict[str, NodeAttrs] = {}
+    shapes: dict[tuple, tuple[NodeAttrs, bool]] = {}
+    faults = []
+    for name, items in zip(names, decls):
+        if not valid_name(name):
+            raise SemanticError(f"invalid variable name {name!r}")
+        if name in attr_by_name:
+            raise SemanticError(f"duplicate node {name}")
+        if items not in shapes:
+            declared = _node_attrs(name, items)
+            try:
+                shapes[items] = _check_attrs(name, declared), True
+            except SemanticError:
+                shapes[items] = declared, False
+        attr_by_name[name], ok = shapes[items]
+        if not ok:
+            faults.append(name)
+    return attr_by_name, faults
 
 
 def _assemble(
     title: str,
-    nodes: tuple[list[str], list[tuple], bool],
+    nodes: tuple[list[str], list | dict, bool],
     edges: tuple[list[str], list[str]],
     strategies: list[tuple[str, Strategy]],
     estimand: tuple[str, str, int, str, int],
@@ -527,37 +550,12 @@ def _assemble(
 ) -> StudySpec:
     # The checks run in the graph constructor's order: names, repeats and
     # attributes in declaration order, edge endpoints and repeats in edge
-    # order, the attribute faults left in label order, self-loops in edge
-    # order, then cycles.  Names and edges are checked as sets and counts,
-    # and walked in order only to name the first fault; nodes declared
-    # with the same attributes share one check.  The names node_decls
-    # read off the token list are valid already.
-    names, decls, valid = nodes
-    if len(set(names)) < len(names) or not (
-        valid or _VALID_NAMES.fullmatch("\n".join(names) + "\n")
-    ):
-        seen: set[str] = set()
-        for name, items in zip(names, decls):
-            if not valid_name(name):
-                raise SemanticError(f"invalid variable name {name!r}")
-            if name in seen:
-                raise SemanticError(f"duplicate node {name}")
-            seen.add(name)
-            _node_attrs(name, items)
-    # Most nodes use a common declaration, checked when the module loads.
-    shapes, faults = _COMMON_SHAPES, {}
-    try:
-        checked = list(map(shapes.__getitem__, decls))
-    except KeyError:
-        shapes, checked = dict(shapes), []
-        for name, items in zip(names, decls):
-            shape = shapes.get(items)
-            if shape is None:
-                shape = shapes[items] = _node_attrs(name, items)
-            checked.append(shape)
-            if shape[1] is not None:
-                faults[name] = shape[1]
-    attr_by_name = dict(zip(names, map(itemgetter(0), checked)))
+    # order, the graph's attribute faults for the least label, self-loops
+    # in edge order, then cycles.  Edges are checked as sets and counts,
+    # and walked in order only to name the first fault.  Declarations
+    # node_decls read off the token list are checked already.
+    names, decls, checked = nodes
+    attr_by_name, faults = (decls, []) if checked else _checked_decls(names, decls)
 
     # A declared node's label is its name.  Repeated edges add fewer
     # parents than there are edges.
@@ -580,7 +578,7 @@ def _assemble(
             seen_edges.add((src, dst))
     if faults:
         name = min(faults)
-        raise SemanticError(f"node {name}: {faults[name]}")
+        _check_attrs(name, attr_by_name[name])  # raises its fault
 
     graph_nodes = list(map(NodeId, labels))
     attrs = dict(zip(graph_nodes, map(attr_by_name.__getitem__, labels)))
@@ -688,40 +686,31 @@ def _assemble_scm(
         missing = next(name for name in attr_by_name if name not in decls)
         raise SemanticError(f"scm is missing an equation for {missing}")
 
-    # Each variable's support, as a sorted axis and as a set.
-    axes: dict[str, tuple[int, ...]] = {}
+    # Each variable's support, as a set.
     supports: dict[str, set[int]] = {}
     equations: dict[str, StructuralEquation] = {}
     for node in graph.topological_order():
         var = node.base
         noise, table = decls[var]
-        if noise is None:
-            noise_entries, noise_axis, noise_set = _NO_NOISE
-        else:
-            noise_entries, noise_axis, noise_set = _checked_noise(var, noise)
+        noise_entries, noise_set = _NO_NOISE if noise is None else _checked_noise(var, noise)
         # In label order, which is base order in a declared graph.
         graph_parents = [p.base for p in graph.parents(node)]
         if table is None:
             if graph_parents:
                 raise SemanticError(f"equation for {var} needs a table; {var} has parents")
-            # A key per noise value, so the keys are its whole axis.
-            mapping = dict(zip(zip(noise_axis), noise_axis))
+            # A key per noise value, in order.
+            mapping = {(value,): value for value, _ in noise_entries}
             produced = noise_set
         else:
             mapping = _canonical_table(var, table, graph_parents, noise is not None)
-            _check_coverage(
-                var,
-                mapping,
-                [*map(axes.__getitem__, graph_parents), noise_axis],
-                [*map(supports.__getitem__, graph_parents), noise_set],
-            )
+            _check_coverage(var, mapping, [*map(supports.__getitem__, graph_parents), noise_set])
             produced = set(mapping.values())
 
         declared = attr_by_name[var].values
         if not produced.issubset(declared):
             value = next(v for v in mapping.values() if v not in declared)
             raise SemanticError(f"table for {var} produces {value}, outside its declared values")
-        axes[var], supports[var] = tuple(sorted(produced)), produced
+        supports[var] = produced
         equations[var] = StructuralEquation(
             parents=tuple(graph_parents), noise=noise_entries, table=mapping
         )
@@ -729,12 +718,12 @@ def _assemble_scm(
 
 
 # An equation without noise reads one noise value, 0, always.
-_NO_NOISE = ((0, Fraction(1)),), (0,), {0}
+_NO_NOISE = ((0, Fraction(1)),), {0}
 
 
 def _checked_noise(var: str, noise: list[tuple[int, Fraction]]) -> tuple:
-    """A noise block sorted by value, its values in order and as a set,
-    once its values are distinct, its weights positive and their sum 1."""
+    """A noise block sorted by value, and its values as a set, once its
+    values are distinct, its weights positive and their sum 1."""
     values_seen: set[int] = set()
     for value, prob in noise:
         if value in values_seen:
@@ -747,21 +736,20 @@ def _checked_noise(var: str, noise: list[tuple[int, Fraction]]) -> tuple:
     if sum(prob.numerator * (scale // prob.denominator) for _, prob in noise) != scale:
         total = sum(prob for _, prob in noise)
         raise SemanticError(f"noise probabilities for {var} must sum to 1, got {total}")
-    entries = tuple(sorted(noise))
-    return entries, tuple([value for value, _ in entries]), values_seen
+    return tuple(sorted(noise)), values_seen
 
 
-def _check_coverage(var: str, mapping: dict, axes: list[tuple[int, ...]], sets: list) -> None:
+def _check_coverage(var: str, mapping: dict, sets: list[set[int]]) -> None:
     """Refuse a table whose distinct keys are not every point of the
-    product of the axes, each given sorted and as a set.
+    product of the supports, each given as a set.
 
-    They are when there are as many and each component lies in its axis.
+    They are when there are as many and each component lies in its set.
     Only a table that fails this is walked, to name its fault: a key is
-    missing, or else the table is too long for its axes."""
-    if len(mapping) != prod(map(len, axes)) or not all(map(set.issuperset, sets, zip(*mapping))):
-        # Sorted axes give keys in sorted order, so the walk stops at the
-        # smallest missing key after at most len(mapping) + 1 keys.
-        for key in product(*axes):
+    missing, or else the table is too long for its supports."""
+    if len(mapping) != prod(map(len, sets)) or not all(map(set.issuperset, sets, zip(*mapping))):
+        # Sorted supports give keys in sorted order, so the walk stops at
+        # the smallest missing key after at most len(mapping) + 1 keys.
+        for key in product(*map(sorted, sets)):
             if key not in mapping:
                 raise SemanticError(f"table for {var} is missing an entry for {key}")
         extra = [key for key in mapping if any(c not in a for c, a in zip(key, sets))]

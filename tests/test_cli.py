@@ -40,6 +40,23 @@ class TestValidate:
         assert "grammar: 1.0" in res.out
         assert "strategy: M treatment_policy" in res.out
 
+    def test_only_json_writes_the_canonical_text(self, run_cli, monkeypatch):
+        import swigc.cli
+
+        calls = []
+        serialize = swigc.cli.serialize
+
+        def counted(study):
+            calls.append(study)
+            return serialize(study)
+
+        monkeypatch.setattr(swigc.cli, "serialize", counted)
+        assert run_cli("validate", spec_path("itt.swg")).code == 0
+        assert calls == []
+        res = run_cli("validate", spec_path("itt.swg"), "--json")
+        assert len(calls) == 1
+        assert json.loads(res.out)["canonical"] == serialize(calls[0])
+
     def test_parse_error(self, run_cli):
         res = run_cli("validate", spec_path("bad_syntax.swg"))
         assert res.code == 2

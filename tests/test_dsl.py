@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from swigc import dsl
 from swigc.dsl import GRAMMAR_VERSION, parse_study, serialize
 from swigc.errors import ParseError, SemanticError, SpecError
 from swigc.model import Composite, Hypothetical, PrincipalStratum, TreatmentPolicy
@@ -226,6 +227,58 @@ class TestErrorReporting:
         missing = ", ".join(["0"] * 19 + ["1", "0"])
         assert str(exc.value) == f"table for Y is missing an entry for ({missing})"
         assert peak < 5 * 2**20
+
+
+BLOCK_READ = [n for n in VALID if n != "enumeration_cap.swg"]
+
+# Each fault is named only once the one before it is mended: M and C are
+# declared out of label order, and the refusal of L comes after both.
+FAULTS = """
+study "Faults" {
+  node A { role: treatment; }
+  node M { role: intercurrent; observed: false; }
+  node C { values: 0, 0; }
+  node L { role: latent; observed: true; }
+  node Y { role: outcome; }
+  edges { A -> M; M -> Y; A -> Q; L -> Y; C -> Y; }
+  strategy M: hypothetical(0);
+  estimand mean_difference(Y; A = 1 vs A = 0);
+}
+"""
+FAULT_MENDS = [
+    ("observed: true;", "", "node L: role latent contradicts observed: true"),
+    (" A -> Q;", "", "edge endpoint Q is not a declared node"),
+    ("values: 0, 0;", "", "node C: declared values must be non-empty and distinct"),
+    ("observed: false;", "", "node M: role intercurrent must be observed"),
+]
+
+
+class TestDeclarationReaders:
+    @pytest.mark.parametrize("name", BLOCK_READ)
+    def test_item_read_builds_the_block_read_study(self, name, monkeypatch):
+        """A first declaration with two attributes sends the whole block
+        to the item rules, which build the same study."""
+        walks = []
+        walk = dsl._checked_decls
+        monkeypatch.setattr(dsl, "_checked_decls", lambda *a: walks.append(a) or walk(*a))
+        text = spec_text(name)
+        first = "role: treatment;"  # node A's, declared first
+        assert text.count(first) == 1
+        block_read = parse_study(text)
+        assert walks == []
+        item_read = parse_study(text.replace(first, "role: treatment; observed: true;"))
+        assert len(walks) == 1
+        assert item_read == block_read
+
+    def test_faults_are_named_refusal_endpoint_then_attributes_by_label(self):
+        text = FAULTS
+        for old, new, message in FAULT_MENDS:
+            with pytest.raises(SemanticError) as exc:
+                parse_study(text)
+            assert str(exc.value) == message
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        parse_study(text)  # every fault mended
 
 
 def test_parse_peak_memory_is_bounded_by_the_text():

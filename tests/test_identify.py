@@ -432,17 +432,19 @@ class TestAdjustmentSearch:
             assert stratified_over(arm) == [f"stratification over {{{names}}}"]
 
     def test_scaling_script_times_the_smallest_chain(self, tmp_path, capsys):
+        # held(2)'s child checks that both arms are identified and adjust
+        # for both confounders.
         out = tmp_path / "BENCH_adjust_scaling.json"
-        argv = ["--runs", "2", "--case", "adjust_chain:12", "--out", str(out)]
+        argv = ["--runs", "2", "--case", "adjust_chain:12", "--case", "held:2", "--out", str(out)]
         assert _scaling.main(argv) == 0
         line = capsys.readouterr().out
         assert out.read_text() == line
         result = json.loads(line)
         assert (result["bench"], result["runs"]) == ("adjust_scaling", 2)
         for layer in ("parse_ms", "split_ms", "identify_ms"):
-            timing = result[layer]["adjust_chain(12)"]
-            assert list(result[layer]) == ["adjust_chain(12)"]
-            assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]
+            assert list(result[layer]) == ["adjust_chain(12)", "held(2)"]
+            for timing in result[layer].values():
+                assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]
 
     def test_scaling_script_checks_the_dense_witness(self, capsys):
         # The child prints each blocked arm's witness, which the script
