@@ -8,9 +8,13 @@ Each case is a spec: ``row_scaling:N``, the benchmark's study whose latent
 outcome cause has N noise values (N = 56, 448, 3500 and 6944, the last just
 under the cap of 10^6 noise configurations; ``perfbench/families.py``);
 ``roots_chain:K``, a chain of K links each caused by a ten-valued latent
-root that nothing else reads (K = 4; ``scripts/cli_sweep.py``); and
-``chronic_pain``, the bundled spec.  ``--case`` picks cases, once per
-case; the default is all six.
+root that nothing else reads (K = 4; ``scripts/cli_sweep.py``);
+``chronic_pain``, the bundled spec; and ``adjust_chain:K``, the
+adjustment study whose K binary confounders of the held event and the
+outcome must all be adjusted for (K = 8, whose law has 2,048 states;
+``scripts/adjust_scaling.py``), where reading the law, not building it,
+takes a visible share of the check.  ``--case`` picks cases, once per
+case; the default is all seven.
 
 Runs each case in fresh Python processes through ``scaling_harness.py``:
 the child parses the spec and times ``check_soundness(study, seed=0)`` in
@@ -36,10 +40,16 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+import adjust_scaling  # noqa: E402
 import scaling_harness  # noqa: E402
 
 ROOT = scaling_harness.ROOT
-SIZES = {"row_scaling": (56, 448, 3500, 6944), "roots_chain": (4,), "chronic_pain": (None,)}
+SIZES = {
+    "row_scaling": (56, 448, 3500, 6944),
+    "roots_chain": (4,),
+    "chronic_pain": (None,),
+    "adjust_chain": (8,),
+}
 
 CHILD = (
     "import json, sys\n"
@@ -82,6 +92,8 @@ def case(family: str, size: int | None) -> tuple[str, str]:
         return f"roots_chain({size}, 10)", _load(ROOT / "scripts" / "cli_sweep.py").roots_chain(
             size, 10
         )
+    if family == "adjust_chain":
+        return f"adjust_chain({size})", adjust_scaling.adjust_chain(size)
     return family, (ROOT / "specs" / f"{family}.swg").read_text(encoding="utf-8")
 
 
@@ -100,7 +112,7 @@ def _case_name(text: str) -> tuple[str, int | None]:
         return family, None
     if family not in SIZES or family == "chronic_pain" or not size.isdigit() or int(size) < 1:
         raise argparse.ArgumentTypeError(
-            "expected row_scaling:SIZE, roots_chain:SIZE or chronic_pain"
+            "expected row_scaling:SIZE, roots_chain:SIZE, chronic_pain or adjust_chain:SIZE"
         )
     return family, int(size)
 

@@ -22,6 +22,10 @@ once: one per case and run, each reading the sources under ``DIR/src``
 report the same.  It prints one JSON line: per case, the median and
 quartiles of the time and what the case reported; ``--out`` writes the
 same line to a file.
+
+``scripts/startup.py`` times other children but reads its options with
+``parse_args``, summarises its samples with ``_summary`` and prints its
+line with ``emit``.
 """
 
 from __future__ import annotations
@@ -61,6 +65,39 @@ def _summary(samples: list[float]) -> dict:
     return {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
 
 
+def parse_args(
+    argv: list[str] | None,
+    doc: str,
+    runs: int,
+    what: str,
+    more: Callable[[argparse.ArgumentParser], object] = lambda p: None,
+) -> argparse.Namespace:
+    """``--runs`` (``what`` they are; default ``runs``), the options
+    ``more`` adds, ``--root`` and ``--out``, read from ``argv`` and
+    checked: at least two runs, and swigc sources under the root, which
+    comes back resolved."""
+    p = argparse.ArgumentParser(description=doc.splitlines()[0])
+    p.add_argument("--runs", type=int, default=runs, help=f"{what} (default {runs})")
+    more(p)
+    p.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is measured")
+    p.add_argument("--out", type=Path, help="also write the JSON line to this file")
+    args = p.parse_args(argv)
+    if args.runs < 2:
+        p.error("--runs must be at least 2")
+    args.root = args.root.resolve()
+    if not (args.root / "src" / "swigc" / "__init__.py").is_file():
+        p.error(f"no swigc sources under {args.root / 'src'}")
+    return args
+
+
+def emit(result: dict, out: Path | None) -> None:
+    """Print ``result`` as one JSON line, and write the line to ``out``."""
+    line = json.dumps(result)
+    print(line)
+    if out is not None:
+        out.write_text(line + "\n")
+
+
 def _run(child: str, text: str, env: dict, cwd: Path) -> list[str]:
     argv = [sys.executable, "-c", LEAST + child]
     done = subprocess.run(argv, input=text, env=env, cwd=cwd, capture_output=True, text=True)
@@ -85,20 +122,14 @@ def main(
     """Run a scaling script: ``bench`` names it in the JSON line and
     ``timed`` names each of its timings there; ``--case`` values are read
     with ``parse_case``, and all of ``cases`` run without one."""
-    p = argparse.ArgumentParser(description=doc.splitlines()[0])
-    p.add_argument("--runs", type=int, default=5, help="runs per case (default 5)")
-    p.add_argument("--case", type=parse_case, action="append", dest="cases", metavar=metavar,
-                   help=f"a case to time (default: all {len(cases)})")
-    p.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is measured")
-    p.add_argument("--out", type=Path, help="also write the JSON line to this file")
-    args = p.parse_args(argv)
-    if args.runs < 2:
-        p.error("--runs must be at least 2")
-    root = args.root.resolve()
-    if not (root / "src" / "swigc" / "__init__.py").is_file():
-        p.error(f"no swigc sources under {root / 'src'}")
-
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    args = parse_args(
+        argv, doc, 5, "runs per case",
+        lambda p: p.add_argument(
+            "--case", type=parse_case, action="append", dest="cases", metavar=metavar,
+            help=f"a case to time (default: all {len(cases)})",
+        ),
+    )
+    env = dict(os.environ, PYTHONPATH=str(args.root / "src"))
     result = {"bench": bench, "python": platform.python_version(), "runs": args.runs}
     result.update((field, {}) for field in timed)
     for key in args.cases or cases:
@@ -106,7 +137,7 @@ def main(
         times, reports = [], []
         for _ in range(args.runs):
             try:
-                lines = _run(child, text, env, root)
+                lines = _run(child, text, env, args.root)
                 reports.append(check(key, lines[len(timed):]))
             except ValueError as exc:
                 sys.exit(f"error: {name}: {exc}")
@@ -118,8 +149,5 @@ def main(
         for field, value in reports[0].items():
             result.setdefault(field, {})[name] = value
 
-    line = json.dumps(result)
-    print(line)
-    if args.out is not None:
-        args.out.write_text(line + "\n")
+    emit(result, args.out)
     return 0

@@ -23,13 +23,13 @@ bare start-up, import and CLI timings in milliseconds, of the CLI call
 net of the bare start-up (swigc's part of it) and of the import's share
 of that part, of the median argv parse over the request shapes in
 microseconds, and of each spec's parse in microseconds, and the module
-count; ``--out`` writes the same line to a file.  Run it on two
+count; ``--out`` writes the same line to a file.  The options, the
+summaries and the output are ``scaling_harness.py``'s.  Run it on two
 checkouts to compare them, alternating if the machine's speed drifts.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -40,7 +40,9 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from scaling_harness import ROOT, _summary, emit, parse_args  # noqa: E402
+
 SPEC = "specs/itt.swg"
 # Calls of each argv shape and of each spec's parse per run.
 FRONT_CALLS = 40
@@ -93,11 +95,6 @@ print(json.dumps({{"argv_parse_us": argv_us, "parse_file_us": spec_us}}))
 """
 
 
-def _summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
-
-
 def _by_key(rows: list[dict]) -> dict:
     return {key: _summary([row[key] for row in rows]) for key in sorted(rows[0])}
 
@@ -112,16 +109,8 @@ def _run(argv: list[str], env: dict, cwd: Path) -> tuple[float, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--runs", type=int, default=15, help="recorded runs (default 15)")
-    p.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is measured")
-    p.add_argument("--out", type=Path, help="also write the JSON line to this file")
-    args = p.parse_args(argv)
-    if args.runs < 2:
-        p.error("--runs must be at least 2")
-    root = args.root.resolve()
-    if not (root / "src" / "swigc" / "__init__.py").is_file():
-        p.error(f"no swigc sources under {root / 'src'}")
+    args = parse_args(argv, __doc__, 15, "recorded runs")
+    root = args.root
 
     bares, imports, walls, added, argv_us, spec_us = [], [], [], [], [], []
     with tempfile.TemporaryDirectory(prefix="swigc-pycache-") as cache:
@@ -149,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # swigc's part of each CLI call: its wall time less the bare start-up.
     nets = [wall - bare for wall, bare in zip(walls, bares)]
-    line = json.dumps(
+    emit(
         {
             "bench": "startup",
             "python": platform.python_version(),
@@ -162,11 +151,9 @@ def main(argv: list[str] | None = None) -> int:
             "argv_parse_us": _summary(argv_us),
             "parse_file_us": _by_key(spec_us),
             "modules_added": statistics.median_low(added),
-        }
+        },
+        args.out,
     )
-    print(line)
-    if args.out is not None:
-        args.out.write_text(line + "\n")
     return 0
 
 

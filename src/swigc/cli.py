@@ -112,9 +112,7 @@ def _parse_world(compiled: CompiledEstimand, text: str) -> Context:
     if set(assigned) != set(compiled.split_vars):
         raise SemanticError(f"a world must assign exactly: {expected}")
     for var, value in assigned.items():
-        declared = compiled.graph.attr(compiled.graph.node(var)).values
-        if value not in declared:
-            raise SemanticError(f"level {value} is outside declared values of {var}")
+        compiled.check_level(var, value)
     return tuple((v, assigned[v]) for v in compiled.split_vars)
 
 

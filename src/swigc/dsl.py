@@ -64,12 +64,12 @@ import os
 import re
 from fractions import Fraction
 from itertools import islice, product
-from math import lcm, prod
+from math import prod
 from operator import attrgetter, eq
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConflictingStrategies, CycleError, ParseError, SemanticError, SpecError
-from .graph import CausalGraph, NodeAttrs, NodeId, _check_attrs, valid_name
+from .graph import NAME_PATTERN, ROLES, CausalGraph, NodeAttrs, NodeId, _check_attrs, valid_name
 from .model import (
     Composite,
     Hypothetical,
@@ -79,6 +79,7 @@ from .model import (
     StructuralEquation,
     StudySpec,
     TreatmentPolicy,
+    _noise_weights,
 )
 
 __all__ = ["GRAMMAR_VERSION", "parse_study", "parse_file", "serialize"]
@@ -87,7 +88,7 @@ GRAMMAR_VERSION = "1.0"
 # The longest spec file read, in bytes; a longer one is unusable input.
 MAX_SPEC_BYTES = 2**24
 
-_DECLARED_ROLES = ("covariate", "intercurrent", "latent", "outcome", "treatment")
+_DECLARED_ROLES = tuple(sorted(ROLES - {"derived"}))
 
 
 # tokenizer
@@ -484,7 +485,7 @@ class _Parser:
 
 
 # valid_name of each of a list of names, joined by newlines.
-_VALID_NAMES = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*\n)*")
+_VALID_NAMES = re.compile(f"(?:{NAME_PATTERN}\n)*")
 
 
 def _node_attrs(name: str, items: tuple) -> NodeAttrs:
@@ -732,8 +733,8 @@ def _checked_noise(var: str, noise: list[tuple[int, Fraction]]) -> tuple:
         if prob.numerator <= 0:
             raise SemanticError(f"noise probabilities for {var} must be positive")
     # Over the least common denominator, as the oracle weighs them.
-    scale = lcm(*(prob.denominator for _, prob in noise))
-    if sum(prob.numerator * (scale // prob.denominator) for _, prob in noise) != scale:
+    scale, weights = _noise_weights(noise)
+    if sum(weights) != scale:
         total = sum(prob for _, prob in noise)
         raise SemanticError(f"noise probabilities for {var} must sum to 1, got {total}")
     return tuple(sorted(noise)), values_seen

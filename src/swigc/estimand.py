@@ -59,6 +59,11 @@ class CompiledEstimand:
             return {}
         return {s.term.var: s.value}
 
+    def check_level(self, var: str, level: int) -> None:
+        """Refuse a level that ``var`` does not declare."""
+        if level not in self.graph.attr(self.graph.node(var)).values:
+            raise SemanticError(f"level {level} is outside declared values of {var}")
+
     def symbolic_context(self) -> Context:
         """The same variables held at symbolic levels, for generic derivations."""
         return tuple((v, v.lower()) for v in self.split_vars)

@@ -175,7 +175,9 @@ Context = tuple[tuple[str, Value], ...]
 
 ROLES = frozenset({"treatment", "intercurrent", "outcome", "covariate", "latent", "derived"})
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# A variable name: a letter, then letters, digits and underscores.
+NAME_PATTERN = "[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
 def valid_name(name: str) -> bool:

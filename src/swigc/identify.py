@@ -168,9 +168,8 @@ def _check_term(mean: Expect, compiled: CompiledEstimand) -> None:
         expected = ", ".join(compiled.split_vars)
         raise SemanticError(f"term must assign exactly the intervened variables ({expected})")
     for var, val in context:
-        declared = compiled.graph.attr(compiled.graph.node(var)).values
-        if isinstance(val, int) and val not in declared:
-            raise SemanticError(f"level {val} is outside declared values of {var}")
+        if isinstance(val, int):
+            compiled.check_level(var, val)
 
 
 @record

@@ -15,7 +15,8 @@ vocabulary the derivations that identify it use.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from math import lcm
+from typing import Mapping, Sequence, Union
 
 from .graph import CausalGraph, default_factory, record
 
@@ -81,6 +82,13 @@ class StructuralEquation:
     parents: tuple[str, ...]
     noise: tuple[tuple[int, Fraction], ...]
     table: Mapping[tuple[int, ...], int]
+
+
+def _noise_weights(noise: Sequence[tuple[int, Fraction]]) -> tuple[int, list[int]]:
+    """The lcm of the noise denominators, and each noise weight over it:
+    the integer weights the oracle multiplies and the parser sums."""
+    scale = lcm(*(p.denominator for _, p in noise))
+    return scale, [p.numerator * (scale // p.denominator) for _, p in noise]
 
 
 @record

@@ -48,15 +48,17 @@ noise is summed out at its node and no unit is ever built whole:
   copies must agree wherever those observed values match the world's
   assignments.
 
-Readers group the integer masses with ``_Law.given``; a Fraction is built
-only where a reader divides.  check_soundness builds one law over every
-column its readers need and reads it once (``_read``): each arm's mean,
-from its stratum's mass and outcome-weighted sum, and the marginal over
-the formulas' observed variables, which it hands the formulas; a formula
-groups that marginal once per distinct (columns, weighting column), which
-its two arms share.  The guards come in the order the units apply them: a
-missing equation, the cap on the product of the declared noise supports,
-then a missing table entry, reported as the first failure in row order.
+Every reader groups the integer masses with ``_Law.given``; a Fraction
+is built only where a reader divides.  A mean E[outcome | stratum] groups
+the law by its stratum columns, weighted by its outcome column
+(``_mean_value``), and a formula groups it once per distinct (columns,
+weighting column), which its two arms share.  check_soundness builds one
+law over every column its readers need, reads both arms' means off it,
+the left arm first, and hands the formulas its marginal over their
+observed variables, itself one grouping of the law.  The guards come in
+the order the units apply them: a missing equation, the cap on the
+product of the declared noise supports, then a missing table entry,
+reported as the first failure in row order.
 
 No row table is built.  PotentialOutcomeTable._cells is the one unit
 stream: each unit's (noise configuration's) values at the columns asked
@@ -75,7 +77,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
-from math import lcm, prod
+from math import prod
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -89,7 +91,7 @@ from .estimand import CompiledEstimand, compile_study
 from .formula import Difference, Event, Expect, Formula, SumOver, Term, terms
 from .graph import CausalGraph, CompositeRule, Context, format_term, record
 from .identify import EstimandReport, identify_estimand
-from .model import SCMSpec, StructuralEquation, StudySpec
+from .model import SCMSpec, StructuralEquation, StudySpec, _noise_weights
 
 __all__ = [
     "PotentialOutcomeTable",
@@ -221,16 +223,17 @@ def enumerate_table(
 @record
 class _Law:
     """Integer masses of the joint values of the law's columns over one
-    shared ``denominator``, whether every consistency check held, and the
-    ``widest`` state count any step of the pass held.  ``positions`` gives
-    each column's position in a key; copies that share a column share its
-    position."""
+    shared ``denominator``.  ``positions`` gives each column's position in
+    a key; copies that share a column share its position.  A law the
+    forward pass built also says whether every consistency check held and
+    the ``widest`` state count any step of the pass held; a marginal of
+    it, which checked nothing, leaves both None."""
 
     positions: Mapping[Column, int]
     masses: Mapping[tuple[int, ...], int]
     denominator: int
-    consistent: bool
-    widest: int
+    consistent: bool | None = None
+    widest: int | None = None
 
     def given(self, columns: Sequence[Column], at: Column | None = None) -> Cells:
         """(mass, sum of mass times the value at ``at``, 0 without it) for
@@ -386,7 +389,7 @@ def _forward(
     for i, (base, rule, eq) in enumerate(mechanisms):
         if i in summed:
             continue
-        scale, weights = _scaled(eq) if rule is None else (1, [1])
+        scale, weights = _noise_weights(eq.noise) if rule is None else (1, [1])
         outcomes = _outcomes(rule, eq)
         if roots[i]:
             outcomes, weights, scale, reads[i] = _summed(roots[i], reads[i], outcomes, weights, scale)
@@ -425,12 +428,6 @@ def _forward(
     return _Law(positions, states, denominator, consistent, widest)
 
 
-def _scaled(eq: StructuralEquation) -> tuple[int, list[int]]:
-    """The lcm of the noise denominators, and each noise weight over it."""
-    scale = lcm(*(p.denominator for _, p in eq.noise))
-    return scale, [p.numerator * (scale // p.denominator) for _, p in eq.noise]
-
-
 def _summed(
     roots: list[Mechanism],
     reads: list[tuple[Context, list[Column]]],
@@ -453,7 +450,7 @@ def _summed(
     order = [k for k, c in enumerate(inputs) if c not in held] + [inputs.index(c) for c in held]
     rebuild = _getter(sorted(range(len(order)), key=order.__getitem__))
     combos = list(product(*([eq.table[(v,)] for v, _ in eq.noise] for _, _, eq in roots)))
-    scaled = [_scaled(eq) for _, _, eq in roots]
+    scaled = [_noise_weights(eq.noise) for _, _, eq in roots]
 
     def summed(parents: tuple[int, ...]) -> tuple[int, ...]:
         return tuple([x for combo in combos for x in outcomes(rebuild(parents + combo))])
@@ -478,36 +475,16 @@ def _mean_columns(mean: Expect) -> list[Column]:
     return [(t.var, t.context) for t in terms(mean)]
 
 
-def _read(
-    law: _Law, observed: Sequence[Column], means: Sequence[Expect]
-) -> tuple[_Law, list[Fraction]]:
-    """In one pass over ``law``: its marginal over ``observed``, zero
-    masses included, and each mean's E[outcome | stratum], from the
-    stratum's mass and outcome-weighted sum.  The first mean whose stratum
-    has mass zero raises EmptyStratum."""
-    pick = _getter([law.positions[c] for c in observed])
-    arms = []
-    for mean in means:
-        outcome, *stratum_column = _mean_columns(mean)
-        held = _getter([law.positions[c] for c in stratum_column])
-        event = tuple(e.value for e in mean.given)
-        arms.append((held, event, law.positions[outcome], [0, 0]))
-    masses: dict[tuple[int, ...], int] = {}
-    for key, mass in law.masses.items():
-        cell = pick(key)
-        masses[cell] = masses.get(cell, 0) + mass
-        for held, event, j, sums in arms:
-            if held(key) == event:
-                sums[0] += mass
-                sums[1] += mass * key[j]
-    values = []
-    for mean, (_, _, _, (mass, total)) in zip(means, arms):
-        if mass == 0:
-            stratum = ",".join(e.label for e in mean.given)
-            raise EmptyStratum(f"stratum {stratum} has probability zero")
-        values.append(Fraction(total, mass))
-    positions = {c: i for i, c in enumerate(observed)}
-    return _Law(positions, masses, law.denominator, law.consistent, law.widest), values
+def _mean_value(law: _Law, mean: Expect) -> Fraction:
+    """E[outcome | stratum] of ``mean``, from the stratum's mass and
+    outcome-weighted sum; a stratum of mass zero raises EmptyStratum."""
+    outcome, *stratum = _mean_columns(mean)
+    cells = law.given(stratum, outcome)
+    mass, total = cells.get(tuple(e.value for e in mean.given), (0, 0))
+    if mass == 0:
+        shown = ",".join(e.label for e in mean.given)
+        raise EmptyStratum(f"stratum {shown} has probability zero")
+    return Fraction(total, mass)
 
 
 def true_estimand(table: PotentialOutcomeTable, mean: Expect) -> Fraction:
@@ -520,7 +497,7 @@ def true_estimand(table: PotentialOutcomeTable, mean: Expect) -> Fraction:
     if any(e.term.context not in table.contexts for e in mean.given):
         raise OracleError("table was not enumerated for the stratum's world")
     law = _law(table.graph, table.scm, table.contexts, _mean_columns(mean))
-    return _read(law, (), [mean])[1][0]
+    return _mean_value(law, mean)
 
 
 def _formula_columns(g: CausalGraph, formula: Formula) -> list[Column]:
@@ -702,8 +679,8 @@ def check_soundness(
 
     With no ``seed``, the study's own data model is used.  One law over
     both arms' outcome and stratum columns and the observed variables of
-    both formulas serves every reader, read once: the arms' means, and
-    the marginal over those observed variables that the formulas read.
+    both formulas serves every reader: the arms' means are read off it,
+    and the formulas read its marginal over those observed variables.
     """
     if compiled is None:
         compiled = compile_study(study)
@@ -721,8 +698,9 @@ def check_soundness(
     columns = _mean_columns(left) + _mean_columns(right) + observed
     law = _law(g, model, compiled.worlds(), list(dict.fromkeys(columns)))
 
-    marginal, (left_value, right_value) = _read(law, observed, (left, right))
-    true_value = left_value - right_value
+    true_value = _mean_value(law, left) - _mean_value(law, right)
+    masses = {cell: mass for cell, (mass, _) in law.given(observed).items()}
+    marginal = _Law({c: i for i, c in enumerate(observed)}, masses, law.denominator)
     formula_value = None
     gap = None
     if identified:

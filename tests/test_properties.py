@@ -547,6 +547,42 @@ def test_serialized_studies_parse_back_to_themselves(study):
     assert parse_study(serialize(study)) == study
 
 
+def _checked(study):
+    """The study's soundness report and identification report, or the
+    type and text of the error that refuses it."""
+    try:
+        report = identify_estimand(study)
+        return check_soundness(study, report=report), report
+    except SwigcError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100)
+@given(declared_studies())
+def test_swapping_the_treatment_levels_swaps_the_arms(study):
+    """Swapping treatment_levels swaps the contrast's arms: the true,
+    formula and naive values and both gaps are negated, the status,
+    consistency and soundness are kept, identify_estimand's arms trade
+    places with the same derivation steps and premises, and a refused
+    study is refused with the same error either way."""
+    hi, lo = study.treatment_levels
+    found = _checked(study)
+    swapped = _checked(replace(study, treatment_levels=(lo, hi)))
+    if isinstance(found[0], type) or isinstance(swapped[0], type):
+        assert swapped == found
+        return
+    (report, identified), (back, swapped_identified) = found, swapped
+    assert (swapped_identified.left, swapped_identified.right) == (
+        identified.right, identified.left
+    )
+    assert (back.status, back.consistency_ok, back.sound) == (
+        report.status, report.consistency_ok, report.sound
+    )
+    for name in ("true_value", "formula_value", "gap", "naive_value", "naive_gap"):
+        value = getattr(report, name)
+        assert getattr(back, name) == (None if value is None else -value)
+
+
 COVARIATE_NAMES = "BCDEFGHJ"
 
 
